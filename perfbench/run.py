@@ -6,12 +6,17 @@ Run from anywhere inside a checkout; it measures the ``src`` next to it.
 
 ``--trace 0`` measures the end-to-end metrics:
 
-* ``reps_per_s``: replicates per second of a round, the median over the
-  rounds of the run (see ``workloads.py``); the run lasts ``--seconds`` and at
-  least MIN_ROUNDS rounds;
+* ``reps_per_s``: replicates per second of a round at the reference
+  speed, the median over the rounds of the run (see ``workloads.py``); the
+  run lasts ``--seconds`` and at least MIN_ROUNDS rounds;
 * ``peak_rss_mb``: the high-water resident memory of this process;
 * ``setup_s``: the median over fresh processes of the time to import
-  wrtrials and build the workload's configs.
+  wrtrials and build the workload's configs, at the reference speed.
+
+The reference speed: the machine's speed drifts, so each timing is divided
+by the slowdown that fixed calibration work, timed just before and after it,
+shows against its reference duration (see ``speed_probe``).  The unscaled
+rate and set-up time are printed on ``#`` lines.
 
 ``--trace 1`` measures the per-layer metrics from a traced run (see
 ``spans.py``) and replays its rounds untraced to compare summaries and to
@@ -42,18 +47,28 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Callable  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import workloads  # noqa: E402  (pins BLAS threads, puts the checkout's src on sys.path)
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from spans import ROOT_SPAN, SELF_TIME_METRICS, Tracer, layer_metrics  # noqa: E402
+from spans import ROOT_SPAN, SELF_TIME_METRICS, Tracer, layer_metrics, span_problems  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 MIN_ROUNDS = 5
+# The calibration kernels' durations at the reference speed: about their
+# durations on the 2-CPU Xeon VM the benchmark was built on when it was
+# lightly loaded, so that scaled figures read as if timed then.
+INTERPRETER_REF_S = 0.04
+ARRAY_REF_S = 0.028
+_CALIBRATION_X = np.random.default_rng(0).standard_normal(4000)
+# The root spans open just before and close just after each round's own
+# timer, a few microseconds in rounds of seconds.
+WALL_REL_TOL = 1e-3
 OUT_DIR = workloads.ROOT / ".perfbench_out"
 
 _SETUP_PROBE = """\
@@ -87,14 +102,51 @@ class Tally:
             print(f"# FAIL {where}: {'; '.join(problems)}", file=sys.stderr)
 
 
+def interpreter_seconds() -> float:
+    """Time a fixed pure-Python loop of dict updates and integer arithmetic."""
+    t0 = perf_counter()
+    counts: dict[int, int] = {}
+    total = 0
+    for i in range(250_000):
+        key = i & 1023
+        counts[key] = counts.get(key, 0) + i
+        total += i % 7
+    return perf_counter() - t0
+
+
+def array_seconds() -> float:
+    """Time a fixed all-pairs comparison of 4000 values, like the O(N^2) kernels at N=4000."""
+    t0 = perf_counter()
+    for _ in range(2):
+        (_CALIBRATION_X[:, None] < _CALIBRATION_X[None, :]).sum()
+    return perf_counter() - t0
+
+
+def speed_probe(array_bound: bool) -> float:
+    """How many times slower than the reference speed the machine runs now.
+
+    On a shared machine the speed of the same code drifts by up to a factor
+    of two over minutes.  A workload's round times follow the calibration
+    work that resembles it: array work for an array-bound workload,
+    interpreter work for the others.
+    """
+    if array_bound:
+        return array_seconds() / ARRAY_REF_S
+    return interpreter_seconds() / INTERPRETER_REF_S
+
+
 def run_rounds(workload, round_seeds, tally: Tally, tracer: Tracer | None = None,
-               seconds: float | None = None):
-    """Run a round per seed; return each round's cells and replicates per second.
+               seconds: float | None = None, probe: Callable[[], float] | None = None):
+    """Run a round per seed; return lists of each round's cells, elapsed seconds and slowdown.
 
     With ``seconds``, stop once that much time has passed and MIN_ROUNDS
     rounds are done.  A round that raises counts its missing cells as failed.
+    With ``probe``, a speed probe runs before the first round and after each
+    round, and a round's slowdown is the mean of the probes around it;
+    without, the list of slowdowns is empty.
     """
-    rounds, rates = [], []
+    rounds, elapsed, slowdowns = [], [], []
+    speed = probe() if probe else 0.0
     start = perf_counter()
     for seed in round_seeds:
         if seconds is not None and len(rounds) >= MIN_ROUNDS and perf_counter() - start >= seconds:
@@ -108,16 +160,27 @@ def run_rounds(workload, round_seeds, tally: Tally, tracer: Tracer | None = None
             traceback.print_exc()
             for _ in range(workload.cells_per_round - len(cells)):
                 tally.cell(f"{workload.name} round seed {seed}", ["raised"])
-        elapsed = perf_counter() - t0
+        elapsed.append(perf_counter() - t0)
         if tracer:
             tracer.close(idx)
         rounds.append(cells)
-        rates.append(sum(cell.cfg.reps for cell in cells) / elapsed)
-    return rounds, rates
+        if probe:
+            before, speed = speed, probe()
+            slowdowns.append((before + speed) / 2)
+    return rounds, elapsed, slowdowns
 
 
-def record_cells(workload, rounds, tally: Tally, expected=None) -> None:
-    """Check every cell.  ``expected[i]`` maps cell keys of round i to summary_json text."""
+def round_rates(rounds, elapsed) -> list[float]:
+    """Replicates per second of each round."""
+    return [sum(cell.cfg.reps for cell in cells) / s for cells, s in zip(rounds, elapsed)]
+
+
+def record_cells(workload, rounds, tally: Tally, expected=None, differences=None) -> None:
+    """Check every cell.
+
+    ``expected[i]`` maps the cell keys of round i to what
+    ``differences(cell, expected_value)`` compares the cell with.
+    """
     for i, cells in enumerate(rounds):
         for cell in cells:
             problems = workloads.cell_problems(cell)
@@ -125,17 +188,16 @@ def record_cells(workload, rounds, tally: Tally, expected=None) -> None:
                 want = expected[i].get(cell.key)
                 if want is None:
                     problems.append("no summary to compare with")
-                elif workloads.summary_json(cell) != want:
-                    problems.append(f"summary differs: {workloads.summary_json(cell)}")
+                else:
+                    problems += differences(cell, want)
             tally.cell(f"{workload.name} round {i} {cell.key}", problems)
 
 
-def pinned_summaries(workload) -> list[dict]:
+def record_pinned_cells(workload, rounds, tally: Tally) -> None:
+    """Check the pinned-seed rounds against pinned.json."""
     pinned = workloads.load_pinned().get(workload.name, {})
-    return [
-        {key: json.dumps(s, sort_keys=True) for key, s in pinned.get(label, {}).items()}
-        for label in workloads.PINNED_SEEDS
-    ]
+    expected = [pinned.get(label, {}) for label in workloads.PINNED_SEEDS]
+    record_cells(workload, rounds, tally, expected, workloads.pinned_differences)
 
 
 def seed_rounds(seed: int):
@@ -145,15 +207,20 @@ def seed_rounds(seed: int):
         i += 1
 
 
-def setup_seconds(name: str) -> float:
-    times = []
+def setup_seconds(name: str) -> tuple[float, float]:
+    """Median set-up seconds over fresh processes: at the reference speed, and as timed."""
+    scaled, times = [], []
+    before = speed_probe(array_bound=False)  # importing is interpreter work
     for _ in range(SETUP_PROBES):
         out = subprocess.run(
             [sys.executable, "-c", _SETUP_PROBE.format(here=str(HERE), name=name)],
             cwd=workloads.ROOT, capture_output=True, text=True, timeout=120, check=True,
         )
         times.append(float(out.stdout.strip().splitlines()[-1]))
-    return statistics.median(times)
+        after = speed_probe(array_bound=False)
+        scaled.append(times[-1] / ((before + after) / 2))
+        before = after
+    return statistics.median(scaled), statistics.median(times)
 
 
 def machine() -> dict:
@@ -170,15 +237,20 @@ def machine() -> dict:
 
 
 def measure_end_to_end(workload, seed: int, seconds: float, tally: Tally) -> dict:
-    setup = setup_seconds(workload.name)
+    setup, setup_as_timed = setup_seconds(workload.name)
     # the pinned rounds are timed too: they are the first rounds of every run
     pinned = workloads.pinned_round_seeds()
-    rounds, rates = run_rounds(workload, itertools.chain(pinned, seed_rounds(seed)), tally,
-                               seconds=seconds)
-    record_cells(workload, rounds[:len(pinned)], tally, pinned_summaries(workload))
+    rounds, elapsed, slowdowns = run_rounds(
+        workload, itertools.chain(pinned, seed_rounds(seed)), tally, seconds=seconds,
+        probe=lambda: speed_probe(workload.array_bound))
+    record_pinned_cells(workload, rounds[:len(pinned)], tally)
     record_cells(workload, rounds[len(pinned):], tally)
+    rates = round_rates(rounds, elapsed)
+    print(f"# {workload.name} unscaled: reps_per_s = {statistics.median(rates)!r} 1/s, "
+          f"setup_s = {setup_as_timed!r} s; median slowdown = {statistics.median(slowdowns)!r} "
+          f"over {len(rounds)} rounds")
     return {
-        "reps_per_s": statistics.median(rates),
+        "reps_per_s": statistics.median(r * s for r, s in zip(rates, slowdowns)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "setup_s": setup,
     }
@@ -188,29 +260,37 @@ def measure_layers(workload, seed: int, seconds: float, tally: Tally) -> dict:
     # counts and the fs memory peak: the pinned rounds, a fixed amount of work
     counted = Tracer(measure_memory=True)
     with counted.installed(workload.expected_bindings):
-        rounds, _ = run_rounds(workload, workloads.pinned_round_seeds(), tally, counted)
-    record_cells(workload, rounds, tally, pinned_summaries(workload))
+        rounds, _, _ = run_rounds(workload, workloads.pinned_round_seeds(), tally, counted)
+    record_pinned_cells(workload, rounds, tally)
 
     # times: the seed's rounds traced, then the same rounds untraced
     timed = Tracer()
     with timed.installed(workload.expected_bindings):
-        traced, traced_rates = run_rounds(workload, seed_rounds(seed), tally, timed, seconds)
+        traced, traced_elapsed, _ = run_rounds(workload, seed_rounds(seed), tally, timed, seconds)
     replay = itertools.islice(seed_rounds(seed), len(traced))
-    untraced, untraced_rates = run_rounds(workload, replay, tally)
+    untraced, untraced_elapsed, _ = run_rounds(workload, replay, tally)
     record_cells(workload, traced, tally)
+    # the same code runs in both, so the summaries must agree digit for digit
     record_cells(workload, untraced, tally,
-                 [{c.key: workloads.summary_json(c) for c in cells} for cells in traced])
+                 [{c.key: workloads.summary_json(c) for c in cells} for cells in traced],
+                 workloads.exact_differences)
 
     for tracer, label in ((counted, "pinned"), (timed, "timed")):
         missing = workload.expected_bindings - tracer.fired
         tally.check(f"{workload.name} {label} rounds: traced wrappers",
                     [f"never fired: {sorted(missing)}"] if missing else [])
-    metrics = layer_metrics(counted, timed, statistics.median(traced_rates),
-                            statistics.median(untraced_rates))
+        tally.check(f"{workload.name} {label} rounds: spans nest", span_problems(tracer.spans)[:5])
+    metrics = layer_metrics(counted, timed, sum(traced_elapsed),
+                            statistics.median(round_rates(traced, traced_elapsed)),
+                            statistics.median(round_rates(untraced, untraced_elapsed)))
+    # Self times of spans that nest add up to the root spans' wall time by
+    # construction.  trace.wall_ms comes from each round's own timer instead,
+    # so this compares the spans with a clock they do not share.
     self_sum = sum(metrics[name] for name in SELF_TIME_METRICS.values())
+    wall_ms = metrics["trace.wall_ms"]
     tally.check(f"{workload.name}: self times sum to the traced wall time",
-                [] if abs(self_sum - metrics["trace.wall_ms"]) <= 1e-9 * metrics["trace.wall_ms"]
-                else [f"{self_sum} ms != {metrics['trace.wall_ms']} ms"])
+                [] if abs(self_sum - wall_ms) <= WALL_REL_TOL * wall_ms
+                else [f"{self_sum} ms != {wall_ms} ms"])
 
     OUT_DIR.mkdir(exist_ok=True)
     with open(OUT_DIR / f"trace-{workload.name}-seed{seed}.json", "w") as fh:

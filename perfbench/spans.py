@@ -208,12 +208,23 @@ class Tracer:
                 setattr(module, attr, fn)
 
 
-def self_times(spans: list[list]) -> tuple[dict[str, float], float]:
-    """Self seconds per span name, and the wall seconds of the root spans.
+def span_problems(spans: list[list]) -> list[str]:
+    """Spans that do not nest: each must end after it starts and lie inside its parent.
 
-    A span's self time is its duration minus its children's durations, so
-    the self times of all names sum to the root spans' wall time.
+    Spans that nest have non-negative self times that add up to their
+    roots' wall time.
     """
+    problems = []
+    for i, (name, start, end, parent) in enumerate(spans):
+        if end < start:
+            problems.append(f"span {i} ({name}) ends before it starts")
+        elif parent >= 0 and not spans[parent][1] <= start <= end <= spans[parent][2]:
+            problems.append(f"span {i} ({name}) lies outside its parent ({spans[parent][0]})")
+    return problems
+
+
+def self_times(spans: list[list]) -> dict[str, float]:
+    """Self seconds per span name: a span's duration minus its children's."""
     child = [0.0] * len(spans)
     for name, start, end, parent in spans:
         if parent >= 0:
@@ -221,22 +232,23 @@ def self_times(spans: list[list]) -> tuple[dict[str, float], float]:
     out: dict[str, float] = defaultdict(float)
     for i, (name, start, end, parent) in enumerate(spans):
         out[name] += (end - start) - child[i]
-    wall = sum(end - start for name, start, end, parent in spans if parent < 0)
-    return out, wall
+    return out
 
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def layer_metrics(counted: Tracer, timed: Tracer, traced_rate: float, untraced_rate: float) -> dict:
+def layer_metrics(counted: Tracer, timed: Tracer, wall: float, traced_rate: float,
+                  untraced_rate: float) -> dict:
     """Per-layer metric values.
 
-    Times come from ``timed`` (the timed traced rounds); counts come from
-    ``counted`` (the pinned-seed rounds, a fixed amount of work, so every
-    count repeats exactly for the same code).
+    Times come from ``timed`` (the timed traced rounds, which took ``wall``
+    seconds by their own timers); counts come from ``counted`` (the
+    pinned-seed rounds, a fixed amount of work, so every count repeats
+    exactly for the same code).
     """
-    selfs, wall = self_times(timed.spans)
+    selfs = self_times(timed.spans)
     unknown = set(selfs) - set(SELF_TIME_METRICS)
     if unknown:
         raise RuntimeError(f"spans without a metric: {sorted(unknown)}")

@@ -1,11 +1,12 @@
 """Steadiness self-check: repeat each workload and compare spreads with the bounds.
 
     python3 perfbench/steadiness.py --runs 10
-    python3 perfbench/steadiness.py --runs 5 --workloads large_trial --seconds 10
+    python3 perfbench/steadiness.py --runs 10 --first-seed 11   # a second set of seeds
     python3 perfbench/steadiness.py --runs 1 --trace    # every metric of every workload once
 
-Each run is ``run.py`` in its own process with seeds first_seed,
-first_seed + 1, ...  For every end-to-end metric it prints the median, the
+Each run is ``run.py`` in its own process, for every workload and for the
+``run_seconds`` of BENCHMARK.json, with seeds first_seed, first_seed + 1, ...
+For every end-to-end metric it prints the median, the
 quartiles (``statistics.quantiles(values, n=4)``) and the spread, which is
 the distance between the quartiles as a share of the median, against the
 metric's bound from BENCHMARK.json.  A spread under a third of the bound is
@@ -50,18 +51,17 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--trace", action="store_true")
     args = ap.parse_args()
 
+    seconds = spec["run_seconds"]
     ok = True
-    record = {"seconds": args.seconds, "runs": {}}
-    for workload in args.workloads.split(","):
+    record = {"seconds": seconds, "runs": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         results = []
         for seed in range(args.first_seed, args.first_seed + args.runs):
-            result, notes = run_once(workload, seed, args.seconds, 0)
+            result, notes = run_once(workload, seed, seconds, 0)
             results.append({"seed": seed, "result": result, "notes": notes})
             values = {k: v["value"] for k, v in result["metrics"].items()}
             print(f"{workload} seed {seed}: correct={result['correct']} "
@@ -80,7 +80,7 @@ def main() -> int:
                   f"{spread:>7.4f} {m['bound']:>6}  {verdict}")
         record["runs"][workload] = results
         if args.trace:
-            result, notes = run_once(workload, args.first_seed, args.seconds, 1)
+            result, notes = run_once(workload, args.first_seed, seconds, 1)
             print("\n".join(notes[1:]))
             ok &= result["correct"]
             record["runs"][workload + ":trace"] = [{"seed": args.first_seed, "result": result,

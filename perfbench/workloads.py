@@ -9,6 +9,7 @@ first on ``sys.path``, so the benchmark always measures the source next to it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -63,6 +64,9 @@ class Workload:
     run_round: Callable[[int, list], None]  # (seed, sink): appends each Cell to sink
     build_configs: Callable[[int], list]
     expected_bindings: frozenset[str]
+    # True when O(N^2) array work dominates a round, so that the machine's
+    # speed for it is calibrated with array work, not interpreter work
+    array_bound: bool = False
 
 
 def round_seed(seed: int, index: int) -> int:
@@ -178,6 +182,7 @@ WORKLOADS = {
                 "harness.monte_carlo", "harness.run_trial", "harness.gen_binary_cohort",
                 "harness.form_matched_pairs", "harness.matched_wr_test",
                 "harness.fs_unmatched_test"}),
+            array_bound=True,
         ),
     )
 }
@@ -190,6 +195,49 @@ WORKLOADS = {
 def summary_json(cell: Cell) -> str:
     """Canonical text of a cell's summaries; floats keep every digit."""
     return json.dumps({a: s.to_dict() for a, s in cell.summaries.items()}, sort_keys=True)
+
+
+# How a cell is compared with its pinned summaries.  The counts, and
+# rejection_rate (rejections / reps_used), must match exactly.  The float
+# means may move in their last digits when a correct change reorders a sum,
+# so they match within FLOAT_REL_TOL, and NaN matches NaN.
+EXACT_FIELDS = ("reps_used", "degenerate_count", "rejection_rate")
+FLOAT_FIELDS = ("mean_estimate", "mean_ci")
+FLOAT_REL_TOL = 1e-9
+
+
+def _floats(summary: dict) -> list[float]:
+    out = []
+    for field in FLOAT_FIELDS:
+        value = summary[field]
+        out.extend(value if isinstance(value, list) else [value])
+    return out
+
+
+def _close(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
+
+
+def pinned_differences(cell: Cell, pinned: dict) -> list[str]:
+    """How a cell's summaries differ from ``pinned`` (one cell of pinned.json)."""
+    got = json.loads(summary_json(cell))
+    if set(got) != set(pinned):
+        return [f"analyses {sorted(got)} != pinned {sorted(pinned)}"]
+    problems = []
+    for name, g in got.items():
+        want = pinned[name]
+        if set(g) != set(EXACT_FIELDS + FLOAT_FIELDS) or set(want) != set(g):
+            problems.append(f"{name}: fields {sorted(g)} != pinned {sorted(want)}")
+        elif (any(g[f] != want[f] for f in EXACT_FIELDS)
+              or not all(map(_close, _floats(g), _floats(want)))):
+            problems.append(f"{name}: {json.dumps(g)} != pinned {json.dumps(want)}")
+    return problems
+
+
+def exact_differences(cell: Cell, expected: str) -> list[str]:
+    """How a cell's summaries differ from ``expected``, a summary_json text, digit for digit."""
+    got = summary_json(cell)
+    return [] if got == expected else [f"summary {got} != {expected}"]
 
 
 def cell_problems(cell: Cell) -> list[str]:
