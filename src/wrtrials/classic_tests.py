@@ -64,19 +64,14 @@ def cox_loglik(beta: np.ndarray, times: np.ndarray, X: np.ndarray) -> float:
     order = np.argsort(times, kind="stable")
     t, Xs = times[order], X[order]
     eta = Xs @ beta
-    w = np.exp(eta)
-    # log of risk-set sums, walking from the latest time backwards
-    rev_cum = np.cumsum(w[::-1])[::-1]
-    ll = 0.0
-    i = 0
-    n = len(t)
-    while i < n:
-        j = i
-        while j < n and t[j] == t[i]:
-            j += 1
-        ll += float(eta[i:j].sum()) - (j - i) * math.log(float(rev_cum[i]))
-        i = j
-    return ll
+    # risk-set sums, accumulated from the latest time backwards
+    rev_cum = np.cumsum(np.exp(eta)[::-1])[::-1]
+    # a tie group shares the risk set of its first member
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    sizes = np.diff(np.r_[starts, len(t)])
+    terms = np.add.reduceat(eta, starts) - sizes * np.log(rev_cum[starts])
+    # cumsum adds the groups in time order, as a sequential sum would
+    return float(np.cumsum(terms)[-1])
 
 
 def _cox_score_info(beta, times, X):

@@ -9,8 +9,16 @@ Three rules cover the outcome families:
 * continuous, three equally important components: counts of successful
   improvements are compared.
 
-Each rule offers a scalar ``compare`` for single pairs and a vectorized
-``score_matrix`` used by the test procedures, which must agree exactly.
+Each rule offers a scalar ``compare`` for single pairs, a broadcasting
+``pair_scores`` (+1 win, -1 loss, 0 tie for the left member of each pair),
+and ``u_win_loss``, which gives the within-stratum U-scores and the
+cross-arm win and loss counts as rank counts.  Every rule is a total
+preorder (binary, continuous) or a two-branch preorder (survival), so these
+sums are sorted searches, as in Knight's O(n log n) Kendall tau (Knight 1966,
+JASA 61:436): O(n log n) time and O(n) memory per stratum, giving exactly
+the integers that summing ``pair_scores`` over every pair would.
+``matched_wr_test`` scores its pairs with ``pair_scores``;
+``fs_unmatched_test`` calls ``u_win_loss`` once per stratum.
 """
 
 from __future__ import annotations
@@ -78,6 +86,31 @@ def _status_from_sign(s: int) -> WinStatus:
     return WinStatus.WIN if s > 0 else WinStatus.LOSS if s < 0 else WinStatus.TIE
 
 
+def _below_above(q: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each element of ``q``, how many elements of ``ref`` lie strictly below and above it."""
+    ref = np.sort(ref)
+    below = np.searchsorted(ref, q, side="left")
+    above = len(ref) - np.searchsorted(ref, q, side="right")
+    return below, above
+
+
+def _sign_sums(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """sum_j sign(q_i - ref_j) for each element of ``q``."""
+    below, above = _below_above(q, ref)
+    return below - above
+
+
+def _cross_win_loss(q: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
+    """Counts of pairs (i, j) with q_i > ref_j and with q_i < ref_j."""
+    below, above = _below_above(q, ref)
+    return int(below.sum()), int(above.sum())
+
+
+def _preorder_u_win_loss(key: np.ndarray, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``u_win_loss`` for a rule whose score is sign(key_i - key_j)."""
+    return _sign_sums(key, key), *_cross_win_loss(key[is_t], key[~is_t])
+
+
 class BinaryRule:
     """Prioritized comparison of (death, hospitalization) indicators.
 
@@ -97,11 +130,16 @@ class BinaryRule:
         x = np.array([o.x_hosp for o in outcomes])
         return y, x
 
-    def score_matrix(self, left, right) -> np.ndarray:
+    def pair_scores(self, left, right) -> np.ndarray:
         (y_i, x_i), (y_j, x_j) = left, right
-        death = np.sign(y_j[None, :] - y_i[:, None])
-        hosp = np.sign(x_j[None, :] - x_i[:, None])
+        death = np.sign(y_j - y_i)
+        hosp = np.sign(x_j - x_i)
         return np.where(death != 0, death, hosp).astype(np.int64)
+
+    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+        y, x = cols
+        # death outweighs hospitalization; fewer events is better
+        return _preorder_u_win_loss(-(2 * y + x), is_t)
 
 
 class SurvivalRule:
@@ -122,9 +160,7 @@ class SurvivalRule:
         self.priority = priority
 
     def compare(self, t: SurvivalOutcome, c: SurvivalOutcome) -> WinStatus:
-        left = self.columns([t])
-        right = self.columns([c])
-        return _status_from_sign(int(self.score_matrix(left, right)[0, 0]))
+        return _status_from_sign(int(self.pair_scores(self.columns([t]), self.columns([c]))[0]))
 
     def columns(self, outcomes: list[SurvivalOutcome]) -> tuple[np.ndarray, ...]:
         d = np.array([o.e_death for o in outcomes], dtype=float)
@@ -133,12 +169,25 @@ class SurvivalRule:
             raise ValueError("survival times must be strictly positive")
         return (d, h) if self.priority == "death" else (h, d)
 
-    def score_matrix(self, left, right) -> np.ndarray:
+    def pair_scores(self, left, right) -> np.ndarray:
         (p_i, s_i), (p_j, s_j) = left, right
-        primary_first = (p_i < s_i)[:, None] | (p_j < s_j)[None, :]
-        primary_cmp = np.sign(p_i[:, None] - p_j[None, :])
-        secondary_cmp = np.sign(s_i[:, None] - s_j[None, :])
-        return np.where(primary_first, primary_cmp, secondary_cmp).astype(np.int64)
+        primary_first = (p_i < s_i) | (p_j < s_j)
+        return np.where(primary_first, np.sign(p_i - p_j), np.sign(s_i - s_j)).astype(np.int64)
+
+    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+        # A = {primary first}: a pair with a member in A is decided on p,
+        # any other pair on s
+        p, s = cols
+        a = p < s
+        u = _sign_sums(p, p)
+        u[~a] = _sign_sums(p[~a], p[a]) + _sign_sums(s[~a], s[~a])
+        # cross-arm pairs on p, less those with neither member in A, plus
+        # those decided on s
+        both_t, both_c = is_t & ~a, ~is_t & ~a
+        w_all, l_all = _cross_win_loss(p[is_t], p[~is_t])
+        w_p, l_p = _cross_win_loss(p[both_t], p[both_c])
+        w_s, l_s = _cross_win_loss(s[both_t], s[both_c])
+        return u, w_all - w_p + w_s, l_all - l_p + l_s
 
 
 def improvement_indicators(
@@ -173,9 +222,13 @@ class ContinuousRule:
         counts = (y / base[:, None] < self.c_t).sum(axis=1)
         return (counts,)
 
-    def score_matrix(self, left, right) -> np.ndarray:
+    def pair_scores(self, left, right) -> np.ndarray:
         (n_i,), (n_j,) = left, right
-        return np.sign(n_i[:, None] - n_j[None, :]).astype(np.int64)
+        return np.sign(n_i - n_j).astype(np.int64)
+
+    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+        (counts,) = cols
+        return _preorder_u_win_loss(counts, is_t)
 
 
 def win_binary(t: BinaryOutcome, c: BinaryOutcome) -> WinStatus:
@@ -220,7 +273,7 @@ def matched_wr_test(cohort: list[PatientRecord], pairs: list[MatchedPair], rule)
     c_out = [by_id[p.control_id].outcome for p in pairs]
     left = rule.columns(t_out)
     right = rule.columns(c_out)
-    scores = np.diagonal(rule.score_matrix(left, right))
+    scores = rule.pair_scores(left, right)
     n_w = int((scores > 0).sum())
     n_l = int((scores < 0).sum())
     n_tie = int((scores == 0).sum())
@@ -282,18 +335,15 @@ def fs_unmatched_test(
             dropped += 1
             continue
         cols = rule.columns([rec.outcome for rec in recs])
-        u = rule.score_matrix(cols, cols)
-        np.fill_diagonal(u, 0)
-        scores = u.sum(axis=1)
+        scores, w, l = rule.u_win_loss(cols, is_t)
         u_scores[key] = scores
         sizes[key] = n_k
         m_counts[key] = m_k
         t_stat += float(scores[is_t].sum())
         v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * float((scores.astype(float) ** 2).sum())
-        cross = u[np.ix_(is_t, ~is_t)]
-        n_w += int((cross > 0).sum())
-        n_l += int((cross < 0).sum())
-        n_tie += int((cross == 0).sum())
+        n_w += w
+        n_l += l
+        n_tie += m_k * (n_k - m_k) - w - l
 
     method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
     inter = FsIntermediate(u_scores, sizes, m_counts, t_stat, v_stat)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wrtrials import (
     win_continuous,
     win_survival,
 )
-from wrtrials.wr_tests import SurvivalRule
+from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule
 
 
 def surv_patient(pid, arm, e_death, e_hosp, cov=(0, 0)):
@@ -144,17 +145,71 @@ def test_win_survival_rank_invariance():
             assert win_survival(ft, fc) is base
 
 
-def test_survival_scalar_matches_matrix_kernel():
+def oracle_pair_matrix(rule, cols):
+    """The O(n^2) form: every pair's score, row i scored against column j."""
+    return rule.pair_scores(tuple(c[:, None] for c in cols), tuple(c[None, :] for c in cols))
+
+
+def random_outcomes(rng, family, n, tie_heavy):
+    """Outcomes drawn on a small integer grid (tie-heavy) or from continuous laws (tie-free)."""
+    def draw(size):
+        return rng.integers(1, 5, size).astype(float) if tie_heavy else rng.exponential(1, size) + 1e-9
+
+    if family == "binary":
+        return [BinaryOutcome(int(y), int(x)) for y, x in rng.integers(0, 2, (n, 2))]
+    if family == "survival":
+        return [SurvivalOutcome(float(d), float(h)) for d, h in zip(draw(n), draw(n))]
+    return [ContinuousOutcome(5.0 if tie_heavy else float(b), tuple(float(v) for v in draw(3)))
+            for b in draw(n)]
+
+
+KERNEL_RULES = [
+    ("binary", BinaryRule()),
+    ("survival", SurvivalRule("death")),
+    ("survival", SurvivalRule("hosp")),
+    ("continuous", ContinuousRule(0.8)),
+]
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False])
+@pytest.mark.parametrize("family,rule", KERNEL_RULES,
+                         ids=["binary", "survival-death", "survival-hosp", "continuous"])
+def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
     rng = np.random.default_rng(10)
-    rule = SurvivalRule()
-    outcomes = [
-        SurvivalOutcome(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
-        for _ in range(12)
-    ]
-    cols = rule.columns(outcomes)
-    mat = rule.score_matrix(cols, cols)
-    for i, j in itertools.product(range(12), repeat=2):
-        assert mat[i, j] == rule.compare(outcomes[i], outcomes[j]).value
+    informative = 0
+    for n in range(2, 41):
+        outcomes = random_outcomes(rng, family, n, tie_heavy)
+        cols = rule.columns(outcomes)
+        mat = oracle_pair_matrix(rule, cols)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert mat[i, j] == rule.compare(outcomes[i], outcomes[j]).value
+        # the elementwise form on shuffled partners, as the matched test uses it
+        perm = rng.permutation(n)
+        shuffled = rule.pair_scores(cols, tuple(c[perm] for c in cols))
+        assert shuffled.dtype == np.int64
+        assert shuffled.tolist() == [rule.compare(outcomes[i], outcomes[perm[i]]).value
+                                     for i in range(n)]
+
+        is_t = rng.random(n) < 0.5
+        is_t[:2] = (True, False)
+        np.fill_diagonal(mat, 0)
+        cross = mat[np.ix_(is_t, ~is_t)]
+        u, n_w, n_l = rule.u_win_loss(cols, is_t)
+        assert u.dtype == np.int64
+        assert np.array_equal(u, mat.sum(axis=1))
+        assert (n_w, n_l) == ((cross > 0).sum(), (cross < 0).sum())
+
+        cohort = [PatientRecord(i, Arm(int(t)), (0, 0), 0, o)
+                  for i, (t, o) in enumerate(zip(is_t, outcomes))]
+        try:
+            res, inter = fs_unmatched_test(cohort, rule, stratified=False)
+        except DegenerateResultError:
+            assert not u.any()
+            continue
+        assert np.array_equal(inter.u_scores[0], u)
+        assert (res.n_w, res.n_l, res.n_tie) == (n_w, n_l, (cross == 0).sum())
+        informative += 1
+    assert informative > 30
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +496,21 @@ def test_wr_result_json_fields():
         "method", "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
         "p_value", "ci_low", "ci_high", "dropped_strata",
     }
+
+
+def test_fs_and_matched_memory_linear_in_n():
+    # one int64 n x n score matrix at this size would take 3.2 GB
+    rng = np.random.default_rng(77)
+    cohort = random_survival_cohort(rng, n=20_000, n_strata=4)
+    pairs = form_matched_pairs(cohort, np.random.default_rng(1)).pairs
+    tracemalloc.start()
+    try:
+        fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
+        fs_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matched_wr_test(cohort, pairs, SurvivalRule())
+        matched_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fs_peak < 64 * 2**20
+    assert matched_peak < 64 * 2**20
