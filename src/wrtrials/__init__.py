@@ -3,15 +3,14 @@
 from .core import (
     Arm,
     BinaryOutcome,
+    Cohort,
     ConfigError,
     ContinuousOutcome,
     DegenerateResultError,
-    MatchedPair,
     PairingResult,
     PatientRecord,
     SurvivalOutcome,
     WinStatus,
-    all_cross_pairs,
     form_matched_pairs,
     stratify,
 )
@@ -35,9 +34,6 @@ from .wr_tests import (
     fs_unmatched_test,
     improvement_indicators,
     matched_wr_test,
-    win_binary,
-    win_continuous,
-    win_survival,
 )
 from .classic_tests import (
     CoxResult,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.stats import f as f_dist, norm, rankdata
 
-from .core import Arm, DegenerateResultError, PatientRecord, SurvivalOutcome
+from .core import Cohort, DegenerateResultError
 
 Z_95 = 1.959963984540054
 BETA_CAP = 15.0
@@ -153,27 +153,22 @@ def cox_ph(
     return beta, cov, it, converged, separation
 
 
-def first_event_times(cohort: list[PatientRecord]) -> np.ndarray:
-    out = []
-    for rec in cohort:
-        o = rec.outcome
-        if not isinstance(o, SurvivalOutcome):
-            raise ValueError("Cox analysis needs survival outcomes")
-        out.append(min(o.e_death, o.e_hosp))
-    return np.array(out, dtype=float)
+def first_event_times(cohort: Cohort) -> np.ndarray:
+    if cohort.e_death is None:
+        raise ValueError("Cox analysis needs survival outcomes")
+    return np.minimum(cohort.e_death, cohort.e_hosp)
 
 
-def cox_fit(cohort: list[PatientRecord], use_covariates: bool = True) -> CoxResult:
+def cox_fit(cohort: Cohort, use_covariates: bool = True) -> CoxResult:
     """Cox regression of the time to first event on arm (plus covariates).
 
     The Wald statistic refers to the treatment coefficient; covariate
     coefficients are nuisance terms.
     """
     times = first_event_times(cohort)
-    cols = [np.array([float(rec.arm == Arm.TREATMENT) for rec in cohort])]
+    cols = [cohort.arm.astype(float)]
     if use_covariates:
-        cols.append(np.array([float(rec.covariates[0]) for rec in cohort]))
-        cols.append(np.array([float(rec.covariates[1]) for rec in cohort]))
+        cols += [cohort.x1.astype(float), cohort.x2.astype(float)]
         cols = [c for c in cols if c.std() > 0]
     X = np.column_stack(cols)
     beta, cov, iters, converged, separation = cox_ph(times, X)
@@ -244,11 +239,9 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     return ObrienResult(f_stat=float(f_stat), df=(df_b, df_w), p_value=p, rank_sums=means)
 
 
-def obrien_first_event(cohort: list[PatientRecord]) -> ObrienResult:
+def obrien_first_event(cohort: Cohort) -> ObrienResult:
     """Rank-sum-type test on the time to first event (longer is better)."""
-    times = first_event_times(cohort)
-    groups = np.array([int(rec.arm) for rec in cohort])
-    return obrien_test(times[:, None], groups)
+    return obrien_test(first_event_times(cohort)[:, None], cohort.arm)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def _cmd_gen(args) -> int:
     elif cfg.outcome_family == "binary":
         cohort = gen_binary_cohort(cfg.generator, rng)
     else:
-        cohort = [rec for rec, _ in gen_continuous_cohort(cfg.generator, cfg.mix, rng)]
+        cohort, _ = gen_continuous_cohort(cfg.generator, cfg.mix, rng)
     cohort_to_csv(cohort, args.out)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return 0

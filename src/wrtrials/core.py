@@ -1,14 +1,21 @@
-"""Domain types, stratification, and pair formation shared by every analysis.
+"""Domain types, the array-native cohort, and pair formation shared by every analysis.
 
-A cohort is a plain list of :class:`PatientRecord`.  All records are frozen
-dataclasses, so cohorts can be shared freely between concurrently running
-replications as long as each replication owns its own random generator.
+A cohort is one :class:`Cohort`: parallel arrays with one row per patient,
+whose row index is the patient id.  It holds the design columns (arm,
+covariates, stage) and the outcome columns of one family, validated once when
+the cohort is built, and derives the stratum of every row.  Analyses read the
+columns directly.  :class:`PatientRecord` is the row form, used only at the
+edges: hand-built cohorts (``Cohort.from_records``) and CSV export (iterating
+a cohort yields its rows).  A cohort is never modified after it is built, so
+it can be shared freely between concurrently running replications as long as
+each replication owns its own random generator.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -64,36 +71,25 @@ class SurvivalOutcome:
 
 @dataclass(frozen=True)
 class ContinuousOutcome:
-    """Baseline level and times to improvement on three components."""
+    """Strictly positive baseline level and times to improvement on three components."""
 
     y_base: float
     y: tuple[float, float, float]
 
+    def __post_init__(self):
+        if not self.y_base > 0:
+            raise ValueError("y_base must be strictly positive")
+
 
 Outcome = BinaryOutcome | SurvivalOutcome | ContinuousOutcome
 
-
-@dataclass(frozen=True)
-class PatientRecord:
-    id: int
-    arm: Arm
-    covariates: tuple[int, int]
-    stratum: int
-    outcome: Outcome
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    treatment_id: int
-    control_id: int
-    stratum: int
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    pairs: list[MatchedPair]
-    n_unpaired_treatment: int
-    n_unpaired_control: int
+# the cohort columns of each outcome family, named as the outcome's fields
+_OUTCOME_COLUMNS = ("e_death", "e_hosp", "y_death", "x_hosp", "y_base", "y")
+_FAMILY_COLUMNS = {
+    SurvivalOutcome: ("e_death", "e_hosp"),
+    BinaryOutcome: ("y_death", "x_hosp"),
+    ContinuousOutcome: ("y_base", "y"),
+}
 
 
 def stratify(covariates: tuple[int, int]) -> int:
@@ -108,8 +104,138 @@ def stratify(covariates: tuple[int, int]) -> int:
     return 2 * x1 + x2
 
 
+@dataclass(frozen=True)
+class PatientRecord:
+    """One patient as a row object; stage 1 marks a stage-2 re-randomization."""
+
+    arm: Arm
+    covariates: tuple[int, int]
+    outcome: Outcome
+    stage: int = 0
+
+    @property
+    def stratum(self) -> int:
+        """Covariate stratum, with stage as an extra layer (4 * stage + 2 * x1 + x2)."""
+        return 4 * self.stage + stratify(self.covariates)
+
+
+def _is_binary(col: np.ndarray) -> bool:
+    return bool(((col == 0) | (col == 1)).all())
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """A trial's patients as parallel columns; row ``i`` is patient ``i``.
+
+    ``arm``, ``x1``, ``x2`` and ``stage`` are 0/1 integer arrays.  Exactly
+    one family's outcome columns are set: ``e_death``/``e_hosp`` (strictly
+    positive times), ``y_death``/``x_hosp`` (0/1 indicators), or ``y_base``
+    (strictly positive, length n) with ``y`` (shape (n, 3)).  ``stratum`` is
+    derived as 4 * stage + 2 * x1 + x2, so each stage is its own layer of
+    covariate strata.
+    """
+
+    arm: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    stage: np.ndarray
+    e_death: np.ndarray | None = None
+    e_hosp: np.ndarray | None = None
+    y_death: np.ndarray | None = None
+    x_hosp: np.ndarray | None = None
+    y_base: np.ndarray | None = None
+    y: np.ndarray | None = None
+    stratum: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        present = tuple(name for name in _OUTCOME_COLUMNS if getattr(self, name) is not None)
+        if present not in _FAMILY_COLUMNS.values():
+            raise ValueError(f"a cohort needs the outcome columns of one family, got {present}")
+        for name in ("arm", "x1", "x2", "stage") + present:
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        n = len(self.arm)
+        if n == 0:
+            raise ValueError("a cohort needs at least one patient")
+        for name in ("x1", "x2", "stage") + present:
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"column {name} has {len(getattr(self, name))} rows, not {n}")
+        for name in ("arm", "x1", "x2", "stage"):
+            if not _is_binary(getattr(self, name)):
+                raise ValueError(f"{name} must be 0/1")
+        if self.e_death is not None and not ((self.e_death > 0).all() and (self.e_hosp > 0).all()):
+            raise ValueError("survival times must be strictly positive")
+        if self.y_death is not None and not (_is_binary(self.y_death) and _is_binary(self.x_hosp)):
+            raise ValueError("binary outcome components must be 0/1")
+        if self.y_base is not None:
+            if not (self.y_base > 0).all():
+                raise ValueError("y_base must be strictly positive")
+            if self.y.shape != (n, 3):
+                raise ValueError(f"y must have shape ({n}, 3), got {self.y.shape}")
+        object.__setattr__(self, "stratum", 4 * self.stage + 2 * self.x1 + self.x2)
+
+    @classmethod
+    def from_records(cls, records) -> "Cohort":
+        """Build a cohort from row objects, all of one outcome family, in id order."""
+        records = list(records)
+        if not records:
+            raise ValueError("a cohort needs at least one patient")
+        kind = type(records[0].outcome)
+        if any(type(rec.outcome) is not kind for rec in records):
+            raise ValueError("all records of a cohort must have one outcome family")
+        outcomes = {
+            name: np.array([getattr(rec.outcome, name) for rec in records])
+            for name in _FAMILY_COLUMNS[kind]
+        }
+        return cls(
+            arm=np.array([int(rec.arm) for rec in records]),
+            x1=np.array([rec.covariates[0] for rec in records]),
+            x2=np.array([rec.covariates[1] for rec in records]),
+            stage=np.array([rec.stage for rec in records]),
+            **outcomes,
+        )
+
+    def __len__(self) -> int:
+        return len(self.arm)
+
+    def __iter__(self) -> Iterator[PatientRecord]:
+        """The rows as :class:`PatientRecord` objects, in id order."""
+        if self.e_death is not None:
+            outcomes = map(SurvivalOutcome, self.e_death.tolist(), self.e_hosp.tolist())
+        elif self.y_death is not None:
+            outcomes = map(BinaryOutcome, self.y_death.tolist(), self.x_hosp.tolist())
+        else:
+            outcomes = (ContinuousOutcome(b, tuple(y))
+                        for b, y in zip(self.y_base.tolist(), self.y.tolist()))
+        rows = zip(self.arm.tolist(), self.x1.tolist(), self.x2.tolist(),
+                   self.stage.tolist(), outcomes)
+        for arm, x1, x2, stage, outcome in rows:
+            yield PatientRecord(Arm(arm), (x1, x2), outcome, stage)
+
+
+def stratum_groups(cohort: Cohort, stratified: bool = True) -> Iterator[tuple[int, np.ndarray]]:
+    """(stratum, row ids) of each stratum present, in increasing stratum order.
+
+    Row ids within a group keep cohort order.  Unstratified, every row forms
+    one group with key 0.
+    """
+    if not stratified:
+        yield 0, np.arange(len(cohort))
+        return
+    for key in np.unique(cohort.stratum):
+        yield int(key), np.flatnonzero(cohort.stratum == key)
+
+
+@dataclass(frozen=True)
+class PairingResult:
+    """Matched pairs as an (m, 2) array of row ids: treatment, then control."""
+
+    pairs: np.ndarray
+    n_unpaired_treatment: int
+    n_unpaired_control: int
+
+
 def form_matched_pairs(
-    cohort: list[PatientRecord],
+    cohort: Cohort,
     rng: np.random.Generator,
     stratified: bool = True,
 ) -> PairingResult:
@@ -117,48 +243,24 @@ def form_matched_pairs(
 
     Within each stratum (or globally when ``stratified`` is false) the two
     arms are shuffled and zipped; the surplus of the larger arm is left
-    unpaired.  Deterministic given the generator state.
+    unpaired.  Deterministic given the generator state: strata are visited
+    in increasing order, treatments shuffled before controls.
 
     Raises ``DegenerateResultError`` when no stratum can contribute a pair.
     """
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for rec in cohort:
-        key = rec.stratum if stratified else 0
-        slot = groups.setdefault(key, ([], []))
-        slot[rec.arm == Arm.TREATMENT].append(rec.id)
-
-    pairs: list[MatchedPair] = []
+    pairs = []
     unpaired_t = unpaired_c = 0
-    for key in sorted(groups):
-        controls, treatments = groups[key]
-        t_ids = [treatments[i] for i in rng.permutation(len(treatments))]
-        c_ids = [controls[i] for i in rng.permutation(len(controls))]
-        m = min(len(t_ids), len(c_ids))
-        pairs.extend(
-            MatchedPair(treatment_id=t, control_id=c, stratum=key)
-            for t, c in zip(t_ids[:m], c_ids[:m])
-        )
-        unpaired_t += len(t_ids) - m
-        unpaired_c += len(c_ids) - m
+    for _, rows in stratum_groups(cohort, stratified):
+        is_t = cohort.arm[rows] == Arm.TREATMENT
+        treatments, controls = rows[is_t], rows[~is_t]
+        treatments = treatments[rng.permutation(len(treatments))]
+        controls = controls[rng.permutation(len(controls))]
+        m = min(len(treatments), len(controls))
+        pairs.append(np.column_stack([treatments[:m], controls[:m]]))
+        unpaired_t += len(treatments) - m
+        unpaired_c += len(controls) - m
 
-    if not pairs:
+    pairs = np.concatenate(pairs)
+    if not len(pairs):
         raise DegenerateResultError("no pairs formable: an arm is empty in every stratum")
     return PairingResult(pairs, unpaired_t, unpaired_c)
-
-
-def all_cross_pairs(cohort, stratified=True):
-    """Yield every (treatment_id, control_id, stratum) cross-arm pair.
-
-    When stratified, pairs are restricted to a common stratum; otherwise all
-    treatment x control combinations are produced (stratum reported as 0).
-    """
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for rec in cohort:
-        key = rec.stratum if stratified else 0
-        slot = groups.setdefault(key, ([], []))
-        slot[rec.arm == Arm.TREATMENT].append(rec.id)
-    for key in sorted(groups):
-        controls, treatments = groups[key]
-        for t in treatments:
-            for c in controls:
-                yield (t, c, key)

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Arm,
-    BinaryOutcome,
-    ConfigError,
-    ContinuousOutcome,
-    PatientRecord,
-    SurvivalOutcome,
-    stratify,
-)
+from .core import BinaryOutcome, Cohort, ConfigError, SurvivalOutcome
 
 
 def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -73,7 +65,7 @@ class SurvivalGenConfig:
             raise ConfigError("allocation must lie in (0, 1)")
 
 
-def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator) -> list[PatientRecord]:
+def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator) -> Cohort:
     n = cfg.n
     x1 = rng.integers(0, 2, n)
     x2 = rng.integers(0, 2, n)
@@ -90,32 +82,7 @@ def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator) -> lis
     e_hosp = -np.log(_positive_uniform(rng, n)) * np.exp(-lp_hosp)
     e_death = -np.log(_positive_uniform(rng, n)) * np.exp(-lp_death)
 
-    return [
-        PatientRecord(
-            id=i,
-            arm=Arm(int(arm[i])),
-            covariates=(int(x1[i]), int(x2[i])),
-            stratum=stratify((int(x1[i]), int(x2[i]))),
-            outcome=SurvivalOutcome(float(e_death[i]), float(e_hosp[i])),
-        )
-        for i in range(n)
-    ]
-
-
-def apply_administrative_censoring(
-    cohort: list[PatientRecord], cutoff: float
-) -> list[tuple[PatientRecord, bool, bool]]:
-    """Optional hook: flag which events would be observed by ``cutoff``.
-
-    Returned tuples are (record, death_observed, hosp_observed).  None of
-    the bundled analyses consume these flags; complete follow-up is the
-    operating assumption everywhere else.
-    """
-    out = []
-    for rec in cohort:
-        o = rec.outcome
-        out.append((rec, o.e_death <= cutoff, o.e_hosp <= cutoff))
-    return out
+    return Cohort(arm, x1, x2, np.zeros(n, dtype=int), e_death=e_death, e_hosp=e_hosp)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +108,16 @@ class BinaryGenConfig:
             raise ConfigError("arm sizes must be positive")
 
 
-def gen_binary_cohort(cfg: BinaryGenConfig, rng: np.random.Generator) -> list[PatientRecord]:
-    records = []
-    arms = [(Arm.TREATMENT, cfg.n1, cfg.p_t, cfg.q_t), (Arm.CONTROL, cfg.n0, cfg.p_c, cfg.q_c)]
-    next_id = 0
-    for arm, n, p, q in arms:
-        y = rng.binomial(1, p, n)
-        x = rng.binomial(1, q, n)
-        for i in range(n):
-            records.append(
-                PatientRecord(
-                    id=next_id,
-                    arm=arm,
-                    covariates=(0, 0),
-                    stratum=0,
-                    outcome=BinaryOutcome(int(y[i]), int(x[i])),
-                )
-            )
-            next_id += 1
-    return records
+def gen_binary_cohort(cfg: BinaryGenConfig, rng: np.random.Generator) -> Cohort:
+    """Treatment patients first, then controls; no covariates (one stratum)."""
+    y_t = rng.binomial(1, cfg.p_t, cfg.n1)
+    x_t = rng.binomial(1, cfg.q_t, cfg.n1)
+    y_c = rng.binomial(1, cfg.p_c, cfg.n0)
+    x_c = rng.binomial(1, cfg.q_c, cfg.n0)
+    n = cfg.n1 + cfg.n0
+    zeros = np.zeros(n, dtype=int)
+    arm = np.r_[np.ones(cfg.n1, dtype=int), np.zeros(cfg.n0, dtype=int)]
+    return Cohort(arm, zeros, zeros, zeros, y_death=np.r_[y_t, y_c], x_hosp=np.r_[x_t, x_c])
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +241,40 @@ def draw_continuous_response(
     return frame.y_base[:, None] + effect + eps
 
 
+def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray]]) -> Cohort:
+    """One cohort from design stages given as (patients, arms, (n, 3) outcomes), stage k the k-th."""
+    frames, arms, ys = zip(*stages)
+    return Cohort(
+        np.concatenate(arms),
+        np.concatenate([f.x1 for f in frames]),
+        np.concatenate([f.x2 for f in frames]),
+        np.concatenate([np.full(len(a), k) for k, a in enumerate(arms)]),
+        y_base=np.concatenate([f.y_base for f in frames]),
+        y=np.concatenate(ys),
+    )
+
+
 def gen_continuous_cohort(
     cfg: ContinuousGenConfig,
     mix: SubpopMix,
     rng: np.random.Generator,
     allocation: float = 0.5,
-) -> list[tuple[PatientRecord, Subpop]]:
-    """Single-stage randomized cohort; returns (record, responder class) pairs."""
+) -> tuple[Cohort, np.ndarray]:
+    """Single-stage randomized cohort and each patient's responder class (Subpop values)."""
     frame = draw_continuous_patients(cfg, mix, rng)
     arm = _assign_arms(rng, cfg.n, allocation)
     y = draw_continuous_response(cfg, frame, arm == 1, rng)
-    out = []
-    for i in range(cfg.n):
-        rec = PatientRecord(
-            id=i,
-            arm=Arm(int(arm[i])),
-            covariates=(int(frame.x1[i]), int(frame.x2[i])),
-            stratum=stratify((int(frame.x1[i]), int(frame.x2[i]))),
-            outcome=ContinuousOutcome(
-                float(frame.y_base[i]), (float(y[i, 0]), float(y[i, 1]), float(y[i, 2]))
-            ),
-        )
-        out.append((rec, Subpop(int(frame.subpop[i]))))
-    return out
+    return continuous_cohort([(frame, arm, y)]), frame.subpop
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 
 
-def cohort_to_csv(cohort: list[PatientRecord], path: str) -> None:
+def cohort_to_csv(cohort: Cohort, path: str) -> None:
     """One row per patient: id, arm, covariates, stratum, outcome columns."""
-    if not cohort:
-        raise ValueError("cannot export an empty cohort")
-    first = cohort[0].outcome
+    rows = list(cohort)
+    first = rows[0].outcome
     if isinstance(first, BinaryOutcome):
         extra = ["y_death", "x_hosp"]
         row = lambda o: [o.y_death, o.x_hosp]
@@ -329,8 +287,8 @@ def cohort_to_csv(cohort: list[PatientRecord], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "arm", "x_cov1", "x_cov2", "stratum"] + extra)
-        for rec in cohort:
+        for pid, rec in enumerate(rows):
             writer.writerow(
-                [rec.id, int(rec.arm), rec.covariates[0], rec.covariates[1], rec.stratum]
+                [pid, int(rec.arm), rec.covariates[0], rec.covariates[1], rec.stratum]
                 + row(rec.outcome)
             )

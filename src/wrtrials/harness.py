@@ -13,15 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import (
-    Arm,
-    ConfigError,
-    ContinuousOutcome,
-    DegenerateResultError,
-    PatientRecord,
-    form_matched_pairs,
-    stratify,
-)
+from .core import Cohort, ConfigError, DegenerateResultError, form_matched_pairs
 from .classic_tests import cox_fit, obrien_first_event, obrien_test, contingency_or_test
 from .datagen import (
     BinaryGenConfig,
@@ -29,6 +21,7 @@ from .datagen import (
     ContinuousFrame,
     SubpopMix,
     SurvivalGenConfig,
+    continuous_cohort,
     draw_continuous_patients,
     draw_continuous_response,
     gen_binary_cohort,
@@ -167,7 +160,7 @@ def _degenerate(analysis: str, err: Exception) -> TrialRecord:
     return TrialRecord(analysis, nan, nan, nan, nan, nan, degenerate=True, note=str(err))
 
 
-def _run_analyses(cfg: ScenarioConfig, cohort: list[PatientRecord], rng: np.random.Generator):
+def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator):
     family = cfg.outcome_family
     if family == "survival":
         rule = SurvivalRule(cfg.win_priority)
@@ -201,9 +194,7 @@ def _run_analyses(cfg: ScenarioConfig, cohort: list[PatientRecord], rng: np.rand
                 if family == "survival":
                     res = obrien_first_event(cohort)
                 else:
-                    values = -np.array([rec.outcome.y for rec in cohort])
-                    groups = np.array([int(rec.arm) for rec in cohort])
-                    res = obrien_test(values, groups)
+                    res = obrien_test(-cohort.y, cohort.arm)
                 records[analysis] = TrialRecord(
                     analysis, float("nan"), float("nan"), float("nan"),
                     res.f_stat, res.p_value,
@@ -213,12 +204,10 @@ def _run_analyses(cfg: ScenarioConfig, cohort: list[PatientRecord], rng: np.rand
                 # plain 2x2 Wald test has no stratum structure, and pooling
                 # records across stages either duplicates patients or
                 # confounds arm with stage composition
-                subset = [rec for rec in cohort if rec.stratum < 4]
-                flags = np.array(
-                    [improvement_indicators(rec.outcome, cfg.cutoffs.c_t)[3] for rec in subset]
-                )
-                arms = np.array([int(rec.arm) for rec in subset])
-                res = contingency_or_test(flags[arms == 1], flags[arms == 0])
+                first = cohort.stage == 0
+                improved = improvement_indicators(cohort, cfg.cutoffs.c_t).any(axis=1)[first]
+                arms = cohort.arm[first]
+                res = contingency_or_test(improved[arms == 1], improved[arms == 0])
                 records[analysis] = TrialRecord(
                     analysis, res.or_hat, float("nan"), float("nan"), res.z, res.p_value,
                     note="haldane" if res.corrected else "",
@@ -274,29 +263,6 @@ def run_sed_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
 
 
 _LEADIN_MAX_BATCHES = 400
-
-
-def _composite_stratum(stage: int, cov_stratum: int) -> int:
-    return stage * 4 + cov_stratum
-
-
-def _continuous_records(frame: ContinuousFrame, idx, arms, outcomes, stage, id_offset):
-    recs = []
-    for ordinal, patient in enumerate(idx):
-        cov = (int(frame.x1[patient]), int(frame.x2[patient]))
-        recs.append(
-            PatientRecord(
-                id=id_offset + ordinal,
-                arm=Arm(int(arms[ordinal])),
-                covariates=cov,
-                stratum=_composite_stratum(stage, stratify(cov)),
-                outcome=ContinuousOutcome(
-                    float(frame.y_base[patient]),
-                    tuple(float(v) for v in outcomes[ordinal]),
-                ),
-            )
-        )
-    return recs
 
 
 def _nonresponder_mask(y: np.ndarray, y_base: np.ndarray, cutoff: float) -> np.ndarray:
@@ -355,7 +321,7 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
     y1 = draw_continuous_response(
         gen, frame, s1_arm == 1, np.random.default_rng(s1_outcome_seed)
     )
-    cohort = _continuous_records(frame, np.arange(n), s1_arm, y1, stage=0, id_offset=0)
+    stages = [(frame, s1_arm, y1)]
 
     if sed:
         drug_idx = np.where(s1_arm == 1)[0]
@@ -371,11 +337,10 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
             y2 = draw_continuous_response(
                 gen, sub, s2_arm == 1, np.random.default_rng(s2_outcome_seed)
             )
-            cohort += _continuous_records(
-                sub, np.arange(len(responders)), s2_arm, y2, stage=1, id_offset=n
-            )
+            stages.append((sub, s2_arm, y2))
         # fewer than two responders: the stage-2 stratum is dropped entirely
 
+    cohort = continuous_cohort(stages)
     return _run_analyses(cfg, cohort, np.random.default_rng(analysis_seed))
 
 

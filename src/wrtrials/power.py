@@ -1,10 +1,12 @@
 """Closed-form operating characteristics for the binary prioritized composite.
 
-Matched analysis: per-pair win/loss/tie probabilities have product closed
-forms; the sample size either inverts the binomial test actually used
-(``method="binomial"``, the default, validated by simulation) or the
-ratio-scale normal approximation (``method="ratio"``), which is retained
-because it is the published closed form but is markedly anticonservative.
+Matched analysis: the per-pair win/loss/tie probabilities are the cross-arm
+ones of the unmatched analysis below, taken at the arms' event rates (one
+bilinear formula serves both); the sample size either inverts the binomial
+test actually used (``method="binomial"``, the default, validated by
+simulation) or the ratio-scale normal approximation (``method="ratio"``),
+which is retained because it is the published closed form but is markedly
+anticonservative.
 
 Unmatched analysis: the win ratio is a smooth function g of the six arm-wise
 means theta = (p_t, q_t, p_t q_t, p_c, q_c, p_c q_c); the delta method gives
@@ -60,10 +62,18 @@ class ThetaBinary:
 THETA_NULL = ThetaBinary((0.5, 0.5, 0.25, 0.5, 0.5, 0.25))
 
 
-def _check_prob(*values):
-    for v in values:
-        if not (0.0 <= v <= 1.0):
-            raise ConfigError(f"probability out of range: {v}")
+def _binary_win_loss(t: tuple[float, ...]) -> tuple[float, float]:
+    """Cross-arm win and loss probabilities of the prioritized binary rule.
+
+    ``t`` holds the six arm-wise means of (Y, X, XY), treatment then control:
+    expectations or sample means alike.  Both probabilities are bilinear in
+    them, which is what makes the win ratio a function of the arm-wise
+    sample means alone.
+    """
+    t1, t2, t3, t4, t5, t6 = t
+    w = (1 - t1) * t4 + (t1 - t3) * t6 + (1 - t1 - t2 + t3) * (t5 - t6)
+    l = t1 * (1 - t4) + t3 * (t4 - t6) + (t2 - t3) * (1 - t4 - t5 + t6)
+    return w, l
 
 
 def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProbs:
@@ -73,17 +83,7 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
     within each patient; the pair compares death first, hospitalization on
     death ties.
     """
-    _check_prob(p_t, q_t, p_c, q_c)
-    p_w = (
-        p_t * (1 - q_t) * p_c * q_c
-        + (1 - p_t) * q_t * p_c
-        + (1 - p_t) * (1 - q_t) * (1 - (1 - p_c) * (1 - q_c))
-    )
-    p_l = (
-        p_t * (1 - q_t) * (1 - p_c)
-        + p_t * q_t * (1 - p_c * q_c)
-        + (1 - p_t) * q_t * (1 - p_c) * (1 - q_c)
-    )
+    p_w, p_l = _binary_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c).theta)
     return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
 
 
@@ -162,15 +162,8 @@ def measure_null_ratio_variance(n: int, reps: int, seed: int) -> float:
 
 
 def unmatched_win_loss(theta: ThetaBinary) -> tuple[float, float]:
-    """Expected per-pair win and loss probabilities across arms.
-
-    Both are bilinear in the six components of theta, which is what makes
-    the win ratio a function of the arm-wise sample means alone.
-    """
-    t1, t2, t3, t4, t5, t6 = theta.theta
-    w = (1 - t1) * t4 + (t1 - t3) * t6 + (1 - t1 - t2 + t3) * (t5 - t6)
-    l = t1 * (1 - t4) + t3 * (t4 - t6) + (t2 - t3) * (1 - t4 - t5 + t6)
-    return w, l
+    """Expected per-pair win and loss probabilities across arms."""
+    return _binary_win_loss(theta.theta)
 
 
 def unmatched_g(theta: ThetaBinary) -> float:
@@ -283,6 +276,7 @@ def unmatched_wald_test(
     y_c = np.asarray(y_c)
     x_c = np.asarray(x_c)
     n1, n0 = len(y_t), len(y_c)
+    # a plain tuple: sample means need not satisfy ThetaBinary's product constraint
     means = (
         y_t.mean(),
         x_t.mean(),
@@ -291,9 +285,7 @@ def unmatched_wald_test(
         x_c.mean(),
         (x_c * y_c).mean(),
     )
-    t1, t2, t3, t4, t5, t6 = means
-    w = (1 - t1) * t4 + (t1 - t3) * t6 + (1 - t1 - t2 + t3) * (t5 - t6)
-    l = t1 * (1 - t4) + t3 * (t4 - t6) + (t2 - t3) * (1 - t4 - t5 + t6)
+    w, l = _binary_win_loss(means)
     if l == 0:
         return math.inf, math.inf, 0.0
     g_hat = w / l

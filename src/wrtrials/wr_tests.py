@@ -9,16 +9,17 @@ Three rules cover the outcome families:
 * continuous, three equally important components: counts of successful
   improvements are compared.
 
-Each rule offers a scalar ``compare`` for single pairs, a broadcasting
-``pair_scores`` (+1 win, -1 loss, 0 tie for the left member of each pair),
-and ``u_win_loss``, which gives the within-stratum U-scores and the
-cross-arm win and loss counts as rank counts.  Every rule is a total
-preorder (binary, continuous) or a two-branch preorder (survival), so these
-sums are sorted searches, as in Knight's O(n log n) Kendall tau (Knight 1966,
-JASA 61:436): O(n log n) time and O(n) memory per stratum, giving exactly
-the integers that summing ``pair_scores`` over every pair would.
-``matched_wr_test`` scores its pairs with ``pair_scores``;
-``fs_unmatched_test`` calls ``u_win_loss`` once per stratum.
+Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
+(``columns``), scores pairs with a broadcasting ``pair_scores`` (+1 win, -1
+loss, 0 tie for the left member of each pair), and gives the within-stratum
+U-scores and the cross-arm win and loss counts as rank counts
+(``u_win_loss``).  ``compare`` is the single-pair view of ``pair_scores``.
+Every rule is a total preorder (binary, continuous) or a two-branch preorder
+(survival), so the U-scores and counts are sorted searches, as in Knight's
+O(n log n) Kendall tau (Knight 1966, JASA 61:436): O(n log n) time and O(n)
+memory per stratum, giving exactly the integers that summing ``pair_scores``
+over every pair would.  ``matched_wr_test`` scores its pairs with
+``pair_scores``; ``fs_unmatched_test`` calls ``u_win_loss`` once per stratum.
 """
 
 from __future__ import annotations
@@ -29,16 +30,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.stats import norm
 
-from .core import (
-    Arm,
-    BinaryOutcome,
-    ContinuousOutcome,
-    DegenerateResultError,
-    MatchedPair,
-    PatientRecord,
-    SurvivalOutcome,
-    WinStatus,
-)
+from .core import Arm, Cohort, DegenerateResultError, Outcome, WinStatus, stratum_groups
 
 Z_95 = 1.959963984540054
 
@@ -82,10 +74,6 @@ class FsIntermediate:
 # winning rules
 
 
-def _status_from_sign(s: int) -> WinStatus:
-    return WinStatus.WIN if s > 0 else WinStatus.LOSS if s < 0 else WinStatus.TIE
-
-
 def _below_above(q: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each element of ``q``, how many elements of ``ref`` lie strictly below and above it."""
     ref = np.sort(ref)
@@ -111,24 +99,27 @@ def _preorder_u_win_loss(key: np.ndarray, is_t: np.ndarray) -> tuple[np.ndarray,
     return _sign_sums(key, key), *_cross_win_loss(key[is_t], key[~is_t])
 
 
-class BinaryRule:
+class _WinningRule:
+    """What every rule shares: ``compare``, the single-pair view of ``pair_scores``.
+
+    A rule's ``columns`` reads the same attributes off a cohort (arrays) and
+    off one outcome object (scalars, as 0-d arrays), so one definition
+    scores both.
+    """
+
+    def compare(self, t: Outcome, c: Outcome) -> WinStatus:
+        return WinStatus(int(self.pair_scores(self.columns(t), self.columns(c))))
+
+
+class BinaryRule(_WinningRule):
     """Prioritized comparison of (death, hospitalization) indicators.
 
     Absence of death beats death; on equal death status, absence of
     hospitalization beats hospitalization; otherwise a tie.
     """
 
-    def compare(self, t: BinaryOutcome, c: BinaryOutcome) -> WinStatus:
-        if t.y_death != c.y_death:
-            return WinStatus.WIN if t.y_death < c.y_death else WinStatus.LOSS
-        if t.x_hosp != c.x_hosp:
-            return WinStatus.WIN if t.x_hosp < c.x_hosp else WinStatus.LOSS
-        return WinStatus.TIE
-
-    def columns(self, outcomes: list[BinaryOutcome]) -> tuple[np.ndarray, ...]:
-        y = np.array([o.y_death for o in outcomes])
-        x = np.array([o.x_hosp for o in outcomes])
-        return y, x
+    def columns(self, src) -> tuple[np.ndarray, ...]:
+        return np.asarray(src.y_death), np.asarray(src.x_hosp)
 
     def pair_scores(self, left, right) -> np.ndarray:
         (y_i, x_i), (y_j, x_j) = left, right
@@ -142,7 +133,7 @@ class BinaryRule:
         return _preorder_u_win_loss(-(2 * y + x), is_t)
 
 
-class SurvivalRule:
+class SurvivalRule(_WinningRule):
     """Prioritized comparison of (death time, hospitalization time).
 
     The death branch is active when death is the first event for at least
@@ -159,14 +150,9 @@ class SurvivalRule:
             raise ValueError(f"priority must be 'death' or 'hosp', got {priority!r}")
         self.priority = priority
 
-    def compare(self, t: SurvivalOutcome, c: SurvivalOutcome) -> WinStatus:
-        return _status_from_sign(int(self.pair_scores(self.columns([t]), self.columns([c]))[0]))
-
-    def columns(self, outcomes: list[SurvivalOutcome]) -> tuple[np.ndarray, ...]:
-        d = np.array([o.e_death for o in outcomes], dtype=float)
-        h = np.array([o.e_hosp for o in outcomes], dtype=float)
-        if np.any(d <= 0) or np.any(h <= 0):
-            raise ValueError("survival times must be strictly positive")
+    def columns(self, src) -> tuple[np.ndarray, ...]:
+        d = np.asarray(src.e_death, dtype=float)
+        h = np.asarray(src.e_hosp, dtype=float)
         return (d, h) if self.priority == "death" else (h, d)
 
     def pair_scores(self, left, right) -> np.ndarray:
@@ -190,37 +176,22 @@ class SurvivalRule:
         return u, w_all - w_p + w_s, l_all - l_p + l_s
 
 
-def improvement_indicators(
-    o: ContinuousOutcome, c_t: float
-) -> tuple[int, int, int, int]:
-    """Per-component improvement indicators and their any-component union.
+def improvement_indicators(src, c_t: float) -> np.ndarray:
+    """Per-component improvement indicators, shape (..., 3), of a cohort or one outcome.
 
     Component j improved when y_j / y_base < c_t (strict).
     """
-    if not o.y_base > 0:
-        raise ValueError("y_base must be strictly positive")
-    flags = tuple(int(yj / o.y_base < c_t) for yj in o.y)
-    return flags + (int(sum(flags) >= 1),)
+    return np.asarray(src.y, dtype=float) / np.asarray(src.y_base, dtype=float)[..., None] < c_t
 
 
-class ContinuousRule:
+class ContinuousRule(_WinningRule):
     """Comparison of improvement counts for three equally important components."""
 
     def __init__(self, c_t: float):
         self.c_t = c_t
 
-    def compare(self, t: ContinuousOutcome, c: ContinuousOutcome) -> WinStatus:
-        n_t = sum(improvement_indicators(t, self.c_t)[:3])
-        n_c = sum(improvement_indicators(c, self.c_t)[:3])
-        return _status_from_sign(n_t - n_c)
-
-    def columns(self, outcomes: list[ContinuousOutcome]) -> tuple[np.ndarray, ...]:
-        base = np.array([o.y_base for o in outcomes], dtype=float)
-        if np.any(base <= 0):
-            raise ValueError("y_base must be strictly positive")
-        y = np.array([o.y for o in outcomes], dtype=float)
-        counts = (y / base[:, None] < self.c_t).sum(axis=1)
-        return (counts,)
+    def columns(self, src) -> tuple[np.ndarray, ...]:
+        return (improvement_indicators(src, self.c_t).sum(axis=-1),)
 
     def pair_scores(self, left, right) -> np.ndarray:
         (n_i,), (n_j,) = left, right
@@ -229,18 +200,6 @@ class ContinuousRule:
     def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
         (counts,) = cols
         return _preorder_u_win_loss(counts, is_t)
-
-
-def win_binary(t: BinaryOutcome, c: BinaryOutcome) -> WinStatus:
-    return BinaryRule().compare(t, c)
-
-
-def win_survival(t: SurvivalOutcome, c: SurvivalOutcome, priority: str = "death") -> WinStatus:
-    return SurvivalRule(priority).compare(t, c)
-
-
-def win_continuous(t: ContinuousOutcome, c: ContinuousOutcome, c_t: float) -> WinStatus:
-    return ContinuousRule(c_t).compare(t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +218,19 @@ def _odds(p: float) -> float:
     return p / (1.0 - p)
 
 
-def matched_wr_test(cohort: list[PatientRecord], pairs: list[MatchedPair], rule) -> WrResult:
+def matched_wr_test(cohort: Cohort, pairs: np.ndarray, rule) -> WrResult:
     """Win-ratio test on matched pairs via the standardized-normal statistic.
 
     With n informative (non-tie) pairs and win proportion p_w, the statistic
     is z = (p_w - 0.5) / sqrt(p_w (1 - p_w) / n); the 95% CI for the win
-    ratio transforms the binomial CI of p_w through p / (1 - p).
+    ratio transforms the binomial CI of p_w through p / (1 - p).  ``pairs``
+    is an (m, 2) array of row ids, treatment then control.
     """
-    if not pairs:
+    if not len(pairs):
         raise DegenerateResultError("matched test needs at least one pair")
-    by_id = {rec.id: rec for rec in cohort}
-    t_out = [by_id[p.treatment_id].outcome for p in pairs]
-    c_out = [by_id[p.control_id].outcome for p in pairs]
-    left = rule.columns(t_out)
-    right = rule.columns(c_out)
-    scores = rule.pair_scores(left, right)
+    cols = rule.columns(cohort)
+    scores = rule.pair_scores(tuple(c[pairs[:, 0]] for c in cols),
+                              tuple(c[pairs[:, 1]] for c in cols))
     n_w = int((scores > 0).sum())
     n_l = int((scores < 0).sum())
     n_tie = int((scores == 0).sum())
@@ -298,7 +255,7 @@ def matched_wr_test(cohort: list[PatientRecord], pairs: list[MatchedPair], rule)
 
 
 def fs_unmatched_test(
-    cohort: list[PatientRecord],
+    cohort: Cohort,
     rule,
     stratified: bool = True,
 ) -> tuple[WrResult, FsIntermediate]:
@@ -315,10 +272,7 @@ def fs_unmatched_test(
     Strata with fewer than two patients or with an empty arm are dropped
     and counted in ``dropped_strata``.
     """
-    groups: dict[int, list[PatientRecord]] = {}
-    for rec in cohort:
-        groups.setdefault(rec.stratum if stratified else 0, []).append(rec)
-
+    cols = rule.columns(cohort)
     t_stat = 0.0
     v_stat = 0.0
     n_w = n_l = n_tie = 0
@@ -326,16 +280,14 @@ def fs_unmatched_test(
     u_scores: dict[int, np.ndarray] = {}
     sizes: dict[int, int] = {}
     m_counts: dict[int, int] = {}
-    for key in sorted(groups):
-        recs = groups[key]
-        n_k = len(recs)
-        is_t = np.array([rec.arm == Arm.TREATMENT for rec in recs])
+    for key, rows in stratum_groups(cohort, stratified):
+        n_k = len(rows)
+        is_t = cohort.arm[rows] == Arm.TREATMENT
         m_k = int(is_t.sum())
         if n_k < 2 or m_k == 0 or m_k == n_k:
             dropped += 1
             continue
-        cols = rule.columns([rec.outcome for rec in recs])
-        scores, w, l = rule.u_win_loss(cols, is_t)
+        scores, w, l = rule.u_win_loss(tuple(c[rows] for c in cols), is_t)
         u_scores[key] = scores
         sizes[key] = n_k
         m_counts[key] = m_k

@@ -17,6 +17,7 @@ from wrtrials import (
     Arm,
     BinaryGenConfig,
     BinaryOutcome,
+    Cohort,
     PatientRecord,
     SurvivalOutcome,
     ThetaBinary,
@@ -28,7 +29,6 @@ from wrtrials import (
     matched_wr_test,
     unmatched_g,
     unmatched_sample_size,
-    win_binary,
 )
 from wrtrials.classic_tests import cox_loglik, _cox_score_info
 from wrtrials.core import DegenerateResultError
@@ -308,7 +308,7 @@ def test_c7_closed_form_consistency():
                 (p_t if y_t else 1 - p_t) * (q_t if x_t else 1 - q_t)
                 * (p_c if y_c else 1 - p_c) * (q_c if x_c else 1 - q_c)
             )
-            s = win_binary(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
+            s = BinaryRule().compare(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
             if s is WinStatus.WIN:
                 ew += w
             elif s is WinStatus.LOSS:
@@ -397,22 +397,20 @@ def test_c9_cox_gradient_finite_differences():
     assert worst <= 1e-6
 
 
-def _random_cohort(rng, n):
-    cohort = []
-    for i in range(n):
+def _random_records(rng, n):
+    records = []
+    for _ in range(n):
         k = int(rng.integers(0, 4))
-        cohort.append(
+        records.append(
             PatientRecord(
-                id=i,
                 arm=Arm(int(rng.integers(0, 2))),
                 covariates=(k // 2, k % 2),
-                stratum=k,
                 outcome=SurvivalOutcome(
                     float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9)
                 ),
             )
         )
-    return cohort
+    return records
 
 
 def test_c9_fs_brute_force_all_small_sizes():
@@ -421,28 +419,29 @@ def test_c9_fs_brute_force_all_small_sizes():
     checked = 0
     for total in range(2, 9):
         for _ in range(40):
-            cohort = _random_cohort(rng, total)
+            records = _random_records(rng, total)
             for stratified in (True, False):
                 t_truth = 0.0
                 v_truth = 0.0
-                strata = sorted({r.stratum if stratified else 0 for r in cohort})
+                strata = sorted({r.stratum if stratified else 0 for r in records})
                 for k in strata:
-                    members = [r for r in cohort if (r.stratum if stratified else 0) == k]
+                    members = [i for i, r in enumerate(records)
+                               if (r.stratum if stratified else 0) == k]
                     n_k = len(members)
-                    m_k = sum(1 for r in members if r.arm == Arm.TREATMENT)
+                    m_k = sum(1 for i in members if records[i].arm == Arm.TREATMENT)
                     if n_k < 2 or m_k in (0, n_k):
                         continue
                     u = {
-                        r.id: sum(
-                            rule.compare(r.outcome, o.outcome).value
-                            for o in members if o.id != r.id
+                        i: sum(
+                            rule.compare(records[i].outcome, records[j].outcome).value
+                            for j in members if j != i
                         )
-                        for r in members
+                        for i in members
                     }
-                    t_truth += sum(u[r.id] for r in members if r.arm == Arm.TREATMENT)
+                    t_truth += sum(u[i] for i in members if records[i].arm == Arm.TREATMENT)
                     v_truth += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * sum(v * v for v in u.values())
                 try:
-                    _, inter = fs_unmatched_test(cohort, rule, stratified)
+                    _, inter = fs_unmatched_test(Cohort.from_records(records), rule, stratified)
                 except DegenerateResultError:
                     assert v_truth == pytest.approx(0.0)
                     continue
@@ -458,21 +457,18 @@ def test_c9_invariances_thousand_cohorts():
     rule = SurvivalRule()
     n_checked = 0
     for _ in range(1000):
-        cohort = _random_cohort(rng, int(rng.integers(6, 16)))
+        records = _random_records(rng, int(rng.integers(6, 16)))
         transformed = [
-            PatientRecord(r.id, r.arm, r.covariates, r.stratum,
+            PatientRecord(r.arm, r.covariates,
                           SurvivalOutcome(math.expm1(r.outcome.e_death) + 1e-12,
                                           math.expm1(r.outcome.e_hosp) + 1e-12))
-            for r in cohort
+            for r in records
         ]
-        swapped = [
-            PatientRecord(r.id, Arm(1 - int(r.arm)), r.covariates, r.stratum, r.outcome)
-            for r in cohort
-        ]
+        swapped = [PatientRecord(Arm(1 - int(r.arm)), r.covariates, r.outcome) for r in records]
         try:
-            base, ib = fs_unmatched_test(cohort, rule, True)
-            rank, ir = fs_unmatched_test(transformed, rule, True)
-            swap, _ = fs_unmatched_test(swapped, rule, True)
+            base, ib = fs_unmatched_test(Cohort.from_records(records), rule, True)
+            rank, ir = fs_unmatched_test(Cohort.from_records(transformed), rule, True)
+            swap, _ = fs_unmatched_test(Cohort.from_records(swapped), rule, True)
         except DegenerateResultError:
             continue
         assert (base.n_w, base.n_l, base.n_tie) == (rank.n_w, rank.n_l, rank.n_tie)

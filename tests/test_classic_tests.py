@@ -7,22 +7,19 @@ import pytest
 
 from wrtrials import (
     Arm,
+    Cohort,
     DegenerateResultError,
     PatientRecord,
     SurvivalOutcome,
     contingency_or_test,
     cox_fit,
     obrien_test,
-    stratify,
 )
 from wrtrials.classic_tests import cox_loglik, cox_ph, obrien_first_event, _cox_score_info
 
 
-def surv_patient(pid, arm, e_death, e_hosp, cov=(0, 0)):
-    return PatientRecord(
-        id=pid, arm=arm, covariates=cov, stratum=stratify(cov),
-        outcome=SurvivalOutcome(e_death, e_hosp),
-    )
+def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
+    return PatientRecord(arm=arm, covariates=cov, outcome=SurvivalOutcome(e_death, e_hosp))
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +97,9 @@ def test_cox_identical_arms_give_null_fit():
     times = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     cohort = []
     for i, t in enumerate(times):
-        cohort.append(surv_patient(2 * i, Arm.TREATMENT, t, t + 100))
-        cohort.append(surv_patient(2 * i + 1, Arm.CONTROL, t, t + 100))
-    res = cox_fit(cohort, use_covariates=False)
+        cohort.append(surv_patient(Arm.TREATMENT, t, t + 100))
+        cohort.append(surv_patient(Arm.CONTROL, t, t + 100))
+    res = cox_fit(Cohort.from_records(cohort), use_covariates=False)
     assert res.beta_t_hat == pytest.approx(0.0, abs=1e-8)
     assert res.hr == pytest.approx(1.0, abs=1e-8)
     assert res.converged
@@ -143,9 +140,9 @@ def test_cox_recovers_known_hazard_ratio():
 def test_cox_separation_flagged_and_capped():
     cohort = []
     for i in range(6):
-        cohort.append(surv_patient(2 * i, Arm.TREATMENT, 100.0 + i, 200.0))
-        cohort.append(surv_patient(2 * i + 1, Arm.CONTROL, 1.0 + 0.01 * i, 200.0))
-    res = cox_fit(cohort, use_covariates=False)
+        cohort.append(surv_patient(Arm.TREATMENT, 100.0 + i, 200.0))
+        cohort.append(surv_patient(Arm.CONTROL, 1.0 + 0.01 * i, 200.0))
+    res = cox_fit(Cohort.from_records(cohort), use_covariates=False)
     assert res.separation
     assert abs(res.beta_t_hat) <= 15.0 + 1e-9
 
@@ -216,12 +213,12 @@ def test_obrien_requires_group_sizes():
 
 def test_obrien_first_event_uses_min_time():
     cohort = [
-        surv_patient(0, Arm.TREATMENT, 9.0, 5.0),
-        surv_patient(1, Arm.TREATMENT, 8.0, 6.0),
-        surv_patient(2, Arm.CONTROL, 1.0, 7.0),
-        surv_patient(3, Arm.CONTROL, 2.0, 7.5),
+        surv_patient(Arm.TREATMENT, 9.0, 5.0),
+        surv_patient(Arm.TREATMENT, 8.0, 6.0),
+        surv_patient(Arm.CONTROL, 1.0, 7.0),
+        surv_patient(Arm.CONTROL, 2.0, 7.5),
     ]
-    res = obrien_first_event(cohort)
+    res = obrien_first_event(Cohort.from_records(cohort))
     # first-event times: T (5, 6), C (1, 2): ranks 3,4 vs 1,2
     assert res.rank_sums[1] == pytest.approx(3.5)
     assert res.rank_sums[0] == pytest.approx(1.5)

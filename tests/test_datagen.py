@@ -28,14 +28,14 @@ def test_same_seed_same_cohort():
     cfg = SurvivalGenConfig(beta_t=math.log(0.7), n=50)
     a = gen_survival_cohort(cfg, np.random.default_rng(123))
     b = gen_survival_cohort(cfg, np.random.default_rng(123))
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_all_times_positive_and_allocation_exact():
     cfg = SurvivalGenConfig(n=101, allocation=0.5)
     cohort = gen_survival_cohort(cfg, np.random.default_rng(1))
-    assert all(r.outcome.e_death > 0 and r.outcome.e_hosp > 0 for r in cohort)
-    assert sum(1 for r in cohort if r.arm == Arm.TREATMENT) == 50
+    assert np.all(cohort.e_death > 0) and np.all(cohort.e_hosp > 0)
+    assert int((cohort.arm == Arm.TREATMENT).sum()) == 50
 
 
 def test_null_first_event_is_rate_two_exponential():
@@ -43,7 +43,7 @@ def test_null_first_event_is_rate_two_exponential():
     # the first event is exponential with rate 2
     cfg = SurvivalGenConfig(n=10000)
     cohort = gen_survival_cohort(cfg, np.random.default_rng(2024))
-    mins = np.array([min(r.outcome.e_death, r.outcome.e_hosp) for r in cohort])
+    mins = np.minimum(cohort.e_death, cohort.e_hosp)
     stat = kstest(mins, "expon", args=(0, 0.5)).statistic
     assert stat < 1.63 / math.sqrt(len(mins))  # 1% critical value
 
@@ -56,9 +56,8 @@ def test_null_arms_exchangeable():
     for s in range(reps):
         cfg = SurvivalGenConfig(n=80)
         cohort = gen_survival_cohort(cfg, np.random.default_rng(5000 + s))
-        mins = np.array([min(r.outcome.e_death, r.outcome.e_hosp) for r in cohort])
-        arm = np.array([int(r.arm) for r in cohort])
-        a, b = mins[arm == 1], mins[arm == 0]
+        mins = np.minimum(cohort.e_death, cohort.e_hosp)
+        a, b = mins[cohort.arm == 1], mins[cohort.arm == 0]
         t = (a.mean() - b.mean()) / math.sqrt(a.var() / len(a) + b.var() / len(b))
         rejections += abs(t) > 1.96
     assert rejections / reps < 0.12
@@ -79,26 +78,24 @@ def test_unit_time_identity():
 def test_binary_all_zero_rates():
     cfg = BinaryGenConfig(0.0, 0.0, 0.0, 0.0, n1=10, n0=10)
     cohort = gen_binary_cohort(cfg, np.random.default_rng(0))
-    assert all(r.outcome.y_death == 0 and r.outcome.x_hosp == 0 for r in cohort)
+    assert not cohort.y_death.any() and not cohort.x_hosp.any()
 
 
 def test_binary_certain_death_in_treatment():
     cfg = BinaryGenConfig(1.0, 0.3, 0.2, 0.2, n1=25, n0=25)
     cohort = gen_binary_cohort(cfg, np.random.default_rng(0))
-    assert all(
-        r.outcome.y_death == 1 for r in cohort if r.arm == Arm.TREATMENT
-    )
+    assert np.all(cohort.y_death[cohort.arm == Arm.TREATMENT] == 1)
 
 
 def test_binary_rates_recovered():
     cfg = BinaryGenConfig(0.5, 0.5, 0.5, 0.5, n1=20000, n0=20000)
     cohort = gen_binary_cohort(cfg, np.random.default_rng(41))
-    t = [r.outcome for r in cohort if r.arm == Arm.TREATMENT]
-    c = [r.outcome for r in cohort if r.arm == Arm.CONTROL]
-    assert np.mean([o.y_death for o in t]) == pytest.approx(0.5, abs=0.01)
-    assert np.mean([o.x_hosp for o in t]) == pytest.approx(0.5, abs=0.01)
-    assert np.mean([o.y_death for o in c]) == pytest.approx(0.5, abs=0.01)
-    assert np.mean([o.x_hosp for o in c]) == pytest.approx(0.5, abs=0.01)
+    t = cohort.arm == Arm.TREATMENT
+    c = cohort.arm == Arm.CONTROL
+    assert np.mean(cohort.y_death[t]) == pytest.approx(0.5, abs=0.01)
+    assert np.mean(cohort.x_hosp[t]) == pytest.approx(0.5, abs=0.01)
+    assert np.mean(cohort.y_death[c]) == pytest.approx(0.5, abs=0.01)
+    assert np.mean(cohort.x_hosp[c]) == pytest.approx(0.5, abs=0.01)
 
 
 def test_mix_validation():
@@ -111,10 +108,11 @@ def test_mix_validation():
 def test_subpop_frequencies_follow_mix():
     mix = SubpopMix(0.05, 0.05, 0.8, 0.1)
     cfg = ContinuousGenConfig(n=10000)
-    cohort = gen_continuous_cohort(cfg, mix, np.random.default_rng(9))
+    cohort, labels = gen_continuous_cohort(cfg, mix, np.random.default_rng(9))
+    assert len(labels) == len(cohort)
     counts = {s: 0 for s in Subpop}
-    for _, label in cohort:
-        counts[label] += 1
+    for label in labels:
+        counts[Subpop(label)] += 1
     for s, target in zip(Subpop, (0.05, 0.05, 0.8, 0.1)):
         assert counts[s] / len(cohort) == pytest.approx(target, abs=0.02)
 
@@ -165,9 +163,8 @@ def test_csv_export_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["id", "arm", "x_cov1", "x_cov2", "stratum", "e_death", "e_hosp"]
     assert len(rows) == 21
-    rec = cohort[3]
-    assert rows[4][0] == str(rec.id)
-    assert float(rows[4][5]) == rec.outcome.e_death
+    assert rows[4][0] == "3"
+    assert float(rows[4][5]) == cohort.e_death[3]
 
 
 def test_config_validation():

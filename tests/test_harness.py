@@ -11,11 +11,14 @@ from wrtrials import (
     ScenarioConfig,
     SubpopMix,
     SurvivalGenConfig,
+    contingency_or_test,
+    improvement_indicators,
     monte_carlo,
     run_cr_trial,
     run_sed_trial,
     scenario_from_dict,
 )
+from wrtrials import harness
 from wrtrials.harness import Cutoffs, run_parallel_trial, run_trial
 from wrtrials.cli import main as cli_main
 
@@ -98,6 +101,31 @@ def test_sed_runs_and_differs_from_cr():
     rec_cr = run_cr_trial(cr, 2)
     assert set(rec_sed) == set(rec_cr)
     assert repr(rec_sed) != repr(rec_cr)
+
+
+def test_contingency_table_counts_exactly_the_stage1_patients(monkeypatch):
+    # the 2x2 test takes one record per stage-1 patient; the stage-2
+    # re-randomizations of the same patients must stay out of it
+    cfg = continuous_cfg("sed", n=60)
+    seen = {}
+
+    def indicators(cohort, c_t):
+        seen["cohort"] = cohort
+        return improvement_indicators(cohort, c_t)
+
+    def table(treatment_success, control_success):
+        seen["arms"] = (len(treatment_success), len(control_success))
+        return contingency_or_test(treatment_success, control_success)
+
+    monkeypatch.setattr(harness, "improvement_indicators", indicators)
+    monkeypatch.setattr(harness, "contingency_or_test", table)
+    records = run_sed_trial(cfg, 2)
+    assert not records["Contingency"].degenerate
+    cohort = seen["cohort"]
+    first = cohort.stage == 0
+    assert (cohort.stage == 1).sum() >= 2
+    assert first.sum() == cfg.n_total
+    assert seen["arms"] == ((cohort.arm[first] == 1).sum(), (cohort.arm[first] == 0).sum())
 
 
 def test_incompatible_analysis_rejected():

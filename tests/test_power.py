@@ -8,6 +8,7 @@ import pytest
 
 from wrtrials import (
     BinaryOutcome,
+    BinaryRule,
     ConfigError,
     ThetaBinary,
     WinStatus,
@@ -16,7 +17,6 @@ from wrtrials import (
     unmatched_g,
     unmatched_sample_size,
     unmatched_variance,
-    win_binary,
 )
 from wrtrials.power import (
     THETA_NULL,
@@ -38,7 +38,7 @@ def enumerate_win_probs(p_t, q_t, p_c, q_c):
             * (p_c if y_c else 1 - p_c)
             * (q_c if x_c else 1 - q_c)
         )
-        status = win_binary(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
+        status = BinaryRule().compare(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
         if status is WinStatus.WIN:
             p_w += prob
         elif status is WinStatus.LOSS:

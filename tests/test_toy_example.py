@@ -10,7 +10,7 @@ explicit instead of hiding it.  (README: "Why prioritization matters".)
 
 import numpy as np
 
-from wrtrials import BinaryOutcome, WinStatus, contingency_or_test, win_binary
+from wrtrials import BinaryOutcome, BinaryRule, WinStatus, contingency_or_test
 
 
 def drug_patients(n):
@@ -52,11 +52,11 @@ def test_prioritized_rule_verdict_depends_on_priority():
 
     # with A prioritized, the drug beats nonresponders and loses to
     # responders only on the secondary component
-    assert win_binary(drug, placebo_nonresponder) is WinStatus.WIN
-    assert win_binary(drug, placebo_responder) is WinStatus.LOSS
+    assert BinaryRule().compare(drug, placebo_nonresponder) is WinStatus.WIN
+    assert BinaryRule().compare(drug, placebo_responder) is WinStatus.LOSS
 
     # swapping the component priority flips the responder comparison, so
     # the pairwise verdict is an explicit function of the chosen priority
     drug_swapped = BinaryOutcome(1, 0)
     responder_swapped = BinaryOutcome(0, 0)
-    assert win_binary(drug_swapped, responder_swapped) is WinStatus.LOSS
+    assert BinaryRule().compare(drug_swapped, responder_swapped) is WinStatus.LOSS

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from wrtrials import (
     Arm,
     BinaryOutcome,
+    Cohort,
     ContinuousOutcome,
     DegenerateResultError,
-    MatchedPair,
     PatientRecord,
     SurvivalOutcome,
     WinStatus,
@@ -20,31 +21,28 @@ from wrtrials import (
     form_matched_pairs,
     improvement_indicators,
     matched_wr_test,
-    stratify,
-    win_binary,
-    win_continuous,
-    win_survival,
 )
 from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule
 
 
-def surv_patient(pid, arm, e_death, e_hosp, cov=(0, 0)):
-    return PatientRecord(
-        id=pid, arm=arm, covariates=cov, stratum=stratify(cov),
-        outcome=SurvivalOutcome(e_death, e_hosp),
-    )
+def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
+    return PatientRecord(arm=arm, covariates=cov, outcome=SurvivalOutcome(e_death, e_hosp))
+
+
+def surv_cohort(*patients):
+    return Cohort.from_records(patients)
 
 
 def random_survival_cohort(rng, n=None, n_strata=2):
     n = n or int(rng.integers(4, 30))
-    cohort = []
-    for i in range(n):
+    records = []
+    for _ in range(n):
         arm = Arm(int(rng.integers(0, 2)))
         k = int(rng.integers(0, n_strata))
         cov = (k // 2, k % 2)
-        cohort.append(surv_patient(i, arm, float(rng.exponential(1) + 1e-9),
-                                   float(rng.exponential(1) + 1e-9), cov))
-    return cohort
+        records.append(surv_patient(arm, float(rng.exponential(1) + 1e-9),
+                                    float(rng.exponential(1) + 1e-9), cov))
+    return Cohort.from_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -52,22 +50,22 @@ def random_survival_cohort(rng, n=None, n_strata=2):
 
 
 def test_win_binary_death_dominates():
-    assert win_binary(BinaryOutcome(0, 0), BinaryOutcome(1, 0)) is WinStatus.WIN
-    assert win_binary(BinaryOutcome(0, 1), BinaryOutcome(1, 0)) is WinStatus.WIN
-    assert win_binary(BinaryOutcome(1, 0), BinaryOutcome(0, 1)) is WinStatus.LOSS
+    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(1, 0)) is WinStatus.WIN
+    assert BinaryRule().compare(BinaryOutcome(0, 1), BinaryOutcome(1, 0)) is WinStatus.WIN
+    assert BinaryRule().compare(BinaryOutcome(1, 0), BinaryOutcome(0, 1)) is WinStatus.LOSS
 
 
 def test_win_binary_hosp_breaks_death_ties():
-    assert win_binary(BinaryOutcome(1, 0), BinaryOutcome(1, 1)) is WinStatus.WIN
-    assert win_binary(BinaryOutcome(0, 0), BinaryOutcome(0, 1)) is WinStatus.WIN
-    assert win_binary(BinaryOutcome(0, 0), BinaryOutcome(0, 0)) is WinStatus.TIE
+    assert BinaryRule().compare(BinaryOutcome(1, 0), BinaryOutcome(1, 1)) is WinStatus.WIN
+    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(0, 1)) is WinStatus.WIN
+    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(0, 0)) is WinStatus.TIE
 
 
 def test_win_binary_exhaustive_antisymmetry():
     for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
         a = BinaryOutcome(y_t, x_t)
         b = BinaryOutcome(y_c, x_c)
-        assert win_binary(a, b) is win_binary(b, a).mirrored()
+        assert BinaryRule().compare(a, b) is BinaryRule().compare(b, a).mirrored()
 
 
 def test_win_binary_expected_scenarios():
@@ -79,7 +77,7 @@ def test_win_binary_expected_scenarios():
         (BinaryOutcome(0, 0), BinaryOutcome(0, 1)),
     ]
     for t, c in wins:
-        assert win_binary(t, c) is WinStatus.WIN
+        assert BinaryRule().compare(t, c) is WinStatus.WIN
 
 
 # ---------------------------------------------------------------------------
@@ -87,41 +85,41 @@ def test_win_binary_expected_scenarios():
 
 
 def test_win_survival_control_death_first():
-    assert win_survival(SurvivalOutcome(5, 9), SurvivalOutcome(2, 9)) is WinStatus.WIN
+    assert SurvivalRule().compare(SurvivalOutcome(5, 9), SurvivalOutcome(2, 9)) is WinStatus.WIN
 
 
 def test_win_survival_identical_is_tie():
-    assert win_survival(SurvivalOutcome(3, 4), SurvivalOutcome(3, 4)) is WinStatus.TIE
+    assert SurvivalRule().compare(SurvivalOutcome(3, 4), SurvivalOutcome(3, 4)) is WinStatus.TIE
 
 
 def test_win_survival_hosp_branch_when_neither_dies_first():
     # both have hospitalization before own death: decided on hosp times,
     # earlier hospitalization loses
-    assert win_survival(SurvivalOutcome(10, 3), SurvivalOutcome(9, 2)) is WinStatus.WIN
-    assert win_survival(SurvivalOutcome(10, 2), SurvivalOutcome(9, 3)) is WinStatus.LOSS
+    assert SurvivalRule().compare(SurvivalOutcome(10, 3), SurvivalOutcome(9, 2)) is WinStatus.WIN
+    assert SurvivalRule().compare(SurvivalOutcome(10, 2), SurvivalOutcome(9, 3)) is WinStatus.LOSS
 
 
 def test_win_survival_death_branch_when_one_dies_first():
     # treatment death is its first event, so deaths decide even though the
     # control hospitalization would favor treatment
-    assert win_survival(SurvivalOutcome(2, 5), SurvivalOutcome(4, 1)) is WinStatus.LOSS
+    assert SurvivalRule().compare(SurvivalOutcome(2, 5), SurvivalOutcome(4, 1)) is WinStatus.LOSS
 
 
 def test_win_survival_priority_swap_changes_branch():
     t, c = SurvivalOutcome(2, 5), SurvivalOutcome(4, 1)
-    assert win_survival(t, c, priority="death") is WinStatus.LOSS
-    assert win_survival(t, c, priority="hosp") is WinStatus.WIN
+    assert SurvivalRule("death").compare(t, c) is WinStatus.LOSS
+    assert SurvivalRule("hosp").compare(t, c) is WinStatus.WIN
 
 
 def test_win_survival_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         SurvivalOutcome(0.0, 1.0)
-    # the rule revalidates outcomes that bypassed the dataclass guard
+    # a cohort revalidates outcomes that bypassed the dataclass guard
     bad = SurvivalOutcome.__new__(SurvivalOutcome)
     object.__setattr__(bad, "e_death", -1.0)
     object.__setattr__(bad, "e_hosp", 1.0)
     with pytest.raises(ValueError):
-        SurvivalRule().columns([bad])
+        surv_cohort(PatientRecord(Arm.TREATMENT, (0, 0), bad))
 
 
 def test_win_survival_swap_antisymmetry_random():
@@ -129,7 +127,7 @@ def test_win_survival_swap_antisymmetry_random():
     for _ in range(500):
         t = SurvivalOutcome(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
         c = SurvivalOutcome(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
-        assert win_survival(t, c) is win_survival(c, t).mirrored()
+        assert SurvivalRule().compare(t, c) is SurvivalRule().compare(c, t).mirrored()
 
 
 def test_win_survival_rank_invariance():
@@ -138,11 +136,11 @@ def test_win_survival_rank_invariance():
     for _ in range(200):
         t = SurvivalOutcome(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
         c = SurvivalOutcome(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
-        base = win_survival(t, c)
+        base = SurvivalRule().compare(t, c)
         for f in transforms:
             ft = SurvivalOutcome(f(t.e_death), f(t.e_hosp))
             fc = SurvivalOutcome(f(c.e_death), f(c.e_hosp))
-            assert win_survival(ft, fc) is base
+            assert SurvivalRule().compare(ft, fc) is base
 
 
 def oracle_pair_matrix(rule, cols):
@@ -179,7 +177,8 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
     informative = 0
     for n in range(2, 41):
         outcomes = random_outcomes(rng, family, n, tie_heavy)
-        cols = rule.columns(outcomes)
+        cohort = Cohort.from_records(PatientRecord(Arm.CONTROL, (0, 0), o) for o in outcomes)
+        cols = rule.columns(cohort)
         mat = oracle_pair_matrix(rule, cols)
         for i, j in itertools.product(range(n), repeat=2):
             assert mat[i, j] == rule.compare(outcomes[i], outcomes[j]).value
@@ -199,10 +198,9 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
         assert np.array_equal(u, mat.sum(axis=1))
         assert (n_w, n_l) == ((cross > 0).sum(), (cross < 0).sum())
 
-        cohort = [PatientRecord(i, Arm(int(t)), (0, 0), 0, o)
-                  for i, (t, o) in enumerate(zip(is_t, outcomes))]
         try:
-            res, inter = fs_unmatched_test(cohort, rule, stratified=False)
+            res, inter = fs_unmatched_test(replace(cohort, arm=is_t.astype(int)), rule,
+                                           stratified=False)
         except DegenerateResultError:
             assert not u.any()
             continue
@@ -218,9 +216,14 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
 
 def test_improvement_indicators_strict_cutoff():
     o = ContinuousOutcome(10.0, (7.0, 9.0, 9.0))
-    assert improvement_indicators(o, 0.8) == (1, 0, 0, 1)
+    assert improvement_indicators(o, 0.8).tolist() == [1, 0, 0]
+    assert improvement_indicators(o, 0.8).any()
     exact = ContinuousOutcome(10.0, (8.0, 9.0, 9.0))
-    assert improvement_indicators(exact, 0.8) == (0, 0, 0, 0)
+    assert improvement_indicators(exact, 0.8).tolist() == [0, 0, 0]
+    assert not improvement_indicators(exact, 0.8).any()
+    # one vectorised definition: a cohort's rows match the single outcomes
+    cohort = Cohort.from_records(PatientRecord(Arm.CONTROL, (0, 0), x) for x in (o, exact))
+    assert improvement_indicators(cohort, 0.8).tolist() == [[1, 0, 0], [0, 0, 0]]
 
 
 def test_improvement_indicators_rejects_bad_baseline():
@@ -231,9 +234,9 @@ def test_improvement_indicators_rejects_bad_baseline():
 def test_win_continuous_counts():
     t = ContinuousOutcome(10.0, (1.0, 2.0, 9.0))
     c = ContinuousOutcome(10.0, (1.0, 9.0, 9.0))
-    assert win_continuous(t, c, 0.8) is WinStatus.WIN
-    assert win_continuous(c, t, 0.8) is WinStatus.LOSS
-    assert win_continuous(t, t, 0.8) is WinStatus.TIE
+    assert ContinuousRule(0.8).compare(t, c) is WinStatus.WIN
+    assert ContinuousRule(0.8).compare(c, t) is WinStatus.LOSS
+    assert ContinuousRule(0.8).compare(t, t) is WinStatus.TIE
 
 
 def test_win_continuous_antisymmetry_random():
@@ -241,22 +244,26 @@ def test_win_continuous_antisymmetry_random():
     for _ in range(300):
         t = ContinuousOutcome(5.0, tuple(rng.normal(4, 2, 3)))
         c = ContinuousOutcome(5.0, tuple(rng.normal(4, 2, 3)))
-        assert win_continuous(t, c, 0.8) is win_continuous(c, t, 0.8).mirrored()
+        assert ContinuousRule(0.8).compare(t, c) is ContinuousRule(0.8).compare(c, t).mirrored()
 
 
 # ---------------------------------------------------------------------------
 # matched test
 
 
+def adjacent_pairs(n):
+    """Rows 2i (treatment) and 2i + 1 (control) as pair i."""
+    return np.arange(n).reshape(-1, 2)
+
+
 def test_matched_null_center():
-    cohort = []
-    pairs = []
+    records = []
     for i in range(8):
         win = i < 4
-        cohort.append(surv_patient(2 * i, Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
-        cohort.append(surv_patient(2 * i + 1, Arm.CONTROL, 1.0 if win else 5.0, 10.0))
-        pairs.append(MatchedPair(2 * i, 2 * i + 1, 0))
-    res = matched_wr_test(cohort, pairs, SurvivalRule())
+        records.append(surv_patient(Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
+        records.append(surv_patient(Arm.CONTROL, 1.0 if win else 5.0, 10.0))
+    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
+                          SurvivalRule())
     assert res.n_w == res.n_l == 4
     assert res.z == pytest.approx(0.0, abs=1e-12)
     assert res.r_w == pytest.approx(1.0)
@@ -265,14 +272,13 @@ def test_matched_null_center():
 
 def test_matched_step5_arithmetic_frozen():
     # 12 wins, 4 losses: p_w = 0.75, R_w = 3, z = 0.25 / sqrt(0.1875/16)
-    cohort = []
-    pairs = []
+    records = []
     for i in range(16):
         win = i < 12
-        cohort.append(surv_patient(2 * i, Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
-        cohort.append(surv_patient(2 * i + 1, Arm.CONTROL, 1.0 if win else 5.0, 10.0))
-        pairs.append(MatchedPair(2 * i, 2 * i + 1, 0))
-    res = matched_wr_test(cohort, pairs, SurvivalRule())
+        records.append(surv_patient(Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
+        records.append(surv_patient(Arm.CONTROL, 1.0 if win else 5.0, 10.0))
+    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
+                          SurvivalRule())
     assert res.p_w == pytest.approx(0.75)
     assert res.r_w == pytest.approx(3.0)
     assert res.z == pytest.approx(2.309401076758503, abs=1e-12)
@@ -284,22 +290,21 @@ def test_matched_step5_arithmetic_frozen():
 
 
 def test_matched_all_ties_degenerate():
-    cohort = [
-        surv_patient(0, Arm.TREATMENT, 1.0, 2.0),
-        surv_patient(1, Arm.CONTROL, 1.0, 2.0),
-    ]
+    cohort = surv_cohort(
+        surv_patient(Arm.TREATMENT, 1.0, 2.0),
+        surv_patient(Arm.CONTROL, 1.0, 2.0),
+    )
     with pytest.raises(DegenerateResultError):
-        matched_wr_test(cohort, [MatchedPair(0, 1, 0)], SurvivalRule())
+        matched_wr_test(cohort, adjacent_pairs(2), SurvivalRule())
 
 
 def test_matched_complete_separation_sentinel():
-    cohort = []
-    pairs = []
+    records = []
     for i in range(5):
-        cohort.append(surv_patient(2 * i, Arm.TREATMENT, 5.0 + i, 10.0))
-        cohort.append(surv_patient(2 * i + 1, Arm.CONTROL, 1.0 + 0.1 * i, 10.0))
-        pairs.append(MatchedPair(2 * i, 2 * i + 1, 0))
-    res = matched_wr_test(cohort, pairs, SurvivalRule())
+        records.append(surv_patient(Arm.TREATMENT, 5.0 + i, 10.0))
+        records.append(surv_patient(Arm.CONTROL, 1.0 + 0.1 * i, 10.0))
+    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
+                          SurvivalRule())
     assert res.z == math.inf
     assert res.p_value == 0.0
     assert math.isinf(res.r_w)
@@ -311,26 +316,27 @@ def test_matched_complete_separation_sentinel():
 
 def brute_force_fs(cohort, rule, stratified=True):
     """Independent recomputation of T and V straight from the definitions."""
-    strata = sorted({rec.stratum if stratified else 0 for rec in cohort})
+    rows = list(cohort)
+    strata = sorted({rec.stratum if stratified else 0 for rec in rows})
     t_stat = 0.0
     v_stat = 0.0
     for k in strata:
-        members = [rec for rec in cohort if (rec.stratum if stratified else 0) == k]
+        members = [i for i, rec in enumerate(rows) if (rec.stratum if stratified else 0) == k]
         n_k = len(members)
-        m_k = sum(1 for rec in members if rec.arm == Arm.TREATMENT)
+        m_k = sum(1 for i in members if rows[i].arm == Arm.TREATMENT)
         if n_k < 2 or m_k == 0 or m_k == n_k:
             continue
         u_sums = {}
-        for rec in members:
+        for i in members:
             total = 0
-            for other in members:
-                if other.id == rec.id:
+            for j in members:
+                if j == i:
                     continue
-                total += rule.compare(rec.outcome, other.outcome).value
-            u_sums[rec.id] = total
+                total += rule.compare(rows[i].outcome, rows[j].outcome).value
+            u_sums[i] = total
         # antisymmetry implies the within-stratum scores sum to zero
         assert sum(u_sums.values()) == 0
-        t_stat += sum(u_sums[rec.id] for rec in members if rec.arm == Arm.TREATMENT)
+        t_stat += sum(u_sums[i] for i in members if rows[i].arm == Arm.TREATMENT)
         v_stat += (
             m_k * (n_k - m_k) / (n_k * (n_k - 1)) * sum(v**2 for v in u_sums.values())
         )
@@ -359,12 +365,12 @@ def test_fs_matches_brute_force_small_cohorts(stratified):
 
 
 def test_fs_two_by_two_toy_cohort():
-    cohort = [
-        surv_patient(0, Arm.TREATMENT, 4.0, 10.0),
-        surv_patient(1, Arm.TREATMENT, 3.0, 10.0),
-        surv_patient(2, Arm.CONTROL, 2.0, 10.0),
-        surv_patient(3, Arm.CONTROL, 1.0, 10.0),
-    ]
+    cohort = surv_cohort(
+        surv_patient(Arm.TREATMENT, 4.0, 10.0),
+        surv_patient(Arm.TREATMENT, 3.0, 10.0),
+        surv_patient(Arm.CONTROL, 2.0, 10.0),
+        surv_patient(Arm.CONTROL, 1.0, 10.0),
+    )
     # deaths ordered 0 > 1 > 2 > 3: U = (3, 1, -1, -3), T = 4,
     # V = (2*2)/(4*3) * (9+1+1+9) = 20/3
     res, inter = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
@@ -375,7 +381,7 @@ def test_fs_two_by_two_toy_cohort():
 
 
 def test_fs_all_identical_degenerate():
-    cohort = [surv_patient(i, Arm(i % 2), 1.0, 2.0) for i in range(6)]
+    cohort = surv_cohort(*(surv_patient(Arm(i % 2), 1.0, 2.0) for i in range(6)))
     with pytest.raises(DegenerateResultError):
         fs_unmatched_test(cohort, SurvivalRule())
 
@@ -386,29 +392,29 @@ def test_fs_sign_test_structure_one_pair_per_stratum():
     for k_strata in (1, 2, 3):
         values = set()
         for _ in range(80):
-            cohort = []
+            records = []
             for k in range(k_strata):
                 cov = (k // 2, k % 2)
-                cohort.append(
-                    surv_patient(2 * k, Arm.TREATMENT, float(rng.exponential(1) + 1e-9),
+                records.append(
+                    surv_patient(Arm.TREATMENT, float(rng.exponential(1) + 1e-9),
                                  float(rng.exponential(1) + 1e-9), cov)
                 )
-                cohort.append(
-                    surv_patient(2 * k + 1, Arm.CONTROL, float(rng.exponential(1) + 1e-9),
+                records.append(
+                    surv_patient(Arm.CONTROL, float(rng.exponential(1) + 1e-9),
                                  float(rng.exponential(1) + 1e-9), cov)
                 )
-            _, inter = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
+            _, inter = fs_unmatched_test(surv_cohort(*records), SurvivalRule(), stratified=True)
             assert abs(inter.t_stat) <= k_strata
             values.add(inter.t_stat)
         assert values <= set(range(-k_strata, k_strata + 1))
 
 
 def test_fs_dropped_strata_counted():
-    cohort = [
-        surv_patient(0, Arm.TREATMENT, 4.0, 10.0, (0, 0)),
-        surv_patient(1, Arm.CONTROL, 2.0, 10.0, (0, 0)),
-        surv_patient(2, Arm.TREATMENT, 3.0, 10.0, (0, 1)),  # stratum lacking controls
-    ]
+    cohort = surv_cohort(
+        surv_patient(Arm.TREATMENT, 4.0, 10.0, (0, 0)),
+        surv_patient(Arm.CONTROL, 2.0, 10.0, (0, 0)),
+        surv_patient(Arm.TREATMENT, 3.0, 10.0, (0, 1)),  # stratum lacking controls
+    )
     res, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
     assert res.dropped_strata == 1
 
@@ -418,10 +424,7 @@ def test_arm_swap_maps_statistics():
     flips = 0
     for _ in range(150):
         cohort = random_survival_cohort(rng, n=16)
-        swapped = [
-            PatientRecord(r.id, Arm(1 - int(r.arm)), r.covariates, r.stratum, r.outcome)
-            for r in cohort
-        ]
+        swapped = replace(cohort, arm=1 - cohort.arm)
         for stratified in (True, False):
             try:
                 a, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified)
@@ -440,13 +443,7 @@ def test_cohort_level_rank_invariance():
     rng = np.random.default_rng(55)
     for _ in range(50):
         cohort = random_survival_cohort(rng, n=14)
-        transformed = [
-            PatientRecord(
-                r.id, r.arm, r.covariates, r.stratum,
-                SurvivalOutcome(r.outcome.e_death**3, r.outcome.e_hosp**3),
-            )
-            for r in cohort
-        ]
+        transformed = replace(cohort, e_death=cohort.e_death**3, e_hosp=cohort.e_hosp**3)
         for stratified in (True, False):
             try:
                 a, ia = fs_unmatched_test(cohort, SurvivalRule(), stratified)
@@ -464,15 +461,11 @@ def test_matched_arm_swap_antisymmetry():
     flips = 0
     for _ in range(150):
         cohort = random_survival_cohort(rng, n=18)
-        swapped = [
-            PatientRecord(r.id, Arm(1 - int(r.arm)), r.covariates, r.stratum, r.outcome)
-            for r in cohort
-        ]
+        swapped = replace(cohort, arm=1 - cohort.arm)
         try:
             pairing = form_matched_pairs(cohort, np.random.default_rng(1))
             res = matched_wr_test(cohort, pairing.pairs, SurvivalRule())
-            mirrored_pairs = [MatchedPair(p.control_id, p.treatment_id, p.stratum)
-                              for p in pairing.pairs]
+            mirrored_pairs = pairing.pairs[:, ::-1]
             res_swapped = matched_wr_test(swapped, mirrored_pairs, SurvivalRule())
         except DegenerateResultError:
             continue
@@ -485,12 +478,12 @@ def test_matched_arm_swap_antisymmetry():
 
 
 def test_wr_result_json_fields():
-    cohort = [
-        surv_patient(0, Arm.TREATMENT, 4.0, 10.0),
-        surv_patient(1, Arm.TREATMENT, 2.5, 10.0),
-        surv_patient(2, Arm.CONTROL, 2.0, 10.0),
-        surv_patient(3, Arm.CONTROL, 3.0, 10.0),
-    ]
+    cohort = surv_cohort(
+        surv_patient(Arm.TREATMENT, 4.0, 10.0),
+        surv_patient(Arm.TREATMENT, 2.5, 10.0),
+        surv_patient(Arm.CONTROL, 2.0, 10.0),
+        surv_patient(Arm.CONTROL, 3.0, 10.0),
+    )
     res, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
     assert set(res.to_dict()) == {
         "method", "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
