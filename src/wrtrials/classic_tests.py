@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import f as f_dist, norm, rankdata
+from scipy.special import fdtrc
+from scipy.stats import rankdata
 
-from .core import Cohort, DegenerateResultError
+from .core import Cohort, DegenerateResultError, _two_sided_p
 
 Z_95 = 1.959963984540054
 BETA_CAP = 15.0
@@ -74,24 +76,41 @@ def cox_loglik(beta: np.ndarray, times: np.ndarray, X: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _cox_score_info(beta, times, X):
+class _SortedCox(NamedTuple):
+    """A fit's rows sorted by time once, with what every Newton iterate reuses."""
+
+    t: np.ndarray
+    X: np.ndarray
+    XX: np.ndarray  # per-row outer products X_i X_i^T
+    group_start: np.ndarray | None  # first row of each row's tie group; None without ties
+
+
+def _sort_for_cox(times: np.ndarray, X: np.ndarray) -> _SortedCox:
     order = np.argsort(times, kind="stable")
     t, Xs = times[order], X[order]
-    n, p = Xs.shape
+    starts = np.ones(len(t), dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    group_start = None
+    if not starts.all():
+        # tie groups share the risk set of their first (earliest-index) member
+        group_start = np.maximum.accumulate(np.where(starts, np.arange(len(t)), 0))
+    return _SortedCox(t, Xs, Xs[:, :, None] * Xs[:, None, :], group_start)
+
+
+def _cox_score_info(beta: np.ndarray, data: _SortedCox) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information of the Breslow partial likelihood at ``beta``."""
+    Xs = data.X
     w = np.exp(Xs @ beta)
     s0 = np.cumsum(w[::-1])[::-1]
     s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1]
-    s2 = np.cumsum((Xs[:, :, None] * Xs[:, None, :] * w[:, None, None])[::-1], axis=0)[::-1]
-    # tie groups share the risk set of their first (earliest-index) member
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    s0g = s0[group_start]
-    s1g = s1[group_start]
-    s2g = s2[group_start]
-    xbar = s1g / s0g[:, None]
+    s2 = np.cumsum((data.XX * w[:, None, None])[::-1], axis=0)[::-1]
+    if data.group_start is not None:
+        s0 = s0[data.group_start]
+        s1 = s1[data.group_start]
+        s2 = s2[data.group_start]
+    xbar = s1 / s0[:, None]
     score = (Xs - xbar).sum(axis=0)
-    info = (s2g / s0g[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
     return score, info
 
 
@@ -107,24 +126,33 @@ def cox_ph(
     handled with the Breslow approximation.  When the likelihood is monotone
     (complete separation) coefficients are capped at |beta| <= 15 and the
     fit is flagged.
+
+    A fit sorts the times once.  The score and information are evaluated
+    once per iterate (iterations + 1 times) and serve the convergence test,
+    the next Newton step and the returned covariance; the log-likelihood is
+    evaluated once at the start and once per trial point of each step.
     """
     times = np.asarray(times, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(times) != X.shape[0]:
         raise ValueError("times and design matrix sizes disagree")
-    if len(np.unique(times)) < 2:
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(X))):
+        raise ValueError("event times and design matrix must be finite")
+    data = _sort_for_cox(times, X)
+    t, Xs = data.t, data.X
+    if len(t) < 2 or t[0] == t[-1]:
         raise ValueError("need at least two distinct event times")
     sd = X.std(axis=0)
     if np.any(sd == 0):
         raise ValueError("design matrix has a constant column")
 
     beta = np.zeros(X.shape[1])
-    ll = cox_loglik(beta, times, X)
+    ll = cox_loglik(beta, t, Xs)
+    score, info = _cox_score_info(beta, data)
     converged = False
     separation = False
     it = 0
     for it in range(1, max_iter + 1):
-        score, info = _cox_score_info(beta, times, X)
         if np.max(np.abs(score)) < tol:
             converged = True
             it -= 1
@@ -134,19 +162,20 @@ def cox_ph(
         except np.linalg.LinAlgError:
             step = score / max(np.max(np.abs(np.diag(info))), 1.0)
         new_beta = beta + step
-        new_ll = cox_loglik(new_beta, times, X)
+        new_ll = cox_loglik(new_beta, t, Xs)
         halvings = 0
         while new_ll < ll - 1e-12 and halvings < 30:
             step *= 0.5
             new_beta = beta + step
-            new_ll = cox_loglik(new_beta, times, X)
+            new_ll = cox_loglik(new_beta, t, Xs)
             halvings += 1
         beta, ll = new_beta, new_ll
         if np.max(np.abs(beta)) > BETA_CAP:
             separation = True
             beta = np.clip(beta, -BETA_CAP, BETA_CAP)
+        score, info = _cox_score_info(beta, data)
+        if separation:
             break
-    score, info = _cox_score_info(beta, times, X)
     if not separation and np.max(np.abs(score)) < tol:
         converged = True
     cov = np.linalg.inv(info)
@@ -180,7 +209,7 @@ def cox_fit(cohort: Cohort, use_covariates: bool = True) -> CoxResult:
         beta_t_hat=b,
         se=se,
         z=z,
-        p_value=float(2.0 * norm.sf(abs(z))),
+        p_value=_two_sided_p(z),
         hr=safe_exp(b),
         ci_low=safe_exp(b - Z_95 * se),
         ci_high=safe_exp(b + Z_95 * se),
@@ -235,7 +264,7 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
         p = 0.0
     else:
         f_stat = (ss_between / df_b) / (ss_within / df_w)
-        p = float(f_dist.sf(f_stat, df_b, df_w))
+        p = float(fdtrc(df_b, df_w, f_stat))  # the F survival function
     return ObrienResult(f_stat=float(f_stat), df=(df_b, df_w), p_value=p, rank_sums=means)
 
 
@@ -277,6 +306,6 @@ def contingency_or_test(
         or_hat=float(or_hat),
         se_log=float(se),
         z=float(z),
-        p_value=float(2.0 * norm.sf(abs(z))),
+        p_value=_two_sided_p(z),
         corrected=corrected,
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from scipy.special import ndtr
 
 
 class ConfigError(ValueError):
@@ -26,6 +27,15 @@ class ConfigError(ValueError):
 
 class DegenerateResultError(RuntimeError):
     """An analysis could not produce a test statistic (all ties, V=0, ...)."""
+
+
+def _two_sided_p(z: float) -> float:
+    """Two-sided normal p-value, 2 * P(Z > |z|).
+
+    ``ndtr(-x)`` is what ``scipy.stats.norm.sf(x)`` evaluates, without the
+    distribution wrapper's per-call argument handling.
+    """
+    return float(2.0 * ndtr(-abs(z)))
 
 
 class Arm(enum.IntEnum):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -195,6 +195,18 @@ class ContinuousFrame:
     y_base: np.ndarray
     subpop: np.ndarray  # values from Subpop
 
+    def take(self, rows) -> ContinuousFrame:
+        """The patients at ``rows``: an index array, a boolean mask or a slice."""
+        return ContinuousFrame(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @staticmethod
+    def concat(frames: list[ContinuousFrame]) -> ContinuousFrame:
+        """The patients of ``frames``, in order."""
+        return ContinuousFrame(**{
+            f.name: np.concatenate([getattr(frame, f.name) for frame in frames])
+            for f in fields(ContinuousFrame)
+        })
+
 
 def draw_continuous_patients(
     cfg: ContinuousGenConfig, mix: SubpopMix, rng: np.random.Generator, n: int | None = None
@@ -244,12 +256,13 @@ def draw_continuous_response(
 def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray]]) -> Cohort:
     """One cohort from design stages given as (patients, arms, (n, 3) outcomes), stage k the k-th."""
     frames, arms, ys = zip(*stages)
+    frame = ContinuousFrame.concat(frames)
     return Cohort(
         np.concatenate(arms),
-        np.concatenate([f.x1 for f in frames]),
-        np.concatenate([f.x2 for f in frames]),
+        frame.x1,
+        frame.x2,
         np.concatenate([np.full(len(a), k) for k, a in enumerate(arms)]),
-        y_base=np.concatenate([f.y_base for f in frames]),
+        y_base=frame.y_base,
         y=np.concatenate(ys),
     )
 

@@ -296,11 +296,7 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
             y_lead = draw_continuous_response(gen, batch, np.zeros(n, dtype=bool), leadin_rng)
             keep = _nonresponder_mask(y_lead, batch.y_base, cfg.cutoffs.c_s0)
             if np.any(keep):
-                kept.append(
-                    ContinuousFrame(
-                        batch.x1[keep], batch.x2[keep], batch.y_base[keep], batch.subpop[keep]
-                    )
-                )
+                kept.append(batch.take(keep))
                 kept_count += int(keep.sum())
             if kept_count >= n:
                 break
@@ -308,12 +304,7 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
             raise DegenerateResultError(
                 "lead-in produced too few placebo nonresponders for stage 1"
             )
-        frame = ContinuousFrame(
-            np.concatenate([f.x1 for f in kept])[:n],
-            np.concatenate([f.x2 for f in kept])[:n],
-            np.concatenate([f.y_base for f in kept])[:n],
-            np.concatenate([f.subpop for f in kept])[:n],
-        )
+        frame = ContinuousFrame.concat(kept).take(slice(n))
     else:
         frame = draw_continuous_patients(gen, cfg.mix, patients_rng, n)
 
@@ -329,10 +320,7 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
             ~_nonresponder_mask(y1[drug_idx], frame.y_base[drug_idx], cfg.cutoffs.c_s1)
         ]
         if len(responders) >= 2:
-            sub = ContinuousFrame(
-                frame.x1[responders], frame.x2[responders],
-                frame.y_base[responders], frame.subpop[responders],
-            )
+            sub = frame.take(responders)
             s2_arm = _assign_arms(np.random.default_rng(s2_assign_seed), len(responders), 0.5)
             y2 = draw_continuous_response(
                 gen, sub, s2_arm == 1, np.random.default_rng(s2_outcome_seed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .core import ConfigError
+from .core import ConfigError, _two_sided_p
 
 
 @dataclass(frozen=True)
@@ -291,4 +291,4 @@ def unmatched_wald_test(
     g_hat = w / l
     c0 = math.sqrt(unmatched_variance(THETA_NULL, n1, n0))
     z = math.sqrt(n1 + n0) * (g_hat - 1.0) / c0
-    return g_hat, z, float(2.0 * norm.sf(abs(z)))
+    return g_hat, z, _two_sided_p(z)

@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import norm
 
-from .core import Arm, Cohort, DegenerateResultError, Outcome, WinStatus, stratum_groups
+from .core import (
+    Arm, Cohort, DegenerateResultError, Outcome, WinStatus, _two_sided_p, stratum_groups,
+)
 
 Z_95 = 1.959963984540054
 
@@ -204,10 +205,6 @@ class ContinuousRule(_WinningRule):
 
 # ---------------------------------------------------------------------------
 # test procedures
-
-
-def _two_sided_p(z: float) -> float:
-    return float(2.0 * norm.sf(abs(z)))
 
 
 def _odds(p: float) -> float:

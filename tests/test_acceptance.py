@@ -30,7 +30,7 @@ from wrtrials import (
     unmatched_g,
     unmatched_sample_size,
 )
-from wrtrials.classic_tests import cox_loglik, _cox_score_info
+from wrtrials.classic_tests import cox_loglik, _cox_score_info, _sort_for_cox
 from wrtrials.core import DegenerateResultError
 from wrtrials.power import THETA_NULL, unmatched_wald_test, unmatched_win_loss
 from wrtrials.presets import reproduce_table
@@ -386,7 +386,7 @@ def test_c9_cox_gradient_finite_differences():
         if X[:, 0].std() == 0:
             continue
         beta = rng.normal(0, 0.5, 2)
-        score, _ = _cox_score_info(beta, times, X)
+        score, _ = _cox_score_info(beta, _sort_for_cox(times, X))
         for k in range(2):
             up, dn = beta.copy(), beta.copy()
             up[k] += h

@@ -4,18 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import fdtrc
+from scipy.stats import f as f_dist
 
 from wrtrials import (
     Arm,
     Cohort,
     DegenerateResultError,
     PatientRecord,
+    SurvivalGenConfig,
     SurvivalOutcome,
+    classic_tests,
     contingency_or_test,
     cox_fit,
+    gen_survival_cohort,
     obrien_test,
 )
-from wrtrials.classic_tests import cox_loglik, cox_ph, obrien_first_event, _cox_score_info
+from wrtrials.classic_tests import (
+    BETA_CAP,
+    cox_loglik,
+    cox_ph,
+    obrien_first_event,
+    _cox_score_info,
+    _sort_for_cox,
+)
 
 
 def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
@@ -44,6 +56,146 @@ def loop_cox_loglik(beta, times, X):
     return ll
 
 
+def percall_cox_score_info(beta, times, X):
+    """Score and information, sorting the rows on every call."""
+    order = np.argsort(times, kind="stable")
+    t, Xs = times[order], X[order]
+    n, p = Xs.shape
+    w = np.exp(Xs @ beta)
+    s0 = np.cumsum(w[::-1])[::-1]
+    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1]
+    s2 = np.cumsum((Xs[:, :, None] * Xs[:, None, :] * w[:, None, None])[::-1], axis=0)[::-1]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+    s0g = s0[group_start]
+    s1g = s1[group_start]
+    s2g = s2[group_start]
+    xbar = s1g / s0g[:, None]
+    score = (Xs - xbar).sum(axis=0)
+    info = (s2g / s0g[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    return score, info
+
+
+def percall_cox_ph(times, X, max_iter=50, tol=1e-8):
+    """Damped Newton fit that sorts inside every evaluation and re-evaluates at the end."""
+    times = np.asarray(times, dtype=float)
+    X = np.asarray(X, dtype=float)
+    beta = np.zeros(X.shape[1])
+    ll = cox_loglik(beta, times, X)
+    converged = False
+    separation = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        score, info = percall_cox_score_info(beta, times, X)
+        if np.max(np.abs(score)) < tol:
+            converged = True
+            it -= 1
+            break
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = score / max(np.max(np.abs(np.diag(info))), 1.0)
+        new_beta = beta + step
+        new_ll = cox_loglik(new_beta, times, X)
+        halvings = 0
+        while new_ll < ll - 1e-12 and halvings < 30:
+            step *= 0.5
+            new_beta = beta + step
+            new_ll = cox_loglik(new_beta, times, X)
+            halvings += 1
+        beta, ll = new_beta, new_ll
+        if np.max(np.abs(beta)) > BETA_CAP:
+            separation = True
+            beta = np.clip(beta, -BETA_CAP, BETA_CAP)
+            break
+    score, info = percall_cox_score_info(beta, times, X)
+    if not separation and np.max(np.abs(score)) < tol:
+        converged = True
+    cov = np.linalg.inv(info)
+    return beta, cov, it, converged, separation
+
+
+def score_info(beta, times, X):
+    return _cox_score_info(beta, _sort_for_cox(times, X))
+
+
+def survival_design(n, seed, covariates=True):
+    cohort = gen_survival_cohort(SurvivalGenConfig(n=n, beta_t=-0.4), np.random.default_rng(seed))
+    cols = [cohort.arm, cohort.x1, cohort.x2] if covariates else [cohort.arm]
+    return np.minimum(cohort.e_death, cohort.e_hosp), np.column_stack(cols).astype(float)
+
+
+def halving_design():
+    """A small cohort whose Newton path halves one step (found by search)."""
+    rng = np.random.default_rng(271)
+    arm = rng.integers(0, 2, 10)
+    x = rng.normal(0, 3, 10)
+    times = rng.exponential(1, 10) * np.exp(-2 * arm - x)
+    return times, np.column_stack([arm, x]).astype(float)
+
+
+class LoglikCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.fn = classic_tests.cox_loglik
+        monkeypatch.setattr(classic_tests, "cox_loglik", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _fit_cases():
+    for n in (60, 200, 4000):
+        yield f"tie-free N={n}", *survival_design(n, n), {}
+    times, X = survival_design(300, 7)
+    yield "tie-heavy", np.round(times, 1) + 0.1, X, {}
+    arm = np.arange(12) % 2
+    yield "separated", np.where(arm == 1, 100.0 + np.arange(12), 1.0 + 0.01 * np.arange(12)), \
+        arm[:, None].astype(float), {}
+    yield "step halving", *halving_design(), {}
+    yield "single column", *survival_design(200, 3, covariates=False), {}
+    yield "max_iter exhausted", *survival_design(200, 4), {"max_iter": 1}
+    times, X = survival_design(200, 5)
+    shuffle = np.random.default_rng(6).permutation(200)
+    yield "shuffled rows", times[shuffle], X[shuffle], {}
+    times, X = halving_design()
+    yield "shuffled rows with ties", np.round(times, 0)[::-1], X[::-1], {}
+
+
+def test_cox_ph_matches_percall_oracle():
+    names = set()
+    for name, times, X, kw in _fit_cases():
+        got = cox_ph(times, X, **kw)
+        want = percall_cox_ph(times, X, **kw)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), name
+        names.add(name)
+        if name == "separated":
+            assert got[4]
+        if name == "max_iter exhausted":
+            assert got[2] == 1 and not got[3]
+    assert len(names) == 10
+
+
+def test_halving_design_halves_a_step(monkeypatch):
+    counter = LoglikCounter(monkeypatch)
+    _, _, iterations, converged, separation = cox_ph(*halving_design())
+    assert converged and not separation
+    assert counter.calls > iterations + 1
+
+
+def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
+    cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(8))
+    plain = cox_fit(cohort)
+    counter = LoglikCounter(monkeypatch)
+    counted = cox_fit(cohort)
+    assert counted == plain
+    assert counted.converged and counted.iterations >= 2
+    assert counter.calls == counted.iterations + 1
+
+
 @pytest.mark.parametrize("tied", [False, True])
 def test_cox_loglik_matches_loop_oracle(tied):
     rng = np.random.default_rng(3)
@@ -66,7 +218,7 @@ def test_cox_score_matches_central_differences_small_cohorts():
         if X[:, 0].std() == 0:
             continue
         beta = rng.normal(0, 0.5, 2)
-        score, _ = _cox_score_info(beta, times, X)
+        score, _ = score_info(beta, times, X)
         for k in range(2):
             up, dn = beta.copy(), beta.copy()
             up[k] += h
@@ -82,13 +234,13 @@ def test_cox_information_matches_second_differences():
     times = rng.exponential(1.0, 6) + 1e-6
     X = np.column_stack([np.array([0, 1, 0, 1, 1, 0]), rng.normal(0, 1, 6)]).astype(float)
     beta = np.array([0.3, -0.2])
-    _, info = _cox_score_info(beta, times, X)
+    _, info = score_info(beta, times, X)
     for k in range(2):
         up, dn = beta.copy(), beta.copy()
         up[k] += h
         dn[k] -= h
-        s_up, _ = _cox_score_info(up, times, X)
-        s_dn, _ = _cox_score_info(dn, times, X)
+        s_up, _ = score_info(up, times, X)
+        s_dn, _ = score_info(dn, times, X)
         fd_row = -(s_up - s_dn) / (2 * h)
         assert np.allclose(info[k], fd_row, rtol=1e-5, atol=1e-5)
 
@@ -122,7 +274,7 @@ def test_cox_observed_information_psd_at_solution():
     X = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)]).astype(float)
     beta, cov, _, converged, _ = cox_ph(times, X)
     assert converged
-    _, info = _cox_score_info(beta, times, X)
+    _, info = score_info(beta, times, X)
     eigs = np.linalg.eigvalsh(info)
     assert np.all(eigs >= -1e-9)
 
@@ -153,7 +305,7 @@ def test_cox_breslow_handles_ties():
     beta, _, _, converged, _ = cox_ph(times, X)
     assert converged
     # independent check of the tied-likelihood gradient at the solution
-    score, _ = _cox_score_info(beta, times, X)
+    score, _ = score_info(beta, times, X)
     assert abs(score[0]) < 1e-7
 
 
@@ -162,6 +314,15 @@ def test_cox_rejects_degenerate_inputs():
         cox_ph(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
         cox_ph(np.array([1.0, 2.0, 3.0]), np.array([[1.0], [1.0], [1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cox_rejects_non_finite_inputs(bad):
+    X = np.array([[1.0], [0.0], [1.0], [0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        cox_ph(np.array([bad, 1.0, 2.0, 3.0]), X)
+    with pytest.raises(ValueError, match="finite"):
+        cox_ph(np.array([4.0, 1.0, 2.0, 3.0]), np.where(np.arange(4)[:, None] == 2, bad, X))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +345,14 @@ def test_obrien_identical_groups_f_zero():
     res = obrien_test(values, groups)
     assert res.f_stat == pytest.approx(0.0, abs=1e-12)
     assert res.p_value == pytest.approx(1.0)
+
+
+def test_fdtrc_equals_f_sf_on_a_grid():
+    xs = np.r_[0.0, 1e-300, np.geomspace(1e-6, 1e3, 200), math.inf, math.nan]
+    for df_b, df_w in [(1, 2), (1, 58), (2, 10), (3, 196), (1, 3998)]:
+        got = fdtrc(df_b, df_w, xs)
+        want = f_dist.sf(xs, df_b, df_w)
+        assert np.array_equal(got, want, equal_nan=True), (df_b, df_w)
 
 
 def test_obrien_monotone_transform_invariance():

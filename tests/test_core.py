@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from wrtrials import (
     Arm,
@@ -11,6 +14,7 @@ from wrtrials import (
     form_matched_pairs,
     stratify,
 )
+from wrtrials.core import _two_sided_p
 
 
 def make_patient(arm, cov=(0, 0)):
@@ -135,3 +139,13 @@ def test_cohort_validates_columns_when_built():
     with pytest.raises(ValueError):
         Cohort.from_records([make_patient(Arm.CONTROL),
                      PatientRecord(Arm.TREATMENT, (0, 0), SurvivalOutcome(1.0, 1.0))])
+
+
+def test_two_sided_p_equals_norm_sf_bit_for_bit():
+    specials = [0.0, -0.0, 1e-300, 1.96, -1.96, 8.0, 40.0, math.inf, -math.inf, math.nan]
+    zs = specials + list(np.random.default_rng(0).normal(0.0, 4.0, 2000))
+    for z in zs:
+        want = float(2.0 * norm.sf(abs(z)))
+        got = _two_sided_p(z)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want)), z

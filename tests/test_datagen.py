@@ -21,7 +21,7 @@ from wrtrials import (
     gen_continuous_cohort,
     gen_survival_cohort,
 )
-from wrtrials.datagen import draw_continuous_patients, draw_continuous_response
+from wrtrials.datagen import ContinuousFrame, draw_continuous_patients, draw_continuous_response
 
 
 def test_same_seed_same_cohort():
@@ -132,6 +132,20 @@ def test_baseline_always_positive_and_effect_applied():
     y_placebo = draw_continuous_response(quiet, frame, np.zeros(500, dtype=bool),
                                          np.random.default_rng(5))
     assert np.allclose(y_placebo, frame.y_base[:, None] - 1.5, atol=1e-9)
+
+
+def test_continuous_frame_take_and_concat_keep_rows_together():
+    cfg = ContinuousGenConfig(n=30)
+    frame = draw_continuous_patients(cfg, SubpopMix(0.25, 0.25, 0.25, 0.25), np.random.default_rng(9))
+    rows = np.array([4, 0, 29, 4])
+    mask = frame.x1 == 1
+    for sub, index in [(frame.take(rows), rows), (frame.take(mask), np.flatnonzero(mask)),
+                       (frame.take(slice(7)), np.arange(7))]:
+        for name in ("x1", "x2", "y_base", "subpop"):
+            assert np.array_equal(getattr(sub, name), getattr(frame, name)[index])
+    joined = ContinuousFrame.concat([frame.take(slice(10)), frame.take(slice(10, 30))])
+    for name in ("x1", "x2", "y_base", "subpop"):
+        assert np.array_equal(getattr(joined, name), getattr(frame, name))
 
 
 def test_equal_component_effects_align():
