@@ -82,7 +82,7 @@ class _SortedCox(NamedTuple):
     t: np.ndarray
     X: np.ndarray
     XX: np.ndarray  # per-row outer products X_i X_i^T
-    group_start: np.ndarray | None  # first row of each row's tie group; None without ties
+    group_start: np.ndarray  # first row of each row's tie group (the identity without ties)
 
 
 def _sort_for_cox(times: np.ndarray, X: np.ndarray) -> _SortedCox:
@@ -90,10 +90,8 @@ def _sort_for_cox(times: np.ndarray, X: np.ndarray) -> _SortedCox:
     t, Xs = times[order], X[order]
     starts = np.ones(len(t), dtype=bool)
     starts[1:] = t[1:] != t[:-1]
-    group_start = None
-    if not starts.all():
-        # tie groups share the risk set of their first (earliest-index) member
-        group_start = np.maximum.accumulate(np.where(starts, np.arange(len(t)), 0))
+    # tie groups share the risk set of their first (earliest-index) member
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(len(t)), 0))
     return _SortedCox(t, Xs, Xs[:, :, None] * Xs[:, None, :], group_start)
 
 
@@ -101,13 +99,10 @@ def _cox_score_info(beta: np.ndarray, data: _SortedCox) -> tuple[np.ndarray, np.
     """Score and observed information of the Breslow partial likelihood at ``beta``."""
     Xs = data.X
     w = np.exp(Xs @ beta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1]
-    s2 = np.cumsum((data.XX * w[:, None, None])[::-1], axis=0)[::-1]
-    if data.group_start is not None:
-        s0 = s0[data.group_start]
-        s1 = s1[data.group_start]
-        s2 = s2[data.group_start]
+    g = data.group_start
+    s0 = np.cumsum(w[::-1])[::-1][g]
+    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1][g]
+    s2 = np.cumsum((data.XX * w[:, None, None])[::-1], axis=0)[::-1][g]
     xbar = s1 / s0[:, None]
     score = (Xs - xbar).sum(axis=0)
     info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)

@@ -256,13 +256,12 @@ def draw_continuous_response(
 def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray]]) -> Cohort:
     """One cohort from design stages given as (patients, arms, (n, 3) outcomes), stage k the k-th."""
     frames, arms, ys = zip(*stages)
-    frame = ContinuousFrame.concat(frames)
     return Cohort(
         np.concatenate(arms),
-        frame.x1,
-        frame.x2,
+        np.concatenate([f.x1 for f in frames]),
+        np.concatenate([f.x2 for f in frames]),
         np.concatenate([np.full(len(a), k) for k, a in enumerate(arms)]),
-        y_base=frame.y_base,
+        y_base=np.concatenate([f.y_base for f in frames]),
         y=np.concatenate(ys),
     )
 
