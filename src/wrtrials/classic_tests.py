@@ -8,9 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import fdtrc
-from scipy.stats import rankdata
 
-from .core import Cohort, DegenerateResultError, _two_sided_p
+from .core import Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
 Z_95 = 1.959963984540054
 BETA_CAP = 15.0
@@ -69,8 +68,11 @@ def cox_loglik(beta: np.ndarray, times: np.ndarray, X: np.ndarray) -> float:
     # risk-set sums, accumulated from the latest time backwards
     rev_cum = np.cumsum(np.exp(eta)[::-1])[::-1]
     # a tie group shares the risk set of its first member
-    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-    sizes = np.diff(np.r_[starts, len(t)])
+    new = np.empty(len(t), dtype=bool)
+    new[:1] = True
+    np.not_equal(t[1:], t[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(t))
     terms = np.add.reduceat(eta, starts) - sizes * np.log(rev_cum[starts])
     # cumsum adds the groups in time order, as a sequential sum would
     return float(np.cumsum(terms)[-1])
@@ -131,6 +133,8 @@ def cox_ph(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(times) != X.shape[0]:
         raise ValueError("times and design matrix sizes disagree")
+    if X.shape[1] == 0:
+        raise ValueError("design matrix has no columns")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(X))):
         raise ValueError("event times and design matrix must be finite")
     data = _sort_for_cox(times, X)
@@ -218,6 +222,18 @@ def cox_fit(cohort: Cohort, use_covariates: bool = True) -> CoxResult:
 # O'Brien rank-sum-type test
 
 
+def midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x``; tied entries share the mean of their ranks.
+
+    The same values as ``scipy.stats.rankdata(x)``: each is an exact
+    half-integer.
+    """
+    order, start, stop = tie_groups(x)
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (start + stop + 1), stop - start)
+    return ranks
+
+
 def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     """Rank-sum-type test: pooled midranks per endpoint, ANOVA on rank sums.
 
@@ -238,9 +254,12 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     if min(int((groups == g).sum()) for g in labels) < 2:
         raise ValueError("each group needs at least two patients")
 
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+
     s = np.zeros(n)
     for k in range(values.shape[1]):
-        s += rankdata(values[:, k])
+        s += midranks(values[:, k])
     grand = s.mean()
     ss_between = 0.0
     ss_within = 0.0

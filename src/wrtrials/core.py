@@ -222,6 +222,33 @@ class Cohort:
             yield PatientRecord(Arm(arm), (x1, x2), outcome, stage)
 
 
+def tie_groups(key: np.ndarray, groups: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Rows sorted by (group, key), and the runs of equal (group, key) in that order.
+
+    Returns ``order``, the row ids in sorted order, and the sorted positions
+    ``start`` and ``stop`` that bound each run: run ``r`` is
+    ``order[start[r]:stop[r]]``, its rows in no particular order.  Without
+    ``groups`` all rows are one group.  Groups are sorted with a stable
+    sort, which is a linear-time radix sort for 8- and 16-bit labels.
+    """
+    n = len(key)
+    order = np.argsort(key)
+    if groups is not None:
+        order = order[np.argsort(groups[order], kind="stable")]
+    k = key[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(k[1:], k[:-1], out=new[1:])
+    if groups is not None:
+        g = groups[order]
+        new[1:] |= g[1:] != g[:-1]
+    start = np.flatnonzero(new)
+    stop = np.empty_like(start)
+    stop[:-1] = start[1:]
+    stop[-1:] = n
+    return order, start, stop
+
+
 def stratum_groups(cohort: Cohort, stratified: bool = True) -> Iterator[tuple[int, np.ndarray]]:
     """(stratum, row ids) of each stratum present, in increasing stratum order.
 

@@ -11,15 +11,17 @@ Three rules cover the outcome families:
 
 Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
 (``columns``), scores pairs with a broadcasting ``pair_scores`` (+1 win, -1
-loss, 0 tie for the left member of each pair), and gives the within-stratum
-U-scores and the cross-arm win and loss counts as rank counts
-(``u_win_loss``).  ``compare`` is the single-pair view of ``pair_scores``.
-Every rule is a total preorder (binary, continuous) or a two-branch preorder
-(survival), so the U-scores and counts are sorted searches, as in Knight's
-O(n log n) Kendall tau (Knight 1966, JASA 61:436): O(n log n) time and O(n)
-memory per stratum, giving exactly the integers that summing ``pair_scores``
-over every pair would.  ``matched_wr_test`` scores its pairs with
-``pair_scores``; ``fs_unmatched_test`` calls ``u_win_loss`` once per stratum.
+loss, 0 tie for the left member of each pair), and gives the U-scores
+against each row's own stratum and the within-stratum cross-arm win and loss
+counts as rank counts (``u_win_loss``).  ``compare`` is the single-pair view
+of ``pair_scores``.  Every rule is a total preorder (binary, continuous) or a
+two-branch preorder (survival), so, as in Knight's O(n log n) Kendall tau
+(Knight 1966, JASA 61:436), one sort of all rows by (stratum, key) per sort
+coordinate gives each row's stratum rows below and above it: O(n log n) time
+and O(n) memory over the whole cohort, giving exactly the integers that
+summing ``pair_scores`` over every within-stratum pair would.
+``matched_wr_test`` scores its pairs with ``pair_scores``;
+``fs_unmatched_test`` calls ``u_win_loss`` once with every row's stratum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import (
-    Arm, Cohort, DegenerateResultError, Outcome, WinStatus, _two_sided_p, stratum_groups,
+    Arm, Cohort, DegenerateResultError, Outcome, WinStatus, _two_sided_p, tie_groups,
 )
 
 Z_95 = 1.959963984540054
@@ -62,11 +64,13 @@ class WrResult:
 
 @dataclass(frozen=True)
 class FsIntermediate:
-    """Per-stratum building blocks of the unmatched permutation statistic."""
+    """Building blocks of the unmatched permutation statistic.
 
-    u_scores: dict[int, np.ndarray]
-    stratum_sizes: dict[int, int]
-    treatment_counts: dict[int, int]
+    ``u_scores`` holds each row's U-score against the rows of its stratum,
+    in cohort order.
+    """
+
+    u_scores: np.ndarray
     t_stat: float
     v_stat: float
 
@@ -75,29 +79,68 @@ class FsIntermediate:
 # winning rules
 
 
-def _below_above(q: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each element of ``q``, how many elements of ``ref`` lie strictly below and above it."""
-    ref = np.sort(ref)
-    below = np.searchsorted(ref, q, side="left")
-    above = len(ref) - np.searchsorted(ref, q, side="right")
-    return below, above
+class _Ranked:
+    """Rows sorted by (stratum, key), with each run's rows of its stratum below and above it.
+
+    A run is a set of rows of equal (stratum, key); every row of a run has
+    the same rows of its stratum strictly below it and strictly above it.
+    """
+
+    def __init__(self, key: np.ndarray, groups: np.ndarray):
+        self.order, self.start, self.stop = tie_groups(key, groups)
+        # the sorted positions of each run's stratum block
+        block_size = np.bincount(groups)
+        block_stop = np.cumsum(block_size)
+        g = groups[self.order[self.start]]
+        self.lo, self.hi = (block_stop - block_size)[g], block_stop[g]
+
+    def sign_sums(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Per run: the rows of its stratum (those in ``mask``) below it less those above it."""
+        if mask is None:
+            return (self.start - self.lo) - (self.hi - self.stop)
+        c = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask[self.order], out=c[1:])
+        return (c[self.start] - c[self.lo]) - (c[self.hi] - c[self.stop])
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Per run: its rows in ``mask``."""
+        return np.add.reduceat(mask[self.order], self.start)
+
+    def rows(self, per_run: np.ndarray) -> np.ndarray:
+        """A per-run array spread over the rows, in input order."""
+        out = np.empty(len(self.order), dtype=per_run.dtype)
+        out[self.order] = np.repeat(per_run, self.stop - self.start)
+        return out
+
+    def cross_ties(self, is_t: np.ndarray, is_c: np.ndarray | None = None) -> int:
+        """Pairs of a row in ``is_t`` and a row in ``is_c`` (default: not in ``is_t``) within a run."""
+        if len(self.start) == len(self.order):  # every run is one row
+            return 0
+        t = self.count(is_t)
+        c = self.stop - self.start - t if is_c is None else self.count(is_c)
+        return int(t @ c)
 
 
-def _sign_sums(q: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """sum_j sign(q_i - ref_j) for each element of ``q``."""
-    below, above = _below_above(q, ref)
-    return below - above
+def _win_loss(u: np.ndarray, is_t: np.ndarray, groups: np.ndarray, n_tie: int) -> tuple[int, int]:
+    """Cross-arm win and loss counts from the U-scores and the cross-arm ties.
+
+    Every score is antisymmetric, so within a stratum the treatment-treatment
+    scores cancel and the treatment rows' U-scores sum to wins less losses;
+    every treatment-control pair is a win, a loss or a tie.
+    """
+    sizes = np.bincount(groups)
+    m = np.bincount(groups[is_t], minlength=len(sizes))
+    decided = int(m @ (sizes - m)) - n_tie
+    diff = int(u[is_t].sum())
+    return (decided + diff) // 2, (decided - diff) // 2
 
 
-def _cross_win_loss(q: np.ndarray, ref: np.ndarray) -> tuple[int, int]:
-    """Counts of pairs (i, j) with q_i > ref_j and with q_i < ref_j."""
-    below, above = _below_above(q, ref)
-    return int(below.sum()), int(above.sum())
-
-
-def _preorder_u_win_loss(key: np.ndarray, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _preorder_u_win_loss(key: np.ndarray, is_t: np.ndarray,
+                         groups: np.ndarray) -> tuple[np.ndarray, int, int]:
     """``u_win_loss`` for a rule whose score is sign(key_i - key_j)."""
-    return _sign_sums(key, key), *_cross_win_loss(key[is_t], key[~is_t])
+    r = _Ranked(key, groups)
+    u = r.rows(r.sign_sums())
+    return u, *_win_loss(u, is_t, groups, r.cross_ties(is_t))
 
 
 class _WinningRule:
@@ -128,10 +171,10 @@ class BinaryRule(_WinningRule):
         hosp = np.sign(x_j - x_i)
         return np.where(death != 0, death, hosp).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
         y, x = cols
         # death outweighs hospitalization; fewer events is better
-        return _preorder_u_win_loss(-(2 * y + x), is_t)
+        return _preorder_u_win_loss(-(2 * y + x), is_t, groups)
 
 
 class SurvivalRule(_WinningRule):
@@ -161,20 +204,23 @@ class SurvivalRule(_WinningRule):
         primary_first = (p_i < s_i) | (p_j < s_j)
         return np.where(primary_first, np.sign(p_i - p_j), np.sign(s_i - s_j)).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
         # A = {primary first}: a pair with a member in A is decided on p,
-        # any other pair on s
+        # any other pair on s.  So a row in A is ranked on p against its
+        # whole stratum, and a row outside A on p against the rows in A and
+        # on s against the rest.
         p, s = cols
         a = p < s
-        u = _sign_sums(p, p)
-        u[~a] = _sign_sums(p[~a], p[a]) + _sign_sums(s[~a], s[~a])
-        # cross-arm pairs on p, less those with neither member in A, plus
-        # those decided on s
-        both_t, both_c = is_t & ~a, ~is_t & ~a
-        w_all, l_all = _cross_win_loss(p[is_t], p[~is_t])
-        w_p, l_p = _cross_win_loss(p[both_t], p[both_c])
-        w_s, l_s = _cross_win_loss(s[both_t], s[both_c])
-        return u, w_all - w_p + w_s, l_all - l_p + l_s
+        on_p = _Ranked(p, groups)
+        rest = np.flatnonzero(~a)
+        on_s = _Ranked(s[rest], groups[rest])
+        u = np.where(a, on_p.rows(on_p.sign_sums()), on_p.rows(on_p.sign_sums(a)))
+        u[rest] += on_s.rows(on_s.sign_sums())
+        # a cross-arm pair ties on p within a run of on_p unless neither
+        # member is in A, and on s within a run of on_s
+        n_tie = (on_p.cross_ties(is_t) - on_p.cross_ties(is_t & ~a, ~is_t & ~a)
+                 + on_s.cross_ties(is_t[rest]))
+        return u, *_win_loss(u, is_t, groups, n_tie)
 
 
 def improvement_indicators(src, c_t: float) -> np.ndarray:
@@ -198,9 +244,9 @@ class ContinuousRule(_WinningRule):
         (n_i,), (n_j,) = left, right
         return np.sign(n_i - n_j).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
         (counts,) = cols
-        return _preorder_u_win_loss(counts, is_t)
+        return _preorder_u_win_loss(counts, is_t, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +315,29 @@ def fs_unmatched_test(
     Strata with fewer than two patients or with an empty arm are dropped
     and counted in ``dropped_strata``.
     """
-    cols = rule.columns(cohort)
-    t_stat = 0.0
+    is_t = cohort.arm == Arm.TREATMENT
+    # 8-bit labels, which sort in linear time
+    groups = cohort.stratum.astype(np.uint8) if stratified else np.zeros(len(cohort), dtype=np.uint8)
+    u, n_w, n_l = rule.u_win_loss(rule.columns(cohort), is_t, groups)
+    sizes = np.bincount(groups)
+    m_counts = np.bincount(groups[is_t], minlength=len(sizes))
+    # exact integers below 2**53, so summed in any order they are the same floats
+    squares = np.bincount(groups, weights=u * u)
+    # T: within a stratum the U-scores sum to zero, so a one-arm stratum adds nothing
+    t_stat = float(u[is_t].sum())
     v_stat = 0.0
-    n_w = n_l = n_tie = 0
     dropped = 0
-    u_scores: dict[int, np.ndarray] = {}
-    sizes: dict[int, int] = {}
-    m_counts: dict[int, int] = {}
-    for key, rows in stratum_groups(cohort, stratified):
-        n_k = len(rows)
-        is_t = cohort.arm[rows] == Arm.TREATMENT
-        m_k = int(is_t.sum())
+    for n_k, m_k, ss_k in zip(sizes.tolist(), m_counts.tolist(), squares.tolist()):
+        if n_k == 0:
+            continue
         if n_k < 2 or m_k == 0 or m_k == n_k:
             dropped += 1
             continue
-        scores, w, l = rule.u_win_loss(tuple(c[rows] for c in cols), is_t)
-        u_scores[key] = scores
-        sizes[key] = n_k
-        m_counts[key] = m_k
-        t_stat += float(scores[is_t].sum())
-        v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * float((scores.astype(float) ** 2).sum())
-        n_w += w
-        n_l += l
-        n_tie += m_k * (n_k - m_k) - w - l
+        v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * ss_k
+    n_tie = int(m_counts @ (sizes - m_counts)) - n_w - n_l
 
     method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
-    inter = FsIntermediate(u_scores, sizes, m_counts, t_stat, v_stat)
+    inter = FsIntermediate(u, t_stat, v_stat)
     if v_stat <= 0:
         raise DegenerateResultError("degenerate: no discordant pairs (V = 0)")
     z = t_stat / math.sqrt(v_stat)

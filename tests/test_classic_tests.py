@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import fdtrc
-from scipy.stats import f as f_dist
+from scipy.stats import f as f_dist, rankdata
 
 from wrtrials import (
     Arm,
@@ -24,6 +24,7 @@ from wrtrials.classic_tests import (
     BETA_CAP,
     cox_loglik,
     cox_ph,
+    midranks,
     obrien_first_event,
     _cox_score_info,
     _sort_for_cox,
@@ -316,6 +317,11 @@ def test_cox_rejects_degenerate_inputs():
         cox_ph(np.array([1.0, 2.0, 3.0]), np.array([[1.0], [1.0], [1.0]]))
 
 
+def test_cox_rejects_design_without_columns():
+    with pytest.raises(ValueError, match="design matrix"):
+        cox_ph(np.array([1.0, 2.0, 3.0]), np.zeros((3, 0)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cox_rejects_non_finite_inputs(bad):
     X = np.array([[1.0], [0.0], [1.0], [0.0]])
@@ -327,6 +333,21 @@ def test_cox_rejects_non_finite_inputs(bad):
 
 # ---------------------------------------------------------------------------
 # O'Brien rank-sum-type test
+
+
+@pytest.mark.parametrize("kind", ["tie-free", "tie-heavy", "all-equal", "length-1"])
+def test_midranks_equal_rankdata(kind):
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 60, 501):
+        x = {
+            "tie-free": lambda: rng.exponential(1, n),
+            "tie-heavy": lambda: -rng.integers(0, 4, n).astype(float),
+            "all-equal": lambda: np.full(n, 2.5),
+            "length-1": lambda: rng.normal(size=1),
+        }[kind]()
+        got, want = midranks(x), rankdata(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_obrien_hand_anova():
@@ -378,6 +399,12 @@ def test_obrien_constant_ranks_degenerate():
 def test_obrien_requires_group_sizes():
     with pytest.raises(ValueError):
         obrien_test(np.array([[1.0], [2.0], [3.0]]), np.array([0, 0, 1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_obrien_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        obrien_test(np.array([[1.0], [bad], [3.0], [4.0]]), np.array([0, 0, 1, 1]))
 
 
 def test_obrien_first_event_uses_min_time():

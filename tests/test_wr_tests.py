@@ -169,9 +169,20 @@ KERNEL_RULES = [
 ]
 
 
+def random_groups(rng, is_t):
+    """Stratum labels 0..7: up to six random groups, a singleton and a treatment-only group."""
+    groups = rng.integers(0, rng.integers(1, 7), len(is_t))
+    t_rows = np.flatnonzero(is_t)
+    groups[t_rows[-1]] = 6
+    groups[t_rows[:-1][:2]] = 7
+    return groups
+
+
+KERNEL_IDS = ["binary", "survival-death", "survival-hosp", "continuous"]
+
+
 @pytest.mark.parametrize("tie_heavy", [True, False])
-@pytest.mark.parametrize("family,rule", KERNEL_RULES,
-                         ids=["binary", "survival-death", "survival-hosp", "continuous"])
+@pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
 def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
     rng = np.random.default_rng(10)
     informative = 0
@@ -192,11 +203,14 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
         is_t = rng.random(n) < 0.5
         is_t[:2] = (True, False)
         np.fill_diagonal(mat, 0)
-        cross = mat[np.ix_(is_t, ~is_t)]
-        u, n_w, n_l = rule.u_win_loss(cols, is_t)
-        assert u.dtype == np.int64
-        assert np.array_equal(u, mat.sum(axis=1))
-        assert (n_w, n_l) == ((cross > 0).sum(), (cross < 0).sum())
+        # random strata, then one stratum: only same-stratum pairs count
+        for groups in (random_groups(rng, is_t), np.zeros(n, dtype=np.uint8)):
+            same = np.where(groups[:, None] == groups[None, :], mat, 0)
+            cross = same[np.ix_(is_t, ~is_t)]
+            u, n_w, n_l = rule.u_win_loss(cols, is_t, groups)
+            assert u.dtype == np.int64
+            assert np.array_equal(u, same.sum(axis=1))
+            assert (n_w, n_l) == ((cross > 0).sum(), (cross < 0).sum())
 
         try:
             res, inter = fs_unmatched_test(replace(cohort, arm=is_t.astype(int)), rule,
@@ -204,10 +218,64 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
         except DegenerateResultError:
             assert not u.any()
             continue
-        assert np.array_equal(inter.u_scores[0], u)
+        assert np.array_equal(inter.u_scores, u)
         assert (res.n_w, res.n_l, res.n_tie) == (n_w, n_l, (cross == 0).sum())
         informative += 1
     assert informative > 30
+
+
+def per_stratum_fs(cohort, rule, stratified):
+    """FS reference: each stratum's O(n^2) score matrix, T and V summed stratum by stratum.
+
+    Returns the per-row U-scores (against each row's own stratum, dropped
+    strata included) and (n_w, n_l, n_tie, T, V, dropped strata).
+    """
+    cols = rule.columns(cohort)
+    keys = cohort.stratum if stratified else np.zeros(len(cohort), dtype=int)
+    u = np.zeros(len(cohort), dtype=np.int64)
+    t_stat = v_stat = 0.0
+    n_w = n_l = n_tie = dropped = 0
+    for k in np.unique(keys):
+        rows = np.flatnonzero(keys == k)
+        scores = oracle_pair_matrix(rule, tuple(c[rows] for c in cols))
+        u[rows] = scores.sum(axis=1)
+        is_t = cohort.arm[rows] == Arm.TREATMENT
+        n_k, m_k = len(rows), int(is_t.sum())
+        if n_k < 2 or m_k == 0 or m_k == n_k:
+            dropped += 1
+            continue
+        cross = scores[np.ix_(is_t, ~is_t)]
+        n_w += int((cross > 0).sum())
+        n_l += int((cross < 0).sum())
+        n_tie += int((cross == 0).sum())
+        t_stat += float(u[rows][is_t].sum())
+        v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * float((u[rows].astype(float) ** 2).sum())
+    return u, (n_w, n_l, n_tie, t_stat, v_stat, dropped)
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False])
+@pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
+def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
+    rng = np.random.default_rng(21)
+    dropped = 0
+    for n in (100, 250, 600):
+        # skewed covariates and stage leave some of the 8 strata tiny or one-armed
+        x1 = (rng.random(n) < 0.05).astype(int)
+        x2 = (rng.random(n) < 0.3).astype(int)
+        stage = (rng.random(n) < 0.1).astype(int)
+        arm = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(int)
+        cohort = Cohort.from_records(
+            PatientRecord(Arm(a), (c1, c2), o, st)
+            for a, c1, c2, st, o in zip(arm, x1, x2, stage, random_outcomes(rng, family, n, tie_heavy))
+        )
+        for stratified in (True, False):
+            want_u, want = per_stratum_fs(cohort, rule, stratified)
+            res, inter = fs_unmatched_test(cohort, rule, stratified)
+            got = (res.n_w, res.n_l, res.n_tie, inter.t_stat, inter.v_stat, res.dropped_strata)
+            assert got == want
+            assert np.array_equal(inter.u_scores, want_u)
+            dropped += res.dropped_strata
+    assert dropped > 0
 
 
 # ---------------------------------------------------------------------------
