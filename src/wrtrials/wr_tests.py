@@ -12,8 +12,8 @@ Three rules cover the outcome families:
 Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
 (``columns``), scores pairs with a broadcasting ``pair_scores`` (+1 win, -1
 loss, 0 tie for the left member of each pair), and gives the U-scores
-against each row's own stratum and the within-stratum cross-arm win and loss
-counts as rank counts (``u_win_loss``).  ``compare`` is the single-pair view
+against each row's own stratum and the within-stratum cross-arm ties as rank
+counts (``u_ties``).  ``compare`` is the single-pair view
 of ``pair_scores``.  Every rule is a total preorder (binary, continuous) or a
 two-branch preorder (survival), so, as in Knight's O(n log n) Kendall tau
 (Knight 1966, JASA 61:436), one sort of all rows by (stratum, key) per sort
@@ -21,7 +21,8 @@ coordinate gives each row's stratum rows below and above it: O(n log n) time
 and O(n) memory over the whole cohort, giving exactly the integers that
 summing ``pair_scores`` over every within-stratum pair would.
 ``matched_wr_test`` scores its pairs with ``pair_scores``;
-``fs_unmatched_test`` calls ``u_win_loss`` once with every row's stratum.
+``fs_unmatched_test`` calls ``u_ties`` once with every row's stratum and
+derives the cross-arm wins and losses from the U-scores and the ties.
 """
 
 from __future__ import annotations
@@ -114,33 +115,15 @@ class _Ranked:
 
     def cross_ties(self, is_t: np.ndarray, is_c: np.ndarray | None = None) -> int:
         """Pairs of a row in ``is_t`` and a row in ``is_c`` (default: not in ``is_t``) within a run."""
-        if len(self.start) == len(self.order):  # every run is one row
-            return 0
         t = self.count(is_t)
         c = self.stop - self.start - t if is_c is None else self.count(is_c)
         return int(t @ c)
 
 
-def _win_loss(u: np.ndarray, is_t: np.ndarray, groups: np.ndarray, n_tie: int) -> tuple[int, int]:
-    """Cross-arm win and loss counts from the U-scores and the cross-arm ties.
-
-    Every score is antisymmetric, so within a stratum the treatment-treatment
-    scores cancel and the treatment rows' U-scores sum to wins less losses;
-    every treatment-control pair is a win, a loss or a tie.
-    """
-    sizes = np.bincount(groups)
-    m = np.bincount(groups[is_t], minlength=len(sizes))
-    decided = int(m @ (sizes - m)) - n_tie
-    diff = int(u[is_t].sum())
-    return (decided + diff) // 2, (decided - diff) // 2
-
-
-def _preorder_u_win_loss(key: np.ndarray, is_t: np.ndarray,
-                         groups: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``u_win_loss`` for a rule whose score is sign(key_i - key_j)."""
+def _preorder_u_ties(key: np.ndarray, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
+    """``u_ties`` for a rule whose score is sign(key_i - key_j)."""
     r = _Ranked(key, groups)
-    u = r.rows(r.sign_sums())
-    return u, *_win_loss(u, is_t, groups, r.cross_ties(is_t))
+    return r.rows(r.sign_sums()), r.cross_ties(is_t)
 
 
 class _WinningRule:
@@ -171,10 +154,10 @@ class BinaryRule(_WinningRule):
         hosp = np.sign(x_j - x_i)
         return np.where(death != 0, death, hosp).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
         y, x = cols
         # death outweighs hospitalization; fewer events is better
-        return _preorder_u_win_loss(-(2 * y + x), is_t, groups)
+        return _preorder_u_ties(-(2 * y + x), is_t, groups)
 
 
 class SurvivalRule(_WinningRule):
@@ -204,7 +187,7 @@ class SurvivalRule(_WinningRule):
         primary_first = (p_i < s_i) | (p_j < s_j)
         return np.where(primary_first, np.sign(p_i - p_j), np.sign(s_i - s_j)).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
         # A = {primary first}: a pair with a member in A is decided on p,
         # any other pair on s.  So a row in A is ranked on p against its
         # whole stratum, and a row outside A on p against the rows in A and
@@ -220,7 +203,7 @@ class SurvivalRule(_WinningRule):
         # member is in A, and on s within a run of on_s
         n_tie = (on_p.cross_ties(is_t) - on_p.cross_ties(is_t & ~a, ~is_t & ~a)
                  + on_s.cross_ties(is_t[rest]))
-        return u, *_win_loss(u, is_t, groups, n_tie)
+        return u, n_tie
 
 
 def improvement_indicators(src, c_t: float) -> np.ndarray:
@@ -244,9 +227,9 @@ class ContinuousRule(_WinningRule):
         (n_i,), (n_j,) = left, right
         return np.sign(n_i - n_j).astype(np.int64)
 
-    def u_win_loss(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
         (counts,) = cols
-        return _preorder_u_win_loss(counts, is_t, groups)
+        return _preorder_u_ties(counts, is_t, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +301,19 @@ def fs_unmatched_test(
     is_t = cohort.arm == Arm.TREATMENT
     # 8-bit labels, which sort in linear time
     groups = cohort.stratum.astype(np.uint8) if stratified else np.zeros(len(cohort), dtype=np.uint8)
-    u, n_w, n_l = rule.u_win_loss(rule.columns(cohort), is_t, groups)
+    u, n_tie = rule.u_ties(rule.columns(cohort), is_t, groups)
     sizes = np.bincount(groups)
     m_counts = np.bincount(groups[is_t], minlength=len(sizes))
     # exact integers below 2**53, so summed in any order they are the same floats
     squares = np.bincount(groups, weights=u * u)
-    # T: within a stratum the U-scores sum to zero, so a one-arm stratum adds nothing
-    t_stat = float(u[is_t].sum())
+    # Every score is antisymmetric, so within a stratum the U-scores sum to
+    # zero (a one-arm stratum adds nothing to T) and the treatment-treatment
+    # scores cancel: T is wins less losses over the cross-arm pairs, and every
+    # cross-arm pair is a win, a loss or a tie.
+    diff = int(u[is_t].sum())
+    decided = int(m_counts @ (sizes - m_counts)) - n_tie
+    n_w, n_l = (decided + diff) // 2, (decided - diff) // 2
+    t_stat = float(diff)
     v_stat = 0.0
     dropped = 0
     for n_k, m_k, ss_k in zip(sizes.tolist(), m_counts.tolist(), squares.tolist()):
@@ -334,7 +323,6 @@ def fs_unmatched_test(
             dropped += 1
             continue
         v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * ss_k
-    n_tie = int(m_counts @ (sizes - m_counts)) - n_w - n_l
 
     method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
     inter = FsIntermediate(u, t_stat, v_stat)

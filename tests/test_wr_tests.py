@@ -205,12 +205,16 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
         np.fill_diagonal(mat, 0)
         # random strata, then one stratum: only same-stratum pairs count
         for groups in (random_groups(rng, is_t), np.zeros(n, dtype=np.uint8)):
-            same = np.where(groups[:, None] == groups[None, :], mat, 0)
+            in_stratum = groups[:, None] == groups[None, :]
+            same = np.where(in_stratum, mat, 0)
             cross = same[np.ix_(is_t, ~is_t)]
-            u, n_w, n_l = rule.u_win_loss(cols, is_t, groups)
+            u, n_tie = rule.u_ties(cols, is_t, groups)
             assert u.dtype == np.int64
             assert np.array_equal(u, same.sum(axis=1))
-            assert (n_w, n_l) == ((cross > 0).sum(), (cross < 0).sum())
+            assert n_tie == (in_stratum & (mat == 0))[np.ix_(is_t, ~is_t)].sum()
+            # the wins and losses fs_unmatched_test derives: treatment-treatment
+            # scores cancel, so the treatment U-scores sum to wins less losses
+            assert u[is_t].sum() == (cross > 0).sum() - (cross < 0).sum()
 
         try:
             res, inter = fs_unmatched_test(replace(cohort, arm=is_t.astype(int)), rule,
@@ -219,7 +223,7 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
             assert not u.any()
             continue
         assert np.array_equal(inter.u_scores, u)
-        assert (res.n_w, res.n_l, res.n_tie) == (n_w, n_l, (cross == 0).sum())
+        assert (res.n_w, res.n_l, res.n_tie) == ((cross > 0).sum(), (cross < 0).sum(), n_tie)
         informative += 1
     assert informative > 30
 
