@@ -163,7 +163,9 @@ def cox_ph(
         new_beta = beta + step
         new_ll = cox_loglik(new_beta, t, Xs)
         halvings = 0
-        while new_ll < ll - 1e-12 and halvings < 30:
+        # a relative bound: |ll| grows like N log N, and an absolute 1e-12
+        # falls below its rounding noise, halving near-optimal steps at random
+        while new_ll < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
             step *= 0.5
             new_beta = beta + step
             new_ll = cox_loglik(new_beta, t, Xs)

@@ -3,6 +3,25 @@
 All generators are pure functions of (config, generator): the same seed and
 config give bit-identical cohorts.  Replications that must run concurrently
 should derive child seeds from a master ``numpy.random.SeedSequence``.
+
+RNG contract of a continuous trial (``harness._run_continuous_trial``).  The
+trial seed spawns seven streams, in this order: patients, lead-in, stage-1
+assignment, stage-1 outcomes, stage-2 assignment, stage-2 outcomes and
+analysis.  The SED lead-in uses only the patients and lead-in streams.  For
+each batch of n enrollees it draws, in this order:
+
+1. from the patients stream, the x1 and x2 bits in one ``integers(0, 2, 2n)``
+   call (x1 the first n);
+2. from the patients stream, one ``integers(0, 2, 2k)`` call per redraw
+   round for the k rows whose baseline is not yet positive;
+3. from the patients stream, n class uniforms (``random(n)``);
+4. from the lead-in stream, one (n, 3) ``normal`` draw of placebo noise.
+
+CR draws its single batch of patients the same way (steps 1-3).  Each stage
+draws its assignment and outcomes from its own two streams.  Any change to
+the order, number or shape of these draws moves every pinned SED and CR
+number, so it is a deliberate re-pin: the acceptance suite is re-run and the
+new numbers are reported.
 """
 
 from __future__ import annotations
@@ -133,6 +152,9 @@ class Subpop(enum.IntEnum):
     NEITHER = 4
 
 
+_SUBPOP_CODES = np.array([int(s) for s in Subpop])
+
+
 @dataclass(frozen=True)
 class SubpopMix:
     p1: float
@@ -180,6 +202,13 @@ class ContinuousGenConfig:
             raise ConfigError("cohort size must be at least 2")
         if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise ConfigError("noise must have positive finite variance")
+        b1, b2 = self.beta_cov1, self.beta_cov2
+        if not (math.isfinite(b1) and math.isfinite(b2)):
+            raise ConfigError("covariate coefficients must be finite")
+        # the patient draw redraws covariates until the baseline is positive
+        if not (b1 > 0 or b2 > 0 or b1 + b2 > 0):
+            raise ConfigError("no covariate pattern gives a positive baseline "
+                              "(need beta_cov1, beta_cov2 or their sum above 0)")
 
     @property
     def beta_t(self) -> tuple[float, float, float]:
@@ -214,23 +243,26 @@ def draw_continuous_patients(
     """Draw covariates, baselines, and responder classes for n patients.
 
     Covariates are redrawn until the baseline beta_cov1*x1 + beta_cov2*x2
-    is strictly positive.
+    is strictly positive: each round draws the x1 bits then the x2 bits of
+    the rows still bad, in row order, in one ``integers(0, 2, 2k)`` call.
     """
     n = cfg.n if n is None else n
-    x1 = rng.integers(0, 2, n)
-    x2 = rng.integers(0, 2, n)
-    y_base = cfg.beta_cov1 * x1 + cfg.beta_cov2 * x2
-    bad = ~(y_base > 0)
-    while np.any(bad):
-        k = int(bad.sum())
-        x1[bad] = rng.integers(0, 2, k)
-        x2[bad] = rng.integers(0, 2, k)
-        y_base = cfg.beta_cov1 * x1 + cfg.beta_cov2 * x2
-        bad = ~(y_base > 0)
-    subpop = rng.choice(
-        np.array([int(s) for s in Subpop]), size=n, p=mix.as_array()
-    )
-    return ContinuousFrame(x1=x1, x2=x2, y_base=y_base.astype(float), subpop=subpop)
+    b1, b2 = float(cfg.beta_cov1), float(cfg.beta_cov2)
+    bits = rng.integers(0, 2, 2 * n)
+    x1, x2 = bits[:n], bits[n:]
+    y_base = b1 * x1 + b2 * x2
+    bad = np.flatnonzero(~(y_base > 0))
+    while len(bad):
+        k = len(bad)
+        bits = rng.integers(0, 2, 2 * k)
+        x1[bad], x2[bad] = bits[:k], bits[k:]
+        y_redrawn = b1 * bits[:k] + b2 * bits[k:]
+        y_base[bad] = y_redrawn
+        bad = bad[~(y_redrawn > 0)]
+    cdf = np.cumsum(mix.as_array())
+    cdf /= cdf[-1]
+    subpop = _SUBPOP_CODES[cdf.searchsorted(rng.random(n), side="right")]
+    return ContinuousFrame(x1=x1, x2=x2, y_base=y_base, subpop=subpop)
 
 
 def draw_continuous_response(
@@ -245,11 +277,10 @@ def draw_continuous_response(
     responder class is the only patient property carried between draws.
     """
     on_drug = np.asarray(on_drug, dtype=bool)
-    n = len(frame.y_base)
-    eps = rng.normal(0.0, cfg.noise_sd, size=(n, 3))
-    effect = np.tile(np.asarray(cfg.beta_p, dtype=float), (n, 1))
+    eps = rng.normal(0.0, cfg.noise_sd, size=(len(frame.y_base), 3))
     target = on_drug & (frame.subpop == int(Subpop.DRUG_ONLY))
-    effect[target] = np.asarray(cfg.beta_t, dtype=float)
+    effect = np.where(target[:, None], np.asarray(cfg.beta_t, dtype=float),
+                      np.asarray(cfg.beta_p, dtype=float))
     return frame.y_base[:, None] + effect + eps
 
 

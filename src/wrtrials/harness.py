@@ -270,6 +270,38 @@ def _nonresponder_mask(y: np.ndarray, y_base: np.ndarray, cutoff: float) -> np.n
     return np.all(y / y_base[:, None] > cutoff, axis=1)
 
 
+def _leadin_frame(
+    gen: ContinuousGenConfig,
+    mix: SubpopMix,
+    c_s0: float,
+    n: int,
+    patients_rng: np.random.Generator,
+    leadin_rng: np.random.Generator,
+) -> ContinuousFrame:
+    """The first n observed placebo nonresponders of the lead-in, in enrollment order.
+
+    Enrollees come in batches of n, each with one placebo outcome draw, for
+    at most ``_LEADIN_MAX_BATCHES`` batches.  The draws follow the RNG
+    contract in the ``datagen`` module docstring.
+    """
+    beta_p = np.asarray(gen.beta_p, dtype=float)
+    kept: list[ContinuousFrame] = []
+    kept_count = 0
+    for _ in range(_LEADIN_MAX_BATCHES):
+        batch = draw_continuous_patients(gen, mix, patients_rng, n)
+        # the placebo outcome: every enrollee shows the placebo-level shift
+        y_lead = batch.y_base[:, None] + beta_p + leadin_rng.normal(0.0, gen.noise_sd, size=(n, 3))
+        keep = np.flatnonzero(_nonresponder_mask(y_lead, batch.y_base, c_s0))[: n - kept_count]
+        kept.append(batch.take(keep))
+        kept_count += len(keep)
+        if kept_count == n:
+            return ContinuousFrame.concat(kept)
+    raise DegenerateResultError(
+        f"lead-in produced too few placebo nonresponders for stage 1: {kept_count} of {n} "
+        f"after _LEADIN_MAX_BATCHES={_LEADIN_MAX_BATCHES} batches"
+    )
+
+
 def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, TrialRecord]:
     if not isinstance(cfg.generator, ContinuousGenConfig):
         raise ConfigError("continuous scenario needs a ContinuousGenConfig")
@@ -288,23 +320,8 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
     n = cfg.n_total
 
     if sed:
-        leadin_rng = np.random.default_rng(leadin_seed)
-        kept: list[ContinuousFrame] = []
-        kept_count = 0
-        for _ in range(_LEADIN_MAX_BATCHES):
-            batch = draw_continuous_patients(gen, cfg.mix, patients_rng, n)
-            y_lead = draw_continuous_response(gen, batch, np.zeros(n, dtype=bool), leadin_rng)
-            keep = _nonresponder_mask(y_lead, batch.y_base, cfg.cutoffs.c_s0)
-            if np.any(keep):
-                kept.append(batch.take(keep))
-                kept_count += int(keep.sum())
-            if kept_count >= n:
-                break
-        if kept_count < n:
-            raise DegenerateResultError(
-                "lead-in produced too few placebo nonresponders for stage 1"
-            )
-        frame = ContinuousFrame.concat(kept).take(slice(n))
+        frame = _leadin_frame(gen, cfg.mix, cfg.cutoffs.c_s0, n, patients_rng,
+                              np.random.default_rng(leadin_seed))
     else:
         frame = draw_continuous_patients(gen, cfg.mix, patients_rng, n)
 

@@ -187,6 +187,17 @@ def test_halving_design_halves_a_step(monkeypatch):
     assert counter.calls > iterations + 1
 
 
+@pytest.mark.parametrize("seed", [30, 222, 229, 287])
+def test_cox_converges_where_an_absolute_line_search_bound_stalled(seed):
+    # at N=1000 |ll| is about 5800, where one ulp is about 1e-12: an absolute
+    # acceptance bound of 1e-12 halved near-optimal steps at random, and these
+    # fits crawled to max_iter without converging
+    cfg = SurvivalGenConfig(beta_t=math.log(0.6), n=1000)
+    res = cox_fit(gen_survival_cohort(cfg, np.random.default_rng(seed)))
+    assert res.converged and not res.separation
+    assert res.iterations <= 3
+
+
 def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
     cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(8))
     plain = cox_fit(cohort)

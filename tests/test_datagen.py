@@ -12,6 +12,7 @@ from wrtrials import (
     BinaryGenConfig,
     ConfigError,
     ContinuousGenConfig,
+    DegenerateResultError,
     Subpop,
     SubpopMix,
     SurvivalGenConfig,
@@ -21,6 +22,7 @@ from wrtrials import (
     gen_continuous_cohort,
     gen_survival_cohort,
 )
+from wrtrials import harness
 from wrtrials.datagen import ContinuousFrame, draw_continuous_patients, draw_continuous_response
 
 
@@ -190,3 +192,156 @@ def test_config_validation():
         BinaryGenConfig(1.5, 0.5, 0.5, 0.5, 10, 10)
     with pytest.raises(ConfigError):
         ContinuousGenConfig(noise_sd=0.0)
+
+
+@pytest.mark.parametrize("beta_cov", [(-1.0, -1.0), (0.0, 0.0), (0.0, -1.0), (math.nan, 5.0),
+                                      (5.0, math.inf)])
+def test_continuous_config_rejects_covariates_without_positive_baseline(beta_cov):
+    # the patient draw redraws covariates until the baseline is positive, so
+    # a config without a positive pattern (or with a non-finite coefficient)
+    # would loop forever
+    with pytest.raises(ConfigError):
+        ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
+
+
+@pytest.mark.parametrize("beta_cov", [(5.0, -3.0), (-1.0, 2.0), (-1.0, 1.5), (0.5, 0.5)])
+def test_continuous_config_accepts_a_positive_pattern(beta_cov):
+    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], n=50)
+    frame = draw_continuous_patients(cfg, SubpopMix(0.25, 0.25, 0.25, 0.25), np.random.default_rng(1))
+    assert np.all(frame.y_base > 0)
+
+
+# ---------------------------------------------------------------------------
+# the RNG stream contract: the patient draw, the outcome draw and the SED
+# lead-in against the per-call forms they replaced, value for value and
+# generator state for generator state
+
+
+def oracle_draw_continuous_patients(cfg, mix, rng, n):
+    """x1 and x2 drawn by separate calls; every round re-tests all n rows."""
+    x1 = rng.integers(0, 2, n)
+    x2 = rng.integers(0, 2, n)
+    y_base = cfg.beta_cov1 * x1 + cfg.beta_cov2 * x2
+    bad = ~(y_base > 0)
+    while np.any(bad):
+        k = int(bad.sum())
+        x1[bad] = rng.integers(0, 2, k)
+        x2[bad] = rng.integers(0, 2, k)
+        y_base = cfg.beta_cov1 * x1 + cfg.beta_cov2 * x2
+        bad = ~(y_base > 0)
+    subpop = rng.choice(np.array([int(s) for s in Subpop]), size=n, p=mix.as_array())
+    return ContinuousFrame(x1=x1, x2=x2, y_base=y_base.astype(float), subpop=subpop)
+
+
+def oracle_draw_continuous_response(cfg, frame, on_drug, rng):
+    """The effect tiled to (n, 3), then overwritten on target-class drug rows."""
+    n = len(frame.y_base)
+    eps = rng.normal(0.0, cfg.noise_sd, size=(n, 3))
+    effect = np.tile(np.asarray(cfg.beta_p, dtype=float), (n, 1))
+    target = on_drug & (frame.subpop == int(Subpop.DRUG_ONLY))
+    effect[target] = np.asarray(cfg.beta_t, dtype=float)
+    return frame.y_base[:, None] + effect + eps
+
+
+def oracle_leadin_frame(gen, mix, c_s0, n, patients_rng, leadin_rng):
+    """Whole batches kept and concatenated, then cut to n; None at the batch cap."""
+    kept = []
+    kept_count = 0
+    for _ in range(harness._LEADIN_MAX_BATCHES):
+        batch = oracle_draw_continuous_patients(gen, mix, patients_rng, n)
+        y_lead = oracle_draw_continuous_response(gen, batch, np.zeros(n, dtype=bool), leadin_rng)
+        keep = np.all(y_lead / batch.y_base[:, None] > c_s0, axis=1)
+        if np.any(keep):
+            kept.append(batch.take(keep))
+            kept_count += int(keep.sum())
+        if kept_count >= n:
+            return ContinuousFrame.concat(kept).take(slice(n))
+    return None
+
+
+STREAM_BETA_COVS = [(5.0, 5.0), (5.0, -3.0), (-1.0, 2.0), (0.5, 0.5)]
+STREAM_MIXES = [SubpopMix(0.05, 0.05, 0.8, 0.1), SubpopMix(0.0, 0.5, 0.5, 0.0),
+                SubpopMix(0.3, 0.3, 0.0, 0.4)]
+
+
+def assert_same_frame(got, want):
+    for name in ("x1", "x2", "y_base", "subpop"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS)
+def test_patient_draw_keeps_the_stream(beta_cov):
+    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
+    for seed in range(60):
+        mix = STREAM_MIXES[seed % len(STREAM_MIXES)]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # consecutive calls on one generator: odd sizes leave a buffered
+        # 32-bit half-word for the next call
+        for n in (1, 2, 37, 500):
+            got = draw_continuous_patients(cfg, mix, got_rng, n)
+            want = oracle_draw_continuous_patients(cfg, mix, want_rng, n)
+            assert_same_frame(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert draw_continuous_patients(cfg, mix, np.random.default_rng(0)).y_base.shape == (cfg.n,)
+
+
+@pytest.mark.parametrize("beta_t1, beta_in2", [(-1.5, 0.0), (-2.0, 0.5)])
+def test_response_draw_keeps_the_stream(beta_t1, beta_in2):
+    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.0, -0.5), beta_t1=beta_t1, beta_in2=beta_in2,
+                              beta_in3=-0.25, noise_sd=0.7)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 37, 500):
+            frame = oracle_draw_continuous_patients(cfg, STREAM_MIXES[seed % 3], rng, n)
+            on_drug = rng.integers(0, 2, n) == 1
+            got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            got = draw_continuous_response(cfg, frame, on_drug, got_rng)
+            want = oracle_draw_continuous_response(cfg, frame, on_drug, want_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS)
+@pytest.mark.parametrize("c_s0", [0.8, -math.inf, 0.5, 0.95])
+def test_leadin_keeps_the_stream(beta_cov, c_s0, monkeypatch):
+    # a lower batch cap keeps the capped cases cheap; both forms read it
+    monkeypatch.setattr(harness, "_LEADIN_MAX_BATCHES", 40)
+    gen = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
+    for seed in range(12):
+        n = (3, 37, 90)[seed % 3]
+        mix = STREAM_MIXES[seed % len(STREAM_MIXES)]
+        got_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
+        want_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
+        want = oracle_leadin_frame(gen, mix, c_s0, n, *want_rngs)
+        if want is None:
+            with pytest.raises(DegenerateResultError):
+                harness._leadin_frame(gen, mix, c_s0, n, *got_rngs)
+        else:
+            got = harness._leadin_frame(gen, mix, c_s0, n, *got_rngs)
+            assert_same_frame(got, want)
+        for g, w in zip(got_rngs, want_rngs):
+            assert g.bit_generator.state == w.bit_generator.state
+
+
+def test_numpy_draw_properties_the_stream_relies_on():
+    # the patient draw relies on these two properties of numpy's Generator;
+    # a numpy release that breaks either moves every SED and CR number
+    p = np.array([0.05, 0.0, 0.8, 0.15])
+    classes = np.array([1, 2, 3, 4])
+    for seed in range(50):
+        for odd_draws in (0, 1, 3):
+            split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (split, whole):
+                rng.integers(0, 2**31, odd_draws, dtype=np.uint32)  # odd: a half-word is buffered
+            # integers(0, 2, a) then integers(0, 2, b) is integers(0, 2, a + b)
+            parts = np.concatenate([split.integers(0, 2, 7), split.integers(0, 2, 6)])
+            assert np.array_equal(parts, whole.integers(0, 2, 13))
+            assert split.bit_generator.state == whole.bit_generator.state
+            # choice with p is the searchsorted form of its cumulative sum
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            chosen = split.choice(classes, size=41, p=p)
+            searched = classes[cdf.searchsorted(whole.random(41), side="right")]
+            assert np.array_equal(chosen, searched)
+            assert split.bit_generator.state == whole.bit_generator.state

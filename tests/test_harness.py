@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from wrtrials import (
@@ -128,6 +129,27 @@ def test_contingency_table_counts_exactly_the_stage1_patients(monkeypatch):
     assert seen["arms"] == ((cohort.arm[first] == 1).sum(), (cohort.arm[first] == 0).sum())
 
 
+def test_leadin_cap_makes_every_analysis_degenerate(monkeypatch):
+    # c_s0 = +inf excludes every enrollee, so the lead-in stops at its cap
+    cfg = continuous_cfg("sed", n=8, c_s0=math.inf)
+    batch_sizes = []
+    draw = harness.draw_continuous_patients
+
+    def counting(*args):
+        frame = draw(*args)
+        batch_sizes.append(len(frame.y_base))
+        return frame
+
+    monkeypatch.setattr(harness, "draw_continuous_patients", counting)
+    records = harness._rep_worker((cfg, np.random.SeedSequence(3)))
+    assert batch_sizes == [8] * 400
+    assert set(records) == set(cfg.analyses)
+    for record in records.values():
+        assert record.degenerate
+        assert record.note == ("lead-in produced too few placebo nonresponders for stage 1: "
+                               "0 of 8 after _LEADIN_MAX_BATCHES=400 batches")
+
+
 def test_incompatible_analysis_rejected():
     with pytest.raises(ConfigError):
         ScenarioConfig(
@@ -210,6 +232,27 @@ def test_scenario_continuous_json_with_sentinels():
     assert cfg.cutoffs.c_s0 == -math.inf
     out = monte_carlo(cfg)
     assert set(out) == {"Contingency"}
+
+
+def test_scenario_without_positive_baseline_is_a_config_error(tmp_path):
+    d = {
+        "design": "sed",
+        "outcome_family": "continuous",
+        "generator": {
+            "beta_cov1": -1.0,
+            "beta_cov2": -1.0,
+            "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1},
+        },
+        "analyses": ["Contingency"],
+        "n_total": 40,
+        "reps": 4,
+        "master_seed": 5,
+    }
+    with pytest.raises(ConfigError):
+        scenario_from_dict(d)
+    cfg_path = tmp_path / "no_baseline.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
 
 
 def test_binary_scenario_json_splits_arms():
