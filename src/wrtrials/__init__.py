@@ -28,7 +28,6 @@ from .datagen import (
 from .wr_tests import (
     BinaryRule,
     ContinuousRule,
-    FsIntermediate,
     SurvivalRule,
     WrResult,
     fs_unmatched_test,
@@ -56,9 +55,7 @@ from .harness import (
     McSummary,
     ScenarioConfig,
     monte_carlo,
-    run_cr_trial,
-    run_parallel_trial,
-    run_sed_trial,
+    run_trial,
     scenario_from_dict,
 )
 from .presets import TABLE_IDS, reproduce_table

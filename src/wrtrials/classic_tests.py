@@ -189,18 +189,15 @@ def first_event_times(cohort: Cohort) -> np.ndarray:
     return np.minimum(cohort.e_death, cohort.e_hosp)
 
 
-def cox_fit(cohort: Cohort, use_covariates: bool = True) -> CoxResult:
-    """Cox regression of the time to first event on arm (plus covariates).
+def cox_fit(cohort: Cohort) -> CoxResult:
+    """Cox regression of the time to first event on arm and the nonconstant covariates.
 
     The Wald statistic refers to the treatment coefficient; covariate
     coefficients are nuisance terms.
     """
     times = first_event_times(cohort)
-    cols = [cohort.arm.astype(float)]
-    if use_covariates:
-        cols += [cohort.x1.astype(float), cohort.x2.astype(float)]
-        cols = [c for c in cols if c.std() > 0]
-    X = np.column_stack(cols)
+    cols = [cohort.arm.astype(float), cohort.x1.astype(float), cohort.x2.astype(float)]
+    X = np.column_stack([c for c in cols if c.std() > 0])
     beta, cov, iters, converged, separation = cox_ph(times, X)
     b = float(beta[0])
     se = float(math.sqrt(max(cov[0, 0], 0.0)))
@@ -243,9 +240,9 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     row.  Per endpoint the pooled sample is midranked, ranks are summed per
     patient, and a one-way ANOVA compares the sums across groups.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] == 1 and values.shape[1] > 1 and len(np.asarray(groups)) == values.shape[1]:
-        values = values.T
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-D (n, K) array, got {values.ndim}-D")
     groups = np.asarray(groups)
     n = values.shape[0]
     if len(groups) != n:

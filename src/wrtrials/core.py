@@ -249,19 +249,6 @@ def tie_groups(key: np.ndarray, groups: np.ndarray | None = None) -> tuple[np.nd
     return order, start, stop
 
 
-def stratum_groups(cohort: Cohort, stratified: bool = True) -> Iterator[tuple[int, np.ndarray]]:
-    """(stratum, row ids) of each stratum present, in increasing stratum order.
-
-    Row ids within a group keep cohort order.  Unstratified, every row forms
-    one group with key 0.
-    """
-    if not stratified:
-        yield 0, np.arange(len(cohort))
-        return
-    for key in np.unique(cohort.stratum):
-        yield int(key), np.flatnonzero(cohort.stratum == key)
-
-
 @dataclass(frozen=True)
 class PairingResult:
     """Matched pairs as an (m, 2) array of row ids: treatment, then control."""
@@ -271,23 +258,20 @@ class PairingResult:
     n_unpaired_control: int
 
 
-def form_matched_pairs(
-    cohort: Cohort,
-    rng: np.random.Generator,
-    stratified: bool = True,
-) -> PairingResult:
-    """Form one-to-one treatment/control pairs, uniformly at random.
+def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResult:
+    """Form one-to-one treatment/control pairs within each stratum, uniformly at random.
 
-    Within each stratum (or globally when ``stratified`` is false) the two
-    arms are shuffled and zipped; the surplus of the larger arm is left
-    unpaired.  Deterministic given the generator state: strata are visited
-    in increasing order, treatments shuffled before controls.
+    Within each stratum the two arms are shuffled and zipped; the surplus of
+    the larger arm is left unpaired.  Deterministic given the generator
+    state: strata are visited in increasing order, treatments shuffled
+    before controls.
 
     Raises ``DegenerateResultError`` when no stratum can contribute a pair.
     """
     pairs = []
     unpaired_t = unpaired_c = 0
-    for _, rows in stratum_groups(cohort, stratified):
+    for key in np.unique(cohort.stratum):
+        rows = np.flatnonzero(cohort.stratum == key)
         is_t = cohort.arm[rows] == Arm.TREATMENT
         treatments, controls = rows[is_t], rows[~is_t]
         treatments = treatments[rng.permutation(len(treatments))]

@@ -1,4 +1,4 @@
-"""Design runners (parallel, CR, SED), the Monte Carlo engine, and configs.
+"""The trial runner (parallel, CR and SED designs), the Monte Carlo engine, and configs.
 
 Replications are independent: each owns a private generator derived from the
 master seed through ``SeedSequence.spawn``, so results are identical whether
@@ -45,6 +45,12 @@ _FAMILY_ANALYSES = {
     "continuous": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien", "Contingency"},
 }
 
+_FAMILY_GENERATORS = {
+    "survival": SurvivalGenConfig,
+    "binary": BinaryGenConfig,
+    "continuous": ContinuousGenConfig,
+}
+
 _FAMILY_DESIGNS = {
     "survival": {"parallel"},
     "binary": {"parallel"},
@@ -78,6 +84,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.outcome_family not in _FAMILY_ANALYSES:
             raise ConfigError(f"unknown outcome family {self.outcome_family!r}")
+        gen_type = _FAMILY_GENERATORS[self.outcome_family]
+        if not isinstance(self.generator, gen_type):
+            raise ConfigError(f"a {self.outcome_family} scenario needs a {gen_type.__name__}")
         if self.design not in _FAMILY_DESIGNS[self.outcome_family]:
             raise ConfigError(
                 f"design {self.design!r} is not available for the {self.outcome_family} family"
@@ -173,14 +182,14 @@ def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator)
     for analysis in cfg.analyses:
         try:
             if analysis == "MatchedWR":
-                pairing = form_matched_pairs(cohort, rng, stratified=True)
+                pairing = form_matched_pairs(cohort, rng)
                 res = matched_wr_test(cohort, pairing.pairs, rule)
                 records[analysis] = _wr_record(analysis, res)
             elif analysis == "StratUnmatchedWR":
-                res, _ = fs_unmatched_test(cohort, rule, stratified=True)
+                res = fs_unmatched_test(cohort, rule, stratified=True)
                 records[analysis] = _wr_record(analysis, res)
             elif analysis == "UnstratUnmatchedWR":
-                res, _ = fs_unmatched_test(cohort, rule, stratified=False)
+                res = fs_unmatched_test(cohort, rule, stratified=False)
                 records[analysis] = _wr_record(analysis, res)
             elif analysis == "Cox":
                 res = cox_fit(cohort)
@@ -218,48 +227,7 @@ def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator)
 
 
 # ---------------------------------------------------------------------------
-# trial runners
-
-
-def run_parallel_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    """One single-stage randomized trial of the configured family."""
-    gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
-    rng = np.random.default_rng(gen_seed)
-    if cfg.outcome_family == "survival":
-        if not isinstance(cfg.generator, SurvivalGenConfig):
-            raise ConfigError("survival scenario needs a SurvivalGenConfig")
-        cohort = gen_survival_cohort(cfg.generator, rng)
-    elif cfg.outcome_family == "binary":
-        if not isinstance(cfg.generator, BinaryGenConfig):
-            raise ConfigError("binary scenario needs a BinaryGenConfig")
-        cohort = gen_binary_cohort(cfg.generator, rng)
-    else:
-        return _run_continuous_trial(cfg, seed, sed=False)
-    return _run_analyses(cfg, cohort, np.random.default_rng(analysis_seed))
-
-
-def run_cr_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    """Complete randomization on the continuous family: one stage, all N."""
-    return _run_continuous_trial(cfg, seed, sed=False)
-
-
-def run_sed_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    """Two-stage enriched design with a placebo lead-in.
-
-    1. Patients are enrolled into a placebo lead-in until ``n_total``
-       observed placebo nonresponders (every component ratio above c_s0)
-       are available; observed responders are excluded.
-    2. Stage 1 randomizes the kept patients 1:1 drug/placebo.
-    3. Stage-1 drug patients who respond (not every component ratio above
-       c_s1) are re-randomized 1:1 in stage 2 with fresh outcome draws.
-    4. All stage-1 and stage-2 comparisons are analyzed jointly with stage
-       as an extra stratum layer.
-
-    With c_s0 = -inf and c_s1 = -inf the lead-in keeps everyone and stage 2
-    is empty, so the analysis coincides with ``run_cr_trial`` on the same
-    seed: that degeneracy is the regression anchor for the seeding scheme.
-    """
-    return _run_continuous_trial(cfg, seed, sed=True)
+# the trial runner
 
 
 _LEADIN_MAX_BATCHES = 400
@@ -303,8 +271,6 @@ def _leadin_frame(
 
 
 def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, TrialRecord]:
-    if not isinstance(cfg.generator, ContinuousGenConfig):
-        raise ConfigError("continuous scenario needs a ContinuousGenConfig")
     gen = cfg.generator
     (
         patients_seed,
@@ -350,11 +316,34 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
 
 
 def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    if cfg.design == "sed":
-        return run_sed_trial(cfg, seed)
-    if cfg.design == "cr":
-        return run_cr_trial(cfg, seed)
-    return run_parallel_trial(cfg, seed)
+    """One simulated trial of ``cfg.design``: each analysis's record.
+
+    ``parallel`` is one randomized stage of ``n_total`` patients; on the
+    continuous family it is complete randomization, the same as ``cr``.
+    ``sed`` is the two-stage enriched design with a placebo lead-in:
+
+    1. Patients are enrolled into a placebo lead-in until ``n_total``
+       observed placebo nonresponders (every component ratio above c_s0)
+       are available; observed responders are excluded.
+    2. Stage 1 randomizes the kept patients 1:1 drug/placebo.
+    3. Stage-1 drug patients who respond (not every component ratio above
+       c_s1) are re-randomized 1:1 in stage 2 with fresh outcome draws.
+    4. All stage-1 and stage-2 comparisons are analyzed jointly with stage
+       as an extra stratum layer.
+
+    With c_s0 = -inf and c_s1 = -inf the lead-in keeps everyone and stage 2
+    is empty, so the analysis coincides with ``cr`` on the same seed: that
+    degeneracy is the regression anchor for the seeding scheme.
+    """
+    if cfg.outcome_family == "continuous":
+        return _run_continuous_trial(cfg, seed, sed=cfg.design == "sed")
+    gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
+    rng = np.random.default_rng(gen_seed)
+    if cfg.outcome_family == "survival":
+        cohort = gen_survival_cohort(cfg.generator, rng)
+    else:
+        cohort = gen_binary_cohort(cfg.generator, rng)
+    return _run_analyses(cfg, cohort, np.random.default_rng(analysis_seed))
 
 
 # ---------------------------------------------------------------------------

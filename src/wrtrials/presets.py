@@ -392,29 +392,28 @@ def reproduce_table(
     return report
 
 
+def _power_ordering(summaries, n: int, chain, strict, required: bool = True) -> CheckReport:
+    """Power at N=n falls along ``chain``: strictly where ``strict`` says, else weakly."""
+    power = {k: v.rejection_rate for k, v in summaries[n].items()}
+    ok = all(
+        power[a] > power[b] if s else power[a] >= power[b]
+        for a, b, s in zip(chain, chain[1:], strict)
+    )
+    detail = " ".join(f"{a}={power[a]:.3f}" for a in chain)
+    return CheckReport(f"power ordering at N={n}", ok, detail, required)
+
+
 def _add_survival_checks(report: TableReport, table_id: str, summaries) -> None:
     if table_id == "t6":
-        at200 = {k: v.rejection_rate for k, v in summaries[200].items()}
-        chain = ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"]
-        strict = [True, True, False, True]
-        ok = all(
-            at200[a] > at200[b] if s else at200[a] >= at200[b]
-            for a, b, s in zip(chain, chain[1:], strict)
-        )
-        detail = " ".join(f"{a}={at200[a]:.3f}" for a in chain)
-        report.checks.append(CheckReport("power ordering at N=200", ok, detail))
+        report.checks.append(_power_ordering(
+            summaries, 200, ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"],
+            [True, True, False, True],
+        ))
     elif table_id == "t8":
-        at100 = {k: v.rejection_rate for k, v in summaries[100].items()}
-        chain = ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"]
-        strict = [False, True, True, True]
-        ok = all(
-            at100[a] > at100[b] if s else at100[a] >= at100[b]
-            for a, b, s in zip(chain, chain[1:], strict)
-        )
-        detail = " ".join(f"{a}={at100[a]:.3f}" for a in chain)
-        report.checks.append(
-            CheckReport("power ordering at N=100", ok, detail, required=False)
-        )
+        report.checks.append(_power_ordering(
+            summaries, 100, ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"],
+            [False, True, True, True], required=False,
+        ))
         wr200 = summaries[200]["MatchedWR"].mean_estimate
         report.checks.append(
             CheckReport(

@@ -14,8 +14,9 @@ Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
 loss, 0 tie for the left member of each pair), and gives the U-scores
 against each row's own stratum and the within-stratum cross-arm ties as rank
 counts (``u_ties``).  ``compare`` is the single-pair view
-of ``pair_scores``.  Every rule is a total preorder (binary, continuous) or a
-two-branch preorder (survival), so, as in Knight's O(n log n) Kendall tau
+of ``pair_scores``.  The binary and continuous rules rank every row on one
+scalar key (a total preorder) and the survival rule is a two-branch
+preorder, so, as in Knight's O(n log n) Kendall tau
 (Knight 1966, JASA 61:436), one sort of all rows by (stratum, key) per sort
 coordinate gives each row's stratum rows below and above it: O(n log n) time
 and O(n) memory over the whole cohort, giving exactly the integers that
@@ -63,19 +64,6 @@ class WrResult:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class FsIntermediate:
-    """Building blocks of the unmatched permutation statistic.
-
-    ``u_scores`` holds each row's U-score against the rows of its stratum,
-    in cohort order.
-    """
-
-    u_scores: np.ndarray
-    t_stat: float
-    v_stat: float
-
-
 # ---------------------------------------------------------------------------
 # winning rules
 
@@ -120,12 +108,6 @@ class _Ranked:
         return int(t @ c)
 
 
-def _preorder_u_ties(key: np.ndarray, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
-    """``u_ties`` for a rule whose score is sign(key_i - key_j)."""
-    r = _Ranked(key, groups)
-    return r.rows(r.sign_sums()), r.cross_ties(is_t)
-
-
 class _WinningRule:
     """What every rule shares: ``compare``, the single-pair view of ``pair_scores``.
 
@@ -138,26 +120,32 @@ class _WinningRule:
         return WinStatus(int(self.pair_scores(self.columns(t), self.columns(c))))
 
 
-class BinaryRule(_WinningRule):
+class _KeyRule(_WinningRule):
+    """A rule that ranks every patient on one scalar key, larger being better.
+
+    ``columns`` is the single key ``(k,)``; a pair scores sign(k_i - k_j).
+    """
+
+    def pair_scores(self, left, right) -> np.ndarray:
+        (k_i,), (k_j,) = left, right
+        return np.sign(k_i - k_j).astype(np.int64)
+
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
+        r = _Ranked(cols[0], groups)
+        return r.rows(r.sign_sums()), r.cross_ties(is_t)
+
+
+class BinaryRule(_KeyRule):
     """Prioritized comparison of (death, hospitalization) indicators.
 
     Absence of death beats death; on equal death status, absence of
-    hospitalization beats hospitalization; otherwise a tie.
+    hospitalization beats hospitalization; otherwise a tie.  That is the
+    key -(2 * y_death + x_hosp): death outweighs hospitalization, and fewer
+    events is better.
     """
 
     def columns(self, src) -> tuple[np.ndarray, ...]:
-        return np.asarray(src.y_death), np.asarray(src.x_hosp)
-
-    def pair_scores(self, left, right) -> np.ndarray:
-        (y_i, x_i), (y_j, x_j) = left, right
-        death = np.sign(y_j - y_i)
-        hosp = np.sign(x_j - x_i)
-        return np.where(death != 0, death, hosp).astype(np.int64)
-
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
-        y, x = cols
-        # death outweighs hospitalization; fewer events is better
-        return _preorder_u_ties(-(2 * y + x), is_t, groups)
+        return (-(2 * np.asarray(src.y_death) + np.asarray(src.x_hosp)),)
 
 
 class SurvivalRule(_WinningRule):
@@ -214,7 +202,7 @@ def improvement_indicators(src, c_t: float) -> np.ndarray:
     return np.asarray(src.y, dtype=float) / np.asarray(src.y_base, dtype=float)[..., None] < c_t
 
 
-class ContinuousRule(_WinningRule):
+class ContinuousRule(_KeyRule):
     """Comparison of improvement counts for three equally important components."""
 
     def __init__(self, c_t: float):
@@ -222,14 +210,6 @@ class ContinuousRule(_WinningRule):
 
     def columns(self, src) -> tuple[np.ndarray, ...]:
         return (improvement_indicators(src, self.c_t).sum(axis=-1),)
-
-    def pair_scores(self, left, right) -> np.ndarray:
-        (n_i,), (n_j,) = left, right
-        return np.sign(n_i - n_j).astype(np.int64)
-
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
-        (counts,) = cols
-        return _preorder_u_ties(counts, is_t, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +264,7 @@ def fs_unmatched_test(
     cohort: Cohort,
     rule,
     stratified: bool = True,
-) -> tuple[WrResult, FsIntermediate]:
+) -> WrResult:
     """Stratified permutation-variance test on all within-stratum pairs.
 
     Every pair of patients in a stratum, irrespective of arm, is scored
@@ -313,7 +293,6 @@ def fs_unmatched_test(
     diff = int(u[is_t].sum())
     decided = int(m_counts @ (sizes - m_counts)) - n_tie
     n_w, n_l = (decided + diff) // 2, (decided - diff) // 2
-    t_stat = float(diff)
     v_stat = 0.0
     dropped = 0
     for n_k, m_k, ss_k in zip(sizes.tolist(), m_counts.tolist(), squares.tolist()):
@@ -325,32 +304,22 @@ def fs_unmatched_test(
         v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * ss_k
 
     method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
-    inter = FsIntermediate(u, t_stat, v_stat)
     if v_stat <= 0:
         raise DegenerateResultError("degenerate: no discordant pairs (V = 0)")
-    z = t_stat / math.sqrt(v_stat)
+    z = diff / math.sqrt(v_stat)
 
     if n_l == 0:
-        return (
-            WrResult(method, n_w, n_l, n_tie, 1.0 if n_w else math.nan, math.inf,
-                     z, _two_sided_p(z), math.nan, math.nan, dropped),
-            inter,
-        )
+        return WrResult(method, n_w, n_l, n_tie, 1.0 if n_w else math.nan, math.inf,
+                        z, _two_sided_p(z), math.nan, math.nan, dropped)
     r_w = n_w / n_l
     p_w = n_w / (n_w + n_l)
     if n_w == 0 or z == 0:
         ci_low, ci_high = (0.0, math.inf) if n_w == 0 else (math.nan, math.nan)
-        return (
-            WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z),
-                     ci_low, ci_high, dropped),
-            inter,
-        )
+        return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z),
+                        ci_low, ci_high, dropped)
     s = math.log(r_w) / z
     lo = math.exp(math.log(r_w) - Z_95 * s)
     hi = math.exp(math.log(r_w) + Z_95 * s)
     if lo > hi:
         lo, hi = hi, lo
-    return (
-        WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), lo, hi, dropped),
-        inter,
-    )
+    return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), lo, hi, dropped)

@@ -263,7 +263,7 @@ def test_cox_identical_arms_give_null_fit():
     for i, t in enumerate(times):
         cohort.append(surv_patient(Arm.TREATMENT, t, t + 100))
         cohort.append(surv_patient(Arm.CONTROL, t, t + 100))
-    res = cox_fit(Cohort.from_records(cohort), use_covariates=False)
+    res = cox_fit(Cohort.from_records(cohort))
     assert res.beta_t_hat == pytest.approx(0.0, abs=1e-8)
     assert res.hr == pytest.approx(1.0, abs=1e-8)
     assert res.converged
@@ -306,7 +306,7 @@ def test_cox_separation_flagged_and_capped():
     for i in range(6):
         cohort.append(surv_patient(Arm.TREATMENT, 100.0 + i, 200.0))
         cohort.append(surv_patient(Arm.CONTROL, 1.0 + 0.01 * i, 200.0))
-    res = cox_fit(Cohort.from_records(cohort), use_covariates=False)
+    res = cox_fit(Cohort.from_records(cohort))
     assert res.separation
     assert abs(res.beta_t_hat) <= 15.0 + 1e-9
 
@@ -405,6 +405,16 @@ def test_obrien_constant_ranks_degenerate():
     groups = np.array([0, 0, 1, 1])
     with pytest.raises(DegenerateResultError):
         obrien_test(values, groups)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((4,), "2-D"), ((4, 1, 1), "2-D"),
+    ((1, 4), "sizes disagree"),  # one row of four endpoints, not transposed
+])
+def test_obrien_rejects_values_that_are_not_n_by_k(shape, message):
+    values = np.arange(1.0, 5.0).reshape(shape)
+    with pytest.raises(ValueError, match=message):
+        obrien_test(values, np.array([0, 0, 1, 1]))
 
 
 def test_obrien_requires_group_sizes():

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wrtrials import (
+    BinaryGenConfig,
     ConfigError,
     ContinuousGenConfig,
     ScenarioConfig,
@@ -15,12 +17,11 @@ from wrtrials import (
     contingency_or_test,
     improvement_indicators,
     monte_carlo,
-    run_cr_trial,
-    run_sed_trial,
+    run_trial,
     scenario_from_dict,
 )
 from wrtrials import harness
-from wrtrials.harness import Cutoffs, run_parallel_trial, run_trial
+from wrtrials.harness import Cutoffs
 from wrtrials.cli import main as cli_main
 
 
@@ -52,8 +53,8 @@ def continuous_cfg(design, n=60, reps=30, seed=11, c_s0=0.8, c_s1=0.9, beta_t1=-
 
 def test_trial_deterministic_given_seed():
     cfg = survival_cfg()
-    a = run_parallel_trial(cfg, 99)
-    b = run_parallel_trial(cfg, 99)
+    a = run_trial(cfg, 99)
+    b = run_trial(cfg, 99)
     assert repr(a) == repr(b)  # repr-compare: NaN fields defeat ==
 
 
@@ -85,21 +86,23 @@ def test_sed_with_sentinel_cutoffs_equals_cr():
     sed = continuous_cfg("sed", c_s0=-math.inf, c_s1=-math.inf, reps=12)
     cr = continuous_cfg("cr", reps=12)
     for seed in (3, 17):
-        assert repr(run_sed_trial(sed, seed)) == repr(run_cr_trial(cr, seed))
+        assert repr(run_trial(sed, seed)) == repr(run_trial(cr, seed))
     assert repr(monte_carlo(sed)) == repr(monte_carlo(cr))
 
 
 def test_cr_equals_parallel_on_continuous():
     cr = continuous_cfg("cr", reps=5)
-    par = ScenarioConfig(**{**cr.__dict__, "design": "parallel"})
+    par = replace(cr, design="parallel")
     assert repr(run_trial(cr, 5)) == repr(run_trial(par, 5))
+    # the replicates' seed sequences, too, reach both designs unspent
+    assert repr(monte_carlo(cr)) == repr(monte_carlo(par))
 
 
 def test_sed_runs_and_differs_from_cr():
     sed = continuous_cfg("sed", reps=8)
     cr = continuous_cfg("cr", reps=8)
-    rec_sed = run_sed_trial(sed, 2)
-    rec_cr = run_cr_trial(cr, 2)
+    rec_sed = run_trial(sed, 2)
+    rec_cr = run_trial(cr, 2)
     assert set(rec_sed) == set(rec_cr)
     assert repr(rec_sed) != repr(rec_cr)
 
@@ -120,7 +123,7 @@ def test_contingency_table_counts_exactly_the_stage1_patients(monkeypatch):
 
     monkeypatch.setattr(harness, "improvement_indicators", indicators)
     monkeypatch.setattr(harness, "contingency_or_test", table)
-    records = run_sed_trial(cfg, 2)
+    records = run_trial(cfg, 2)
     assert not records["Contingency"].degenerate
     cohort = seen["cohort"]
     first = cohort.stage == 0
@@ -169,6 +172,22 @@ def test_design_family_compatibility():
             outcome_family="survival",
             generator=SurvivalGenConfig(n=40),
             analyses=("Cox",),
+            n_total=40,
+        )
+
+
+@pytest.mark.parametrize("family,generator", [
+    ("binary", SurvivalGenConfig(n=40)),
+    ("survival", BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=20, n0=20)),
+    ("survival", ContinuousGenConfig(n=40)),
+], ids=["binary-survival", "survival-binary", "survival-continuous"])
+def test_generator_of_another_family_rejected(family, generator):
+    with pytest.raises(ConfigError, match=f"a {family} scenario needs a"):
+        ScenarioConfig(
+            design="parallel",
+            outcome_family=family,
+            generator=generator,
+            analyses=("MatchedWR",),
             n_total=40,
         )
 

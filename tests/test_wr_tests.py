@@ -80,6 +80,23 @@ def test_win_binary_expected_scenarios():
         assert BinaryRule().compare(t, c) is WinStatus.WIN
 
 
+def written_out_binary_score(t, c):
+    """The binary priority spelled out: death decides, hospitalization breaks its ties."""
+    death = np.sign(c.y_death - t.y_death)
+    return int(np.where(death != 0, death, np.sign(c.x_hosp - t.x_hosp)))
+
+
+def test_binary_key_matches_written_out_priority():
+    # the reference is independent of the rule's key, which the pair-matrix
+    # oracle below is built from
+    rule = BinaryRule()
+    for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
+        t, c = BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c)
+        want = written_out_binary_score(t, c)
+        assert rule.compare(t, c).value == want
+        assert int(rule.pair_scores(rule.columns(t), rule.columns(c))) == want
+
+
 # ---------------------------------------------------------------------------
 # survival rule
 
@@ -217,12 +234,10 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
             assert u[is_t].sum() == (cross > 0).sum() - (cross < 0).sum()
 
         try:
-            res, inter = fs_unmatched_test(replace(cohort, arm=is_t.astype(int)), rule,
-                                           stratified=False)
+            res = fs_unmatched_test(replace(cohort, arm=is_t.astype(int)), rule, stratified=False)
         except DegenerateResultError:
             assert not u.any()
             continue
-        assert np.array_equal(inter.u_scores, u)
         assert (res.n_w, res.n_l, res.n_tie) == ((cross > 0).sum(), (cross < 0).sum(), n_tie)
         informative += 1
     assert informative > 30
@@ -273,11 +288,16 @@ def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
             for a, c1, c2, st, o in zip(arm, x1, x2, stage, random_outcomes(rng, family, n, tie_heavy))
         )
         for stratified in (True, False):
-            want_u, want = per_stratum_fs(cohort, rule, stratified)
-            res, inter = fs_unmatched_test(cohort, rule, stratified)
-            got = (res.n_w, res.n_l, res.n_tie, inter.t_stat, inter.v_stat, res.dropped_strata)
-            assert got == want
-            assert np.array_equal(inter.u_scores, want_u)
+            want_u, (n_w, n_l, n_tie, t_stat, v_stat, want_dropped) = per_stratum_fs(
+                cohort, rule, stratified)
+            res = fs_unmatched_test(cohort, rule, stratified)
+            assert (res.n_w, res.n_l, res.n_tie, res.dropped_strata) == (n_w, n_l, n_tie, want_dropped)
+            t = res.n_w - res.n_l
+            assert t == t_stat
+            assert res.z == t / math.sqrt(v_stat)
+            groups = cohort.stratum if stratified else np.zeros(len(cohort), dtype=int)
+            u, _ = rule.u_ties(rule.columns(cohort), cohort.arm == Arm.TREATMENT, groups)
+            assert np.array_equal(u, want_u)
             dropped += res.dropped_strata
     assert dropped > 0
 
@@ -423,15 +443,15 @@ def test_fs_matches_brute_force_small_cohorts(stratified):
     for total in range(2, 9):
         for _ in range(30):
             cohort = random_survival_cohort(rng, n=total)
-            truth = brute_force_fs(cohort, rule, stratified)
+            t_stat, v_stat = brute_force_fs(cohort, rule, stratified)
             try:
-                res, inter = fs_unmatched_test(cohort, rule, stratified)
+                res = fs_unmatched_test(cohort, rule, stratified)
             except DegenerateResultError:
-                assert truth[1] == pytest.approx(0.0)
+                assert v_stat == pytest.approx(0.0)
                 continue
-            assert inter.t_stat == pytest.approx(truth[0], abs=1e-9)
-            assert inter.v_stat == pytest.approx(truth[1], rel=1e-9)
-            assert res.z == pytest.approx(truth[0] / math.sqrt(truth[1]), rel=1e-9)
+            t = res.n_w - res.n_l
+            assert t == t_stat
+            assert res.z == t / math.sqrt(v_stat)
             checked += 1
     assert checked > 100
 
@@ -445,10 +465,9 @@ def test_fs_two_by_two_toy_cohort():
     )
     # deaths ordered 0 > 1 > 2 > 3: U = (3, 1, -1, -3), T = 4,
     # V = (2*2)/(4*3) * (9+1+1+9) = 20/3
-    res, inter = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
-    assert inter.t_stat == pytest.approx(4.0)
-    assert inter.v_stat == pytest.approx(20.0 / 3.0)
+    res = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
     assert res.n_w == 4 and res.n_l == 0
+    assert res.z == pytest.approx(4.0 / math.sqrt(20.0 / 3.0))
     assert math.isinf(res.r_w)
 
 
@@ -475,9 +494,10 @@ def test_fs_sign_test_structure_one_pair_per_stratum():
                     surv_patient(Arm.CONTROL, float(rng.exponential(1) + 1e-9),
                                  float(rng.exponential(1) + 1e-9), cov)
                 )
-            _, inter = fs_unmatched_test(surv_cohort(*records), SurvivalRule(), stratified=True)
-            assert abs(inter.t_stat) <= k_strata
-            values.add(inter.t_stat)
+            res = fs_unmatched_test(surv_cohort(*records), SurvivalRule(), stratified=True)
+            t = res.n_w - res.n_l
+            assert abs(t) <= k_strata
+            values.add(t)
         assert values <= set(range(-k_strata, k_strata + 1))
 
 
@@ -487,7 +507,7 @@ def test_fs_dropped_strata_counted():
         surv_patient(Arm.CONTROL, 2.0, 10.0, (0, 0)),
         surv_patient(Arm.TREATMENT, 3.0, 10.0, (0, 1)),  # stratum lacking controls
     )
-    res, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
+    res = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
     assert res.dropped_strata == 1
 
 
@@ -499,8 +519,8 @@ def test_arm_swap_maps_statistics():
         swapped = replace(cohort, arm=1 - cohort.arm)
         for stratified in (True, False):
             try:
-                a, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified)
-                b, _ = fs_unmatched_test(swapped, SurvivalRule(), stratified)
+                a = fs_unmatched_test(cohort, SurvivalRule(), stratified)
+                b = fs_unmatched_test(swapped, SurvivalRule(), stratified)
             except DegenerateResultError:
                 continue
             if a.n_w and a.n_l:
@@ -518,13 +538,11 @@ def test_cohort_level_rank_invariance():
         transformed = replace(cohort, e_death=cohort.e_death**3, e_hosp=cohort.e_hosp**3)
         for stratified in (True, False):
             try:
-                a, ia = fs_unmatched_test(cohort, SurvivalRule(), stratified)
-                b, ib = fs_unmatched_test(transformed, SurvivalRule(), stratified)
+                a = fs_unmatched_test(cohort, SurvivalRule(), stratified)
+                b = fs_unmatched_test(transformed, SurvivalRule(), stratified)
             except DegenerateResultError:
                 continue
             assert (a.n_w, a.n_l, a.n_tie) == (b.n_w, b.n_l, b.n_tie)
-            assert ia.t_stat == ib.t_stat
-            assert ia.v_stat == pytest.approx(ib.v_stat)
             assert a.z == pytest.approx(b.z)
 
 
@@ -556,7 +574,7 @@ def test_wr_result_json_fields():
         surv_patient(Arm.CONTROL, 2.0, 10.0),
         surv_patient(Arm.CONTROL, 3.0, 10.0),
     )
-    res, _ = fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
+    res = fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
     assert set(res.to_dict()) == {
         "method", "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
         "p_value", "ci_low", "ci_high", "dropped_strata",
