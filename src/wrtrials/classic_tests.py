@@ -60,55 +60,71 @@ class OrResult:
 # Cox proportional hazards
 
 
-def cox_loglik(beta: np.ndarray, times: np.ndarray, X: np.ndarray) -> float:
-    """Breslow partial log-likelihood, every time an observed event."""
-    order = np.argsort(times, kind="stable")
-    t, Xs = times[order], X[order]
-    eta = Xs @ beta
-    # risk-set sums, accumulated from the latest time backwards
-    rev_cum = np.cumsum(np.exp(eta)[::-1])[::-1]
-    # a tie group shares the risk set of its first member
-    new = np.empty(len(t), dtype=bool)
-    new[:1] = True
+class _CoxPatterns(NamedTuple):
+    """A 0/1 design reduced to its 2^k covariate patterns, sorted by time once.
+
+    Pattern p's covariates are the bits of p (column j is bit j).  Every
+    Newton iterate reuses the integer at-risk counts: the rows of each
+    pattern at risk at each row's tie-group start, one time-ordered row of
+    N counts per pattern (held as floats for the matrix products).
+    """
+
+    xp: np.ndarray  # (P, k) pattern covariates
+    xp1: np.ndarray  # (P, 1 + k) a column of ones, then xp
+    diff: np.ndarray  # (P * P, k) x_p - x_q for every pair of patterns
+    totals: np.ndarray  # (P,) rows of each pattern
+    sum_x: np.ndarray  # (k,) column sums of the design
+    at_risk: np.ndarray  # (P, N)
+
+
+def _cox_patterns(times: np.ndarray, X: np.ndarray) -> _CoxPatterns:
+    n, k = X.shape
+    # tie groups share the risk set of their first row, and the counts at a
+    # group start do not depend on the order inside the group
+    order = np.argsort(times)
+    t = times[order]
+    if n < 2 or t[0] == t[-1]:
+        raise ValueError("need at least two distinct event times")
+    code = (X @ 2.0 ** np.arange(k)).astype(np.intp)[order]
+    rows = np.arange(2**k)[:, None] == code
+    # counted in int32, which numpy accumulates about twice as fast as float64
+    at_risk = np.cumsum(rows[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+    new = np.ones(n, dtype=bool)
     np.not_equal(t[1:], t[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=len(t))
-    terms = np.add.reduceat(eta, starts) - sizes * np.log(rev_cum[starts])
-    # cumsum adds the groups in time order, as a sequential sum would
-    return float(np.cumsum(terms)[-1])
+    group_start = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    xp = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
+    totals = at_risk[:, 0].astype(float)  # every row is at risk at the first time
+    return _CoxPatterns(xp, np.column_stack([np.ones(2**k), xp]),
+                        (xp[:, None] - xp[None]).reshape(-1, k), totals, totals @ xp,
+                        at_risk.take(group_start, axis=1).astype(float))
 
 
-class _SortedCox(NamedTuple):
-    """A fit's rows sorted by time once, with what every Newton iterate reuses."""
-
-    t: np.ndarray
-    X: np.ndarray
-    XX: np.ndarray  # per-row outer products X_i X_i^T
-    group_start: np.ndarray  # first row of each row's tie group (the identity without ties)
+def cox_loglik(beta: np.ndarray, data: _CoxPatterns) -> float:
+    """Breslow partial log-likelihood, every time an observed event."""
+    eta = data.xp @ beta
+    return float(data.totals @ eta - np.log(np.exp(eta) @ data.at_risk).sum())
 
 
-def _sort_for_cox(times: np.ndarray, X: np.ndarray) -> _SortedCox:
-    order = np.argsort(times, kind="stable")
-    t, Xs = times[order], X[order]
-    starts = np.ones(len(t), dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    # tie groups share the risk set of their first (earliest-index) member
-    group_start = np.maximum.accumulate(np.where(starts, np.arange(len(t)), 0))
-    return _SortedCox(t, Xs, Xs[:, :, None] * Xs[:, None, :], group_start)
+def _cox_score_info(beta: np.ndarray, data: _CoxPatterns) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information of the Breslow partial likelihood at ``beta``.
 
-
-def _cox_score_info(beta: np.ndarray, data: _SortedCox) -> tuple[np.ndarray, np.ndarray]:
-    """Score and observed information of the Breslow partial likelihood at ``beta``."""
-    Xs = data.X
-    w = np.exp(Xs @ beta)
-    g = data.group_start
-    s0 = np.cumsum(w[::-1])[::-1][g]
-    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1][g]
-    s2 = np.cumsum((data.XX * w[:, None, None])[::-1], axis=0)[::-1][g]
-    xbar = s1 / s0[:, None]
-    score = (Xs - xbar).sum(axis=0)
-    info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    Each risk set's covariance is written over pattern pairs, as
+    sum_{p<q} pi_p pi_q (x_p - x_q)(x_p - x_q)^T with pi_p = c_p w_p / s0.
+    Its pair weights are nonnegative, so a risk set that holds one pattern
+    adds exactly zero, where s2/s0 - xbar xbar^T summed over the rows would
+    leave the rounding noise of a cancellation.
+    """
+    w = np.exp(data.xp @ beta)
+    s = (data.xp1 * w[:, None]).T @ data.at_risk  # (1 + k, N): s0, then s1
+    r = 1.0 / s[0]
+    score = data.sum_x - s[1:] @ r
+    pair_weight = ((data.at_risk * r**2) @ data.at_risk.T) * np.outer(w, w)
+    info = 0.5 * (data.diff.T * pair_weight.ravel()) @ data.diff
     return score, info
+
+
+# at most 2^8 patterns: the at-risk counts take N * 2^k floats
+_MAX_COX_COLUMNS = 8
 
 
 def cox_ph(
@@ -117,17 +133,22 @@ def cox_ph(
     max_iter: int = 50,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, int, bool, bool]:
-    """Fit the partial likelihood by damped Newton iteration.
+    """Fit the partial likelihood of a 0/1 design by damped Newton iteration.
 
     Returns (beta, covariance, iterations, converged, separation).  Ties are
     handled with the Breslow approximation.  When the likelihood is monotone
     (complete separation) coefficients are capped at |beta| <= 15 and the
     fit is flagged.
 
-    A fit sorts the times once.  The score and information are evaluated
-    once per iterate (iterations + 1 times) and serve the convergence test,
-    the next Newton step and the returned covariance; the log-likelihood is
-    evaluated once at the start and once per trial point of each step.
+    Every entry of ``X`` must be 0 or 1, so the N rows hold at most 2^k
+    distinct covariate patterns.  A fit sorts the times once and counts
+    each pattern's rows at risk at every tie-group start; the risk-set sums
+    of an iterate are then one product with those (2^k, N) counts, after
+    2^k ``exp`` calls, so an iterate costs O(N 2^k).  The score and
+    information are evaluated once per iterate (iterations + 1 times) and
+    serve the convergence test, the next Newton step and the returned
+    covariance; the log-likelihood is evaluated once at the start and once
+    per trial point of each step.
     """
     times = np.asarray(times, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -135,18 +156,18 @@ def cox_ph(
         raise ValueError("times and design matrix sizes disagree")
     if X.shape[1] == 0:
         raise ValueError("design matrix has no columns")
+    if X.shape[1] > _MAX_COX_COLUMNS:
+        raise ValueError(f"design matrix has more than {_MAX_COX_COLUMNS} columns")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(X))):
         raise ValueError("event times and design matrix must be finite")
-    data = _sort_for_cox(times, X)
-    t, Xs = data.t, data.X
-    if len(t) < 2 or t[0] == t[-1]:
-        raise ValueError("need at least two distinct event times")
-    sd = X.std(axis=0)
-    if np.any(sd == 0):
+    if not np.all((X == 0) | (X == 1)):
+        raise ValueError("design matrix entries must be 0 or 1")
+    data = _cox_patterns(times, X)
+    if np.any((data.sum_x == 0) | (data.sum_x == len(times))):
         raise ValueError("design matrix has a constant column")
 
     beta = np.zeros(X.shape[1])
-    ll = cox_loglik(beta, t, Xs)
+    ll = cox_loglik(beta, data)
     score, info = _cox_score_info(beta, data)
     converged = False
     separation = False
@@ -161,14 +182,14 @@ def cox_ph(
         except np.linalg.LinAlgError:
             step = score / max(np.max(np.abs(np.diag(info))), 1.0)
         new_beta = beta + step
-        new_ll = cox_loglik(new_beta, t, Xs)
+        new_ll = cox_loglik(new_beta, data)
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
         # falls below its rounding noise, halving near-optimal steps at random
         while new_ll < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
             step *= 0.5
             new_beta = beta + step
-            new_ll = cox_loglik(new_beta, t, Xs)
+            new_ll = cox_loglik(new_beta, data)
             halvings += 1
         beta, ll = new_beta, new_ll
         if np.max(np.abs(beta)) > BETA_CAP:
@@ -193,11 +214,16 @@ def cox_fit(cohort: Cohort) -> CoxResult:
     """Cox regression of the time to first event on arm and the nonconstant covariates.
 
     The Wald statistic refers to the treatment coefficient; covariate
-    coefficients are nuisance terms.
+    coefficients are nuisance terms.  A cohort without both arms raises
+    ``ValueError``.
     """
     times = first_event_times(cohort)
-    cols = [cohort.arm.astype(float), cohort.x1.astype(float), cohort.x2.astype(float)]
-    X = np.column_stack([c for c in cols if c.std() > 0])
+    X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
+    n_treated, n_x1, n_x2 = X.sum(axis=0)
+    if n_treated in (0, len(X)):
+        missing = "treatment" if n_treated == 0 else "control"
+        raise ValueError(f"Cox analysis needs both arms: the cohort has no {missing} patients")
+    X = X[:, [True, 0 < n_x1 < len(X), 0 < n_x2 < len(X)]]
     beta, cov, iters, converged, separation = cox_ph(times, X)
     b = float(beta[0])
     se = float(math.sqrt(max(cov[0, 0], 0.0)))

@@ -30,6 +30,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,14 @@ class SubpopMix:
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3, self.p4])
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative class probabilities scaled to end at exactly 1 (read-only)."""
+        cdf = np.cumsum(self.as_array())
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
 
 @dataclass(frozen=True)
 class ContinuousGenConfig:
@@ -259,9 +268,7 @@ def draw_continuous_patients(
         y_redrawn = b1 * bits[:k] + b2 * bits[k:]
         y_base[bad] = y_redrawn
         bad = bad[~(y_redrawn > 0)]
-    cdf = np.cumsum(mix.as_array())
-    cdf /= cdf[-1]
-    subpop = _SUBPOP_CODES[cdf.searchsorted(rng.random(n), side="right")]
+    subpop = _SUBPOP_CODES[mix.cdf.searchsorted(rng.random(n), side="right")]
     return ContinuousFrame(x1=x1, x2=x2, y_base=y_base, subpop=subpop)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .core import ConfigError, _two_sided_p
+from .core import ConfigError
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,6 @@ def null_ratio_variance_candidates(p: float = 0.5) -> tuple[float, float]:
     return (p**2 / (1.0 - p) ** 2, p / (1.0 - p) ** 3)
 
 
-def measure_null_ratio_variance(n: int, reps: int, seed: int) -> float:
-    """Empirical variance of sqrt(n)(phat/(1-phat) - 1) at p = 1/2."""
-    rng = np.random.default_rng(seed)
-    x = rng.binomial(n, 0.5, size=reps) / n
-    x = np.clip(x, 1e-12, 1 - 1e-12)
-    stat = math.sqrt(n) * (x / (1 - x) - 1.0)
-    return float(stat.var())
-
-
 # ---------------------------------------------------------------------------
 # unmatched asymptotics
 
@@ -260,35 +251,3 @@ def unmatched_sample_size(
     while (n_t * allocation) % 1 > 1e-9 or (n_t * (1 - allocation)) % 1 > 1e-9:
         n_t += 1
     return n_t
-
-
-def unmatched_wald_test(
-    y_t: np.ndarray, x_t: np.ndarray, y_c: np.ndarray, x_c: np.ndarray
-) -> tuple[float, float, float]:
-    """Asymptotic z-test of g = 1 from raw indicator samples.
-
-    Returns (g_hat, z, p).  The statistic is sqrt(n_t) (g_hat - 1) / C0
-    with the null-theta variance in the denominator, the form the sample
-    size formula is calibrated against.
-    """
-    y_t = np.asarray(y_t)
-    x_t = np.asarray(x_t)
-    y_c = np.asarray(y_c)
-    x_c = np.asarray(x_c)
-    n1, n0 = len(y_t), len(y_c)
-    # a plain tuple: sample means need not satisfy ThetaBinary's product constraint
-    means = (
-        y_t.mean(),
-        x_t.mean(),
-        (x_t * y_t).mean(),
-        y_c.mean(),
-        x_c.mean(),
-        (x_c * y_c).mean(),
-    )
-    w, l = _binary_win_loss(means)
-    if l == 0:
-        return math.inf, math.inf, 0.0
-    g_hat = w / l
-    c0 = math.sqrt(unmatched_variance(THETA_NULL, n1, n0))
-    z = math.sqrt(n1 + n0) * (g_hat - 1.0) / c0
-    return g_hat, z, _two_sided_p(z)

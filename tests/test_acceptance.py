@@ -30,11 +30,20 @@ from wrtrials import (
     unmatched_g,
     unmatched_sample_size,
 )
-from wrtrials.classic_tests import cox_loglik, _cox_score_info, _sort_for_cox
 from wrtrials.core import DegenerateResultError
-from wrtrials.power import THETA_NULL, unmatched_wald_test, unmatched_win_loss
+from wrtrials.power import THETA_NULL, unmatched_win_loss
 from wrtrials.presets import reproduce_table
 from wrtrials.wr_tests import BinaryRule, SurvivalRule, fs_unmatched_test
+
+from test_classic_tests import (
+    pattern_cox_loglik,
+    pattern_score_info,
+    random_binary_design,
+    row_cox_loglik,
+    score_info,
+    worst_score_gap,
+)
+from test_power import unmatched_wald_test
 
 REPS = int(os.environ.get("WRTRIALS_ACCEPT_REPS", "2000"))
 JOBS = int(os.environ.get("WRTRIALS_ACCEPT_JOBS", str(min(4, os.cpu_count() or 1))))
@@ -377,7 +386,7 @@ def test_c8_sample_size_soundness():
 
 def test_c9_cox_gradient_finite_differences():
     rng = np.random.default_rng(SEED)
-    h = 1e-6
+    rng01 = np.random.default_rng(SEED + 2)
     worst = 0.0
     for _ in range(60):
         n = int(rng.integers(3, 7))
@@ -386,13 +395,10 @@ def test_c9_cox_gradient_finite_differences():
         if X[:, 0].std() == 0:
             continue
         beta = rng.normal(0, 0.5, 2)
-        score, _ = _cox_score_info(beta, _sort_for_cox(times, X))
-        for k in range(2):
-            up, dn = beta.copy(), beta.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (cox_loglik(up, times, X) - cox_loglik(dn, times, X)) / (2 * h)
-            worst = max(worst, abs(score[k] - fd) / max(abs(fd), 1.0))
+        # a continuous covariate on the per-row oracle, 0/1 designs on the src kernel
+        worst = max(worst, worst_score_gap(score_info, row_cox_loglik, beta, times, X))
+        times, X = random_binary_design(rng01, n, 2)
+        worst = max(worst, worst_score_gap(pattern_score_info, pattern_cox_loglik, beta, times, X))
     _report("9a (Cox score vs central differences <= 1e-6)", worst <= 1e-6, f"worst={worst:.2e}")
     assert worst <= 1e-6
 

@@ -1,6 +1,7 @@
 """Cox, rank-sum-type, and odds-ratio analyses against independent oracles."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from wrtrials.classic_tests import (
     cox_ph,
     midranks,
     obrien_first_event,
+    _cox_patterns,
     _cox_score_info,
-    _sort_for_cox,
 )
 
 
@@ -36,7 +37,100 @@ def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
 
 
 # ---------------------------------------------------------------------------
-# Cox
+# Cox: the per-row fit, the oracle for the pattern fit in src
+
+
+def row_cox_loglik(beta, times, X):
+    """Breslow partial log-likelihood from per-row risk-set sums, any design."""
+    order = np.argsort(times, kind="stable")
+    t, Xs = times[order], X[order]
+    eta = Xs @ beta
+    # risk-set sums, accumulated from the latest time backwards
+    rev_cum = np.cumsum(np.exp(eta)[::-1])[::-1]
+    # a tie group shares the risk set of its first member
+    new = np.empty(len(t), dtype=bool)
+    new[:1] = True
+    np.not_equal(t[1:], t[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(t))
+    terms = np.add.reduceat(eta, starts) - sizes * np.log(rev_cum[starts])
+    # cumsum adds the groups in time order, as a sequential sum would
+    return float(np.cumsum(terms)[-1])
+
+
+class SortedCox(NamedTuple):
+    """A fit's rows sorted by time once, with what every Newton iterate reuses."""
+
+    t: np.ndarray
+    X: np.ndarray
+    XX: np.ndarray  # per-row outer products X_i X_i^T
+    group_start: np.ndarray  # first row of each row's tie group (the identity without ties)
+
+
+def sort_for_cox(times, X):
+    order = np.argsort(times, kind="stable")
+    t, Xs = times[order], X[order]
+    starts = np.ones(len(t), dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    # tie groups share the risk set of their first (earliest-index) member
+    group_start = np.maximum.accumulate(np.where(starts, np.arange(len(t)), 0))
+    return SortedCox(t, Xs, Xs[:, :, None] * Xs[:, None, :], group_start)
+
+
+def row_cox_score_info(beta, data):
+    """Score and observed information from per-row risk-set sums."""
+    Xs = data.X
+    w = np.exp(Xs @ beta)
+    g = data.group_start
+    s0 = np.cumsum(w[::-1])[::-1][g]
+    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1][g]
+    s2 = np.cumsum((data.XX * w[:, None, None])[::-1], axis=0)[::-1][g]
+    xbar = s1 / s0[:, None]
+    score = (Xs - xbar).sum(axis=0)
+    info = (s2 / s0[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
+    return score, info
+
+
+def row_cox_ph(times, X, max_iter=50, tol=1e-8):
+    """The damped Newton fit of ``cox_ph`` on per-row sums, for any real design."""
+    times = np.asarray(times, dtype=float)
+    X = np.asarray(X, dtype=float)
+    data = sort_for_cox(times, X)
+    t, Xs = data.t, data.X
+    beta = np.zeros(X.shape[1])
+    ll = row_cox_loglik(beta, t, Xs)
+    score, info = row_cox_score_info(beta, data)
+    converged = False
+    separation = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        if np.max(np.abs(score)) < tol:
+            converged = True
+            it -= 1
+            break
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = score / max(np.max(np.abs(np.diag(info))), 1.0)
+        new_beta = beta + step
+        new_ll = row_cox_loglik(new_beta, t, Xs)
+        halvings = 0
+        while new_ll < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
+            step *= 0.5
+            new_beta = beta + step
+            new_ll = row_cox_loglik(new_beta, t, Xs)
+            halvings += 1
+        beta, ll = new_beta, new_ll
+        if np.max(np.abs(beta)) > BETA_CAP:
+            separation = True
+            beta = np.clip(beta, -BETA_CAP, BETA_CAP)
+        score, info = row_cox_score_info(beta, data)
+        if separation:
+            break
+    if not separation and np.max(np.abs(score)) < tol:
+        converged = True
+    cov = np.linalg.inv(info)
+    return beta, cov, it, converged, separation
 
 
 def loop_cox_loglik(beta, times, X):
@@ -57,68 +151,21 @@ def loop_cox_loglik(beta, times, X):
     return ll
 
 
-def percall_cox_score_info(beta, times, X):
-    """Score and information, sorting the rows on every call."""
-    order = np.argsort(times, kind="stable")
-    t, Xs = times[order], X[order]
-    n, p = Xs.shape
-    w = np.exp(Xs @ beta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    s1 = np.cumsum((Xs * w[:, None])[::-1], axis=0)[::-1]
-    s2 = np.cumsum((Xs[:, :, None] * Xs[:, None, :] * w[:, None, None])[::-1], axis=0)[::-1]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    s0g = s0[group_start]
-    s1g = s1[group_start]
-    s2g = s2[group_start]
-    xbar = s1g / s0g[:, None]
-    score = (Xs - xbar).sum(axis=0)
-    info = (s2g / s0g[:, None, None] - xbar[:, :, None] * xbar[:, None, :]).sum(axis=0)
-    return score, info
-
-
-def percall_cox_ph(times, X, max_iter=50, tol=1e-8):
-    """Damped Newton fit that sorts inside every evaluation and re-evaluates at the end."""
-    times = np.asarray(times, dtype=float)
-    X = np.asarray(X, dtype=float)
-    beta = np.zeros(X.shape[1])
-    ll = cox_loglik(beta, times, X)
-    converged = False
-    separation = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        score, info = percall_cox_score_info(beta, times, X)
-        if np.max(np.abs(score)) < tol:
-            converged = True
-            it -= 1
-            break
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = score / max(np.max(np.abs(np.diag(info))), 1.0)
-        new_beta = beta + step
-        new_ll = cox_loglik(new_beta, times, X)
-        halvings = 0
-        while new_ll < ll - 1e-12 and halvings < 30:
-            step *= 0.5
-            new_beta = beta + step
-            new_ll = cox_loglik(new_beta, times, X)
-            halvings += 1
-        beta, ll = new_beta, new_ll
-        if np.max(np.abs(beta)) > BETA_CAP:
-            separation = True
-            beta = np.clip(beta, -BETA_CAP, BETA_CAP)
-            break
-    score, info = percall_cox_score_info(beta, times, X)
-    if not separation and np.max(np.abs(score)) < tol:
-        converged = True
-    cov = np.linalg.inv(info)
-    return beta, cov, it, converged, separation
-
-
 def score_info(beta, times, X):
-    return _cox_score_info(beta, _sort_for_cox(times, X))
+    return row_cox_score_info(beta, sort_for_cox(times, X))
+
+
+def pattern_score_info(beta, times, X):
+    return _cox_score_info(beta, _cox_patterns(times, X))
+
+
+def pattern_cox_loglik(beta, times, X):
+    return cox_loglik(beta, _cox_patterns(times, X))
+
+
+def assert_rel_close(got, want, rel, label):
+    """``got`` within ``rel`` of ``want``, relative to the largest entry of ``want``."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), label
 
 
 def survival_design(n, seed, covariates=True):
@@ -128,12 +175,21 @@ def survival_design(n, seed, covariates=True):
 
 
 def halving_design():
-    """A small cohort whose Newton path halves one step (found by search)."""
-    rng = np.random.default_rng(271)
+    """A small 0/1 design whose Newton path halves one step (found by search)."""
+    rng = np.random.default_rng(474)
     arm = rng.integers(0, 2, 10)
-    x = rng.normal(0, 3, 10)
-    times = rng.exponential(1, 10) * np.exp(-2 * arm - x)
+    x = rng.integers(0, 2, 10)
+    times = rng.exponential(1, 10) * np.exp(-2 * arm - 3 * x)
     return times, np.column_stack([arm, x]).astype(float)
+
+
+def random_binary_design(rng, n, k):
+    """Event times and an n x k 0/1 design whose columns all vary."""
+    while True:
+        X = rng.integers(0, 2, (n, k)).astype(float)
+        times = rng.exponential(1.0, n) + 1e-6
+        if np.all(X.std(axis=0) > 0):
+            return times, X
 
 
 class LoglikCounter:
@@ -161,23 +217,26 @@ def _fit_cases():
     times, X = survival_design(200, 5)
     shuffle = np.random.default_rng(6).permutation(200)
     yield "shuffled rows", times[shuffle], X[shuffle], {}
-    times, X = halving_design()
-    yield "shuffled rows with ties", np.round(times, 0)[::-1], X[::-1], {}
+    yield "shuffled rows with ties", np.round(times, 1)[shuffle] + 0.1, X[shuffle], {}
+    times, X = survival_design(300, 8)
+    present = ~X.all(axis=1)  # no row with arm = x1 = x2 = 1
+    yield "absent pattern", times[present], X[present], {}
 
 
-def test_cox_ph_matches_percall_oracle():
+def test_cox_ph_matches_per_row_oracle():
     names = set()
     for name, times, X, kw in _fit_cases():
         got = cox_ph(times, X, **kw)
-        want = percall_cox_ph(times, X, **kw)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), name
+        want = row_cox_ph(times, X, **kw)
+        assert got[2:] == want[2:], name
+        assert_rel_close(got[0], want[0], 1e-10, name)
+        assert_rel_close(got[1], want[1], 1e-10, name)
         names.add(name)
         if name == "separated":
             assert got[4]
         if name == "max_iter exhausted":
             assert got[2] == 1 and not got[3]
-    assert len(names) == 10
+    assert len(names) == 11
 
 
 def test_halving_design_halves_a_step(monkeypatch):
@@ -211,18 +270,40 @@ def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
 @pytest.mark.parametrize("tied", [False, True])
 def test_cox_loglik_matches_loop_oracle(tied):
     rng = np.random.default_rng(3)
+    rng01 = np.random.default_rng(13)
     for _ in range(300):
         n = int(rng.integers(2, 60))
         times = rng.integers(1, 6, n).astype(float) if tied else rng.exponential(1.0, n)
         X = np.column_stack([rng.integers(0, 2, n), rng.normal(0, 1, n)]).astype(float)
         beta = rng.normal(0, 1, 2)
-        assert cox_loglik(beta, times, X) == pytest.approx(
+        assert row_cox_loglik(beta, times, X) == pytest.approx(
             loop_cox_loglik(beta, times, X), rel=1e-12)
+        # the pattern kernel, on the same times with a 0/1 second column
+        X[:, 1] = rng01.integers(0, 2, n)
+        if times.min() < times.max():
+            assert pattern_cox_loglik(beta, times, X) == pytest.approx(
+                loop_cox_loglik(beta, times, X), rel=1e-12)
+
+
+def worst_score_gap(score_info_fn, loglik_fn, beta, times, X, h=1e-6):
+    """Largest gap between the score and central differences of the log-likelihood.
+
+    Relative to max(|difference quotient|, 1).
+    """
+    score, _ = score_info_fn(beta, times, X)
+    worst = 0.0
+    for k in range(len(beta)):
+        up, dn = beta.copy(), beta.copy()
+        up[k] += h
+        dn[k] -= h
+        fd = (loglik_fn(up, times, X) - loglik_fn(dn, times, X)) / (2 * h)
+        worst = max(worst, abs(score[k] - fd) / max(abs(fd), 1.0))
+    return worst
 
 
 def test_cox_score_matches_central_differences_small_cohorts():
     rng = np.random.default_rng(1)
-    h = 1e-6
+    rng01 = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(3, 7))
         times = rng.exponential(1.0, n) + 1e-6
@@ -230,14 +311,9 @@ def test_cox_score_matches_central_differences_small_cohorts():
         if X[:, 0].std() == 0:
             continue
         beta = rng.normal(0, 0.5, 2)
-        score, _ = score_info(beta, times, X)
-        for k in range(2):
-            up, dn = beta.copy(), beta.copy()
-            up[k] += h
-            dn[k] -= h
-            fd = (cox_loglik(up, times, X) - cox_loglik(dn, times, X)) / (2 * h)
-            denom = max(abs(fd), 1.0)
-            assert abs(score[k] - fd) / denom < 1e-6
+        assert worst_score_gap(score_info, row_cox_loglik, beta, times, X) < 1e-6
+        times, X = random_binary_design(rng01, n, 2)
+        assert worst_score_gap(pattern_score_info, pattern_cox_loglik, beta, times, X) < 1e-6
 
 
 def test_cox_information_matches_second_differences():
@@ -245,16 +321,18 @@ def test_cox_information_matches_second_differences():
     h = 1e-5
     times = rng.exponential(1.0, 6) + 1e-6
     X = np.column_stack([np.array([0, 1, 0, 1, 1, 0]), rng.normal(0, 1, 6)]).astype(float)
+    X01 = np.column_stack([X[:, 0], [1, 1, 0, 0, 1, 0]]).astype(float)
     beta = np.array([0.3, -0.2])
-    _, info = score_info(beta, times, X)
-    for k in range(2):
-        up, dn = beta.copy(), beta.copy()
-        up[k] += h
-        dn[k] -= h
-        s_up, _ = score_info(up, times, X)
-        s_dn, _ = score_info(dn, times, X)
-        fd_row = -(s_up - s_dn) / (2 * h)
-        assert np.allclose(info[k], fd_row, rtol=1e-5, atol=1e-5)
+    for si, design in ((score_info, X), (pattern_score_info, X01)):
+        _, info = si(beta, times, design)
+        for k in range(2):
+            up, dn = beta.copy(), beta.copy()
+            up[k] += h
+            dn[k] -= h
+            s_up, _ = si(up, times, design)
+            s_dn, _ = si(dn, times, design)
+            fd_row = -(s_up - s_dn) / (2 * h)
+            assert np.allclose(info[k], fd_row, rtol=1e-5, atol=1e-5)
 
 
 def test_cox_identical_arms_give_null_fit():
@@ -284,11 +362,13 @@ def test_cox_observed_information_psd_at_solution():
     n = 60
     times = rng.exponential(1.0, n) + 1e-9
     X = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)]).astype(float)
-    beta, cov, _, converged, _ = cox_ph(times, X)
-    assert converged
-    _, info = score_info(beta, times, X)
-    eigs = np.linalg.eigvalsh(info)
-    assert np.all(eigs >= -1e-9)
+    X01 = np.column_stack([X[:, 0], X[:, 1] > 0]).astype(float)
+    for fit, si, design in ((row_cox_ph, score_info, X), (cox_ph, pattern_score_info, X01)):
+        beta, cov, _, converged, _ = fit(times, design)
+        assert converged
+        _, info = si(beta, times, design)
+        eigs = np.linalg.eigvalsh(info)
+        assert np.all(eigs >= -1e-9)
 
 
 def test_cox_recovers_known_hazard_ratio():
@@ -331,6 +411,33 @@ def test_cox_rejects_degenerate_inputs():
 def test_cox_rejects_design_without_columns():
     with pytest.raises(ValueError, match="design matrix"):
         cox_ph(np.array([1.0, 2.0, 3.0]), np.zeros((3, 0)))
+
+
+def test_cox_rejects_design_with_more_columns_than_the_pattern_cap():
+    # the at-risk counts take N * 2^k floats
+    X = np.random.default_rng(10).integers(0, 2, (40, 9)).astype(float)
+    with pytest.raises(ValueError, match="more than 8 columns"):
+        cox_ph(np.arange(1.0, 41.0), X)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+def test_cox_rejects_design_that_is_not_zero_one(bad):
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, bad], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        cox_ph(np.array([4.0, 1.0, 2.0, 3.0]), X)
+
+
+@pytest.mark.parametrize("arm,missing", [(Arm.TREATMENT, "control"), (Arm.CONTROL, "treatment")])
+def test_cox_fit_rejects_a_cohort_with_one_arm(arm, missing):
+    # dropping the constant arm column used to report the x1 coefficient as
+    # the treatment effect (beta_t_hat=1.02, p=0.023 on the all-treatment cohort)
+    rng = np.random.default_rng(9)
+    x1 = rng.integers(0, 2, 30)
+    times = rng.exponential(1.0, 30) * np.exp(-x1)
+    cohort = Cohort.from_records([
+        surv_patient(arm, t, t + 100, cov=(int(x), 0)) for t, x in zip(times, x1)])
+    with pytest.raises(ValueError, match=f"no {missing} patients"):
+        cox_fit(cohort)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -9,6 +9,10 @@ Regenerate only when a change is meant to move the numbers, and say so in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it overwrites the file, the command prints every moved field (old ->
+new), the largest relative move of the float fields, and whether any count
+or rejection rate changed, so the move can be reported with the change.
 """
 
 import json
@@ -82,7 +86,43 @@ def test_golden_summaries_bit_identical():
                 assert _same(got[key][analysis][name], want), (key, analysis, name)
 
 
+# a move in any of these changes what a cell reports, not just its rounding
+COUNT_FIELDS = ("reps_used", "degenerate_count", "rejection_rate")
+
+
+def _relative_move(old: float, new: float) -> float:
+    return abs(new - old) / abs(old) if old and not math.isnan(old + new) else math.inf
+
+
+def report_moves(old: dict, new: dict) -> None:
+    """Print every field that differs between two collections of summaries."""
+    largest = 0.0
+    counts_moved = False
+    for key in sorted(set(old) | set(new)):
+        for analysis in sorted(set(old.get(key, {})) | set(new.get(key, {}))):
+            was = old.get(key, {}).get(analysis, {})
+            now = new.get(key, {}).get(analysis, {})
+            for name in sorted(set(was) | set(now)):
+                a, b = was.get(name), now.get(name)
+                if _same(a, b):
+                    continue
+                print(f"{key} {analysis} {name}: {a!r} -> {b!r}")
+                if name in COUNT_FIELDS or a is None or b is None:
+                    counts_moved = True
+                elif isinstance(a, list):
+                    largest = max([largest, *map(_relative_move, a, b)])
+                else:
+                    largest = max(largest, _relative_move(a, b))
+    print(f"largest relative move of a float field: {largest:.3g}")
+    print("a count or rejection rate changed, or a cell or field was added or removed"
+          if counts_moved else "no count or rejection rate changed")
+
+
 if __name__ == "__main__":
+    summaries = collect_summaries()
+    if GOLDEN_FILE.exists():
+        with open(GOLDEN_FILE) as fh:
+            report_moves(json.load(fh), summaries)
     with open(GOLDEN_FILE, "w") as fh:
-        json.dump(collect_summaries(), fh, indent=1, sort_keys=True)
+        json.dump(summaries, fh, indent=1, sort_keys=True)
         fh.write("\n")

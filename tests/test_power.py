@@ -18,14 +18,53 @@ from wrtrials import (
     unmatched_sample_size,
     unmatched_variance,
 )
+from wrtrials.core import _two_sided_p
 from wrtrials.power import (
     THETA_NULL,
-    measure_null_ratio_variance,
+    _binary_win_loss,
     null_ratio_variance_candidates,
     unmatched_g_gradient,
-    unmatched_wald_test,
     unmatched_win_loss,
 )
+
+
+def measure_null_ratio_variance(n: int, reps: int, seed: int) -> float:
+    """Empirical variance of sqrt(n)(phat/(1-phat) - 1) at p = 1/2."""
+    rng = np.random.default_rng(seed)
+    x = rng.binomial(n, 0.5, size=reps) / n
+    x = np.clip(x, 1e-12, 1 - 1e-12)
+    stat = math.sqrt(n) * (x / (1 - x) - 1.0)
+    return float(stat.var())
+
+
+def unmatched_wald_test(y_t, x_t, y_c, x_c):
+    """Asymptotic z-test of g = 1 from raw indicator samples.
+
+    Returns (g_hat, z, p).  The statistic is sqrt(n_t) (g_hat - 1) / C0
+    with the null-theta variance in the denominator, the form the sample
+    size formula is calibrated against.
+    """
+    y_t = np.asarray(y_t)
+    x_t = np.asarray(x_t)
+    y_c = np.asarray(y_c)
+    x_c = np.asarray(x_c)
+    n1, n0 = len(y_t), len(y_c)
+    # a plain tuple: sample means need not satisfy ThetaBinary's product constraint
+    means = (
+        y_t.mean(),
+        x_t.mean(),
+        (x_t * y_t).mean(),
+        y_c.mean(),
+        x_c.mean(),
+        (x_c * y_c).mean(),
+    )
+    w, l = _binary_win_loss(means)
+    if l == 0:
+        return math.inf, math.inf, 0.0
+    g_hat = w / l
+    c0 = math.sqrt(unmatched_variance(THETA_NULL, n1, n0))
+    z = math.sqrt(n1 + n0) * (g_hat - 1.0) / c0
+    return g_hat, z, _two_sided_p(z)
 
 
 def enumerate_win_probs(p_t, q_t, p_c, q_c):
