@@ -268,20 +268,28 @@ def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResul
 
     Raises ``DegenerateResultError`` when no stratum can contribute a pair.
     """
-    pairs = []
+    # one stable (radix) sort by the 4-bit label 2 * stratum + arm lays the
+    # rows out in (stratum, arm) blocks, controls first, each in id order
+    label = (2 * cohort.stratum + cohort.arm).astype(np.uint8)
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=16)  # stratum < 8, so 16 blocks
+    starts = (np.cumsum(counts) - counts).tolist()
+    counts = counts.tolist()
+    treatments, controls = [], []
     unpaired_t = unpaired_c = 0
-    for key in np.unique(cohort.stratum):
-        rows = np.flatnonzero(cohort.stratum == key)
-        is_t = cohort.arm[rows] == Arm.TREATMENT
-        treatments, controls = rows[is_t], rows[~is_t]
-        treatments = treatments[rng.permutation(len(treatments))]
-        controls = controls[rng.permutation(len(controls))]
-        m = min(len(treatments), len(controls))
-        pairs.append(np.column_stack([treatments[:m], controls[:m]]))
-        unpaired_t += len(treatments) - m
-        unpaired_c += len(controls) - m
+    for s in range(8):
+        n_c, n_t = counts[2 * s], counts[2 * s + 1]
+        if not n_c + n_t:
+            continue
+        t_perm = rng.permutation(n_t)
+        c_perm = rng.permutation(n_c)
+        m = min(n_t, n_c)
+        treatments.append(starts[2 * s + 1] + t_perm[:m])
+        controls.append(starts[2 * s] + c_perm[:m])
+        unpaired_t += n_t - m
+        unpaired_c += n_c - m
 
-    pairs = np.concatenate(pairs)
+    pairs = np.column_stack([order[np.concatenate(treatments)], order[np.concatenate(controls)]])
     if not len(pairs):
         raise DegenerateResultError("no pairs formable: an arm is empty in every stratum")
     return PairingResult(pairs, unpaired_t, unpaired_c)

@@ -83,6 +83,9 @@ class SurvivalGenConfig:
             raise ConfigError("cohort size must be at least 2")
         if not (0.0 < self.allocation < 1.0):
             raise ConfigError("allocation must lie in (0, 1)")
+        if int(self.n * self.allocation) == 0:
+            raise ConfigError(f"allocation {self.allocation} leaves the treatment arm of "
+                              f"{self.n} patients empty")
 
 
 def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator) -> Cohort:
@@ -257,19 +260,21 @@ def draw_continuous_patients(
     """
     n = cfg.n if n is None else n
     b1, b2 = float(cfg.beta_cov1), float(cfg.beta_cov2)
+    # each row is carried as its covariate pattern code 2 * x1 + x2; the
+    # baselines b1 * x1 + b2 * x2 of the codes, exact where they are positive
+    baseline = np.array([0.0, b2, b1, b1 + b2])
+    redraw = ~(baseline > 0)
     bits = rng.integers(0, 2, 2 * n)
-    x1, x2 = bits[:n], bits[n:]
-    y_base = b1 * x1 + b2 * x2
-    bad = np.flatnonzero(~(y_base > 0))
+    code = 2 * bits[:n] + bits[n:]
+    bad = np.flatnonzero(redraw[code])
     while len(bad):
         k = len(bad)
         bits = rng.integers(0, 2, 2 * k)
-        x1[bad], x2[bad] = bits[:k], bits[k:]
-        y_redrawn = b1 * bits[:k] + b2 * bits[k:]
-        y_base[bad] = y_redrawn
-        bad = bad[~(y_redrawn > 0)]
+        redrawn = 2 * bits[:k] + bits[k:]
+        code[bad] = redrawn
+        bad = bad[redraw[redrawn]]
     subpop = _SUBPOP_CODES[mix.cdf.searchsorted(rng.random(n), side="right")]
-    return ContinuousFrame(x1=x1, x2=x2, y_base=y_base, subpop=subpop)
+    return ContinuousFrame(x1=code >> 1, x2=code & 1, y_base=baseline[code], subpop=subpop)
 
 
 def draw_continuous_response(

@@ -9,6 +9,7 @@ from wrtrials import (
     BinaryOutcome,
     Cohort,
     DegenerateResultError,
+    PairingResult,
     PatientRecord,
     SurvivalOutcome,
     form_matched_pairs,
@@ -104,6 +105,74 @@ def test_no_pairs_formable_raises():
     cohort = Cohort.from_records([make_patient(Arm.TREATMENT) for _ in range(4)])
     with pytest.raises(DegenerateResultError):
         form_matched_pairs(cohort, np.random.default_rng(0))
+
+
+def oracle_form_matched_pairs(cohort, rng):
+    """The per-stratum form: a mask, a shuffle per arm and a column_stack per stratum."""
+    pairs = []
+    unpaired_t = unpaired_c = 0
+    for key in np.unique(cohort.stratum):
+        rows = np.flatnonzero(cohort.stratum == key)
+        is_t = cohort.arm[rows] == Arm.TREATMENT
+        treatments, controls = rows[is_t], rows[~is_t]
+        treatments = treatments[rng.permutation(len(treatments))]
+        controls = controls[rng.permutation(len(controls))]
+        m = min(len(treatments), len(controls))
+        pairs.append(np.column_stack([treatments[:m], controls[:m]]))
+        unpaired_t += len(treatments) - m
+        unpaired_c += len(controls) - m
+    pairs = np.concatenate(pairs)
+    if not len(pairs):
+        raise DegenerateResultError("no pairs formable")
+    return PairingResult(pairs, unpaired_t, unpaired_c)
+
+
+def random_stratified_cohort(rng, n):
+    """1-8 strata of both stages, uneven sizes, some with one arm only."""
+    strata = rng.choice(8, size=int(rng.integers(1, 9)), replace=False)
+    weights = rng.dirichlet(np.full(len(strata), 0.5))
+    p_treat = rng.choice([0.0, 1.0, 0.5, rng.random()], size=len(strata))
+    which = rng.choice(len(strata), size=n, p=weights)
+    s = strata[which]
+    arm = (rng.random(n) < p_treat[which]).astype(int)
+    zeros = np.zeros(n, dtype=int)
+    return Cohort(arm, (s >> 1) & 1, s & 1, s >> 2, y_death=zeros, x_hosp=zeros)
+
+
+def test_pairing_keeps_the_stream():
+    # value for value and generator state for generator state against the
+    # per-stratum form: strata in increasing order, treatments shuffled
+    # before controls
+    sizes = [1, 2, 3, 5, 8, 13, 60, 200, 500]
+    cases = [(seed, sizes[seed % len(sizes)]) for seed in range(400)] + [(400, 4000)]
+    kinds = set()
+    for seed, n in cases:
+        cohort = random_stratified_cohort(np.random.default_rng([seed, 0]), n)
+        got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        try:
+            want = oracle_form_matched_pairs(cohort, want_rng)
+        except DegenerateResultError:
+            with pytest.raises(DegenerateResultError):
+                form_matched_pairs(cohort, got_rng)
+            kinds.add("degenerate")
+        else:
+            got = form_matched_pairs(cohort, got_rng)
+            assert got.pairs.dtype == want.pairs.dtype and np.array_equal(got.pairs, want.pairs)
+            assert got.n_unpaired_treatment == want.n_unpaired_treatment
+            assert got.n_unpaired_control == want.n_unpaired_control
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        counts = np.bincount(2 * cohort.stratum + cohort.arm, minlength=16).reshape(8, 2)
+        present = counts.sum(axis=1) > 0
+        kinds.add(("strata", int(present.sum())))
+        kinds.add(("stages", tuple(np.unique(cohort.stage).tolist())))
+        if (present & (counts.min(axis=1) == 0)).any():
+            kinds.add("one-arm stratum")
+        if (counts.sum(axis=1) == 1).any():
+            kinds.add("single-row stratum")
+    # the cohorts cover what the test claims to cover
+    assert {("strata", k) for k in range(1, 9)} <= kinds
+    assert {("stages", (0,)), ("stages", (1,)), ("stages", (0, 1))} <= kinds
+    assert {"degenerate", "one-arm stratum", "single-row stratum"} <= kinds
 
 
 def test_cohort_rows_roundtrip_with_composite_stratum():

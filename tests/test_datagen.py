@@ -189,6 +189,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SurvivalGenConfig(n=10, allocation=1.0)
     with pytest.raises(ConfigError):
+        SurvivalGenConfig(n=4, allocation=0.1)  # int(0.4) = 0 treatment slots
+    SurvivalGenConfig(n=10, allocation=0.1)  # one treatment slot
+    with pytest.raises(ConfigError):
         BinaryGenConfig(1.5, 0.5, 0.5, 0.5, 10, 10)
     with pytest.raises(ConfigError):
         ContinuousGenConfig(noise_sd=0.0)
@@ -259,7 +262,8 @@ def oracle_leadin_frame(gen, mix, c_s0, n, patients_rng, leadin_rng):
     return None
 
 
-STREAM_BETA_COVS = [(5.0, 5.0), (5.0, -3.0), (-1.0, 2.0), (0.5, 0.5)]
+# (0.0, 2.0): pattern (1, 0) has a baseline of exactly 0.0 and is redrawn
+STREAM_BETA_COVS = [(5.0, 5.0), (5.0, -3.0), (-1.0, 2.0), (0.5, 0.5), (0.0, 2.0)]
 STREAM_MIXES = [SubpopMix(0.05, 0.05, 0.8, 0.1), SubpopMix(0.0, 0.5, 0.5, 0.0),
                 SubpopMix(0.3, 0.3, 0.0, 0.4)]
 

@@ -232,6 +232,13 @@ def test_scenario_unknown_key_rejected():
         scenario_from_dict(bad)
 
 
+def test_scenario_with_an_empty_treatment_arm_is_a_config_error():
+    # int(4 * 0.1) = 0 treatment slots
+    bad = dict(SCENARIO_JSON, n_total=4, generator={"allocation": 0.1})
+    with pytest.raises(ConfigError, match="treatment arm"):
+        scenario_from_dict(bad)
+
+
 def test_scenario_continuous_json_with_sentinels():
     d = {
         "design": "sed",
