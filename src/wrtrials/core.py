@@ -264,7 +264,8 @@ def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResul
     Within each stratum the two arms are shuffled and zipped; the surplus of
     the larger arm is left unpaired.  Deterministic given the generator
     state: strata are visited in increasing order, treatments shuffled
-    before controls.
+    before controls, each arm's rows in id order with the draws of
+    ``rng.permutation`` of its size.
 
     Raises ``DegenerateResultError`` when no stratum can contribute a pair.
     """
@@ -272,24 +273,25 @@ def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResul
     # rows out in (stratum, arm) blocks, controls first, each in id order
     label = (2 * cohort.stratum + cohort.arm).astype(np.uint8)
     order = np.argsort(label, kind="stable")
-    counts = np.bincount(label, minlength=16)  # stratum < 8, so 16 blocks
-    starts = (np.cumsum(counts) - counts).tolist()
-    counts = counts.tolist()
+    ends = np.cumsum(np.bincount(label, minlength=16)).tolist()  # stratum < 8
     treatments, controls = [], []
     unpaired_t = unpaired_c = 0
+    start = 0
     for s in range(8):
-        n_c, n_t = counts[2 * s], counts[2 * s + 1]
-        if not n_c + n_t:
+        mid, stop = ends[2 * s], ends[2 * s + 1]
+        if start == stop:
             continue
-        t_perm = rng.permutation(n_t)
-        c_perm = rng.permutation(n_c)
-        m = min(n_t, n_c)
-        treatments.append(starts[2 * s + 1] + t_perm[:m])
-        controls.append(starts[2 * s] + c_perm[:m])
-        unpaired_t += n_t - m
-        unpaired_c += n_c - m
+        treated, control = order[mid:stop], order[start:mid]
+        rng.shuffle(treated)
+        rng.shuffle(control)
+        m = min(len(treated), len(control))
+        treatments.append(treated[:m])
+        controls.append(control[:m])
+        unpaired_t += len(treated) - m
+        unpaired_c += len(control) - m
+        start = stop
 
-    pairs = np.column_stack([order[np.concatenate(treatments)], order[np.concatenate(controls)]])
+    pairs = np.column_stack([np.concatenate(treatments), np.concatenate(controls)])
     if not len(pairs):
         raise DegenerateResultError("no pairs formable: an arm is empty in every stratum")
     return PairingResult(pairs, unpaired_t, unpaired_c)
