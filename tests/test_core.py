@@ -108,7 +108,7 @@ def test_no_pairs_formable_raises():
 
 
 def oracle_form_matched_pairs(cohort, rng):
-    """The per-stratum form: a mask, a shuffle per arm and a column_stack per stratum."""
+    """The per-stratum form: a mask, a permutation per arm and a column_stack per stratum."""
     pairs = []
     unpaired_t = unpaired_c = 0
     for key in np.unique(cohort.stratum):
