@@ -214,7 +214,8 @@ def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator)
                 # records across stages either duplicates patients or
                 # confounds arm with stage composition
                 first = cohort.stage == 0
-                improved = improvement_indicators(cohort, cfg.cutoffs.c_t).any(axis=1)[first]
+                ind = improvement_indicators(cohort, cfg.cutoffs.c_t)
+                improved = (ind[:, 0] | ind[:, 1] | ind[:, 2])[first]
                 arms = cohort.arm[first]
                 res = contingency_or_test(improved[arms == 1], improved[arms == 0])
                 records[analysis] = TrialRecord(
@@ -235,7 +236,8 @@ _LEADIN_MAX_BATCHES = 400
 
 def _nonresponder_mask(y: np.ndarray, y_base: np.ndarray, cutoff: float) -> np.ndarray:
     """True where every component ratio exceeds the cutoff."""
-    return np.all(y / y_base[:, None] > cutoff, axis=1)
+    r = y / y_base[:, None] > cutoff
+    return r[:, 0] & r[:, 1] & r[:, 2]
 
 
 def _leadin_frame(

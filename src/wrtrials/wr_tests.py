@@ -12,15 +12,21 @@ Three rules cover the outcome families:
 Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
 (``columns``), scores pairs with a broadcasting ``pair_scores`` (+1 win, -1
 loss, 0 tie for the left member of each pair), and gives the U-scores
-against each row's own stratum and the within-stratum cross-arm ties as rank
-counts (``u_ties``).  ``compare`` is the single-pair view
-of ``pair_scores``.  The binary and continuous rules rank every row on one
-scalar key (a total preorder) and the survival rule is a two-branch
-preorder, so, as in Knight's O(n log n) Kendall tau
-(Knight 1966, JASA 61:436), one sort of all rows by (stratum, key) per sort
-coordinate gives each row's stratum rows below and above it: O(n log n) time
-and O(n) memory over the whole cohort, giving exactly the integers that
-summing ``pair_scores`` over every within-stratum pair would.
+against each row's own stratum and the within-stratum cross-arm ties
+(``u_ties``).  ``compare`` is the single-pair view of ``pair_scores``.
+``u_ties`` gives exactly the integers that summing ``pair_scores`` over
+every within-stratum pair would, in O(n) memory, in one of two ways:
+
+* the binary and continuous rules rank every row on one integer level in
+  0..3, so, as for the Mann-Whitney statistic on an ordinal outcome
+  (Agresti 2010, *Analysis of Ordinal Categorical Data*, ch. 2), the
+  U-scores and ties are read off one stratum x level count table: O(n +
+  strata * levels) time, no sort;
+* the survival rule is a two-branch preorder on continuous times, so, as in
+  Knight's O(n log n) Kendall tau (Knight 1966, JASA 61:436), one sort of
+  all rows by (stratum, key) per sort coordinate gives each row's stratum
+  rows below and above it: O(n log n) time.
+
 ``matched_wr_test`` scores its pairs with ``pair_scores``;
 ``fs_unmatched_test`` calls ``u_ties`` once with every row's stratum and
 derives the cross-arm wins and losses from the U-scores and the ties.
@@ -70,6 +76,8 @@ class WrResult:
 
 class _Ranked:
     """Rows sorted by (stratum, key), with each run's rows of its stratum below and above it.
+
+    The survival rule's ranking; the key rules count instead.
 
     A run is a set of rows of equal (stratum, key); every row of a run has
     the same rows of its stratum strictly below it and strictly above it.
@@ -121,18 +129,28 @@ class _WinningRule:
 
 
 class _KeyRule(_WinningRule):
-    """A rule that ranks every patient on one scalar key, larger being better.
+    """A rule that ranks every patient on one small integer level, larger being better.
 
-    ``columns`` is the single key ``(k,)``; a pair scores sign(k_i - k_j).
+    ``columns`` is the single key ``(k,)`` with ``0 <= k < L``; a pair scores
+    sign(k_i - k_j).
     """
+
+    L = 4
 
     def pair_scores(self, left, right) -> np.ndarray:
         (k_i,), (k_j,) = left, right
         return np.sign(k_i - k_j).astype(np.int64)
 
     def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
-        r = _Ranked(cols[0], groups)
-        return r.rows(r.sign_sums()), r.cross_ties(is_t)
+        # one (stratum, level) count table: a row's U is its stratum's rows
+        # below its level less those above it, 2 * at_most - counts - n_g
+        # (cells in intp, so no 8-bit label overflows)
+        cell = groups * np.intp(self.L) + cols[0]
+        counts = np.bincount(cell, minlength=self.L * (int(groups.max()) + 1)).reshape(-1, self.L)
+        at_most = np.cumsum(counts, axis=1)
+        u = 2 * at_most - counts - at_most[:, -1:]
+        treated = np.bincount(cell[is_t], minlength=counts.size)
+        return u.ravel()[cell], int(treated @ (counts.ravel() - treated))
 
 
 class BinaryRule(_KeyRule):
@@ -140,12 +158,13 @@ class BinaryRule(_KeyRule):
 
     Absence of death beats death; on equal death status, absence of
     hospitalization beats hospitalization; otherwise a tie.  That is the
-    key -(2 * y_death + x_hosp): death outweighs hospitalization, and fewer
-    events is better.
+    level 3 - (2 * y_death + x_hosp): death outweighs hospitalization, and
+    fewer events is better.
     """
 
     def columns(self, src) -> tuple[np.ndarray, ...]:
-        return (-(2 * np.asarray(src.y_death) + np.asarray(src.x_hosp)),)
+        events = 2 * np.asarray(src.y_death) + np.asarray(src.x_hosp)
+        return ((3 - events).astype(np.intp),)
 
 
 class SurvivalRule(_WinningRule):
@@ -209,7 +228,11 @@ class ContinuousRule(_KeyRule):
         self.c_t = c_t
 
     def columns(self, src) -> tuple[np.ndarray, ...]:
-        return (improvement_indicators(src, self.c_t).sum(axis=-1),)
+        improved = improvement_indicators(src, self.c_t)
+        k = improved[..., 0].astype(np.intp)
+        k += improved[..., 1]
+        k += improved[..., 2]
+        return (k,)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +254,11 @@ def matched_wr_test(cohort: Cohort, pairs: np.ndarray, rule) -> WrResult:
     is z = (p_w - 0.5) / sqrt(p_w (1 - p_w) / n); the 95% CI for the win
     ratio transforms the binomial CI of p_w through p / (1 - p).  ``pairs``
     is an (m, 2) array of row ids, treatment then control.
+
+    Complete separation has no finite statistic and returns sentinels: when
+    every informative pair is a win, z = +inf, p = 0 and the CI is
+    (inf, inf); when every one is a loss, z = -inf, p = 0 and the CI is
+    (0, 0).  With no informative pair it raises DegenerateResultError.
     """
     if not len(pairs):
         raise DegenerateResultError("matched test needs at least one pair")

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wrtrials import (
     Arm,
@@ -22,7 +24,7 @@ from wrtrials import (
     improvement_indicators,
     matched_wr_test,
 )
-from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule
+from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, _KeyRule
 
 
 def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
@@ -303,6 +305,108 @@ def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
 
 
 # ---------------------------------------------------------------------------
+# count kernel of the key rules: properties against the pair oracle
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def level_tables(draw):
+    """Levels, arms and stratum labels of 1-40 rows.
+
+    The levels are a random subset of 0..3 (so a cohort may have one level)
+    and the labels a random subset of 0..7 (so labels have gaps); strata of
+    one arm or one row arise as they fall.
+    """
+    n = draw(st.integers(1, 40))
+    levels = draw(st.lists(st.integers(0, _KeyRule.L - 1), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    key = draw(hnp.arrays(np.intp, n, elements=st.sampled_from(levels)))
+    is_t = draw(hnp.arrays(bool, n))
+    groups = draw(hnp.arrays(np.uint8, n, elements=st.sampled_from(labels)))
+    return key, is_t, groups
+
+
+@PROPERTY
+@given(level_tables())
+def test_count_kernel_matches_pair_oracle(table):
+    key, is_t, groups = table
+    same = groups[:, None] == groups[None, :]
+    scores = np.where(same, np.sign(key[:, None] - key[None, :]), 0)
+    ties = same & (key[:, None] == key[None, :])
+    for rule in (BinaryRule(), ContinuousRule(0.8)):
+        u, n_tie = rule.u_ties((key,), is_t, groups)
+        assert u.dtype == np.int64
+        assert np.array_equal(u, scores.sum(axis=1))
+        assert type(n_tie) is int
+        assert n_tie == ties[np.ix_(is_t, ~is_t)].sum()
+
+
+def grid_cohorts(family):
+    """Cohorts of 2-40 rows with outcomes on small grids, so ties are frequent."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, 40))
+
+        def column(values, size=n):
+            return draw(hnp.arrays(np.asarray(values).dtype, size, elements=st.sampled_from(values)))
+
+        design = {name: column((0, 1)) for name in ("arm", "x1", "x2", "stage")}
+        if family == "binary":
+            return Cohort(**design, y_death=column((0, 1)), x_hosp=column((0, 1)))
+        if family == "survival":
+            grid = (0.5, 1.0, 2.0, 3.0)
+            return Cohort(**design, e_death=column(grid), e_hosp=column(grid))
+        y = column((3.0, 4.0, 6.0, 9.0, 12.0), 3 * n).reshape(n, 3)
+        return Cohort(**design, y_base=column((5.0, 10.0)), y=y)
+    return build()
+
+
+def or_degenerate(test, *args):
+    """A test's result, or None when it is degenerate."""
+    try:
+        return test(*args)
+    except DegenerateResultError:
+        return None
+
+
+@pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
+def test_fs_arm_swap_negates_z_and_swaps_wins_and_losses(family, rule):
+    @PROPERTY
+    @given(grid_cohorts(family))
+    def check(cohort):
+        swapped = replace(cohort, arm=1 - cohort.arm)
+        for stratified in (True, False):
+            a = or_degenerate(fs_unmatched_test, cohort, rule, stratified)
+            b = or_degenerate(fs_unmatched_test, swapped, rule, stratified)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert b.z == -a.z
+                assert (b.n_w, b.n_l, b.n_tie, b.dropped_strata) == (
+                    a.n_l, a.n_w, a.n_tie, a.dropped_strata)
+    check()
+
+
+@PROPERTY
+@given(grid_cohorts("binary"), st.integers(0, 2**32 - 1))
+def test_binary_float_columns_score_as_int(cohort, seed):
+    floats = replace(cohort, y_death=cohort.y_death.astype(float),
+                     x_hosp=cohort.x_hosp.astype(float))
+    rule = BinaryRule()
+    (k_int,), (k_float,) = rule.columns(cohort), rule.columns(floats)
+    assert k_float.dtype.kind == "i"
+    assert np.array_equal(k_int, k_float)
+    # repr compares every field exactly, NaN included
+    for stratified in (True, False):
+        assert (repr(or_degenerate(fs_unmatched_test, cohort, rule, stratified))
+                == repr(or_degenerate(fs_unmatched_test, floats, rule, stratified)))
+    pairing = or_degenerate(form_matched_pairs, cohort, np.random.default_rng(seed))
+    if pairing is not None:
+        assert (repr(or_degenerate(matched_wr_test, cohort, pairing.pairs, rule))
+                == repr(or_degenerate(matched_wr_test, floats, pairing.pairs, rule)))
+
+
+# ---------------------------------------------------------------------------
 # continuous rule
 
 
@@ -400,6 +504,21 @@ def test_matched_complete_separation_sentinel():
     assert res.z == math.inf
     assert res.p_value == 0.0
     assert math.isinf(res.r_w)
+    assert (res.ci_low, res.ci_high) == (math.inf, math.inf)
+
+
+def test_matched_complete_separation_all_losses_sentinel():
+    records = []
+    for i in range(5):
+        records.append(surv_patient(Arm.TREATMENT, 1.0 + 0.1 * i, 10.0))
+        records.append(surv_patient(Arm.CONTROL, 5.0 + i, 10.0))
+    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
+                          SurvivalRule())
+    assert (res.n_w, res.n_l, res.n_tie) == (0, 5, 0)
+    assert res.z == -math.inf
+    assert res.p_value == 0.0
+    assert res.p_w == 0.0 and res.r_w == 0.0
+    assert (res.ci_low, res.ci_high) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
