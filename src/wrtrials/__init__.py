@@ -2,17 +2,11 @@
 
 from .core import (
     Arm,
-    BinaryOutcome,
     Cohort,
     ConfigError,
-    ContinuousOutcome,
     DegenerateResultError,
     PairingResult,
-    PatientRecord,
-    SurvivalOutcome,
-    WinStatus,
     form_matched_pairs,
-    stratify,
 )
 from .datagen import (
     BinaryGenConfig,

@@ -27,7 +27,6 @@ from .power import (
     unmatched_g,
     unmatched_sample_size,
     unmatched_variance,
-    unmatched_win_loss,
 )
 from .presets import TABLE_IDS, reproduce_table
 
@@ -58,7 +57,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_power(args) -> int:
     probs = matched_win_probs(args.pt, args.qt, args.pc, args.qc)
     theta1 = ThetaBinary.from_rates(args.pt, args.qt, args.pc, args.qc)
-    w, l = unmatched_win_loss(theta1)
     record = {
         "n": None,
         "N": None,
@@ -80,8 +78,6 @@ def _cmd_power(args) -> int:
         record["n"] = n
         record["N"] = total_pairs
     else:
-        record["p_w"], record["p_l"] = w, l
-        record["p_tie"] = 1.0 - w - l
         record["g"] = unmatched_g(theta1)
         record["C0"] = unmatched_variance(THETA_NULL, 1, 1) ** 0.5
         record["C1"] = unmatched_variance(theta1, 1, 1) ** 0.5

@@ -3,19 +3,18 @@
 A cohort is one :class:`Cohort`: parallel arrays with one row per patient,
 whose row index is the patient id.  It holds the design columns (arm,
 covariates, stage) and the outcome columns of one family, validated once when
-the cohort is built, and derives the stratum of every row.  Analyses read the
-columns directly.  :class:`PatientRecord` is the row form, used only at the
-edges: hand-built cohorts (``Cohort.from_records``) and CSV export (iterating
-a cohort yields its rows).  A cohort is never modified after it is built, so
-it can be shared freely between concurrently running replications as long as
-each replication owns its own random generator.
+the cohort is built, and derives the stratum of every row.  There is no
+per-patient object: analyses and CSV export read the columns, and a cohort is
+built by hand from columns too.  A cohort is never modified after it is
+built, so it can be shared freely between concurrently running replications
+as long as each replication owns its own random generator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -43,90 +42,16 @@ class Arm(enum.IntEnum):
     TREATMENT = 1
 
 
-class WinStatus(enum.Enum):
-    """Outcome of one pairwise comparison, seen from the treatment side."""
-
-    WIN = 1
-    TIE = 0
-    LOSS = -1
-
-    def mirrored(self) -> "WinStatus":
-        """Status after swapping the two patients' roles."""
-        return WinStatus(-self.value)
+# the outcome columns of each family: survival, binary, continuous
+_FAMILY_COLUMNS = (("e_death", "e_hosp"), ("y_death", "x_hosp"), ("y_base", "y"))
+_OUTCOME_COLUMNS = sum(_FAMILY_COLUMNS, ())
 
 
-@dataclass(frozen=True)
-class BinaryOutcome:
-    """Death indicator and hospitalization indicator (1 = event occurred)."""
+class ArmStratum(NamedTuple):
+    """One row's arm and stratum, as :meth:`Cohort.__iter__` yields them."""
 
-    y_death: int
-    x_hosp: int
-
-    def __post_init__(self):
-        if self.y_death not in (0, 1) or self.x_hosp not in (0, 1):
-            raise ValueError("binary outcome components must be 0/1")
-
-
-@dataclass(frozen=True)
-class SurvivalOutcome:
-    """Time to death and time to hospitalization, both strictly positive."""
-
-    e_death: float
-    e_hosp: float
-
-    def __post_init__(self):
-        if not (self.e_death > 0 and self.e_hosp > 0):
-            raise ValueError("survival times must be strictly positive")
-
-
-@dataclass(frozen=True)
-class ContinuousOutcome:
-    """Strictly positive baseline level and times to improvement on three components."""
-
-    y_base: float
-    y: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not self.y_base > 0:
-            raise ValueError("y_base must be strictly positive")
-
-
-Outcome = BinaryOutcome | SurvivalOutcome | ContinuousOutcome
-
-# the cohort columns of each outcome family, named as the outcome's fields
-_OUTCOME_COLUMNS = ("e_death", "e_hosp", "y_death", "x_hosp", "y_base", "y")
-_FAMILY_COLUMNS = {
-    SurvivalOutcome: ("e_death", "e_hosp"),
-    BinaryOutcome: ("y_death", "x_hosp"),
-    ContinuousOutcome: ("y_base", "y"),
-}
-
-
-def stratify(covariates: tuple[int, int]) -> int:
-    """Map a (x_cov1, x_cov2) pattern to its stratum index.
-
-    The encoding 2*x_cov1 + x_cov2 is fixed so that cohorts written to CSV
-    by one process can be re-analyzed by another without renumbering.
-    """
-    x1, x2 = covariates
-    if x1 not in (0, 1) or x2 not in (0, 1):
-        raise ValueError(f"covariates must be 0/1, got {covariates!r}")
-    return 2 * x1 + x2
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient as a row object; stage 1 marks a stage-2 re-randomization."""
-
-    arm: Arm
-    covariates: tuple[int, int]
-    outcome: Outcome
-    stage: int = 0
-
-    @property
-    def stratum(self) -> int:
-        """Covariate stratum, with stage as an extra layer (4 * stage + 2 * x1 + x2)."""
-        return 4 * self.stage + stratify(self.covariates)
+    arm: int
+    stratum: int
 
 
 def _is_binary(col: np.ndarray) -> bool:
@@ -142,7 +67,8 @@ class Cohort:
     positive times), ``y_death``/``x_hosp`` (0/1 indicators), or ``y_base``
     (strictly positive, length n) with ``y`` (shape (n, 3)).  ``stratum`` is
     derived as 4 * stage + 2 * x1 + x2, so each stage is its own layer of
-    covariate strata.
+    covariate strata; the encoding is fixed, so a cohort written to CSV by
+    one process is re-analyzed by another without renumbering.
     """
 
     arm: np.ndarray
@@ -159,7 +85,7 @@ class Cohort:
 
     def __post_init__(self):
         present = tuple(name for name in _OUTCOME_COLUMNS if getattr(self, name) is not None)
-        if present not in _FAMILY_COLUMNS.values():
+        if present not in _FAMILY_COLUMNS:
             raise ValueError(f"a cohort needs the outcome columns of one family, got {present}")
         for name in ("arm", "x1", "x2", "stage") + present:
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
@@ -183,43 +109,17 @@ class Cohort:
                 raise ValueError(f"y must have shape ({n}, 3), got {self.y.shape}")
         object.__setattr__(self, "stratum", 4 * self.stage + 2 * self.x1 + self.x2)
 
-    @classmethod
-    def from_records(cls, records) -> "Cohort":
-        """Build a cohort from row objects, all of one outcome family, in id order."""
-        records = list(records)
-        if not records:
-            raise ValueError("a cohort needs at least one patient")
-        kind = type(records[0].outcome)
-        if any(type(rec.outcome) is not kind for rec in records):
-            raise ValueError("all records of a cohort must have one outcome family")
-        outcomes = {
-            name: np.array([getattr(rec.outcome, name) for rec in records])
-            for name in _FAMILY_COLUMNS[kind]
-        }
-        return cls(
-            arm=np.array([int(rec.arm) for rec in records]),
-            x1=np.array([rec.covariates[0] for rec in records]),
-            x2=np.array([rec.covariates[1] for rec in records]),
-            stage=np.array([rec.stage for rec in records]),
-            **outcomes,
-        )
-
     def __len__(self) -> int:
         return len(self.arm)
 
-    def __iter__(self) -> Iterator[PatientRecord]:
-        """The rows as :class:`PatientRecord` objects, in id order."""
-        if self.e_death is not None:
-            outcomes = map(SurvivalOutcome, self.e_death.tolist(), self.e_hosp.tolist())
-        elif self.y_death is not None:
-            outcomes = map(BinaryOutcome, self.y_death.tolist(), self.x_hosp.tolist())
-        else:
-            outcomes = (ContinuousOutcome(b, tuple(y))
-                        for b, y in zip(self.y_base.tolist(), self.y.tolist()))
-        rows = zip(self.arm.tolist(), self.x1.tolist(), self.x2.tolist(),
-                   self.stage.tolist(), outcomes)
-        for arm, x1, x2, stage, outcome in rows:
-            yield PatientRecord(Arm(arm), (x1, x2), outcome, stage)
+    def __iter__(self) -> Iterator[ArmStratum]:
+        """Each row's (arm, stratum), in id order.
+
+        Only the benchmark tracer (``perfbench/spans.py``) reads the rows, to
+        size the strata of an FS call; this goes once the tracer reads the
+        columns instead (ROADMAP item 1).
+        """
+        return map(ArmStratum, self.arm.tolist(), self.stratum.tolist())
 
 
 def tie_groups(key: np.ndarray, groups: np.ndarray | None = None) -> tuple[np.ndarray, ...]:

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BinaryOutcome, Cohort, ConfigError, SurvivalOutcome
+from .core import Cohort, ConfigError
 
 
 def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -328,22 +328,18 @@ def gen_continuous_cohort(
 
 def cohort_to_csv(cohort: Cohort, path: str) -> None:
     """One row per patient: id, arm, covariates, stratum, outcome columns."""
-    rows = list(cohort)
-    first = rows[0].outcome
-    if isinstance(first, BinaryOutcome):
+    if cohort.y_death is not None:
         extra = ["y_death", "x_hosp"]
-        row = lambda o: [o.y_death, o.x_hosp]
-    elif isinstance(first, SurvivalOutcome):
+        outcomes = [cohort.y_death.tolist(), cohort.x_hosp.tolist()]
+    elif cohort.e_death is not None:
         extra = ["e_death", "e_hosp"]
-        row = lambda o: [repr(o.e_death), repr(o.e_hosp)]
+        outcomes = [map(repr, cohort.e_death.tolist()), map(repr, cohort.e_hosp.tolist())]
     else:
         extra = ["y_base", "y1", "y2", "y3"]
-        row = lambda o: [repr(o.y_base)] + [repr(v) for v in o.y]
+        outcomes = [map(repr, col.tolist()) for col in (cohort.y_base, *cohort.y.T)]
+    design = [cohort.arm.astype(int).tolist(), cohort.x1.tolist(), cohort.x2.tolist(),
+              cohort.stratum.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "arm", "x_cov1", "x_cov2", "stratum"] + extra)
-        for pid, rec in enumerate(rows):
-            writer.writerow(
-                [pid, int(rec.arm), rec.covariates[0], rec.covariates[1], rec.stratum]
-                + row(rec.outcome)
-            )
+        writer.writerows(zip(range(len(cohort)), *design, *outcomes))

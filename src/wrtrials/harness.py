@@ -60,9 +60,15 @@ _FAMILY_DESIGNS = {
 
 @dataclass(frozen=True)
 class Cutoffs:
+    """Improvement (c_t) and lead-in (c_s0, c_s1) cutoffs; +-inf are sentinels, NaN is refused."""
+
     c_t: float = 0.8
     c_s0: float = 0.8
     c_s1: float = 0.9
+
+    def __post_init__(self):
+        if any(math.isnan(c) for c in (self.c_t, self.c_s0, self.c_s1)):
+            raise ConfigError(f"cutoffs must not be NaN, got {self}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ Each rule reads its columns straight off a :class:`~wrtrials.core.Cohort`
 (``columns``), scores pairs with a broadcasting ``pair_scores`` (+1 win, -1
 loss, 0 tie for the left member of each pair), and gives the U-scores
 against each row's own stratum and the within-stratum cross-arm ties
-(``u_ties``).  ``compare`` is the single-pair view of ``pair_scores``.
-``u_ties`` gives exactly the integers that summing ``pair_scores`` over
-every within-stratum pair would, in O(n) memory, in one of two ways:
+(``u_ties``).  A single pair is scored by passing 0-d columns to
+``pair_scores``; a rule has no per-patient form.  ``u_ties`` gives exactly
+the integers that summing ``pair_scores`` over every within-stratum pair
+would, in O(n) memory, in one of two ways:
 
 * the binary and continuous rules rank every row on one integer level in
   0..3, so, as for the Mann-Whitney statistic on an ordinal outcome
@@ -39,9 +40,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import (
-    Arm, Cohort, DegenerateResultError, Outcome, WinStatus, _two_sided_p, tie_groups,
-)
+from .core import Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
 Z_95 = 1.959963984540054
 
@@ -116,19 +115,7 @@ class _Ranked:
         return int(t @ c)
 
 
-class _WinningRule:
-    """What every rule shares: ``compare``, the single-pair view of ``pair_scores``.
-
-    A rule's ``columns`` reads the same attributes off a cohort (arrays) and
-    off one outcome object (scalars, as 0-d arrays), so one definition
-    scores both.
-    """
-
-    def compare(self, t: Outcome, c: Outcome) -> WinStatus:
-        return WinStatus(int(self.pair_scores(self.columns(t), self.columns(c))))
-
-
-class _KeyRule(_WinningRule):
+class _KeyRule:
     """A rule that ranks every patient on one small integer level, larger being better.
 
     ``columns`` is the single key ``(k,)`` with ``0 <= k < L``; a pair scores
@@ -162,12 +149,11 @@ class BinaryRule(_KeyRule):
     fewer events is better.
     """
 
-    def columns(self, src) -> tuple[np.ndarray, ...]:
-        events = 2 * np.asarray(src.y_death) + np.asarray(src.x_hosp)
-        return ((3 - events).astype(np.intp),)
+    def columns(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
+        return ((3 - (2 * cohort.y_death + cohort.x_hosp)).astype(np.intp),)
 
 
-class SurvivalRule(_WinningRule):
+class SurvivalRule:
     """Prioritized comparison of (death time, hospitalization time).
 
     The death branch is active when death is the first event for at least
@@ -184,9 +170,9 @@ class SurvivalRule(_WinningRule):
             raise ValueError(f"priority must be 'death' or 'hosp', got {priority!r}")
         self.priority = priority
 
-    def columns(self, src) -> tuple[np.ndarray, ...]:
-        d = np.asarray(src.e_death, dtype=float)
-        h = np.asarray(src.e_hosp, dtype=float)
+    def columns(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
+        # as floats, so the differences pair_scores takes cannot wrap on unsigned times
+        d, h = cohort.e_death.astype(float, copy=False), cohort.e_hosp.astype(float, copy=False)
         return (d, h) if self.priority == "death" else (h, d)
 
     def pair_scores(self, left, right) -> np.ndarray:
@@ -213,12 +199,12 @@ class SurvivalRule(_WinningRule):
         return u, n_tie
 
 
-def improvement_indicators(src, c_t: float) -> np.ndarray:
-    """Per-component improvement indicators, shape (..., 3), of a cohort or one outcome.
+def improvement_indicators(cohort: Cohort, c_t: float) -> np.ndarray:
+    """A cohort's per-component improvement indicators, shape (n, 3).
 
     Component j improved when y_j / y_base < c_t (strict).
     """
-    return np.asarray(src.y, dtype=float) / np.asarray(src.y_base, dtype=float)[..., None] < c_t
+    return cohort.y / cohort.y_base[:, None] < c_t
 
 
 class ContinuousRule(_KeyRule):
@@ -227,11 +213,11 @@ class ContinuousRule(_KeyRule):
     def __init__(self, c_t: float):
         self.c_t = c_t
 
-    def columns(self, src) -> tuple[np.ndarray, ...]:
-        improved = improvement_indicators(src, self.c_t)
-        k = improved[..., 0].astype(np.intp)
-        k += improved[..., 1]
-        k += improved[..., 2]
+    def columns(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
+        improved = improvement_indicators(cohort, self.c_t)
+        k = improved[:, 0].astype(np.intp)
+        k += improved[:, 1]
+        k += improved[:, 2]
         return (k,)
 
 

@@ -9,6 +9,7 @@ runs are fixed-seed and deterministic.
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,7 @@ import pytest
 from wrtrials import (
     Arm,
     BinaryGenConfig,
-    BinaryOutcome,
-    Cohort,
-    PatientRecord,
-    SurvivalOutcome,
     ThetaBinary,
-    WinStatus,
     form_matched_pairs,
     gen_binary_cohort,
     matched_sample_size,
@@ -43,7 +39,8 @@ from test_classic_tests import (
     score_info,
     worst_score_gap,
 )
-from test_power import unmatched_wald_test
+from test_power import enumerate_win_probs, unmatched_wald_test
+from test_wr_tests import outcome_rows, random_survival_cohort, written_out_score
 
 REPS = int(os.environ.get("WRTRIALS_ACCEPT_REPS", "2000"))
 JOBS = int(os.environ.get("WRTRIALS_ACCEPT_JOBS", str(min(4, os.cpu_count() or 1))))
@@ -311,19 +308,9 @@ def test_c7_closed_form_consistency():
     worst = 0.0
     for p_t, q_t, p_c, q_c in itertools.product(grid, repeat=4):
         probs = matched_win_probs(p_t, q_t, p_c, q_c)
-        ew = el = et = 0.0
-        for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
-            w = (
-                (p_t if y_t else 1 - p_t) * (q_t if x_t else 1 - q_t)
-                * (p_c if y_c else 1 - p_c) * (q_c if x_c else 1 - q_c)
-            )
-            s = BinaryRule().compare(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
-            if s is WinStatus.WIN:
-                ew += w
-            elif s is WinStatus.LOSS:
-                el += w
-            else:
-                et += w
+        # the 16 joint outcomes weighted by their probabilities, each scored
+        # by the binary rule on 0-d columns of a built cohort
+        ew, el, et = enumerate_win_probs(p_t, q_t, p_c, q_c)
         worst = max(worst, abs(probs.p_w - ew), abs(probs.p_l - el), abs(probs.p_tie - et))
         wl = unmatched_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c))
         worst = max(worst, abs(wl[0] - ew), abs(wl[1] - el))
@@ -403,51 +390,33 @@ def test_c9_cox_gradient_finite_differences():
     assert worst <= 1e-6
 
 
-def _random_records(rng, n):
-    records = []
-    for _ in range(n):
-        k = int(rng.integers(0, 4))
-        records.append(
-            PatientRecord(
-                arm=Arm(int(rng.integers(0, 2))),
-                covariates=(k // 2, k % 2),
-                outcome=SurvivalOutcome(
-                    float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9)
-                ),
-            )
-        )
-    return records
-
-
 def test_c9_fs_brute_force_all_small_sizes():
     rng = np.random.default_rng(SEED + 1)
     rule = SurvivalRule()
     checked = 0
     for total in range(2, 9):
         for _ in range(40):
-            records = _random_records(rng, total)
+            cohort = random_survival_cohort(rng, total, n_strata=4)
+            rows, arms = outcome_rows(cohort), cohort.arm.tolist()
             for stratified in (True, False):
                 t_truth = 0.0
                 v_truth = 0.0
-                strata = sorted({r.stratum if stratified else 0 for r in records})
-                for k in strata:
-                    members = [i for i, r in enumerate(records)
-                               if (r.stratum if stratified else 0) == k]
+                keys = cohort.stratum.tolist() if stratified else [0] * total
+                for k in sorted(set(keys)):
+                    members = [i for i, key in enumerate(keys) if key == k]
                     n_k = len(members)
-                    m_k = sum(1 for i in members if records[i].arm == Arm.TREATMENT)
+                    m_k = sum(1 for i in members if arms[i] == Arm.TREATMENT)
                     if n_k < 2 or m_k in (0, n_k):
                         continue
                     u = {
-                        i: sum(
-                            rule.compare(records[i].outcome, records[j].outcome).value
-                            for j in members if j != i
-                        )
+                        i: sum(written_out_score(rule, rows[i], rows[j])
+                               for j in members if j != i)
                         for i in members
                     }
-                    t_truth += sum(u[i] for i in members if records[i].arm == Arm.TREATMENT)
+                    t_truth += sum(u[i] for i in members if arms[i] == Arm.TREATMENT)
                     v_truth += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * sum(v * v for v in u.values())
                 try:
-                    res = fs_unmatched_test(Cohort.from_records(records), rule, stratified)
+                    res = fs_unmatched_test(cohort, rule, stratified)
                 except DegenerateResultError:
                     assert v_truth == pytest.approx(0.0)
                     continue
@@ -464,18 +433,14 @@ def test_c9_invariances_thousand_cohorts():
     rule = SurvivalRule()
     n_checked = 0
     for _ in range(1000):
-        records = _random_records(rng, int(rng.integers(6, 16)))
-        transformed = [
-            PatientRecord(r.arm, r.covariates,
-                          SurvivalOutcome(math.expm1(r.outcome.e_death) + 1e-12,
-                                          math.expm1(r.outcome.e_hosp) + 1e-12))
-            for r in records
-        ]
-        swapped = [PatientRecord(Arm(1 - int(r.arm)), r.covariates, r.outcome) for r in records]
+        cohort = random_survival_cohort(rng, int(rng.integers(6, 16)), n_strata=4)
+        transformed = replace(cohort, e_death=np.expm1(cohort.e_death) + 1e-12,
+                              e_hosp=np.expm1(cohort.e_hosp) + 1e-12)
+        swapped = replace(cohort, arm=1 - cohort.arm)
         try:
-            base = fs_unmatched_test(Cohort.from_records(records), rule, True)
-            rank = fs_unmatched_test(Cohort.from_records(transformed), rule, True)
-            swap = fs_unmatched_test(Cohort.from_records(swapped), rule, True)
+            base = fs_unmatched_test(cohort, rule, True)
+            rank = fs_unmatched_test(transformed, rule, True)
+            swap = fs_unmatched_test(swapped, rule, True)
         except DegenerateResultError:
             continue
         assert (base.n_w, base.n_l, base.n_tie) == (rank.n_w, rank.n_l, rank.n_tie)

@@ -10,11 +10,8 @@ from scipy.stats import f as f_dist, rankdata
 
 from wrtrials import (
     Arm,
-    Cohort,
     DegenerateResultError,
-    PatientRecord,
     SurvivalGenConfig,
-    SurvivalOutcome,
     classic_tests,
     contingency_or_test,
     cox_fit,
@@ -31,9 +28,7 @@ from wrtrials.classic_tests import (
     _cox_score_info,
 )
 
-
-def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
-    return PatientRecord(arm=arm, covariates=cov, outcome=SurvivalOutcome(e_death, e_hosp))
+from test_core import make_cohort
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +331,9 @@ def test_cox_information_matches_second_differences():
 
 
 def test_cox_identical_arms_give_null_fit():
-    times = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    cohort = []
-    for i, t in enumerate(times):
-        cohort.append(surv_patient(Arm.TREATMENT, t, t + 100))
-        cohort.append(surv_patient(Arm.CONTROL, t, t + 100))
-    res = cox_fit(Cohort.from_records(cohort))
+    # each time once per arm
+    times = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2)
+    res = cox_fit(make_cohort([1, 0] * 6, e_death=times, e_hosp=times + 100))
     assert res.beta_t_hat == pytest.approx(0.0, abs=1e-8)
     assert res.hr == pytest.approx(1.0, abs=1e-8)
     assert res.converged
@@ -382,11 +374,9 @@ def test_cox_recovers_known_hazard_ratio():
 
 
 def test_cox_separation_flagged_and_capped():
-    cohort = []
-    for i in range(6):
-        cohort.append(surv_patient(Arm.TREATMENT, 100.0 + i, 200.0))
-        cohort.append(surv_patient(Arm.CONTROL, 1.0 + 0.01 * i, 200.0))
-    res = cox_fit(Cohort.from_records(cohort))
+    i = np.arange(6)
+    e_death = np.column_stack([100.0 + i, 1.0 + 0.01 * i]).ravel()  # treatment, control
+    res = cox_fit(make_cohort([1, 0] * 6, e_death=e_death, e_hosp=np.full(12, 200.0)))
     assert res.separation
     assert abs(res.beta_t_hat) <= 15.0 + 1e-9
 
@@ -434,8 +424,7 @@ def test_cox_fit_rejects_a_cohort_with_one_arm(arm, missing):
     rng = np.random.default_rng(9)
     x1 = rng.integers(0, 2, 30)
     times = rng.exponential(1.0, 30) * np.exp(-x1)
-    cohort = Cohort.from_records([
-        surv_patient(arm, t, t + 100, cov=(int(x), 0)) for t, x in zip(times, x1)])
+    cohort = make_cohort(np.full(30, arm), x1, e_death=times, e_hosp=times + 100)
     with pytest.raises(ValueError, match=f"no {missing} patients"):
         cox_fit(cohort)
 
@@ -536,13 +525,8 @@ def test_obrien_rejects_non_finite_values(bad):
 
 
 def test_obrien_first_event_uses_min_time():
-    cohort = [
-        surv_patient(Arm.TREATMENT, 9.0, 5.0),
-        surv_patient(Arm.TREATMENT, 8.0, 6.0),
-        surv_patient(Arm.CONTROL, 1.0, 7.0),
-        surv_patient(Arm.CONTROL, 2.0, 7.5),
-    ]
-    res = obrien_first_event(Cohort.from_records(cohort))
+    cohort = make_cohort([1, 1, 0, 0], e_death=[9.0, 8.0, 1.0, 2.0], e_hosp=[5.0, 6.0, 7.0, 7.5])
+    res = obrien_first_event(cohort)
     # first-event times: T (5, 6), C (1, 2): ranks 3,4 vs 1,2
     assert res.rank_sums[1] == pytest.approx(3.5)
     assert res.rank_sums[0] == pytest.approx(1.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,37 +7,47 @@ from scipy.stats import norm
 
 from wrtrials import (
     Arm,
-    BinaryOutcome,
     Cohort,
     DegenerateResultError,
     PairingResult,
-    PatientRecord,
-    SurvivalOutcome,
     form_matched_pairs,
-    stratify,
 )
 from wrtrials.core import _two_sided_p
 
 
-def make_patient(arm, cov=(0, 0)):
-    return PatientRecord(arm=arm, covariates=cov, outcome=BinaryOutcome(0, 0))
+def make_cohort(arm, x1=0, x2=0, stage=0, **outcomes):
+    """A cohort from per-row columns; a scalar design column is broadcast to every row.
+
+    Without outcome columns every row gets a (0, 0) binary outcome.
+    """
+    n = len(arm)
+    outcomes = outcomes or dict(y_death=np.zeros(n, dtype=int), x_hosp=np.zeros(n, dtype=int))
+    return Cohort(arm, *(np.broadcast_to(v, n) for v in (x1, x2, stage)), **outcomes)
 
 
 def test_stratify_fixed_encoding():
-    assert stratify((0, 0)) == 0
-    assert stratify((0, 1)) == 1
-    assert stratify((1, 0)) == 2
-    assert stratify((1, 1)) == 3
+    # 4 * stage + 2 * x1 + x2, fixed so that cohorts written to CSV by one
+    # process can be re-analyzed by another without renumbering
+    stage, x1, x2 = np.array(list(itertools.product((0, 1), repeat=3))).T
+    cohort = make_cohort(np.arange(8) % 2, x1, x2, stage)
+    assert cohort.stratum.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert cohort.stratum.tolist() == (4 * stage + 2 * x1 + x2).tolist()
 
 
 def test_stratify_is_bijection():
-    patterns = [(a, b) for a in (0, 1) for b in (0, 1)]
-    assert sorted(stratify(p) for p in patterns) == [0, 1, 2, 3]
+    x1, x2 = np.array([(a, b) for a in (0, 1) for b in (0, 1)]).T
+    for stage in (0, 1):
+        cohort = make_cohort(np.zeros(4, dtype=int), x1, x2, stage)
+        assert sorted(cohort.stratum.tolist()) == [4 * stage + k for k in range(4)]
 
 
 def test_stratify_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        stratify((2, 0))
+    ones = np.ones(3, dtype=int)
+    for name in ("arm", "x1", "x2", "stage"):
+        columns = dict(arm=ones, x1=ones, x2=ones, stage=ones)
+        columns[name] = np.array([0, 2, 1])
+        with pytest.raises(ValueError, match=f"{name} must be 0/1"):
+            make_cohort(**columns)
 
 
 def test_stratum_proportions_near_uniform():
@@ -48,18 +59,14 @@ def test_stratum_proportions_near_uniform():
 
 
 def test_equal_counts_pair_fully():
-    records = [make_patient(Arm.TREATMENT) for _ in range(3)]
-    records += [make_patient(Arm.CONTROL) for _ in range(3)]
-    res = form_matched_pairs(Cohort.from_records(records), np.random.default_rng(0))
+    res = form_matched_pairs(make_cohort([1, 1, 1, 0, 0, 0]), np.random.default_rng(0))
     assert res.pairs.shape == (3, 2)
     assert sorted(res.pairs[:, 0]) == [0, 1, 2] and sorted(res.pairs[:, 1]) == [3, 4, 5]
     assert res.n_unpaired_treatment == 0 and res.n_unpaired_control == 0
 
 
 def test_surplus_left_unpaired():
-    records = [make_patient(Arm.TREATMENT) for _ in range(5)]
-    records += [make_patient(Arm.CONTROL) for _ in range(3)]
-    res = form_matched_pairs(Cohort.from_records(records), np.random.default_rng(0))
+    res = form_matched_pairs(make_cohort([1] * 5 + [0] * 3), np.random.default_rng(0))
     assert len(res.pairs) == 3
     assert res.n_unpaired_treatment == 2
     assert res.n_unpaired_control == 0
@@ -67,13 +74,7 @@ def test_surplus_left_unpaired():
 
 def test_pairing_deterministic_given_seed():
     rng = np.random.default_rng(42)
-    cohort = Cohort.from_records([
-        make_patient(
-            Arm(int(rng.integers(0, 2))),
-            (int(rng.integers(0, 2)), int(rng.integers(0, 2))),
-        )
-        for _ in range(20)
-    ])
+    cohort = make_cohort(*np.array([rng.integers(0, 2, 3) for _ in range(20)]).T)
     first = form_matched_pairs(cohort, np.random.default_rng(7)).pairs
     second = form_matched_pairs(cohort, np.random.default_rng(7)).pairs
     assert np.array_equal(first, second)
@@ -81,28 +82,26 @@ def test_pairing_deterministic_given_seed():
 
 def test_pairing_respects_strata_and_ids_unique():
     rng = np.random.default_rng(3)
-    records = []
-    for _ in range(40):
-        cov = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        records.append(make_patient(Arm(int(rng.integers(0, 2))), cov))
-    res = form_matched_pairs(Cohort.from_records(records), rng)
+    x1, x2, arm = np.array([rng.integers(0, 2, 3) for _ in range(40)]).T
+    cohort = make_cohort(arm, x1, x2)
+    res = form_matched_pairs(cohort, rng)
     seen = set()
     for t, c in res.pairs.tolist():
-        assert records[t].arm == Arm.TREATMENT and records[c].arm == Arm.CONTROL
-        assert records[t].stratum == records[c].stratum
+        assert arm[t] == Arm.TREATMENT and arm[c] == Arm.CONTROL
+        assert cohort.stratum[t] == cohort.stratum[c]
         assert t not in seen and c not in seen
         seen.update((t, c))
     # count identity: pairs = sum over strata of min(arm counts)
     expected = 0
     for k in range(4):
-        m = sum(1 for r in records if r.stratum == k and r.arm == Arm.TREATMENT)
-        c = sum(1 for r in records if r.stratum == k and r.arm == Arm.CONTROL)
+        m = int(((cohort.stratum == k) & (arm == Arm.TREATMENT)).sum())
+        c = int(((cohort.stratum == k) & (arm == Arm.CONTROL)).sum())
         expected += min(m, c)
     assert len(res.pairs) == expected
 
 
 def test_no_pairs_formable_raises():
-    cohort = Cohort.from_records([make_patient(Arm.TREATMENT) for _ in range(4)])
+    cohort = make_cohort([1, 1, 1, 1])
     with pytest.raises(DegenerateResultError):
         form_matched_pairs(cohort, np.random.default_rng(0))
 
@@ -176,15 +175,25 @@ def test_pairing_keeps_the_stream():
 
 
 def test_cohort_rows_roundtrip_with_composite_stratum():
-    records = [
-        PatientRecord(Arm.TREATMENT, (0, 1), SurvivalOutcome(1.0, 2.0)),
-        PatientRecord(Arm.CONTROL, (1, 1), SurvivalOutcome(3.0, 0.5)),
-        PatientRecord(Arm.TREATMENT, (1, 0), SurvivalOutcome(2.0, 2.5), stage=1),
-    ]
-    cohort = Cohort.from_records(records)
+    cohort = make_cohort([1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1],
+                         e_death=[1.0, 3.0, 2.0], e_hosp=[2.0, 0.5, 2.5])
     assert len(cohort) == 3
-    assert list(cohort) == records
-    assert cohort.stratum.tolist() == [r.stratum for r in records] == [1, 3, 6]
+    assert cohort.stratum.tolist() == [1, 3, 6]
+    assert list(cohort) == [(1, 1), (0, 3), (1, 6)]
+
+
+def test_cohort_rows_are_arm_and_stratum():
+    # iterating a two-stage cohort yields each row's (arm, stratum), as the
+    # columns hold them
+    rng = np.random.default_rng(5)
+    x1, x2, stage, arm = rng.integers(0, 2, (4, 50))
+    cohort = make_cohort(arm, x1, x2, stage)
+    assert set(stage.tolist()) == {0, 1}
+    rows = list(cohort)
+    assert rows == list(zip(cohort.arm.tolist(), cohort.stratum.tolist()))
+    assert [r.arm for r in rows] == arm.tolist()
+    assert [r.stratum for r in rows] == (4 * stage + 2 * x1 + x2).tolist()
+    assert all(type(r.arm) is int and type(r.stratum) is int for r in rows)
 
 
 def test_cohort_validates_columns_when_built():
@@ -205,9 +214,6 @@ def test_cohort_validates_columns_when_built():
             Cohort(ones, ones, ones, ones, **outcome)
     with pytest.raises(ValueError):
         Cohort(ones * 2, ones, ones, ones, e_death=times, e_hosp=times)  # arm not 0/1
-    with pytest.raises(ValueError):
-        Cohort.from_records([make_patient(Arm.CONTROL),
-                     PatientRecord(Arm.TREATMENT, (0, 0), SurvivalOutcome(1.0, 1.0))])
 
 
 def test_two_sided_p_equals_norm_sf_bit_for_bit():

@@ -1,7 +1,9 @@
 """Generator distributional checks and determinism contracts."""
 
 import csv
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +25,17 @@ from wrtrials import (
     gen_survival_cohort,
 )
 from wrtrials import harness
-from wrtrials.datagen import ContinuousFrame, draw_continuous_patients, draw_continuous_response
+from wrtrials.datagen import (
+    ContinuousFrame, continuous_cohort, draw_continuous_patients, draw_continuous_response,
+)
 
 
 def test_same_seed_same_cohort():
     cfg = SurvivalGenConfig(beta_t=math.log(0.7), n=50)
     a = gen_survival_cohort(cfg, np.random.default_rng(123))
     b = gen_survival_cohort(cfg, np.random.default_rng(123))
-    assert list(a) == list(b)
+    for name in ("arm", "x1", "x2", "stage", "e_death", "e_hosp"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_all_times_positive_and_allocation_exact():
@@ -182,6 +187,58 @@ def test_csv_export_roundtrip(tmp_path):
     assert rows[4][0] == "3"
     assert float(rows[4][5]) == cohort.e_death[3]
 
+
+
+def two_stage_cohort(rng):
+    """12 drawn stage-0 patients, then 8 stage-1 ones with every pattern (strata 4..7)."""
+    cfg = ContinuousGenConfig(n=12)
+    mix = SubpopMix(0.25, 0.25, 0.25, 0.25)
+    stage0 = draw_continuous_patients(cfg, mix, rng)
+    # no drawn baseline is positive for x1 = x2 = 0, so stage 1's patterns are set
+    stage1 = replace(draw_continuous_patients(cfg, mix, rng, 8),
+                     x1=np.array([0, 0, 1, 1] * 2), x2=np.array([0, 1] * 4))
+    stages = []
+    for frame in (stage0, stage1):
+        arm = rng.integers(0, 2, len(frame.y_base))
+        stages.append((frame, arm, draw_continuous_response(cfg, frame, arm == 1, rng)))
+    return continuous_cohort(stages)
+
+
+def csv_pin_cohorts():
+    binary = gen_binary_cohort(BinaryGenConfig(0.3, 0.4, 0.5, 0.5, 7, 6), np.random.default_rng(2))
+    return {
+        "survival": gen_survival_cohort(SurvivalGenConfig(n=15), np.random.default_rng(1)),
+        "binary": binary,
+        "binary-float": replace(binary, y_death=binary.y_death.astype(float),
+                                x_hosp=binary.x_hosp.astype(float)),
+        "continuous": gen_continuous_cohort(ContinuousGenConfig(n=14),
+                                            SubpopMix(0.1, 0.2, 0.6, 0.1),
+                                            np.random.default_rng(3))[0],
+        "two-stage": two_stage_cohort(np.random.default_rng(4)),
+    }
+
+
+# sha256 of each cohort's CSV: the export format is a contract between
+# processes, so a changed byte (a float's repr, 0.0 for 0) fails here
+CSV_SHA256 = {
+    "survival": "8963f927c96c52b2421788e2c91e5868736dd7918cbc3a51aaa9a779b8d781ed",
+    "binary": "5d726a40661412d1b2ebe90bbe6829524f4b89b3344b69469ddfb3e09c9c1fc7",
+    "binary-float": "a07917309275214f37972bf4184b38901d907ea0dddd51b1ae57bdd805db4b03",
+    "continuous": "cc334ddd939e307c2c99d9d6f84d2865a741e0efbd91cf964d2bd5bd358b36fb",
+    "two-stage": "7552fd8badcd48e069417ea30a136d39c5db5e85e9feac63306b43ec054ddd12",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_csv_export_bytes_pinned(name, tmp_path):
+    cohort = csv_pin_cohorts()[name]
+    if name == "two-stage":
+        assert sorted(set(cohort.stratum[cohort.stage == 1].tolist())) == [4, 5, 6, 7]
+    if name == "binary-float":
+        assert cohort.y_death.dtype == float
+    path = tmp_path / "cohort.csv"
+    cohort_to_csv(cohort, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 def test_config_validation():
     with pytest.raises(ConfigError):

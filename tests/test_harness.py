@@ -16,6 +16,7 @@ from wrtrials import (
     SurvivalGenConfig,
     contingency_or_test,
     improvement_indicators,
+    matched_win_probs,
     monte_carlo,
     run_trial,
     scenario_from_dict,
@@ -239,25 +240,45 @@ def test_scenario_with_an_empty_treatment_arm_is_a_config_error():
         scenario_from_dict(bad)
 
 
+SED_JSON = {
+    "design": "sed",
+    "outcome_family": "continuous",
+    "generator": {
+        "beta_p": [-1.5, -1.5, -1.5],
+        "beta_t1": -2.0,
+        "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1},
+    },
+    "analyses": ["Contingency"],
+    "n_total": 40,
+    "cutoffs": {"c_t": 0.8, "c_s0": "-inf", "c_s1": "-inf"},
+    "reps": 4,
+    "master_seed": 5,
+}
+
+
 def test_scenario_continuous_json_with_sentinels():
-    d = {
-        "design": "sed",
-        "outcome_family": "continuous",
-        "generator": {
-            "beta_p": [-1.5, -1.5, -1.5],
-            "beta_t1": -2.0,
-            "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1},
-        },
-        "analyses": ["Contingency"],
-        "n_total": 40,
-        "cutoffs": {"c_t": 0.8, "c_s0": "-inf", "c_s1": "-inf"},
-        "reps": 4,
-        "master_seed": 5,
-    }
-    cfg = scenario_from_dict(d)
+    cfg = scenario_from_dict(SED_JSON)
     assert cfg.cutoffs.c_s0 == -math.inf
     out = monte_carlo(cfg)
     assert set(out) == {"Contingency"}
+
+
+@pytest.mark.parametrize("name", ["c_t", "c_s0", "c_s1"])
+def test_nan_cutoff_is_a_config_error(name, tmp_path):
+    # a NaN cutoff compares false with every ratio, so every replicate would
+    # be degenerate (exit 3); it is a config error (exit 2) instead
+    with pytest.raises(ConfigError, match="NaN"):
+        replace(continuous_cfg("sed"), cutoffs=Cutoffs(**{name: math.nan}))
+    text = json.dumps(dict(SED_JSON, cutoffs={name: "nan-literal"})).replace('"nan-literal"', "NaN")
+    assert math.isnan(json.loads(text)["cutoffs"][name])
+    with pytest.raises(ConfigError, match="NaN"):
+        scenario_from_dict(json.loads(text))
+    cfg_path = tmp_path / "nan_cutoff.json"
+    cfg_path.write_text(text)
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    # the infinite sentinels stay valid
+    for sentinel in (math.inf, -math.inf):
+        assert getattr(Cutoffs(**{name: sentinel}), name) == sentinel
 
 
 def test_scenario_without_positive_baseline_is_a_config_error(tmp_path):
@@ -325,6 +346,8 @@ def test_cli_power_unmatched(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["g"] > 1.0
     assert record["N"] % 2 == 0
+    probs = matched_win_probs(0.3, 0.3, 0.5, 0.5)
+    assert (record["p_w"], record["p_l"], record["p_tie"]) == (probs.p_w, probs.p_l, probs.p_tie)
 
 
 def test_cli_simulate_and_gen(tmp_path, capsys):

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from wrtrials import (
-    BinaryOutcome,
     BinaryRule,
     ConfigError,
     ThetaBinary,
-    WinStatus,
     matched_sample_size,
     matched_win_probs,
     unmatched_g,
@@ -26,6 +24,14 @@ from wrtrials.power import (
     unmatched_g_gradient,
     unmatched_win_loss,
 )
+
+from test_wr_tests import LOSS, WIN, binary, pair_score
+
+# the binary rule's score of each (y_t, x_t, y_c, x_c), on 0-d columns of built cohorts
+BINARY_SCORES = {
+    outcomes: pair_score(BinaryRule(), binary(*outcomes[:2]), binary(*outcomes[2:]))
+    for outcomes in itertools.product((0, 1), repeat=4)
+}
 
 
 def measure_null_ratio_variance(n: int, reps: int, seed: int) -> float:
@@ -70,17 +76,16 @@ def unmatched_wald_test(y_t, x_t, y_c, x_c):
 def enumerate_win_probs(p_t, q_t, p_c, q_c):
     """Oracle: weight the 16 joint outcomes by their independent probabilities."""
     p_w = p_l = p_tie = 0.0
-    for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
+    for (y_t, x_t, y_c, x_c), score in BINARY_SCORES.items():
         prob = (
             (p_t if y_t else 1 - p_t)
             * (q_t if x_t else 1 - q_t)
             * (p_c if y_c else 1 - p_c)
             * (q_c if x_c else 1 - q_c)
         )
-        status = BinaryRule().compare(BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c))
-        if status is WinStatus.WIN:
+        if score == WIN:
             p_w += prob
-        elif status is WinStatus.LOSS:
+        elif score == LOSS:
             p_l += prob
         else:
             p_tie += prob

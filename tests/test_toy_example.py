@@ -10,7 +10,9 @@ explicit instead of hiding it.  (README: "Why prioritization matters".)
 
 import numpy as np
 
-from wrtrials import BinaryOutcome, BinaryRule, WinStatus, contingency_or_test
+from wrtrials import BinaryRule, contingency_or_test
+
+from test_wr_tests import LOSS, WIN, binary, pair_score
 
 
 def drug_patients(n):
@@ -46,17 +48,17 @@ def test_component_b_alone_favors_placebo():
 def test_prioritized_rule_verdict_depends_on_priority():
     # encode "response" as absence of the bad event so that the prioritized
     # rule can be applied directly: y = 1 - response_A, x = 1 - response_B
-    drug = BinaryOutcome(0, 1)
-    placebo_responder = BinaryOutcome(0, 0)
-    placebo_nonresponder = BinaryOutcome(1, 1)
+    drug = binary(0, 1)
+    placebo_responder = binary(0, 0)
+    placebo_nonresponder = binary(1, 1)
 
     # with A prioritized, the drug beats nonresponders and loses to
     # responders only on the secondary component
-    assert BinaryRule().compare(drug, placebo_nonresponder) is WinStatus.WIN
-    assert BinaryRule().compare(drug, placebo_responder) is WinStatus.LOSS
+    assert pair_score(BinaryRule(), drug, placebo_nonresponder) == WIN
+    assert pair_score(BinaryRule(), drug, placebo_responder) == LOSS
 
     # swapping the component priority flips the responder comparison, so
     # the pairwise verdict is an explicit function of the chosen priority
-    drug_swapped = BinaryOutcome(1, 0)
-    responder_swapped = BinaryOutcome(0, 0)
-    assert BinaryRule().compare(drug_swapped, responder_swapped) is WinStatus.LOSS
+    drug_swapped = binary(1, 0)
+    responder_swapped = binary(0, 0)
+    assert pair_score(BinaryRule(), drug_swapped, responder_swapped) == LOSS

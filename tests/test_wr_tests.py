@@ -12,39 +12,81 @@ from hypothesis.extra import numpy as hnp
 
 from wrtrials import (
     Arm,
-    BinaryOutcome,
     Cohort,
-    ContinuousOutcome,
     DegenerateResultError,
-    PatientRecord,
-    SurvivalOutcome,
-    WinStatus,
     fs_unmatched_test,
     form_matched_pairs,
     improvement_indicators,
     matched_wr_test,
 )
+from wrtrials.core import _OUTCOME_COLUMNS
 from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, _KeyRule
 
+from test_core import make_cohort
 
-def surv_patient(arm, e_death, e_hosp, cov=(0, 0)):
-    return PatientRecord(arm=arm, covariates=cov, outcome=SurvivalOutcome(e_death, e_hosp))
+WIN, TIE, LOSS = 1, 0, -1
 
 
-def surv_cohort(*patients):
-    return Cohort.from_records(patients)
+def binary(y_death, x_hosp):
+    return dict(y_death=y_death, x_hosp=x_hosp)
+
+
+def surv(e_death, e_hosp):
+    return dict(e_death=e_death, e_hosp=e_hosp)
+
+
+def cont(y_base, y):
+    return dict(y_base=y_base, y=y)
+
+
+def pair_score(rule, t, c):
+    """The rule's score of outcome ``t`` against outcome ``c``, on 0-d columns of a two-row cohort.
+
+    ``t`` and ``c`` map one family's outcome columns to one patient's values.
+    """
+    cols = rule.columns(make_cohort([1, 0], **{name: [t[name], c[name]] for name in t}))
+    return int(rule.pair_scores(tuple(x[0, ...] for x in cols), tuple(x[1, ...] for x in cols)))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def written_out_score(rule, t, c):
+    """Each rule's definition on one pair of patients given as plain-Python values.
+
+    The reference is independent of the rules' columns and ``pair_scores``,
+    which the oracles below check.
+    """
+    if isinstance(rule, BinaryRule):
+        # death decides, hospitalization breaks its ties; no event is better
+        return sign(c["y_death"] - t["y_death"]) or sign(c["x_hosp"] - t["x_hosp"])
+    if isinstance(rule, SurvivalRule):
+        p, s = ("e_death", "e_hosp") if rule.priority == "death" else ("e_hosp", "e_death")
+        # the primary time decides when it is the first event of either patient
+        if t[p] < t[s] or c[p] < c[s]:
+            return sign(t[p] - c[p])
+        return sign(t[s] - c[s])
+    # continuous: more components improved (y_j / y_base < c_t) is better
+    improved = [sum(v / o["y_base"] < rule.c_t for v in o["y"]) for o in (t, c)]
+    return sign(improved[0] - improved[1])
+
+
+def outcome_rows(cohort):
+    """Each patient's outcome columns as a dict of plain-Python values."""
+    names = [name for name in _OUTCOME_COLUMNS if getattr(cohort, name) is not None]
+    columns = (getattr(cohort, name).tolist() for name in names)
+    return [dict(zip(names, values)) for values in zip(*columns)]
 
 
 def random_survival_cohort(rng, n=None, n_strata=2):
     n = n or int(rng.integers(4, 30))
-    records = []
-    for _ in range(n):
-        arm = Arm(int(rng.integers(0, 2)))
-        k = int(rng.integers(0, n_strata))
-        cov = (k // 2, k % 2)
-        records.append(surv_patient(arm, float(rng.exponential(1) + 1e-9),
-                                    float(rng.exponential(1) + 1e-9), cov))
-    return Cohort.from_records(records)
+    rows = [(int(rng.integers(0, 2)), int(rng.integers(0, n_strata)),
+             float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
+            for _ in range(n)]
+    arm, k, e_death, e_hosp = np.array(rows).T
+    k = k.astype(int)
+    return make_cohort(arm.astype(int), k // 2, k % 2, e_death=e_death, e_hosp=e_hosp)
 
 
 # ---------------------------------------------------------------------------
@@ -52,40 +94,33 @@ def random_survival_cohort(rng, n=None, n_strata=2):
 
 
 def test_win_binary_death_dominates():
-    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(1, 0)) is WinStatus.WIN
-    assert BinaryRule().compare(BinaryOutcome(0, 1), BinaryOutcome(1, 0)) is WinStatus.WIN
-    assert BinaryRule().compare(BinaryOutcome(1, 0), BinaryOutcome(0, 1)) is WinStatus.LOSS
+    assert pair_score(BinaryRule(), binary(0, 0), binary(1, 0)) == WIN
+    assert pair_score(BinaryRule(), binary(0, 1), binary(1, 0)) == WIN
+    assert pair_score(BinaryRule(), binary(1, 0), binary(0, 1)) == LOSS
 
 
 def test_win_binary_hosp_breaks_death_ties():
-    assert BinaryRule().compare(BinaryOutcome(1, 0), BinaryOutcome(1, 1)) is WinStatus.WIN
-    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(0, 1)) is WinStatus.WIN
-    assert BinaryRule().compare(BinaryOutcome(0, 0), BinaryOutcome(0, 0)) is WinStatus.TIE
+    assert pair_score(BinaryRule(), binary(1, 0), binary(1, 1)) == WIN
+    assert pair_score(BinaryRule(), binary(0, 0), binary(0, 1)) == WIN
+    assert pair_score(BinaryRule(), binary(0, 0), binary(0, 0)) == TIE
 
 
 def test_win_binary_exhaustive_antisymmetry():
     for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
-        a = BinaryOutcome(y_t, x_t)
-        b = BinaryOutcome(y_c, x_c)
-        assert BinaryRule().compare(a, b) is BinaryRule().compare(b, a).mirrored()
+        a, b = binary(y_t, x_t), binary(y_c, x_c)
+        assert pair_score(BinaryRule(), a, b) == -pair_score(BinaryRule(), b, a)
 
 
 def test_win_binary_expected_scenarios():
     # the three win configurations: control dies; both die, only control
     # hospitalized; neither dies, only control hospitalized
     wins = [
-        (BinaryOutcome(0, 0), BinaryOutcome(1, 1)),
-        (BinaryOutcome(1, 0), BinaryOutcome(1, 1)),
-        (BinaryOutcome(0, 0), BinaryOutcome(0, 1)),
+        (binary(0, 0), binary(1, 1)),
+        (binary(1, 0), binary(1, 1)),
+        (binary(0, 0), binary(0, 1)),
     ]
     for t, c in wins:
-        assert BinaryRule().compare(t, c) is WinStatus.WIN
-
-
-def written_out_binary_score(t, c):
-    """The binary priority spelled out: death decides, hospitalization breaks its ties."""
-    death = np.sign(c.y_death - t.y_death)
-    return int(np.where(death != 0, death, np.sign(c.x_hosp - t.x_hosp)))
+        assert pair_score(BinaryRule(), t, c) == WIN
 
 
 def test_binary_key_matches_written_out_priority():
@@ -93,10 +128,8 @@ def test_binary_key_matches_written_out_priority():
     # oracle below is built from
     rule = BinaryRule()
     for y_t, x_t, y_c, x_c in itertools.product((0, 1), repeat=4):
-        t, c = BinaryOutcome(y_t, x_t), BinaryOutcome(y_c, x_c)
-        want = written_out_binary_score(t, c)
-        assert rule.compare(t, c).value == want
-        assert int(rule.pair_scores(rule.columns(t), rule.columns(c))) == want
+        t, c = binary(y_t, x_t), binary(y_c, x_c)
+        assert pair_score(rule, t, c) == written_out_score(rule, t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -104,62 +137,68 @@ def test_binary_key_matches_written_out_priority():
 
 
 def test_win_survival_control_death_first():
-    assert SurvivalRule().compare(SurvivalOutcome(5, 9), SurvivalOutcome(2, 9)) is WinStatus.WIN
+    assert pair_score(SurvivalRule(), surv(5, 9), surv(2, 9)) == WIN
 
 
 def test_win_survival_identical_is_tie():
-    assert SurvivalRule().compare(SurvivalOutcome(3, 4), SurvivalOutcome(3, 4)) is WinStatus.TIE
+    assert pair_score(SurvivalRule(), surv(3, 4), surv(3, 4)) == TIE
 
 
 def test_win_survival_hosp_branch_when_neither_dies_first():
     # both have hospitalization before own death: decided on hosp times,
     # earlier hospitalization loses
-    assert SurvivalRule().compare(SurvivalOutcome(10, 3), SurvivalOutcome(9, 2)) is WinStatus.WIN
-    assert SurvivalRule().compare(SurvivalOutcome(10, 2), SurvivalOutcome(9, 3)) is WinStatus.LOSS
+    assert pair_score(SurvivalRule(), surv(10, 3), surv(9, 2)) == WIN
+    assert pair_score(SurvivalRule(), surv(10, 2), surv(9, 3)) == LOSS
 
 
 def test_win_survival_death_branch_when_one_dies_first():
     # treatment death is its first event, so deaths decide even though the
     # control hospitalization would favor treatment
-    assert SurvivalRule().compare(SurvivalOutcome(2, 5), SurvivalOutcome(4, 1)) is WinStatus.LOSS
+    assert pair_score(SurvivalRule(), surv(2, 5), surv(4, 1)) == LOSS
 
 
 def test_win_survival_priority_swap_changes_branch():
-    t, c = SurvivalOutcome(2, 5), SurvivalOutcome(4, 1)
-    assert SurvivalRule("death").compare(t, c) is WinStatus.LOSS
-    assert SurvivalRule("hosp").compare(t, c) is WinStatus.WIN
+    t, c = surv(2, 5), surv(4, 1)
+    assert pair_score(SurvivalRule("death"), t, c) == LOSS
+    assert pair_score(SurvivalRule("hosp"), t, c) == WIN
 
 
 def test_win_survival_rejects_nonpositive_times():
-    with pytest.raises(ValueError):
-        SurvivalOutcome(0.0, 1.0)
-    # a cohort revalidates outcomes that bypassed the dataclass guard
-    bad = SurvivalOutcome.__new__(SurvivalOutcome)
-    object.__setattr__(bad, "e_death", -1.0)
-    object.__setattr__(bad, "e_hosp", 1.0)
-    with pytest.raises(ValueError):
-        surv_cohort(PatientRecord(Arm.TREATMENT, (0, 0), bad))
+    # a cohort checks its times when it is built
+    for e_death in (0.0, -1.0):
+        with pytest.raises(ValueError, match="strictly positive"):
+            make_cohort([1, 0], **surv([e_death, 1.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            make_cohort([1, 0], **surv([1.0, 1.0], [1.0, e_death]))
+
+
+def test_win_survival_unsigned_times_score_as_floats():
+    # 1 - 2 wraps to 255 in uint8; the rule compares the times as floats
+    for dtype in (np.uint8, np.int64, float):
+        t = surv(np.array(1, dtype), np.array(5, dtype))
+        c = surv(np.array(2, dtype), np.array(5, dtype))
+        assert pair_score(SurvivalRule(), t, c) == LOSS
 
 
 def test_win_survival_swap_antisymmetry_random():
     rng = np.random.default_rng(8)
     for _ in range(500):
-        t = SurvivalOutcome(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
-        c = SurvivalOutcome(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
-        assert SurvivalRule().compare(t, c) is SurvivalRule().compare(c, t).mirrored()
+        t = surv(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
+        c = surv(float(rng.exponential(1) + 1e-12), float(rng.exponential(1) + 1e-12))
+        assert pair_score(SurvivalRule(), t, c) == -pair_score(SurvivalRule(), c, t)
 
 
 def test_win_survival_rank_invariance():
     rng = np.random.default_rng(9)
     transforms = [lambda x: x**3, lambda x: math.log1p(x), lambda x: 2.5 * x]
     for _ in range(200):
-        t = SurvivalOutcome(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
-        c = SurvivalOutcome(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
-        base = SurvivalRule().compare(t, c)
+        t = surv(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
+        c = surv(float(rng.exponential(1) + 1e-9), float(rng.exponential(1) + 1e-9))
+        base = pair_score(SurvivalRule(), t, c)
         for f in transforms:
-            ft = SurvivalOutcome(f(t.e_death), f(t.e_hosp))
-            fc = SurvivalOutcome(f(c.e_death), f(c.e_hosp))
-            assert SurvivalRule().compare(ft, fc) is base
+            ft = surv(f(t["e_death"]), f(t["e_hosp"]))
+            fc = surv(f(c["e_death"]), f(c["e_hosp"]))
+            assert pair_score(SurvivalRule(), ft, fc) == base
 
 
 def oracle_pair_matrix(rule, cols):
@@ -168,16 +207,17 @@ def oracle_pair_matrix(rule, cols):
 
 
 def random_outcomes(rng, family, n, tie_heavy):
-    """Outcomes drawn on a small integer grid (tie-heavy) or from continuous laws (tie-free)."""
+    """Outcome columns on a small integer grid (tie-heavy) or from continuous laws (tie-free)."""
     def draw(size):
         return rng.integers(1, 5, size).astype(float) if tie_heavy else rng.exponential(1, size) + 1e-9
 
     if family == "binary":
-        return [BinaryOutcome(int(y), int(x)) for y, x in rng.integers(0, 2, (n, 2))]
+        return binary(*rng.integers(0, 2, (n, 2)).T)
     if family == "survival":
-        return [SurvivalOutcome(float(d), float(h)) for d, h in zip(draw(n), draw(n))]
-    return [ContinuousOutcome(5.0 if tie_heavy else float(b), tuple(float(v) for v in draw(3)))
-            for b in draw(n)]
+        return surv(draw(n), draw(n))
+    y_base = draw(n)
+    y = np.array([draw(3) for _ in range(n)])
+    return cont(np.full(n, 5.0) if tie_heavy else y_base, y)
 
 
 KERNEL_RULES = [
@@ -206,17 +246,17 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
     rng = np.random.default_rng(10)
     informative = 0
     for n in range(2, 41):
-        outcomes = random_outcomes(rng, family, n, tie_heavy)
-        cohort = Cohort.from_records(PatientRecord(Arm.CONTROL, (0, 0), o) for o in outcomes)
+        cohort = make_cohort(np.zeros(n, dtype=int), **random_outcomes(rng, family, n, tie_heavy))
+        rows = outcome_rows(cohort)
         cols = rule.columns(cohort)
         mat = oracle_pair_matrix(rule, cols)
         for i, j in itertools.product(range(n), repeat=2):
-            assert mat[i, j] == rule.compare(outcomes[i], outcomes[j]).value
+            assert mat[i, j] == written_out_score(rule, rows[i], rows[j])
         # the elementwise form on shuffled partners, as the matched test uses it
         perm = rng.permutation(n)
         shuffled = rule.pair_scores(cols, tuple(c[perm] for c in cols))
         assert shuffled.dtype == np.int64
-        assert shuffled.tolist() == [rule.compare(outcomes[i], outcomes[perm[i]]).value
+        assert shuffled.tolist() == [written_out_score(rule, rows[i], rows[perm[i]])
                                      for i in range(n)]
 
         is_t = rng.random(n) < 0.5
@@ -285,10 +325,7 @@ def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
         x2 = (rng.random(n) < 0.3).astype(int)
         stage = (rng.random(n) < 0.1).astype(int)
         arm = (rng.random(n) < rng.uniform(0.3, 0.7)).astype(int)
-        cohort = Cohort.from_records(
-            PatientRecord(Arm(a), (c1, c2), o, st)
-            for a, c1, c2, st, o in zip(arm, x1, x2, stage, random_outcomes(rng, family, n, tie_heavy))
-        )
+        cohort = make_cohort(arm, x1, x2, stage, **random_outcomes(rng, family, n, tie_heavy))
         for stratified in (True, False):
             want_u, (n_w, n_l, n_tie, t_stat, v_stat, want_dropped) = per_stratum_fs(
                 cohort, rule, stratified)
@@ -411,36 +448,34 @@ def test_binary_float_columns_score_as_int(cohort, seed):
 
 
 def test_improvement_indicators_strict_cutoff():
-    o = ContinuousOutcome(10.0, (7.0, 9.0, 9.0))
-    assert improvement_indicators(o, 0.8).tolist() == [1, 0, 0]
-    assert improvement_indicators(o, 0.8).any()
-    exact = ContinuousOutcome(10.0, (8.0, 9.0, 9.0))
-    assert improvement_indicators(exact, 0.8).tolist() == [0, 0, 0]
-    assert not improvement_indicators(exact, 0.8).any()
-    # one vectorised definition: a cohort's rows match the single outcomes
-    cohort = Cohort.from_records(PatientRecord(Arm.CONTROL, (0, 0), x) for x in (o, exact))
-    assert improvement_indicators(cohort, 0.8).tolist() == [[1, 0, 0], [0, 0, 0]]
+    # 7 / 10 is below the cutoff 0.8; 8 / 10 is exactly on it, so not improved
+    cohort = make_cohort([0, 0], **cont([10.0, 10.0], [(7.0, 9.0, 9.0), (8.0, 9.0, 9.0)]))
+    improved = improvement_indicators(cohort, 0.8)
+    assert improved.tolist() == [[1, 0, 0], [0, 0, 0]]
+    assert improved.any(axis=1).tolist() == [True, False]
 
 
 def test_improvement_indicators_rejects_bad_baseline():
-    with pytest.raises(ValueError):
-        improvement_indicators(ContinuousOutcome(0.0, (1.0, 1.0, 1.0)), 0.8)
+    # a cohort checks its baselines when it is built
+    for y_base in (0.0, -1.0):
+        with pytest.raises(ValueError, match="y_base"):
+            make_cohort([0], **cont([y_base], [(1.0, 1.0, 1.0)]))
 
 
 def test_win_continuous_counts():
-    t = ContinuousOutcome(10.0, (1.0, 2.0, 9.0))
-    c = ContinuousOutcome(10.0, (1.0, 9.0, 9.0))
-    assert ContinuousRule(0.8).compare(t, c) is WinStatus.WIN
-    assert ContinuousRule(0.8).compare(c, t) is WinStatus.LOSS
-    assert ContinuousRule(0.8).compare(t, t) is WinStatus.TIE
+    t = cont(10.0, (1.0, 2.0, 9.0))
+    c = cont(10.0, (1.0, 9.0, 9.0))
+    assert pair_score(ContinuousRule(0.8), t, c) == WIN
+    assert pair_score(ContinuousRule(0.8), c, t) == LOSS
+    assert pair_score(ContinuousRule(0.8), t, t) == TIE
 
 
 def test_win_continuous_antisymmetry_random():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        t = ContinuousOutcome(5.0, tuple(rng.normal(4, 2, 3)))
-        c = ContinuousOutcome(5.0, tuple(rng.normal(4, 2, 3)))
-        assert ContinuousRule(0.8).compare(t, c) is ContinuousRule(0.8).compare(c, t).mirrored()
+        t = cont(5.0, tuple(rng.normal(4, 2, 3)))
+        c = cont(5.0, tuple(rng.normal(4, 2, 3)))
+        assert pair_score(ContinuousRule(0.8), t, c) == -pair_score(ContinuousRule(0.8), c, t)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +487,15 @@ def adjacent_pairs(n):
     return np.arange(n).reshape(-1, 2)
 
 
+def adjacent_pair_deaths(t_death, c_death):
+    """A cohort whose pair i is rows 2i (treatment) and 2i + 1 (control), all hospitalized at 10."""
+    e_death = np.column_stack([t_death, c_death]).ravel()
+    return make_cohort([1, 0] * len(t_death), **surv(e_death, np.full(len(e_death), 10.0)))
+
+
 def test_matched_null_center():
-    records = []
-    for i in range(8):
-        win = i < 4
-        records.append(surv_patient(Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
-        records.append(surv_patient(Arm.CONTROL, 1.0 if win else 5.0, 10.0))
-    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
-                          SurvivalRule())
+    cohort = adjacent_pair_deaths([5.0] * 4 + [1.0] * 4, [1.0] * 4 + [5.0] * 4)
+    res = matched_wr_test(cohort, adjacent_pairs(len(cohort)), SurvivalRule())
     assert res.n_w == res.n_l == 4
     assert res.z == pytest.approx(0.0, abs=1e-12)
     assert res.r_w == pytest.approx(1.0)
@@ -468,13 +504,8 @@ def test_matched_null_center():
 
 def test_matched_step5_arithmetic_frozen():
     # 12 wins, 4 losses: p_w = 0.75, R_w = 3, z = 0.25 / sqrt(0.1875/16)
-    records = []
-    for i in range(16):
-        win = i < 12
-        records.append(surv_patient(Arm.TREATMENT, 5.0 if win else 1.0, 10.0))
-        records.append(surv_patient(Arm.CONTROL, 1.0 if win else 5.0, 10.0))
-    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
-                          SurvivalRule())
+    cohort = adjacent_pair_deaths([5.0] * 12 + [1.0] * 4, [1.0] * 12 + [5.0] * 4)
+    res = matched_wr_test(cohort, adjacent_pairs(len(cohort)), SurvivalRule())
     assert res.p_w == pytest.approx(0.75)
     assert res.r_w == pytest.approx(3.0)
     assert res.z == pytest.approx(2.309401076758503, abs=1e-12)
@@ -486,21 +517,15 @@ def test_matched_step5_arithmetic_frozen():
 
 
 def test_matched_all_ties_degenerate():
-    cohort = surv_cohort(
-        surv_patient(Arm.TREATMENT, 1.0, 2.0),
-        surv_patient(Arm.CONTROL, 1.0, 2.0),
-    )
+    cohort = make_cohort([1, 0], **surv([1.0, 1.0], [2.0, 2.0]))
     with pytest.raises(DegenerateResultError):
         matched_wr_test(cohort, adjacent_pairs(2), SurvivalRule())
 
 
 def test_matched_complete_separation_sentinel():
-    records = []
-    for i in range(5):
-        records.append(surv_patient(Arm.TREATMENT, 5.0 + i, 10.0))
-        records.append(surv_patient(Arm.CONTROL, 1.0 + 0.1 * i, 10.0))
-    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
-                          SurvivalRule())
+    i = np.arange(5)
+    cohort = adjacent_pair_deaths(5.0 + i, 1.0 + 0.1 * i)
+    res = matched_wr_test(cohort, adjacent_pairs(len(cohort)), SurvivalRule())
     assert res.z == math.inf
     assert res.p_value == 0.0
     assert math.isinf(res.r_w)
@@ -508,12 +533,9 @@ def test_matched_complete_separation_sentinel():
 
 
 def test_matched_complete_separation_all_losses_sentinel():
-    records = []
-    for i in range(5):
-        records.append(surv_patient(Arm.TREATMENT, 1.0 + 0.1 * i, 10.0))
-        records.append(surv_patient(Arm.CONTROL, 5.0 + i, 10.0))
-    res = matched_wr_test(Cohort.from_records(records), adjacent_pairs(len(records)),
-                          SurvivalRule())
+    i = np.arange(5)
+    cohort = adjacent_pair_deaths(1.0 + 0.1 * i, 5.0 + i)
+    res = matched_wr_test(cohort, adjacent_pairs(len(cohort)), SurvivalRule())
     assert (res.n_w, res.n_l, res.n_tie) == (0, 5, 0)
     assert res.z == -math.inf
     assert res.p_value == 0.0
@@ -527,14 +549,15 @@ def test_matched_complete_separation_all_losses_sentinel():
 
 def brute_force_fs(cohort, rule, stratified=True):
     """Independent recomputation of T and V straight from the definitions."""
-    rows = list(cohort)
-    strata = sorted({rec.stratum if stratified else 0 for rec in rows})
+    rows = outcome_rows(cohort)
+    arms = cohort.arm.tolist()
+    keys = cohort.stratum.tolist() if stratified else [0] * len(rows)
     t_stat = 0.0
     v_stat = 0.0
-    for k in strata:
-        members = [i for i, rec in enumerate(rows) if (rec.stratum if stratified else 0) == k]
+    for k in sorted(set(keys)):
+        members = [i for i, key in enumerate(keys) if key == k]
         n_k = len(members)
-        m_k = sum(1 for i in members if rows[i].arm == Arm.TREATMENT)
+        m_k = sum(1 for i in members if arms[i] == Arm.TREATMENT)
         if n_k < 2 or m_k == 0 or m_k == n_k:
             continue
         u_sums = {}
@@ -543,11 +566,11 @@ def brute_force_fs(cohort, rule, stratified=True):
             for j in members:
                 if j == i:
                     continue
-                total += rule.compare(rows[i].outcome, rows[j].outcome).value
+                total += written_out_score(rule, rows[i], rows[j])
             u_sums[i] = total
         # antisymmetry implies the within-stratum scores sum to zero
         assert sum(u_sums.values()) == 0
-        t_stat += sum(u_sums[i] for i in members if rows[i].arm == Arm.TREATMENT)
+        t_stat += sum(u_sums[i] for i in members if arms[i] == Arm.TREATMENT)
         v_stat += (
             m_k * (n_k - m_k) / (n_k * (n_k - 1)) * sum(v**2 for v in u_sums.values())
         )
@@ -576,12 +599,7 @@ def test_fs_matches_brute_force_small_cohorts(stratified):
 
 
 def test_fs_two_by_two_toy_cohort():
-    cohort = surv_cohort(
-        surv_patient(Arm.TREATMENT, 4.0, 10.0),
-        surv_patient(Arm.TREATMENT, 3.0, 10.0),
-        surv_patient(Arm.CONTROL, 2.0, 10.0),
-        surv_patient(Arm.CONTROL, 1.0, 10.0),
-    )
+    cohort = make_cohort([1, 1, 0, 0], **surv([4.0, 3.0, 2.0, 1.0], [10.0] * 4))
     # deaths ordered 0 > 1 > 2 > 3: U = (3, 1, -1, -3), T = 4,
     # V = (2*2)/(4*3) * (9+1+1+9) = 20/3
     res = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
@@ -591,7 +609,7 @@ def test_fs_two_by_two_toy_cohort():
 
 
 def test_fs_all_identical_degenerate():
-    cohort = surv_cohort(*(surv_patient(Arm(i % 2), 1.0, 2.0) for i in range(6)))
+    cohort = make_cohort([0, 1] * 3, **surv([1.0] * 6, [2.0] * 6))
     with pytest.raises(DegenerateResultError):
         fs_unmatched_test(cohort, SurvivalRule())
 
@@ -602,18 +620,11 @@ def test_fs_sign_test_structure_one_pair_per_stratum():
     for k_strata in (1, 2, 3):
         values = set()
         for _ in range(80):
-            records = []
-            for k in range(k_strata):
-                cov = (k // 2, k % 2)
-                records.append(
-                    surv_patient(Arm.TREATMENT, float(rng.exponential(1) + 1e-9),
-                                 float(rng.exponential(1) + 1e-9), cov)
-                )
-                records.append(
-                    surv_patient(Arm.CONTROL, float(rng.exponential(1) + 1e-9),
-                                 float(rng.exponential(1) + 1e-9), cov)
-                )
-            res = fs_unmatched_test(surv_cohort(*records), SurvivalRule(), stratified=True)
+            # stratum k: a treatment then a control row, each drawing death then hosp
+            k = np.repeat(np.arange(k_strata), 2)
+            times = rng.exponential(1, (2 * k_strata, 2)) + 1e-9
+            cohort = make_cohort([1, 0] * k_strata, k // 2, k % 2, **surv(*times.T))
+            res = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
             t = res.n_w - res.n_l
             assert abs(t) <= k_strata
             values.add(t)
@@ -621,11 +632,8 @@ def test_fs_sign_test_structure_one_pair_per_stratum():
 
 
 def test_fs_dropped_strata_counted():
-    cohort = surv_cohort(
-        surv_patient(Arm.TREATMENT, 4.0, 10.0, (0, 0)),
-        surv_patient(Arm.CONTROL, 2.0, 10.0, (0, 0)),
-        surv_patient(Arm.TREATMENT, 3.0, 10.0, (0, 1)),  # stratum lacking controls
-    )
+    # the third row's stratum 1 lacks controls
+    cohort = make_cohort([1, 0, 1], 0, [0, 0, 1], **surv([4.0, 2.0, 3.0], [10.0] * 3))
     res = fs_unmatched_test(cohort, SurvivalRule(), stratified=True)
     assert res.dropped_strata == 1
 
@@ -687,12 +695,7 @@ def test_matched_arm_swap_antisymmetry():
 
 
 def test_wr_result_json_fields():
-    cohort = surv_cohort(
-        surv_patient(Arm.TREATMENT, 4.0, 10.0),
-        surv_patient(Arm.TREATMENT, 2.5, 10.0),
-        surv_patient(Arm.CONTROL, 2.0, 10.0),
-        surv_patient(Arm.CONTROL, 3.0, 10.0),
-    )
+    cohort = make_cohort([1, 1, 0, 0], **surv([4.0, 2.5, 2.0, 3.0], [10.0] * 4))
     res = fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
     assert set(res.to_dict()) == {
         "method", "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
