@@ -16,7 +16,6 @@ from .datagen import (
     SurvivalGenConfig,
     cohort_to_csv,
     gen_binary_cohort,
-    gen_continuous_cohort,
     gen_survival_cohort,
 )
 from .wr_tests import (
@@ -50,6 +49,7 @@ from .harness import (
     ScenarioConfig,
     monte_carlo,
     run_trial,
+    trial_cohort,
     scenario_from_dict,
 )
 from .presets import TABLE_IDS, reproduce_table

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +28,6 @@ class CoxResult:
     converged: bool
     separation: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ObrienResult:
@@ -38,9 +35,6 @@ class ObrienResult:
     df: tuple[int, int]
     p_value: float
     rank_sums: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,6 @@ class OrResult:
     z: float
     p_value: float
     corrected: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

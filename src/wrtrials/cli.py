@@ -4,7 +4,7 @@ Subcommands:
   simulate         run one scenario config (JSON file), print the summary
   power            closed-form sample sizes for the binary composite
   reproduce-table  rerun a benchmark table and print per-cell verdicts
-  gen              dump one synthetic cohort to CSV
+  gen              write the cohort of the scenario's first replicate to CSV
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate-only results.
 """
@@ -17,8 +17,8 @@ import json
 import sys
 
 from .core import ConfigError, DegenerateResultError
-from .datagen import cohort_to_csv, gen_binary_cohort, gen_continuous_cohort, gen_survival_cohort
-from .harness import monte_carlo, scenario_from_dict
+from .datagen import cohort_to_csv
+from .harness import monte_carlo, scenario_from_dict, trial_cohort
 from .power import (
     THETA_NULL,
     ThetaBinary,
@@ -99,13 +99,8 @@ def _cmd_reproduce_table(args) -> int:
 def _cmd_gen(args) -> int:
     with open(args.config) as fh:
         cfg = scenario_from_dict(json.load(fh))
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed))
-    if cfg.outcome_family == "survival":
-        cohort = gen_survival_cohort(cfg.generator, rng)
-    elif cfg.outcome_family == "binary":
-        cohort = gen_binary_cohort(cfg.generator, rng)
-    else:
-        cohort, _ = gen_continuous_cohort(cfg.generator, cfg.mix, rng)
+    # replicate 0 of monte_carlo: the first of the master seed's children
+    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(1)[0])
     cohort_to_csv(cohort, args.out)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return 0
@@ -145,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write cells as CSV")
     p.set_defaults(func=_cmd_reproduce_table)
 
-    p = sub.add_parser("gen", help="dump one synthetic cohort as CSV")
+    p = sub.add_parser("gen", help="write the cohort of the first replicate as CSV")
     p.add_argument("--config", required=True, help="path to a scenario JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_gen)

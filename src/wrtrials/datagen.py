@@ -4,8 +4,11 @@ All generators are pure functions of (config, generator): the same seed and
 config give bit-identical cohorts.  Replications that must run concurrently
 should derive child seeds from a master ``numpy.random.SeedSequence``.
 
-RNG contract of a continuous trial (``harness._run_continuous_trial``).  The
-trial seed spawns seven streams, in this order: patients, lead-in, stage-1
+A trial's cohort comes from ``harness.trial_cohort``, which calls these
+generators for ``cfg.design``; ``harness.run_trial`` runs the analyses on it.
+
+RNG contract of a continuous trial (``harness._continuous_trial_cohort``).
+The trial seed spawns seven streams, in this order: patients, lead-in, stage-1
 assignment, stage-1 outcomes, stage-2 assignment, stage-2 outcomes and
 analysis.  The SED lead-in uses only the patients and lead-in streams.  For
 each batch of n enrollees it draws, in this order:
@@ -29,7 +32,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -79,6 +82,9 @@ class SurvivalGenConfig:
     allocation: float = 0.5
 
     def __post_init__(self):
+        betas = (self.beta_t, self.beta_in, self.beta_dhratio, self.beta_cov1, self.beta_cov2)
+        if not all(math.isfinite(b) for b in betas):
+            raise ConfigError(f"survival coefficients must be finite, got {betas}")
         if self.n < 2:
             raise ConfigError("cohort size must be at least 2")
         if not (0.0 < self.allocation < 1.0):
@@ -197,7 +203,7 @@ class ContinuousGenConfig:
     indistinguishable for every patient, which is what makes the null
     scenarios exact.  Patients whose response to drug would be masked by
     their own placebo response (classes 1 and 2) show the placebo-level
-    shift on drug as well.
+    shift on drug as well.  ``mix`` gives the responder-class probabilities.
     """
 
     beta_p: tuple[float, float, float] = (-1.5, -1.5, -1.5)
@@ -208,6 +214,7 @@ class ContinuousGenConfig:
     beta_cov2: float = 5.0
     noise_sd: float = 1.0
     n: int = 100
+    mix: SubpopMix = field(kw_only=True)
 
     def __post_init__(self):
         if self.n < 2:
@@ -250,7 +257,7 @@ class ContinuousFrame:
 
 
 def draw_continuous_patients(
-    cfg: ContinuousGenConfig, mix: SubpopMix, rng: np.random.Generator, n: int | None = None
+    cfg: ContinuousGenConfig, rng: np.random.Generator, n: int | None = None
 ) -> ContinuousFrame:
     """Draw covariates, baselines, and responder classes for n patients.
 
@@ -273,7 +280,7 @@ def draw_continuous_patients(
         redrawn = 2 * bits[:k] + bits[k:]
         code[bad] = redrawn
         bad = bad[redraw[redrawn]]
-    subpop = _SUBPOP_CODES[mix.cdf.searchsorted(rng.random(n), side="right")]
+    subpop = _SUBPOP_CODES[cfg.mix.cdf.searchsorted(rng.random(n), side="right")]
     return ContinuousFrame(x1=code >> 1, x2=code & 1, y_base=baseline[code], subpop=subpop)
 
 
@@ -307,19 +314,6 @@ def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray
         y_base=np.concatenate([f.y_base for f in frames]),
         y=np.concatenate(ys),
     )
-
-
-def gen_continuous_cohort(
-    cfg: ContinuousGenConfig,
-    mix: SubpopMix,
-    rng: np.random.Generator,
-    allocation: float = 0.5,
-) -> tuple[Cohort, np.ndarray]:
-    """Single-stage randomized cohort and each patient's responder class (Subpop values)."""
-    frame = draw_continuous_patients(cfg, mix, rng)
-    arm = _assign_arms(rng, cfg.n, allocation)
-    y = draw_continuous_response(cfg, frame, arm == 1, rng)
-    return continuous_cohort([(frame, arm, y)]), frame.subpop
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """The trial runner (parallel, CR and SED designs), the Monte Carlo engine, and configs.
 
+A trial is ``trial_cohort``, which draws the cohort of ``cfg.design`` from
+the ``datagen`` generators, then ``_run_analyses`` on that cohort:
+``run_trial`` is the two in turn, and ``wrtrials gen`` writes the first.
 Replications are independent: each owns a private generator derived from the
 master seed through ``SeedSequence.spawn``, so results are identical whether
 reps run on one worker or many.
@@ -9,7 +12,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,7 +23,6 @@ from .datagen import (
     BinaryGenConfig,
     ContinuousGenConfig,
     ContinuousFrame,
-    SubpopMix,
     SurvivalGenConfig,
     continuous_cohort,
     draw_continuous_patients,
@@ -85,7 +88,6 @@ class ScenarioConfig:
     reps: int = 2000
     master_seed: int = 20240501
     win_priority: str = "death"
-    mix: SubpopMix | None = None
 
     def __post_init__(self):
         if self.outcome_family not in _FAMILY_ANALYSES:
@@ -111,10 +113,10 @@ class ScenarioConfig:
             raise ConfigError("alpha must lie in (0, 1]")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.win_priority not in ("death", "hosp"):
             raise ConfigError("win_priority must be 'death' or 'hosp'")
-        if self.outcome_family == "continuous" and self.mix is None:
-            raise ConfigError("continuous scenarios need a subpopulation mix")
         if self.outcome_family == "binary":
             if self.generator.n1 + self.generator.n0 != self.n_total:
                 raise ConfigError("binary arm sizes must sum to n_total")
@@ -248,7 +250,6 @@ def _nonresponder_mask(y: np.ndarray, y_base: np.ndarray, cutoff: float) -> np.n
 
 def _leadin_frame(
     gen: ContinuousGenConfig,
-    mix: SubpopMix,
     c_s0: float,
     n: int,
     patients_rng: np.random.Generator,
@@ -264,7 +265,7 @@ def _leadin_frame(
     kept: list[ContinuousFrame] = []
     kept_count = 0
     for _ in range(_LEADIN_MAX_BATCHES):
-        batch = draw_continuous_patients(gen, mix, patients_rng, n)
+        batch = draw_continuous_patients(gen, patients_rng, n)
         # the placebo outcome: every enrollee shows the placebo-level shift
         y_lead = batch.y_base[:, None] + beta_p + leadin_rng.normal(0.0, gen.noise_sd, size=(n, 3))
         keep = np.flatnonzero(_nonresponder_mask(y_lead, batch.y_base, c_s0))[: n - kept_count]
@@ -278,7 +279,9 @@ def _leadin_frame(
     )
 
 
-def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, TrialRecord]:
+def _continuous_trial_cohort(
+    cfg: ScenarioConfig, seed, sed: bool
+) -> tuple[Cohort, np.random.Generator]:
     gen = cfg.generator
     (
         patients_seed,
@@ -294,10 +297,10 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
     n = cfg.n_total
 
     if sed:
-        frame = _leadin_frame(gen, cfg.mix, cfg.cutoffs.c_s0, n, patients_rng,
+        frame = _leadin_frame(gen, cfg.cutoffs.c_s0, n, patients_rng,
                               np.random.default_rng(leadin_seed))
     else:
-        frame = draw_continuous_patients(gen, cfg.mix, patients_rng, n)
+        frame = draw_continuous_patients(gen, patients_rng, n)
 
     s1_arm = _assign_arms(np.random.default_rng(s1_assign_seed), n, 0.5)
     y1 = draw_continuous_response(
@@ -319,12 +322,11 @@ def _run_continuous_trial(cfg: ScenarioConfig, seed, sed: bool) -> dict[str, Tri
             stages.append((sub, s2_arm, y2))
         # fewer than two responders: the stage-2 stratum is dropped entirely
 
-    cohort = continuous_cohort(stages)
-    return _run_analyses(cfg, cohort, np.random.default_rng(analysis_seed))
+    return continuous_cohort(stages), np.random.default_rng(analysis_seed)
 
 
-def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    """One simulated trial of ``cfg.design``: each analysis's record.
+def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
+    """The cohort one trial of ``cfg.design`` analyses, and the generator its analyses draw from.
 
     ``parallel`` is one randomized stage of ``n_total`` patients; on the
     continuous family it is complete randomization, the same as ``cr``.
@@ -344,14 +346,19 @@ def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
     degeneracy is the regression anchor for the seeding scheme.
     """
     if cfg.outcome_family == "continuous":
-        return _run_continuous_trial(cfg, seed, sed=cfg.design == "sed")
+        return _continuous_trial_cohort(cfg, seed, sed=cfg.design == "sed")
     gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
     rng = np.random.default_rng(gen_seed)
     if cfg.outcome_family == "survival":
         cohort = gen_survival_cohort(cfg.generator, rng)
     else:
         cohort = gen_binary_cohort(cfg.generator, rng)
-    return _run_analyses(cfg, cohort, np.random.default_rng(analysis_seed))
+    return cohort, np.random.default_rng(analysis_seed)
+
+
+def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
+    """One simulated trial: each analysis's record on the cohort of ``trial_cohort``."""
+    return _run_analyses(cfg, *trial_cohort(cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -410,93 +417,73 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
 # JSON configuration
 
 
-def _take(d: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    unknown = set(d) - set(required) - set(optional)
+_INF_SENTINELS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+
+_JSON_KINDS = {str: (str, "a JSON string"), int: (int, "a JSON integer"),
+               float: ((int, float), "a JSON number")}
+
+
+def _value(hint, v, key: str, sentinels: bool):
+    """The JSON value ``v`` of the field ``key`` annotated ``hint``; a ConfigError names the key."""
+    if hint is object:  # the generator, read once the family is known
+        return v
+    if is_dataclass(hint):
+        return hint(**_kwargs(hint, v, key, {}))
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        size = None if args[-1] is ... else len(args)
+        if not isinstance(v, list) or size not in (None, len(v)):
+            of = f" of {size}" if size else ""
+            raise ConfigError(f"{key} must be a JSON array{of}, got {v!r}")
+        return tuple(_value(args[0], x, f"{key}[{i}]", sentinels) for i, x in enumerate(v))
+    if sentinels and isinstance(v, str) and v in _INF_SENTINELS:
+        return _INF_SENTINELS[v]
+    types, kind = _JSON_KINDS[hint]
+    if not isinstance(v, types) or isinstance(v, bool):
+        raise ConfigError(f"{key} must be {kind}, got {v!r}")
+    if hint is float:
+        try:
+            return float(v)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"{key} is too large for a float") from None
+    return v
+
+
+def _kwargs(cls, d, path: str, derived: dict) -> dict:
+    """Keyword arguments of dataclass ``cls`` read from the JSON object ``d`` at ``path``.
+
+    A field without a default is required unless ``derived`` gives it.
+    """
+    context = path or "scenario"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {d!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(known)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    missing = set(required) - set(d)
+    missing = {name for name, f in known.items()
+               if f.default is MISSING and f.default_factory is MISSING} - set(d) - set(derived)
     if missing:
         raise ConfigError(f"missing {context} keys: {sorted(missing)}")
-
-
-def _parse_cutoff(v) -> float:
-    if isinstance(v, str):
-        if v in ("inf", "+inf"):
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ConfigError(f"bad cutoff value {v!r}")
-    return float(v)
+    hints = get_type_hints(cls)
+    return {**derived, **{k: _value(hints[k], v, f"{path}.{k}" if path else k, cls is Cutoffs)
+                          for k, v in d.items()}}
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a plain dict (e.g. a parsed JSON file).
 
-    Field names mirror the dataclass exactly; unknown keys are rejected.
+    Keys mirror the fields of ``ScenarioConfig``, of the family's generator
+    config, of ``Cutoffs`` and of ``SubpopMix``; numbers must be JSON numbers
+    (integers where the field is an ``int``).  The generator's cohort size
+    (``n``, or ``n1``/``n0`` for binary) defaults to what ``n_total`` implies.
     Cutoffs accept the strings "inf" and "-inf" as sentinels.
     """
-    if not isinstance(d, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    _take(
-        d,
-        "scenario",
-        ("design", "outcome_family", "generator", "analyses", "n_total", "reps", "master_seed"),
-        ("cutoffs", "alpha", "win_priority"),
-    )
-    family = d["outcome_family"]
-    gen_dict = dict(d["generator"]) if isinstance(d["generator"], dict) else None
-    if gen_dict is None:
-        raise ConfigError("generator must be a JSON object")
-    mix = None
-    n_total = int(d["n_total"])
-    if family == "survival":
-        _take(
-            gen_dict, "generator",
-            (),
-            ("beta_t", "beta_in", "beta_dhratio", "beta_cov1", "beta_cov2", "allocation"),
-        )
-        generator = SurvivalGenConfig(n=n_total, **gen_dict)
-    elif family == "binary":
-        _take(gen_dict, "generator", ("p_t", "q_t", "p_c", "q_c"), ("n1", "n0"))
-        n1 = int(gen_dict.pop("n1", n_total // 2))
-        n0 = int(gen_dict.pop("n0", n_total - n_total // 2))
-        generator = BinaryGenConfig(n1=n1, n0=n0, **gen_dict)
-    elif family == "continuous":
-        _take(
-            gen_dict, "generator",
-            ("mix",),
-            ("beta_p", "beta_t1", "beta_in2", "beta_in3", "beta_cov1", "beta_cov2", "noise_sd"),
-        )
-        mix_dict = gen_dict.pop("mix")
-        _take(mix_dict, "mix", ("p1", "p2", "p3", "p4"))
-        mix = SubpopMix(**{k: float(v) for k, v in mix_dict.items()})
-        if "beta_p" in gen_dict:
-            bp = gen_dict["beta_p"]
-            if isinstance(bp, (int, float)):
-                bp = (bp, bp, bp)
-            gen_dict["beta_p"] = tuple(float(v) for v in bp)
-        generator = ContinuousGenConfig(n=n_total, **gen_dict)
-    else:
+    kw = _kwargs(ScenarioConfig, d, "", {})
+    family, n = kw["outcome_family"], kw["n_total"]
+    if family not in _FAMILY_GENERATORS:
         raise ConfigError(f"unknown outcome family {family!r}")
-
-    cut_dict = dict(d.get("cutoffs", {}))
-    _take(cut_dict, "cutoffs", (), ("c_t", "c_s0", "c_s1"))
-    defaults = Cutoffs()
-    cutoffs = Cutoffs(
-        c_t=_parse_cutoff(cut_dict.get("c_t", defaults.c_t)),
-        c_s0=_parse_cutoff(cut_dict.get("c_s0", defaults.c_s0)),
-        c_s1=_parse_cutoff(cut_dict.get("c_s1", defaults.c_s1)),
-    )
-    return ScenarioConfig(
-        design=d["design"],
-        outcome_family=family,
-        generator=generator,
-        analyses=tuple(d["analyses"]),
-        n_total=n_total,
-        cutoffs=cutoffs,
-        alpha=float(d.get("alpha", 0.05)),
-        reps=int(d["reps"]),
-        master_seed=int(d["master_seed"]),
-        win_priority=d.get("win_priority", "death"),
-        mix=mix,
-    )
+    gen_type = _FAMILY_GENERATORS[family]
+    sizes = {"n1": n // 2, "n0": n - n // 2} if gen_type is BinaryGenConfig else {"n": n}
+    kw["generator"] = gen_type(**_kwargs(gen_type, kw["generator"], "generator", sizes))
+    return ScenarioConfig(**kw)

@@ -253,13 +253,13 @@ def sed_scenario(
             beta_cov1=5.0,
             beta_cov2=5.0,
             n=n,
+            mix=mix,
         ),
         analyses=SED_ANALYSES,
         n_total=n,
         cutoffs=Cutoffs(c_t=0.8, c_s0=0.8, c_s1=0.9),
         reps=reps,
         master_seed=master_seed,
-        mix=mix,
     )
 
 

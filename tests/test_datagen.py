@@ -21,13 +21,15 @@ from wrtrials import (
     cohort_to_csv,
     cox_fit,
     gen_binary_cohort,
-    gen_continuous_cohort,
     gen_survival_cohort,
 )
 from wrtrials import harness
 from wrtrials.datagen import (
-    ContinuousFrame, continuous_cohort, draw_continuous_patients, draw_continuous_response,
+    ContinuousFrame, _assign_arms, continuous_cohort, draw_continuous_patients,
+    draw_continuous_response,
 )
+
+EVEN_MIX = SubpopMix(0.25, 0.25, 0.25, 0.25)
 
 
 def test_same_seed_same_cohort():
@@ -113,26 +115,24 @@ def test_mix_validation():
 
 
 def test_subpop_frequencies_follow_mix():
-    mix = SubpopMix(0.05, 0.05, 0.8, 0.1)
-    cfg = ContinuousGenConfig(n=10000)
-    cohort, labels = gen_continuous_cohort(cfg, mix, np.random.default_rng(9))
-    assert len(labels) == len(cohort)
+    cfg = ContinuousGenConfig(n=10000, mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
+    labels = draw_continuous_patients(cfg, np.random.default_rng(9)).subpop
+    assert len(labels) == cfg.n
     counts = {s: 0 for s in Subpop}
     for label in labels:
         counts[Subpop(label)] += 1
     for s, target in zip(Subpop, (0.05, 0.05, 0.8, 0.1)):
-        assert counts[s] / len(cohort) == pytest.approx(target, abs=0.02)
+        assert counts[s] / cfg.n == pytest.approx(target, abs=0.02)
 
 
 def test_baseline_always_positive_and_effect_applied():
-    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0, n=500)
     mix = SubpopMix(0.0, 0.0, 1.0, 0.0)  # every patient in the target class
-    frame = draw_continuous_patients(cfg, mix, np.random.default_rng(3))
+    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0, n=500, mix=mix)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(3))
     assert np.all(frame.y_base > 0)
     assert set(np.unique(frame.y_base)) <= {5.0, 10.0}
     # noise-free check of the effect arithmetic
-    quiet = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0,
-                                noise_sd=1e-12, n=500)
+    quiet = replace(cfg, noise_sd=1e-12)
     y_drug = draw_continuous_response(quiet, frame, np.ones(500, dtype=bool),
                                       np.random.default_rng(4))
     assert np.allclose(y_drug, frame.y_base[:, None] - 2.0, atol=1e-9)
@@ -142,8 +142,8 @@ def test_baseline_always_positive_and_effect_applied():
 
 
 def test_continuous_frame_take_and_concat_keep_rows_together():
-    cfg = ContinuousGenConfig(n=30)
-    frame = draw_continuous_patients(cfg, SubpopMix(0.25, 0.25, 0.25, 0.25), np.random.default_rng(9))
+    cfg = ContinuousGenConfig(n=30, mix=EVEN_MIX)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(9))
     rows = np.array([4, 0, 29, 4])
     mask = frame.x1 == 1
     for sub, index in [(frame.take(rows), rows), (frame.take(mask), np.flatnonzero(mask)),
@@ -156,18 +156,18 @@ def test_continuous_frame_take_and_concat_keep_rows_together():
 
 
 def test_equal_component_effects_align():
-    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_in2=0.0, beta_in3=0.0)
+    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_in2=0.0, beta_in3=0.0, mix=EVEN_MIX)
     assert cfg.beta_t == (-2.0, -2.0, -2.0)
-    shifted = ContinuousGenConfig(beta_t1=-2.0, beta_in2=0.5, beta_in3=0.25)
+    shifted = replace(cfg, beta_in2=0.5, beta_in3=0.25)
     assert shifted.beta_t == (-2.0, -1.5, -1.75)
 
 
 def test_null_effects_make_arms_identical_in_law():
     # when drug and placebo effects coincide, the administration flag must
     # not matter for any label
-    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-1.5, n=2000)
-    mix = SubpopMix(0.05, 0.05, 0.8, 0.1)
-    frame = draw_continuous_patients(cfg, mix, np.random.default_rng(6))
+    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-1.5, n=2000,
+                              mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
+    frame = draw_continuous_patients(cfg, np.random.default_rng(6))
     y_drug = draw_continuous_response(cfg, frame, np.ones(2000, dtype=bool),
                                       np.random.default_rng(7))
     y_plac = draw_continuous_response(cfg, frame, np.zeros(2000, dtype=bool),
@@ -191,17 +191,23 @@ def test_csv_export_roundtrip(tmp_path):
 
 def two_stage_cohort(rng):
     """12 drawn stage-0 patients, then 8 stage-1 ones with every pattern (strata 4..7)."""
-    cfg = ContinuousGenConfig(n=12)
-    mix = SubpopMix(0.25, 0.25, 0.25, 0.25)
-    stage0 = draw_continuous_patients(cfg, mix, rng)
+    cfg = ContinuousGenConfig(n=12, mix=EVEN_MIX)
+    stage0 = draw_continuous_patients(cfg, rng)
     # no drawn baseline is positive for x1 = x2 = 0, so stage 1's patterns are set
-    stage1 = replace(draw_continuous_patients(cfg, mix, rng, 8),
+    stage1 = replace(draw_continuous_patients(cfg, rng, 8),
                      x1=np.array([0, 0, 1, 1] * 2), x2=np.array([0, 1] * 4))
     stages = []
     for frame in (stage0, stage1):
         arm = rng.integers(0, 2, len(frame.y_base))
         stages.append((frame, arm, draw_continuous_response(cfg, frame, arm == 1, rng)))
     return continuous_cohort(stages)
+
+
+def one_stage_cohort(cfg, rng):
+    """Patients, a 1:1 assignment and one outcome draw, all from ``rng``."""
+    frame = draw_continuous_patients(cfg, rng)
+    arm = _assign_arms(rng, cfg.n, 0.5)
+    return continuous_cohort([(frame, arm, draw_continuous_response(cfg, frame, arm == 1, rng))])
 
 
 def csv_pin_cohorts():
@@ -211,9 +217,8 @@ def csv_pin_cohorts():
         "binary": binary,
         "binary-float": replace(binary, y_death=binary.y_death.astype(float),
                                 x_hosp=binary.x_hosp.astype(float)),
-        "continuous": gen_continuous_cohort(ContinuousGenConfig(n=14),
-                                            SubpopMix(0.1, 0.2, 0.6, 0.1),
-                                            np.random.default_rng(3))[0],
+        "continuous": one_stage_cohort(ContinuousGenConfig(n=14, mix=SubpopMix(0.1, 0.2, 0.6, 0.1)),
+                                       np.random.default_rng(3)),
         "two-stage": two_stage_cohort(np.random.default_rng(4)),
     }
 
@@ -251,7 +256,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BinaryGenConfig(1.5, 0.5, 0.5, 0.5, 10, 10)
     with pytest.raises(ConfigError):
-        ContinuousGenConfig(noise_sd=0.0)
+        ContinuousGenConfig(noise_sd=0.0, mix=EVEN_MIX)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["beta_t", "beta_in", "beta_dhratio", "beta_cov1", "beta_cov2"])
+def test_survival_config_rejects_non_finite_coefficients(name, value):
+    # a NaN coefficient would surface only when the cohort is built, as
+    # survival times that are not strictly positive
+    with pytest.raises(ConfigError, match="finite"):
+        SurvivalGenConfig(**{name: value})
 
 
 @pytest.mark.parametrize("beta_cov", [(-1.0, -1.0), (0.0, 0.0), (0.0, -1.0), (math.nan, 5.0),
@@ -261,13 +275,13 @@ def test_continuous_config_rejects_covariates_without_positive_baseline(beta_cov
     # a config without a positive pattern (or with a non-finite coefficient)
     # would loop forever
     with pytest.raises(ConfigError):
-        ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
+        ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], mix=EVEN_MIX)
 
 
 @pytest.mark.parametrize("beta_cov", [(5.0, -3.0), (-1.0, 2.0), (-1.0, 1.5), (0.5, 0.5)])
 def test_continuous_config_accepts_a_positive_pattern(beta_cov):
-    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], n=50)
-    frame = draw_continuous_patients(cfg, SubpopMix(0.25, 0.25, 0.25, 0.25), np.random.default_rng(1))
+    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], n=50, mix=EVEN_MIX)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(1))
     assert np.all(frame.y_base > 0)
 
 
@@ -277,7 +291,7 @@ def test_continuous_config_accepts_a_positive_pattern(beta_cov):
 # generator state for generator state
 
 
-def oracle_draw_continuous_patients(cfg, mix, rng, n):
+def oracle_draw_continuous_patients(cfg, rng, n):
     """x1 and x2 drawn by separate calls; every round re-tests all n rows."""
     x1 = rng.integers(0, 2, n)
     x2 = rng.integers(0, 2, n)
@@ -289,7 +303,7 @@ def oracle_draw_continuous_patients(cfg, mix, rng, n):
         x2[bad] = rng.integers(0, 2, k)
         y_base = cfg.beta_cov1 * x1 + cfg.beta_cov2 * x2
         bad = ~(y_base > 0)
-    subpop = rng.choice(np.array([int(s) for s in Subpop]), size=n, p=mix.as_array())
+    subpop = rng.choice(np.array([int(s) for s in Subpop]), size=n, p=cfg.mix.as_array())
     return ContinuousFrame(x1=x1, x2=x2, y_base=y_base.astype(float), subpop=subpop)
 
 
@@ -303,12 +317,12 @@ def oracle_draw_continuous_response(cfg, frame, on_drug, rng):
     return frame.y_base[:, None] + effect + eps
 
 
-def oracle_leadin_frame(gen, mix, c_s0, n, patients_rng, leadin_rng):
+def oracle_leadin_frame(gen, c_s0, n, patients_rng, leadin_rng):
     """Whole batches kept and concatenated, then cut to n; None at the batch cap."""
     kept = []
     kept_count = 0
     for _ in range(harness._LEADIN_MAX_BATCHES):
-        batch = oracle_draw_continuous_patients(gen, mix, patients_rng, n)
+        batch = oracle_draw_continuous_patients(gen, patients_rng, n)
         y_lead = oracle_draw_continuous_response(gen, batch, np.zeros(n, dtype=bool), leadin_rng)
         keep = np.all(y_lead / batch.y_base[:, None] > c_s0, axis=1)
         if np.any(keep):
@@ -333,28 +347,28 @@ def assert_same_frame(got, want):
 
 @pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS)
 def test_patient_draw_keeps_the_stream(beta_cov):
-    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
     for seed in range(60):
-        mix = STREAM_MIXES[seed % len(STREAM_MIXES)]
+        cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1],
+                                  mix=STREAM_MIXES[seed % len(STREAM_MIXES)])
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         # consecutive calls on one generator: odd sizes leave a buffered
         # 32-bit half-word for the next call
         for n in (1, 2, 37, 500):
-            got = draw_continuous_patients(cfg, mix, got_rng, n)
-            want = oracle_draw_continuous_patients(cfg, mix, want_rng, n)
+            got = draw_continuous_patients(cfg, got_rng, n)
+            want = oracle_draw_continuous_patients(cfg, want_rng, n)
             assert_same_frame(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert draw_continuous_patients(cfg, mix, np.random.default_rng(0)).y_base.shape == (cfg.n,)
+    assert draw_continuous_patients(cfg, np.random.default_rng(0)).y_base.shape == (cfg.n,)
 
 
 @pytest.mark.parametrize("beta_t1, beta_in2", [(-1.5, 0.0), (-2.0, 0.5)])
 def test_response_draw_keeps_the_stream(beta_t1, beta_in2):
-    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.0, -0.5), beta_t1=beta_t1, beta_in2=beta_in2,
-                              beta_in3=-0.25, noise_sd=0.7)
     for seed in range(40):
+        cfg = ContinuousGenConfig(beta_p=(-1.5, -1.0, -0.5), beta_t1=beta_t1, beta_in2=beta_in2,
+                                  beta_in3=-0.25, noise_sd=0.7, mix=STREAM_MIXES[seed % 3])
         rng = np.random.default_rng(seed)
         for n in (1, 2, 37, 500):
-            frame = oracle_draw_continuous_patients(cfg, STREAM_MIXES[seed % 3], rng, n)
+            frame = oracle_draw_continuous_patients(cfg, rng, n)
             on_drug = rng.integers(0, 2, n) == 1
             got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
             got = draw_continuous_response(cfg, frame, on_drug, got_rng)
@@ -368,18 +382,18 @@ def test_response_draw_keeps_the_stream(beta_t1, beta_in2):
 def test_leadin_keeps_the_stream(beta_cov, c_s0, monkeypatch):
     # a lower batch cap keeps the capped cases cheap; both forms read it
     monkeypatch.setattr(harness, "_LEADIN_MAX_BATCHES", 40)
-    gen = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1])
     for seed in range(12):
         n = (3, 37, 90)[seed % 3]
-        mix = STREAM_MIXES[seed % len(STREAM_MIXES)]
+        gen = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1],
+                                  mix=STREAM_MIXES[seed % len(STREAM_MIXES)])
         got_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
         want_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
-        want = oracle_leadin_frame(gen, mix, c_s0, n, *want_rngs)
+        want = oracle_leadin_frame(gen, c_s0, n, *want_rngs)
         if want is None:
             with pytest.raises(DegenerateResultError):
-                harness._leadin_frame(gen, mix, c_s0, n, *got_rngs)
+                harness._leadin_frame(gen, c_s0, n, *got_rngs)
         else:
-            got = harness._leadin_frame(gen, mix, c_s0, n, *got_rngs)
+            got = harness._leadin_frame(gen, c_s0, n, *got_rngs)
             assert_same_frame(got, want)
         for g, w in zip(got_rngs, want_rngs):
             assert g.bit_generator.state == w.bit_generator.state

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from wrtrials import (
     ScenarioConfig,
     SubpopMix,
     SurvivalGenConfig,
+    cohort_to_csv,
     contingency_or_test,
     improvement_indicators,
     matched_win_probs,
@@ -42,13 +44,12 @@ def continuous_cfg(design, n=60, reps=30, seed=11, c_s0=0.8, c_s1=0.9, beta_t1=-
     return ScenarioConfig(
         design=design,
         outcome_family="continuous",
-        generator=ContinuousGenConfig(beta_t1=beta_t1, n=n),
+        generator=ContinuousGenConfig(beta_t1=beta_t1, n=n, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
         analyses=("Contingency", "MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"),
         n_total=n,
         cutoffs=Cutoffs(c_t=0.8, c_s0=c_s0, c_s1=c_s1),
         reps=reps,
         master_seed=seed,
-        mix=SubpopMix(0.05, 0.05, 0.8, 0.1),
     )
 
 
@@ -159,10 +160,9 @@ def test_incompatible_analysis_rejected():
         ScenarioConfig(
             design="parallel",
             outcome_family="continuous",
-            generator=ContinuousGenConfig(n=40),
+            generator=ContinuousGenConfig(n=40, mix=SubpopMix(0.25, 0.25, 0.25, 0.25)),
             analyses=("Cox",),
             n_total=40,
-            mix=SubpopMix(0.25, 0.25, 0.25, 0.25),
         )
 
 
@@ -180,7 +180,7 @@ def test_design_family_compatibility():
 @pytest.mark.parametrize("family,generator", [
     ("binary", SurvivalGenConfig(n=40)),
     ("survival", BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=20, n0=20)),
-    ("survival", ContinuousGenConfig(n=40)),
+    ("survival", ContinuousGenConfig(n=40, mix=SubpopMix(0.25, 0.25, 0.25, 0.25))),
 ], ids=["binary-survival", "survival-binary", "survival-continuous"])
 def test_generator_of_another_family_rejected(family, generator):
     with pytest.raises(ConfigError, match=f"a {family} scenario needs a"):
@@ -302,20 +302,115 @@ def test_scenario_without_positive_baseline_is_a_config_error(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
 
 
+BINARY_JSON = {
+    "design": "parallel",
+    "outcome_family": "binary",
+    "generator": {"p_t": 0.3, "q_t": 0.3, "p_c": 0.5, "q_c": 0.5},
+    "analyses": ["MatchedWR", "UnstratUnmatchedWR"],
+    "n_total": 50,
+    "reps": 6,
+    "master_seed": 8,
+}
+
+
 def test_binary_scenario_json_splits_arms():
-    d = {
-        "design": "parallel",
-        "outcome_family": "binary",
-        "generator": {"p_t": 0.3, "q_t": 0.3, "p_c": 0.5, "q_c": 0.5},
-        "analyses": ["MatchedWR", "UnstratUnmatchedWR"],
-        "n_total": 50,
-        "reps": 6,
-        "master_seed": 8,
-    }
-    cfg = scenario_from_dict(d)
+    cfg = scenario_from_dict(BINARY_JSON)
     assert cfg.generator.n1 == 25 and cfg.generator.n0 == 25
     out = monte_carlo(cfg)
     assert set(out) == {"MatchedWR", "UnstratUnmatchedWR"}
+
+
+def test_scenario_json_parses_to_the_hand_built_config():
+    assert scenario_from_dict(SCENARIO_JSON) == ScenarioConfig(
+        design="parallel",
+        outcome_family="survival",
+        generator=SurvivalGenConfig(beta_t=-0.5108256237659907, beta_in=0.0, n=60),
+        analyses=("Cox", "StratUnmatchedWR"),
+        n_total=60,
+        alpha=0.05,
+        reps=12,
+        master_seed=99,
+    )
+    assert scenario_from_dict(SED_JSON) == ScenarioConfig(
+        design="sed",
+        outcome_family="continuous",
+        generator=ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-2.0, n=40,
+                                      mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
+        analyses=("Contingency",),
+        n_total=40,
+        cutoffs=Cutoffs(c_t=0.8, c_s0=-math.inf, c_s1=-math.inf),
+        reps=4,
+        master_seed=5,
+    )
+    assert scenario_from_dict(BINARY_JSON) == ScenarioConfig(
+        design="parallel",
+        outcome_family="binary",
+        generator=BinaryGenConfig(p_t=0.3, q_t=0.3, p_c=0.5, q_c=0.5, n1=25, n0=25),
+        analyses=("MatchedWR", "UnstratUnmatchedWR"),
+        n_total=50,
+        reps=6,
+        master_seed=8,
+    )
+
+
+def with_value(d, path, value):
+    """A deep copy of scenario ``d`` with the key at the dotted ``path`` set to ``value``."""
+    d = json.loads(json.dumps(d))
+    *parents, last = path.split(".")
+    target = d
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return d
+
+
+# (scenario, dotted key, value): each is a config error naming the key
+MALFORMED = [
+    (SCENARIO_JSON, "n_total", "abc"),
+    (SCENARIO_JSON, "n_total", "60"),
+    (SCENARIO_JSON, "n_total", 60.7),
+    (SCENARIO_JSON, "reps", 2.9),
+    (SCENARIO_JSON, "alpha", "x"),
+    (SCENARIO_JSON, "alpha", 10**400),
+    (SCENARIO_JSON, "generator.beta_t", "x"),
+    (SED_JSON, "generator.mix", 3),
+    (SED_JSON, "cutoffs", [1]),
+    (SED_JSON, "cutoffs.c_t", None),
+    (SED_JSON, "generator.beta_p", [-1.5, -1.5]),
+    (SCENARIO_JSON, "analyses", "Cox"),
+]
+
+
+def case_id(path, value):
+    text = repr(value)
+    return f"{path}={text}" if len(text) < 30 else f"{path}=<{len(text)} digits>"
+
+
+@pytest.mark.parametrize("base,path,value", MALFORMED,
+                         ids=[case_id(path, value) for _, path, value in MALFORMED])
+def test_malformed_scenario_is_a_config_error(base, path, value, tmp_path):
+    d = with_value(base, path, value)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        scenario_from_dict(d)
+    cfg_path = tmp_path / "malformed.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+def test_inputs_that_failed_mid_run_are_config_errors(tmp_path):
+    # a negative seed reached SeedSequence and a NaN coefficient reached the
+    # cohort's positive-time check; both are refused when the config is built
+    with pytest.raises(ConfigError, match="master_seed"):
+        replace(survival_cfg(), master_seed=-1)
+    with pytest.raises(ConfigError, match="finite"):
+        replace(survival_cfg(), generator=SurvivalGenConfig(beta_t=math.nan, n=60))
+    for path, value in (("master_seed", -1), ("generator.beta_t", math.nan)):
+        d = with_value(SCENARIO_JSON, path, value)
+        with pytest.raises(ConfigError):
+            scenario_from_dict(d)
+        cfg_path = tmp_path / "crash.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +462,40 @@ def test_cli_simulate_and_gen(tmp_path, capsys):
     code = cli_main(["gen", "--config", str(cfg_path), "--out", str(cohort_csv)])
     assert code == 0
     assert cohort_csv.read_text().splitlines()[0] == "id,arm,x_cov1,x_cov2,stratum,e_death,e_hosp"
+
+
+GEN_SCENARIOS = {
+    "survival": SCENARIO_JSON,
+    "binary": BINARY_JSON,
+    "cr": dict(SED_JSON, design="cr"),
+    "sed": dict(SED_JSON, cutoffs={"c_t": 0.8, "c_s0": 0.8, "c_s1": 0.9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_SCENARIOS))
+def test_cli_gen_writes_the_first_replicates_cohort(name, tmp_path, monkeypatch):
+    d = dict(GEN_SCENARIOS[name], reps=2)
+    analysed = []
+    run_analyses = harness._run_analyses
+
+    def capture(cfg, cohort, rng):
+        analysed.append(cohort)
+        return run_analyses(cfg, cohort, rng)
+
+    monkeypatch.setattr(harness, "_run_analyses", capture)
+    monte_carlo(scenario_from_dict(d))
+    cohort = analysed[0]
+    if name == "sed":
+        # two stages: stage-2 rows sit in strata 4..7
+        stage2 = cohort.stratum[cohort.stage == 1]
+        assert len(stage2) >= 2 and set(stage2) <= {4, 5, 6, 7}
+    want = tmp_path / "want.csv"
+    cohort_to_csv(cohort, str(want))
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(d))
+    got = tmp_path / "got.csv"
+    assert cli_main(["gen", "--config", str(cfg_path), "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_cli_config_error_exit_code(tmp_path):

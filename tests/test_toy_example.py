@@ -62,3 +62,9 @@ def test_prioritized_rule_verdict_depends_on_priority():
     drug_swapped = binary(1, 0)
     responder_swapped = binary(0, 0)
     assert pair_score(BinaryRule(), drug_swapped, responder_swapped) == LOSS
+
+    # a drug patient who responds on A only, against a placebo patient who
+    # responds on B only: A first gives the drug the win, while B first
+    # would give it the loss
+    placebo_b_only = binary(1, 0)
+    assert pair_score(BinaryRule(), drug, placebo_b_only) == WIN
