@@ -68,6 +68,8 @@ def _cmd_power(args) -> int:
         "C1": None,
     }
     if args.matched:
+        if probs.p_tie >= 1.0:
+            raise ConfigError("no effect: every pair ties")
         p_a = probs.p_w / (1.0 - probs.p_tie)
         if p_a <= 0.5:
             p_a_mirror = probs.p_l / (1.0 - probs.p_tie)
@@ -120,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("power", help="closed-form sample size for the binary composite")
-    p.add_argument("--family", choices=["binary"], default="binary")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--matched", action="store_true")
     mode.add_argument("--unmatched", action="store_true")

@@ -161,7 +161,7 @@ def unmatched_g(theta: ThetaBinary) -> float:
     """Win ratio g(theta) = expected wins / expected losses."""
     w, l = unmatched_win_loss(theta)
     if l == 0:
-        raise ZeroDivisionError("loss probability is zero: win ratio infinite")
+        raise ConfigError("loss probability is zero: win ratio infinite")
     return w / l
 
 
@@ -237,6 +237,8 @@ def unmatched_sample_size(
     """
     if not (0.0 < allocation < 1.0):
         raise ConfigError("allocation must lie in (0, 1)")
+    if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
+        raise ConfigError("alpha and power must lie in (0, 1)")
     g1 = unmatched_g(theta1)
     if g1 == 1.0:
         raise ConfigError("no effect: g(theta1) = 1 gives an infinite sample size")

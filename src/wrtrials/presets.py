@@ -1,24 +1,23 @@
 """Benchmark scenario presets and the table-reproduction machinery.
 
 Tables t3..t14 bundle reference operating characteristics (estimates, Type I
-error rates, powers) for fixed generative settings, together with per-cell
-tolerances and structural checks (orderings, design gaps).  ``reproduce_table``
-reruns the scenario grid and reports simulated minus reference per cell.
-
-Checks marked ``required`` are the ones the acceptance suite enforces; the
-remaining cells are informational regression output.  Known systematic
-deviations of this implementation from the reference values are listed in the
-README.
+error rates, powers) for fixed generative settings.  One ``_TABLES`` entry
+specifies each table: its scenarios, reference cells, per-cell tolerances and
+the cells that are informational only; ``_checks`` holds its structural checks
+(orderings, thresholds, design gaps).  ``reproduce_table`` reruns the grid and
+reports simulated minus reference per cell.  Known systematic deviations of
+this implementation from the reference values are listed in the README.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass, field
 
 from .core import ConfigError
 from .datagen import ContinuousGenConfig, SubpopMix, SurvivalGenConfig
-from .harness import Cutoffs, McSummary, ScenarioConfig, monte_carlo
+from .harness import Cutoffs, ScenarioConfig, monte_carlo
 
 LOG06 = math.log(0.6)
 LOG018 = math.log(0.18)
@@ -76,10 +75,6 @@ class TableReport:
             c.ok for c in self.checks if c.required
         )
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.ok for c in self.cells) and all(c.ok for c in self.checks)
-
     def lines(self) -> list[str]:
         out = [f"table {self.table_id}: {self.title}"]
         header = f"{'row':<28} {'design':<9} {'N':>4} {'sim':>7} {'ref':>6} {'delta':>7} {'tol':>5}  verdict"
@@ -110,95 +105,6 @@ class TableReport:
                  f"{c.reference:.4f}", f"{c.delta:+.4f}", c.tol, c.ok, c.required]
             )
         return rows
-
-
-# ---------------------------------------------------------------------------
-# reference cells (rows follow SURV_ANALYSES / SED_ANALYSES order)
-
-_SURV_NS = (60, 100, 200)
-_SED_NS = (100, 200, 500)
-
-# estimates: analysis -> per-N mean estimate
-_T3_EST = {
-    "Cox": (1.05, 1.02, 1.02),
-    "MatchedWR": (1.01, 1.01, 1.00),
-    "StratUnmatchedWR": (1.05, 1.03, 1.00),
-    "UnstratUnmatchedWR": (1.04, 1.03, 1.01),
-}
-_T4_POW = {
-    "Cox": (0.05, 0.05, 0.05),
-    "MatchedWR": (0.06, 0.06, 0.06),
-    "StratUnmatchedWR": (0.04, 0.05, 0.05),
-    "UnstratUnmatchedWR": (0.04, 0.05, 0.05),
-    "Obrien": (0.05, 0.05, 0.05),
-}
-_T5_EST = {
-    "Cox": (0.62, 0.61, 0.60),
-    "MatchedWR": (1.51, 1.49, 1.49),
-    "StratUnmatchedWR": (1.59, 1.55, 1.52),
-    "UnstratUnmatchedWR": (1.55, 1.51, 1.49),
-}
-_T6_POW = {
-    "Cox": (0.44, 0.66, 0.92),
-    "MatchedWR": (0.17, 0.26, 0.47),
-    "StratUnmatchedWR": (0.19, 0.36, 0.65),
-    "UnstratUnmatchedWR": (0.21, 0.35, 0.61),
-    "Obrien": (0.32, 0.51, 0.82),
-}
-_T7_EST = {
-    "Cox": (0.61, 0.59, 0.60),
-    "MatchedWR": (3.02, 3.06, 2.98),
-    "StratUnmatchedWR": (3.29, 3.24, 3.05),
-    "UnstratUnmatchedWR": (3.14, 3.09, 2.96),
-}
-_T8_POW = {
-    "Cox": (0.51, 0.65, 0.81),
-    "MatchedWR": (0.78, 0.94, 0.99),
-    "StratUnmatchedWR": (0.90, 0.99, 1.00),
-    "UnstratUnmatchedWR": (0.89, 0.99, 1.00),
-    "Obrien": (0.50, 0.74, 0.93),
-}
-_T9_EST = {
-    "Cox": (0.60, 0.59, 0.60),
-    "MatchedWR": (1.12, 1.17, 1.12),
-    "StratUnmatchedWR": (1.19, 1.19, 1.15),
-    "UnstratUnmatchedWR": (1.18, 1.17, 1.14),
-}
-_T10_POW = {
-    "Cox": (0.50, 0.66, 0.82),
-    "MatchedWR": (0.07, 0.07, 0.10),
-    "StratUnmatchedWR": (0.06, 0.09, 0.12),
-    "UnstratUnmatchedWR": (0.09, 0.07, 0.11),
-    "Obrien": (0.51, 0.72, 0.91),
-}
-
-# SED tables: analysis -> {design -> per-N}
-_T11 = {
-    "Contingency": {"cr": (0.05, 0.05, 0.05), "sed": (0.05, 0.05, 0.05)},
-    "MatchedWR": {"cr": (0.08, 0.07, 0.06), "sed": (0.13, 0.07, 0.06)},
-    "StratUnmatchedWR": {"cr": (0.05, 0.06, 0.05), "sed": (0.05, 0.04, 0.05)},
-    "UnstratUnmatchedWR": {"cr": (0.05, 0.06, 0.05), "sed": (0.05, 0.04, 0.05)},
-}
-_T12 = {
-    "Contingency": {"sed": (0.30, 0.58, 0.92), "cr": (0.30, 0.45, 0.90)},
-    "MatchedWR": {"sed": (0.48, 0.77, 0.99), "cr": (0.46, 0.69, 0.99)},
-    "StratUnmatchedWR": {"sed": (0.49, 0.81, 0.99), "cr": (0.47, 0.74, 0.99)},
-    "UnstratUnmatchedWR": {"sed": (0.33, 0.59, 0.92), "cr": (0.32, 0.51, 0.93)},
-}
-_T13 = {
-    "Contingency": {"sed": (0.09, 0.16, 0.27), "cr": (0.07, 0.13, 0.20)},
-    "MatchedWR": {"sed": (0.15, 0.23, 0.40), "cr": (0.14, 0.20, 0.31)},
-    "StratUnmatchedWR": {"sed": (0.23, 0.27, 0.41), "cr": (0.11, 0.17, 0.32)},
-    "UnstratUnmatchedWR": {"sed": (0.22, 0.24, 0.32), "cr": (0.07, 0.14, 0.22)},
-}
-_T14 = {
-    "Contingency": {"sed": (0.07, 0.10, 0.20), "cr": (0.06, 0.10, 0.17)},
-    "MatchedWR": {"sed": (0.12, 0.13, 0.23), "cr": (0.07, 0.11, 0.23)},
-    "StratUnmatchedWR": {"sed": (0.23, 0.25, 0.33), "cr": (0.07, 0.15, 0.26)},
-    "UnstratUnmatchedWR": {"sed": (0.20, 0.24, 0.29), "cr": (0.06, 0.10, 0.19)},
-}
-
-TABLE_IDS = tuple(f"t{i}" for i in range(3, 15))
 
 
 # ---------------------------------------------------------------------------
@@ -263,67 +169,170 @@ def sed_scenario(
     )
 
 
-_SURV_TABLES = {
-    # table -> (effects, estimate table, power table, priority)
-    "t3": ((0.0, 0.0), _T3_EST, None, "death"),
-    "t4": ((0.0, 0.0), None, _T4_POW, "death"),
-    "t5": ((LOG06, 0.0), _T5_EST, None, "death"),
-    "t6": ((LOG06, 0.0), None, _T6_POW, "death"),
-    "t7": ((0.0, LOG018), _T7_EST, None, "death"),
-    "t8": ((0.0, LOG018), None, _T8_POW, "death"),
-    "t9": ((0.0, LOG018), _T9_EST, None, "hosp"),
-    "t10": ((0.0, LOG018), None, _T10_POW, "hosp"),
+# ---------------------------------------------------------------------------
+# table specs
+
+
+@dataclass(frozen=True)
+class _Table:
+    """What one benchmark table simulates and the reference it is held to."""
+
+    title: str
+    designs: tuple[str, ...]
+    ns: tuple[int, ...]
+    scenario: Callable[..., ScenarioConfig]  # (design, n=, reps=, master_seed=)
+    value: str  # the McSummary field each cell compares
+    reference: dict[str, dict[str, tuple[float, ...]]]  # row -> design -> per N
+    # a cell is matched by its row, its N or its (row, N)
+    tol_at: Mapping = field(default_factory=dict)  # match -> tolerance; 0.05 where none
+    info: Collection = ()  # matches reported but not enforced
+
+
+_SURV_NS = (60, 100, 200)
+_SED_NS = (100, 200, 500)
+_WR_ROWS = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
+
+_TABLES = {
+    "t3": _Table(
+        "no-effect survival setting: treatment-effect estimates", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, 0.0, **kw), "mean_estimate",
+        {
+            "Cox": {"parallel": (1.05, 1.02, 1.02)},
+            "MatchedWR": {"parallel": (1.01, 1.01, 1.00)},
+            "StratUnmatchedWR": {"parallel": (1.05, 1.03, 1.00)},
+            "UnstratUnmatchedWR": {"parallel": (1.04, 1.03, 1.01)},
+        },
+        info={("Cox", 60), ("MatchedWR", 60), ("MatchedWR", 100),
+              ("StratUnmatchedWR", 60), ("UnstratUnmatchedWR", 60)},
+    ),
+    "t4": _Table(
+        "no-effect survival setting: Type I error", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, 0.0, **kw), "rejection_rate",
+        {
+            "Cox": {"parallel": (0.05, 0.05, 0.05)},
+            "MatchedWR": {"parallel": (0.06, 0.06, 0.06)},
+            "StratUnmatchedWR": {"parallel": (0.04, 0.05, 0.05)},
+            "UnstratUnmatchedWR": {"parallel": (0.04, 0.05, 0.05)},
+            "Obrien": {"parallel": (0.05, 0.05, 0.05)},
+        },
+        tol_at=dict.fromkeys(_SURV_NS, 0.02),
+    ),
+    "t5": _Table(
+        "equal effects on both components: estimates", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(LOG06, 0.0, **kw), "mean_estimate",
+        {
+            "Cox": {"parallel": (0.62, 0.61, 0.60)},
+            "MatchedWR": {"parallel": (1.51, 1.49, 1.49)},
+            "StratUnmatchedWR": {"parallel": (1.59, 1.55, 1.52)},
+            "UnstratUnmatchedWR": {"parallel": (1.55, 1.51, 1.49)},
+        },
+        tol_at=dict.fromkeys(_WR_ROWS, 0.15), info=_WR_ROWS,
+    ),
+    "t6": _Table(
+        "equal effects on both components: power", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(LOG06, 0.0, **kw), "rejection_rate",
+        {
+            "Cox": {"parallel": (0.44, 0.66, 0.92)},
+            "MatchedWR": {"parallel": (0.17, 0.26, 0.47)},
+            "StratUnmatchedWR": {"parallel": (0.19, 0.36, 0.65)},
+            "UnstratUnmatchedWR": {"parallel": (0.21, 0.35, 0.61)},
+            "Obrien": {"parallel": (0.32, 0.51, 0.82)},
+        },
+        info={*_WR_ROWS, ("Cox", 60)},
+    ),
+    "t7": _Table(
+        "effect on death only: estimates", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, LOG018, **kw), "mean_estimate",
+        {
+            "Cox": {"parallel": (0.61, 0.59, 0.60)},
+            "MatchedWR": {"parallel": (3.02, 3.06, 2.98)},
+            "StratUnmatchedWR": {"parallel": (3.29, 3.24, 3.05)},
+            "UnstratUnmatchedWR": {"parallel": (3.14, 3.09, 2.96)},
+        },
+        tol_at=dict.fromkeys(_WR_ROWS, 0.30), info={("MatchedWR", 60), ("MatchedWR", 100)},
+    ),
+    "t8": _Table(
+        "effect on death only: power", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, LOG018, **kw), "rejection_rate",
+        {
+            "Cox": {"parallel": (0.51, 0.65, 0.81)},
+            "MatchedWR": {"parallel": (0.78, 0.94, 0.99)},
+            "StratUnmatchedWR": {"parallel": (0.90, 0.99, 1.00)},
+            "UnstratUnmatchedWR": {"parallel": (0.89, 0.99, 1.00)},
+            "Obrien": {"parallel": (0.50, 0.74, 0.93)},
+        },
+        info={"Obrien", ("Cox", 100), ("Cox", 200)},
+    ),
+    "t9": _Table(
+        "effect on death only, priorities swapped: estimates", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, LOG018, win_priority="hosp", **kw), "mean_estimate",
+        {
+            "Cox": {"parallel": (0.60, 0.59, 0.60)},
+            "MatchedWR": {"parallel": (1.12, 1.17, 1.12)},
+            "StratUnmatchedWR": {"parallel": (1.19, 1.19, 1.15)},
+            "UnstratUnmatchedWR": {"parallel": (1.18, 1.17, 1.14)},
+        },
+        tol_at=dict.fromkeys(_WR_ROWS, 0.15), info=_WR_ROWS,
+    ),
+    "t10": _Table(
+        "effect on death only, priorities swapped: power", ("parallel",), _SURV_NS,
+        lambda _, **kw: survival_scenario(0.0, LOG018, win_priority="hosp", **kw), "rejection_rate",
+        {
+            "Cox": {"parallel": (0.50, 0.66, 0.82)},
+            "MatchedWR": {"parallel": (0.07, 0.07, 0.10)},
+            "StratUnmatchedWR": {"parallel": (0.06, 0.09, 0.12)},
+            "UnstratUnmatchedWR": {"parallel": (0.09, 0.07, 0.11)},
+            "Obrien": {"parallel": (0.51, 0.72, 0.91)},
+        },
+        info={"Cox", "Obrien", *((row, 200) for row in _WR_ROWS)},
+    ),
+    "t11": _Table(
+        "enriched vs complete randomization: Type I error", ("cr", "sed"), _SED_NS,
+        lambda design, **kw: sed_scenario(design, -1.5, 0.0, _SED_MIX_MAIN, **kw), "rejection_rate",
+        {
+            "Contingency": {"cr": (0.05, 0.05, 0.05), "sed": (0.05, 0.05, 0.05)},
+            "MatchedWR": {"cr": (0.08, 0.07, 0.06), "sed": (0.13, 0.07, 0.06)},
+            "StratUnmatchedWR": {"cr": (0.05, 0.06, 0.05), "sed": (0.05, 0.04, 0.05)},
+            "UnstratUnmatchedWR": {"cr": (0.05, 0.06, 0.05), "sed": (0.05, 0.04, 0.05)},
+        },
+        tol_at={500: 0.03}, info=(100, 200),
+    ),
+    "t12": _Table(
+        "enriched vs complete randomization: power, scenario 1", ("cr", "sed"), _SED_NS,
+        lambda design, **kw: sed_scenario(design, -2.0, 0.0, _SED_MIX_MAIN, **kw), "rejection_rate",
+        {
+            "Contingency": {"sed": (0.30, 0.58, 0.92), "cr": (0.30, 0.45, 0.90)},
+            "MatchedWR": {"sed": (0.48, 0.77, 0.99), "cr": (0.46, 0.69, 0.99)},
+            "StratUnmatchedWR": {"sed": (0.49, 0.81, 0.99), "cr": (0.47, 0.74, 0.99)},
+            "UnstratUnmatchedWR": {"sed": (0.33, 0.59, 0.92), "cr": (0.32, 0.51, 0.93)},
+        },
+        info=SED_ANALYSES,
+    ),
+    "t13": _Table(
+        "enriched vs complete randomization: power, scenario 2", ("cr", "sed"), _SED_NS,
+        lambda design, **kw: sed_scenario(design, -2.0, 0.5, _SED_MIX_MAIN, **kw), "rejection_rate",
+        {
+            "Contingency": {"sed": (0.09, 0.16, 0.27), "cr": (0.07, 0.13, 0.20)},
+            "MatchedWR": {"sed": (0.15, 0.23, 0.40), "cr": (0.14, 0.20, 0.31)},
+            "StratUnmatchedWR": {"sed": (0.23, 0.27, 0.41), "cr": (0.11, 0.17, 0.32)},
+            "UnstratUnmatchedWR": {"sed": (0.22, 0.24, 0.32), "cr": (0.07, 0.14, 0.22)},
+        },
+        info=SED_ANALYSES,
+    ),
+    "t14": _Table(
+        "enriched vs complete randomization: power, scenario 3", ("cr", "sed"), _SED_NS,
+        lambda design, **kw: sed_scenario(design, -2.0, 0.0, _SED_MIX_SHIFTED, **kw), "rejection_rate",
+        {
+            "Contingency": {"sed": (0.07, 0.10, 0.20), "cr": (0.06, 0.10, 0.17)},
+            "MatchedWR": {"sed": (0.12, 0.13, 0.23), "cr": (0.07, 0.11, 0.23)},
+            "StratUnmatchedWR": {"sed": (0.23, 0.25, 0.33), "cr": (0.07, 0.15, 0.26)},
+            "UnstratUnmatchedWR": {"sed": (0.20, 0.24, 0.29), "cr": (0.06, 0.10, 0.19)},
+        },
+        info=SED_ANALYSES,
+    ),
 }
 
-_SED_TABLES = {
-    "t11": (-1.5, 0.0, _SED_MIX_MAIN, _T11),
-    "t12": (-2.0, 0.0, _SED_MIX_MAIN, _T12),
-    "t13": (-2.0, 0.5, _SED_MIX_MAIN, _T13),
-    "t14": (-2.0, 0.0, _SED_MIX_SHIFTED, _T14),
-}
-
-_TITLES = {
-    "t3": "no-effect survival setting: treatment-effect estimates",
-    "t4": "no-effect survival setting: Type I error",
-    "t5": "equal effects on both components: estimates",
-    "t6": "equal effects on both components: power",
-    "t7": "effect on death only: estimates",
-    "t8": "effect on death only: power",
-    "t9": "effect on death only, priorities swapped: estimates",
-    "t10": "effect on death only, priorities swapped: power",
-    "t11": "enriched vs complete randomization: Type I error",
-    "t12": "enriched vs complete randomization: power, scenario 1",
-    "t13": "enriched vs complete randomization: power, scenario 2",
-    "t14": "enriched vs complete randomization: power, scenario 3",
-}
-
-# cells whose simulated values are known to deviate from the reference on
-# this generator (see README); they are reported but not required.  Entries
-# are either a row name (every N) or a (row, N) pair.
-_INFO_ONLY_CELLS = {
-    "t3": {("Cox", 60), ("MatchedWR", 60), ("MatchedWR", 100),
-           ("StratUnmatchedWR", 60), ("UnstratUnmatchedWR", 60)},
-    "t5": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"},
-    "t6": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", ("Cox", 60)},
-    "t7": {("MatchedWR", 60), ("MatchedWR", 100)},
-    "t8": {"Obrien", ("Cox", 100), ("Cox", 200)},
-    "t9": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"},
-    "t10": {"Cox", "Obrien", ("MatchedWR", 200), ("StratUnmatchedWR", 200),
-            ("UnstratUnmatchedWR", 200)},
-}
-
-
-def _cell_required(table_id: str, row: str, n: int) -> bool:
-    info = _INFO_ONLY_CELLS.get(table_id, set())
-    return row not in info and (row, n) not in info
-
-
-def _estimate_of(summary: McSummary) -> float:
-    return summary.mean_estimate
-
-
-def _power_of(summary: McSummary) -> float:
-    return summary.rejection_rate
+TABLE_IDS = tuple(_TABLES)
 
 
 def reproduce_table(
@@ -335,141 +344,87 @@ def reproduce_table(
     """Re-simulate one benchmark table and compare cell by cell."""
     if table_id not in TABLE_IDS:
         raise ConfigError(f"unknown table id {table_id!r}; valid: {', '.join(TABLE_IDS)}")
+    spec = _TABLES[table_id]
     table_no = int(table_id[1:])
-    report = TableReport(table_id=table_id, title=_TITLES[table_id])
-
-    if table_id in _SURV_TABLES:
-        (bt, bi), est_table, pow_table, priority = _SURV_TABLES[table_id]
-        summaries = {}
-        for n in _SURV_NS:
-            cfg = survival_scenario(
-                beta_t=bt, beta_in=bi, n=n, reps=reps,
-                master_seed=_table_seed(seed, table_no, 0, n),
-                win_priority=priority,
-            )
-            summaries[n] = monte_carlo(cfg, n_jobs=n_jobs)
-        ref = est_table if est_table is not None else pow_table
-        value_of = _estimate_of if est_table is not None else _power_of
-        for row, cells in ref.items():
-            for n, target in zip(_SURV_NS, cells):
-                if table_id == "t4":
-                    tol = 0.02
-                elif est_table is not None and row != "Cox" and table_id != "t3":
-                    tol = 0.30 if table_id == "t7" else 0.15
-                else:
-                    tol = 0.05
-                required = _cell_required(table_id, row, n)
-                report.cells.append(
-                    CellReport(row, "parallel", n, value_of(summaries[n][row]), target, tol, required)
-                )
-        _add_survival_checks(report, table_id, summaries)
-        return report
-
-    beta_t1, beta_in23, mix, ref = _SED_TABLES[table_id]
     summaries = {}
-    for d_idx, design in enumerate(("cr", "sed")):
-        for n in _SED_NS:
-            cfg = sed_scenario(
-                design, beta_t1, beta_in23, mix, n, reps=reps,
-                master_seed=_table_seed(seed, table_no, d_idx, n),
-            )
+    for d, design in enumerate(spec.designs):
+        for n in spec.ns:
+            cfg = spec.scenario(design, n=n, reps=reps, master_seed=_table_seed(seed, table_no, d, n))
             summaries[(design, n)] = monte_carlo(cfg, n_jobs=n_jobs)
-    for row, by_design in ref.items():
-        for design, cells in by_design.items():
-            for n, target in zip(_SED_NS, cells):
-                if table_id == "t11":
-                    required = n == 500
-                    tol = 0.03 if n == 500 else 0.05
-                else:
-                    required = False
-                    tol = 0.05
-                report.cells.append(
-                    CellReport(
-                        row, design, n, _power_of(summaries[(design, n)][row]), target, tol, required
-                    )
-                )
-    _add_sed_checks(report, table_id, summaries)
+    report = TableReport(table_id, spec.title, checks=_checks(table_id, summaries))
+    for row, by_design in spec.reference.items():
+        for design, targets in by_design.items():
+            for n, target in zip(spec.ns, targets):
+                keys = (row, n, (row, n))
+                tol = next((spec.tol_at[k] for k in keys if k in spec.tol_at), 0.05)
+                required = not any(k in spec.info for k in keys)
+                simulated = getattr(summaries[(design, n)][row], spec.value)
+                report.cells.append(CellReport(row, design, n, simulated, target, tol, required))
     return report
+
+
+# ---------------------------------------------------------------------------
+# structural checks
 
 
 def _power_ordering(summaries, n: int, chain, strict, required: bool = True) -> CheckReport:
     """Power at N=n falls along ``chain``: strictly where ``strict`` says, else weakly."""
-    power = {k: v.rejection_rate for k, v in summaries[n].items()}
+    power = {a: summaries[("parallel", n)][a].rejection_rate for a in chain}
     ok = all(
         power[a] > power[b] if s else power[a] >= power[b]
         for a, b, s in zip(chain, chain[1:], strict)
     )
-    detail = " ".join(f"{a}={power[a]:.3f}" for a in chain)
+    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
     return CheckReport(f"power ordering at N={n}", ok, detail, required)
 
 
-def _add_survival_checks(report: TableReport, table_id: str, summaries) -> None:
+def _power_bound(label: str, summaries, n: int, rows, bound: float, above: bool,
+                 required: bool = True) -> CheckReport:
+    """Power at N=n is at least (``above``) or at most ``bound`` for every analysis in ``rows``."""
+    power = {a: summaries[("parallel", n)][a].rejection_rate for a in rows}
+    ok = all(p >= bound if above else p <= bound for p in power.values())
+    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
+    return CheckReport(label, ok, detail, required)
+
+
+def _checks(table_id: str, summaries) -> list[CheckReport]:
+    """The table's structural checks; ``summaries`` is keyed by (design, N)."""
     if table_id == "t6":
-        report.checks.append(_power_ordering(
+        return [_power_ordering(
             summaries, 200, ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"],
             [True, True, False, True],
-        ))
-    elif table_id == "t8":
-        report.checks.append(_power_ordering(
-            summaries, 100, ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"],
-            [False, True, True, True], required=False,
-        ))
-        wr200 = summaries[200]["MatchedWR"].mean_estimate
-        report.checks.append(
+        )]
+    if table_id == "t8":
+        wr200 = summaries[("parallel", 200)]["MatchedWR"].mean_estimate
+        return [
+            _power_ordering(
+                summaries, 100, ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"],
+                [False, True, True, True], required=False,
+            ),
             CheckReport(
-                "matched WR estimate near 3.0 at N=200",
-                abs(wr200 - 3.0) <= 0.30,
-                f"mean={wr200:.3f}",
-            )
-        )
-    elif table_id == "t10":
-        at100 = {k: v.rejection_rate for k, v in summaries[100].items()}
-        wr_ok = all(
-            at100[a] <= 0.15 for a in ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
-        )
-        report.checks.append(
-            CheckReport(
-                "win-ratio methods defused at N=100 (power <= 0.15)",
-                wr_ok,
-                " ".join(
-                    f"{a}={at100[a]:.3f}"
-                    for a in ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
-                ),
-            )
-        )
-        report.checks.append(
-            CheckReport(
-                "rank-sum-type test retains power at N=100 (>= 0.65)",
-                at100["Obrien"] >= 0.65,
-                f"Obrien={at100['Obrien']:.3f}",
-                required=False,
-            )
-        )
-        report.checks.append(
-            CheckReport(
-                "Cox retains power at N=100 (>= 0.60)",
-                at100["Cox"] >= 0.60,
-                f"Cox={at100['Cox']:.3f}",
-            )
-        )
-
-
-def _add_sed_checks(report: TableReport, table_id: str, summaries) -> None:
-    if table_id == "t11":
-        return
-    for analysis in ("StratUnmatchedWR", "UnstratUnmatchedWR"):
-        for n in (100, 200):
-            sed = summaries[("sed", n)][analysis].rejection_rate
-            cr = summaries[("cr", n)][analysis].rejection_rate
-            gap = sed - cr
-            required = table_id in ("t13", "t14")
-            if table_id == "t14" and analysis == "StratUnmatchedWR" and n == 100:
-                required = False  # true gap sits at the 0.05 boundary (README)
-            report.checks.append(
-                CheckReport(
+                "matched WR estimate near 3.0 at N=200", abs(wr200 - 3.0) <= 0.30, f"mean={wr200:.3f}"
+            ),
+        ]
+    if table_id == "t10":
+        return [
+            _power_bound("win-ratio methods defused at N=100 (power <= 0.15)",
+                         summaries, 100, _WR_ROWS, 0.15, above=False),
+            _power_bound("rank-sum-type test retains power at N=100 (>= 0.65)",
+                         summaries, 100, ("Obrien",), 0.65, above=True, required=False),
+            _power_bound("Cox retains power at N=100 (>= 0.60)", summaries, 100, ("Cox",), 0.60, above=True),
+        ]
+    checks = []
+    if table_id in ("t12", "t13", "t14"):
+        for analysis in ("StratUnmatchedWR", "UnstratUnmatchedWR"):
+            for n in (100, 200):
+                sed = summaries[("sed", n)][analysis].rejection_rate
+                cr = summaries[("cr", n)][analysis].rejection_rate
+                gap = sed - cr
+                # t12's gaps are informational; t14's stratified gap at N=100 sits at 0.05 (README)
+                checks.append(CheckReport(
                     f"SED gains over CR: {analysis} at N={n} (gap >= 0.05)",
                     gap >= 0.05,
                     f"sed={sed:.3f} cr={cr:.3f} gap={gap:+.3f}",
-                    required=required,
-                )
-            )
+                    table_id != "t12" and (table_id, analysis, n) != ("t14", "StratUnmatchedWR", 100),
+                ))
+    return checks

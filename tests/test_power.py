@@ -16,6 +16,7 @@ from wrtrials import (
     unmatched_sample_size,
     unmatched_variance,
 )
+from wrtrials.cli import main as cli_main
 from wrtrials.core import _two_sided_p
 from wrtrials.power import (
     THETA_NULL,
@@ -260,6 +261,23 @@ def test_unmatched_sample_size_monotone_and_null_boundary():
     assert unmatched_sample_size(theta_weak) > unmatched_sample_size(theta_strong)
     with pytest.raises(ConfigError):
         unmatched_sample_size(THETA_NULL)
+
+
+RATES = ["--pt", "0.3", "--qt", "0.3", "--pc", "0.5", "--qc", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--matched", "--pt", "0", "--qt", "0", "--pc", "0", "--qc", "0"],  # every pair ties
+    ["--unmatched", "--pt", "0", "--qt", "0", "--pc", "0", "--qc", "0"],  # no wins, no losses
+    ["--unmatched", "--pt", "0", "--qt", "0", "--pc", "1", "--qc", "0.5"],  # no losses
+    ["--unmatched", *RATES, "--alpha", "0"],
+    ["--unmatched", *RATES, "--power", "1.5"],
+    ["--matched", *RATES, "--alpha", "0"],
+], ids=["matched-all-ties", "unmatched-all-ties", "unmatched-no-losses", "unmatched-alpha-0",
+        "unmatched-power-1.5", "matched-alpha-0"])
+def test_cli_power_rejects_degenerate_inputs(argv, capsys):
+    assert cli_main(["power", *argv]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unmatched_sample_size_even_total_for_balanced_arms():

@@ -1,10 +1,16 @@
 """Benchmark-table machinery (structure only; values are acceptance's job)."""
 
+import hashlib
+
 import pytest
 
-from wrtrials import ConfigError
+from wrtrials import ConfigError, presets
 from wrtrials.cli import main as cli_main
+from wrtrials.harness import McSummary
 from wrtrials.presets import TABLE_IDS, reproduce_table
+
+CONFIGS_SHA256 = "363e526c6baf70a94ff79fd0b5a4e3cbd2d37ded61ba735c8806fddcb215c14b"
+LINES_SHA256 = "e6434d94a6dd35234f4fc2f708570e679187e5922d33ef5fcd77cc9dc50498b8"
 
 
 def test_unknown_table_rejected():
@@ -43,3 +49,35 @@ def test_cli_reproduce_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "table t4" in out and "verdict" in out
     assert out_csv.exists()
+
+
+
+def _digest(strings) -> str:
+    return hashlib.sha256("\n".join(strings).encode()).hexdigest()
+
+
+def test_table_specs_are_pinned(monkeypatch):
+    """Pin the configs all 12 tables simulate and their reports on fixed summaries.
+
+    A stub stands in for ``monte_carlo``.  Its rejection rates and estimates
+    change when the analysis, the design or N (60, 100, 200 or 500) alone
+    changes, so every cell value and check detail shows which summary it was
+    read from; a change to any table's settings, references, tolerances,
+    required flags or checks moves one of the two digests.
+    """
+    calls = []
+
+    def stub(cfg, *, n_jobs):
+        calls.append(repr(cfg))
+        d = ("parallel", "cr", "sed").index(cfg.design)
+        out = {}
+        for a, name in enumerate(cfg.analyses):
+            rate = ((7 * a + 5 * d + cfg.n_total // 20) % 19) / 20
+            out[name] = McSummary(rate, 0.4 + 3 * rate, (rate, 1 + rate), cfg.reps, 0)
+        return out
+
+    monkeypatch.setattr(presets, "monte_carlo", stub)
+    lines = [line for t in TABLE_IDS for line in reproduce_table(t, reps=7, seed=11).lines()]
+    assert len(calls) == 48  # 8 survival tables x 3 N + 4 SED tables x 2 designs x 3 N
+    assert _digest(calls) == CONFIGS_SHA256
+    assert _digest(lines) == LINES_SHA256
