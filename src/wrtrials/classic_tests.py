@@ -129,7 +129,7 @@ def cox_ph(
     Returns (beta, covariance, iterations, converged, separation).  Ties are
     handled with the Breslow approximation.  When the likelihood is monotone
     (complete separation) coefficients are capped at |beta| <= 15 and the
-    fit is flagged.
+    fit is flagged.  A singular information matrix raises ``DegenerateResultError``.
 
     Every entry of ``X`` must be 0 or 1, so the N rows hold at most 2^k
     distinct covariate patterns.  A fit sorts the times once and counts
@@ -191,7 +191,10 @@ def cox_ph(
             break
     if not separation and np.max(np.abs(score)) < tol:
         converged = True
-    cov = np.linalg.inv(info)
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:  # collinear columns, or a separated fit
+        raise DegenerateResultError("singular information matrix") from None
     return beta, cov, it, converged, separation
 
 
@@ -206,7 +209,7 @@ def cox_fit(cohort: Cohort) -> CoxResult:
 
     The Wald statistic refers to the treatment coefficient; covariate
     coefficients are nuisance terms.  A cohort without both arms raises
-    ``ValueError``.
+    ``ValueError``, and a singular information matrix ``DegenerateResultError``.
     """
     times = first_event_times(cohort)
     X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)

@@ -3,6 +3,8 @@
 A trial is ``trial_cohort``, which draws the cohort of ``cfg.design`` from
 the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``run_trial`` is the two in turn, and ``wrtrials gen`` writes the first.
+``_FAMILIES`` holds, per outcome family, its generator config, designs,
+analyses and the rule that scores its pairs.
 Replications are independent: each owns a private generator derived from the
 master seed through ``SeedSequence.spawn``, so results are identical whether
 reps run on one worker or many.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,25 +42,33 @@ from .wr_tests import (
     matched_wr_test,
 )
 
-ANALYSES = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Cox", "Obrien", "Contingency")
+_WIN_RATIO = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
+ANALYSES = _WIN_RATIO + ("Cox", "Obrien", "Contingency")
 
-_FAMILY_ANALYSES = {
-    "survival": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Cox", "Obrien"},
-    "binary": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"},
-    "continuous": {"MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien", "Contingency"},
+
+class _Family(NamedTuple):
+    """What one outcome family allows, and the rule that scores its pairs."""
+
+    generator: type
+    designs: tuple[str, ...]
+    analyses: tuple[str, ...]
+    rule: Callable[[ScenarioConfig], object]
+
+
+_FAMILIES = {
+    "survival": _Family(SurvivalGenConfig, ("parallel",), _WIN_RATIO + ("Cox", "Obrien"),
+                        lambda cfg: SurvivalRule(cfg.win_priority)),
+    "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule()),
+    "continuous": _Family(ContinuousGenConfig, ("parallel", "cr", "sed"),
+                          _WIN_RATIO + ("Obrien", "Contingency"),
+                          lambda cfg: ContinuousRule(cfg.cutoffs.c_t)),
 }
 
-_FAMILY_GENERATORS = {
-    "survival": SurvivalGenConfig,
-    "binary": BinaryGenConfig,
-    "continuous": ContinuousGenConfig,
-}
 
-_FAMILY_DESIGNS = {
-    "survival": {"parallel"},
-    "binary": {"parallel"},
-    "continuous": {"parallel", "cr", "sed"},
-}
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ConfigError(f"unknown outcome family {name!r}")
+    return _FAMILIES[name]
 
 
 @dataclass(frozen=True)
@@ -90,20 +100,17 @@ class ScenarioConfig:
     win_priority: str = "death"
 
     def __post_init__(self):
-        if self.outcome_family not in _FAMILY_ANALYSES:
-            raise ConfigError(f"unknown outcome family {self.outcome_family!r}")
-        gen_type = _FAMILY_GENERATORS[self.outcome_family]
-        if not isinstance(self.generator, gen_type):
-            raise ConfigError(f"a {self.outcome_family} scenario needs a {gen_type.__name__}")
-        if self.design not in _FAMILY_DESIGNS[self.outcome_family]:
+        spec = _family(self.outcome_family)
+        if not isinstance(self.generator, spec.generator):
+            raise ConfigError(f"a {self.outcome_family} scenario needs a {spec.generator.__name__}")
+        if self.design not in spec.designs:
             raise ConfigError(
                 f"design {self.design!r} is not available for the {self.outcome_family} family"
             )
-        allowed = _FAMILY_ANALYSES[self.outcome_family]
         for a in self.analyses:
             if a not in ANALYSES:
                 raise ConfigError(f"unknown analysis {a!r}")
-            if a not in allowed:
+            if a not in spec.analyses:
                 raise ConfigError(f"analysis {a!r} is incompatible with {self.outcome_family}")
         if not self.analyses:
             raise ConfigError("at least one analysis is required")
@@ -122,6 +129,11 @@ class ScenarioConfig:
                 raise ConfigError("binary arm sizes must sum to n_total")
         elif self.generator.n != self.n_total:
             raise ConfigError("generator cohort size must equal n_total")
+        if self.outcome_family == "survival" and "Obrien" in self.analyses:
+            n_treated = int(self.n_total * self.generator.allocation)
+            if min(n_treated, self.n_total - n_treated) < 2:
+                raise ConfigError(f"Obrien needs two patients per arm, and {n_treated} "
+                                  f"of {self.n_total} are treated")
 
 
 @dataclass(frozen=True)
@@ -129,11 +141,11 @@ class TrialRecord:
     """One analysis outcome inside one simulated trial."""
 
     analysis: str
-    estimate: float
-    ci_low: float
-    ci_high: float
-    z: float
-    p_value: float
+    estimate: float = math.nan
+    ci_low: float = math.nan
+    ci_high: float = math.nan
+    z: float = math.nan
+    p_value: float = math.nan
     degenerate: bool = False
     note: str = ""
 
@@ -172,66 +184,46 @@ def _wr_record(analysis: str, result) -> TrialRecord:
     )
 
 
-def _degenerate(analysis: str, err: Exception) -> TrialRecord:
-    nan = float("nan")
-    return TrialRecord(analysis, nan, nan, nan, nan, nan, degenerate=True, note=str(err))
+def _analysis_record(analysis: str, cfg: ScenarioConfig, cohort: Cohort, rule,
+                     rng: np.random.Generator) -> TrialRecord:
+    """The record of one analysis of ``cohort``; a degenerate fit raises DegenerateResultError."""
+    if analysis == "MatchedWR":
+        pairing = form_matched_pairs(cohort, rng)
+        return _wr_record(analysis, matched_wr_test(cohort, pairing.pairs, rule))
+    if analysis in ("StratUnmatchedWR", "UnstratUnmatchedWR"):
+        res = fs_unmatched_test(cohort, rule, stratified=analysis == "StratUnmatchedWR")
+        return _wr_record(analysis, res)
+    if analysis == "Cox":
+        res = cox_fit(cohort)
+        if res.separation or not res.converged:
+            raise DegenerateResultError("separation or non-convergence")
+        return TrialRecord(analysis, res.hr, res.ci_low, res.ci_high, res.z, res.p_value)
+    if analysis == "Obrien":
+        if cfg.outcome_family == "survival":
+            res = obrien_first_event(cohort)
+        else:
+            res = obrien_test(-cohort.y, cohort.arm)
+        return TrialRecord(analysis, z=res.f_stat, p_value=res.p_value)
+    # Contingency: first-stage comparisons only, one record per patient: the
+    # plain 2x2 Wald test has no stratum structure, and pooling records across
+    # stages either duplicates patients or confounds arm with stage composition
+    first = cohort.stage == 0
+    ind = improvement_indicators(cohort, cfg.cutoffs.c_t)
+    improved = (ind[:, 0] | ind[:, 1] | ind[:, 2])[first]
+    arms = cohort.arm[first]
+    res = contingency_or_test(improved[arms == 1], improved[arms == 0])
+    return TrialRecord(analysis, res.or_hat, z=res.z, p_value=res.p_value,
+                       note="haldane" if res.corrected else "")
 
 
 def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator):
-    family = cfg.outcome_family
-    if family == "survival":
-        rule = SurvivalRule(cfg.win_priority)
-    elif family == "binary":
-        rule = BinaryRule()
-    else:
-        rule = ContinuousRule(cfg.cutoffs.c_t)
-
+    rule = _FAMILIES[cfg.outcome_family].rule(cfg)
     records = {}
     for analysis in cfg.analyses:
         try:
-            if analysis == "MatchedWR":
-                pairing = form_matched_pairs(cohort, rng)
-                res = matched_wr_test(cohort, pairing.pairs, rule)
-                records[analysis] = _wr_record(analysis, res)
-            elif analysis == "StratUnmatchedWR":
-                res = fs_unmatched_test(cohort, rule, stratified=True)
-                records[analysis] = _wr_record(analysis, res)
-            elif analysis == "UnstratUnmatchedWR":
-                res = fs_unmatched_test(cohort, rule, stratified=False)
-                records[analysis] = _wr_record(analysis, res)
-            elif analysis == "Cox":
-                res = cox_fit(cohort)
-                if res.separation or not res.converged:
-                    records[analysis] = _degenerate(analysis, RuntimeError("separation or non-convergence"))
-                else:
-                    records[analysis] = TrialRecord(
-                        analysis, res.hr, res.ci_low, res.ci_high, res.z, res.p_value
-                    )
-            elif analysis == "Obrien":
-                if family == "survival":
-                    res = obrien_first_event(cohort)
-                else:
-                    res = obrien_test(-cohort.y, cohort.arm)
-                records[analysis] = TrialRecord(
-                    analysis, float("nan"), float("nan"), float("nan"),
-                    res.f_stat, res.p_value,
-                )
-            elif analysis == "Contingency":
-                # first-stage comparisons only, one record per patient: the
-                # plain 2x2 Wald test has no stratum structure, and pooling
-                # records across stages either duplicates patients or
-                # confounds arm with stage composition
-                first = cohort.stage == 0
-                ind = improvement_indicators(cohort, cfg.cutoffs.c_t)
-                improved = (ind[:, 0] | ind[:, 1] | ind[:, 2])[first]
-                arms = cohort.arm[first]
-                res = contingency_or_test(improved[arms == 1], improved[arms == 0])
-                records[analysis] = TrialRecord(
-                    analysis, res.or_hat, float("nan"), float("nan"), res.z, res.p_value,
-                    note="haldane" if res.corrected else "",
-                )
+            records[analysis] = _analysis_record(analysis, cfg, cohort, rule, rng)
         except DegenerateResultError as err:
-            records[analysis] = _degenerate(analysis, err)
+            records[analysis] = TrialRecord(analysis, degenerate=True, note=str(err))
     return records
 
 
@@ -357,20 +349,20 @@ def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator
 
 
 def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
-    """One simulated trial: each analysis's record on the cohort of ``trial_cohort``."""
-    return _run_analyses(cfg, *trial_cohort(cfg, seed))
+    """One simulated trial: each analysis's record on the cohort of ``trial_cohort``.
+
+    An SED lead-in that reaches ``_LEADIN_MAX_BATCHES`` leaves no cohort: every
+    analysis then gets a degenerate record whose note gives the nonresponders found.
+    """
+    try:
+        cohort, rng = trial_cohort(cfg, seed)
+    except DegenerateResultError as err:
+        return {a: TrialRecord(a, degenerate=True, note=str(err)) for a in cfg.analyses}
+    return _run_analyses(cfg, cohort, rng)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
-
-
-def _rep_worker(args):
-    cfg, seedseq = args
-    try:
-        return run_trial(cfg, seedseq)
-    except DegenerateResultError as err:
-        return {a: _degenerate(a, err) for a in cfg.analyses}
 
 
 def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
@@ -382,18 +374,16 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     master_seed) regardless of ``n_jobs``.
     """
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.reps)
-    args = [(cfg, s) for s in seeds]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            all_records = list(pool.map(_rep_worker, args, chunksize=max(1, cfg.reps // (4 * n_jobs))))
+            all_records = list(pool.map(run_trial, [cfg] * cfg.reps, seeds,
+                                        chunksize=max(1, cfg.reps // (4 * n_jobs))))
     else:
-        all_records = [_rep_worker(a) for a in args]
+        all_records = [run_trial(cfg, s) for s in seeds]
 
     out = {}
     for analysis in cfg.analyses:
-        recs = [r[analysis] for r in all_records]
-        used = [r for r in recs if not r.degenerate]
-        n_deg = len(recs) - len(used)
+        used = [r[analysis] for r in all_records if not r[analysis].degenerate]
         if not used:
             raise DegenerateResultError(f"every replicate was degenerate for {analysis}")
         rejections = sum(1 for r in used if r.p_value < cfg.alpha)
@@ -408,7 +398,7 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
                 float(np.mean(ci_h)) if ci_h else float("nan"),
             ),
             reps_used=len(used),
-            degenerate_count=n_deg,
+            degenerate_count=len(all_records) - len(used),
         )
     return out
 
@@ -480,10 +470,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     Cutoffs accept the strings "inf" and "-inf" as sentinels.
     """
     kw = _kwargs(ScenarioConfig, d, "", {})
-    family, n = kw["outcome_family"], kw["n_total"]
-    if family not in _FAMILY_GENERATORS:
-        raise ConfigError(f"unknown outcome family {family!r}")
-    gen_type = _FAMILY_GENERATORS[family]
+    gen_type, n = _family(kw["outcome_family"]).generator, kw["n_total"]
     sizes = {"n1": n // 2, "n0": n - n // 2} if gen_type is BinaryGenConfig else {"n": n}
     kw["generator"] = gen_type(**_kwargs(gen_type, kw["generator"], "generator", sizes))
     return ScenarioConfig(**kw)

@@ -169,6 +169,8 @@ def unmatched_g_gradient(theta: ThetaBinary) -> np.ndarray:
     """Analytic gradient of g; cross-checked against central differences."""
     t1, t2, t3, t4, t5, t6 = theta.theta
     w, l = unmatched_win_loss(theta)
+    if l == 0:
+        raise ConfigError("loss probability is zero: win ratio infinite")
     dw = np.array(
         [
             -t4 + t6 - (t5 - t6),

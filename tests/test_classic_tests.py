@@ -381,6 +381,16 @@ def test_cox_separation_flagged_and_capped():
     assert abs(res.beta_t_hat) <= 15.0 + 1e-9
 
 
+def test_cox_singular_information_is_degenerate():
+    # x2 == 1 - x1: the two covariate columns are collinear, and inverting
+    # the information matrix raised LinAlgError out of monte_carlo
+    x1 = np.array([0, 1] * 4)
+    cohort = make_cohort([1, 1, 1, 1, 0, 0, 0, 0], x1, 1 - x1,
+                         e_death=np.arange(1.0, 9.0), e_hosp=np.full(8, 20.0))
+    with pytest.raises(DegenerateResultError, match="singular information matrix"):
+        cox_fit(cohort)
+
+
 def test_cox_breslow_handles_ties():
     times = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 4.0])
     X = np.column_stack([[1, 0, 1, 0, 1, 0]]).astype(float)

@@ -146,7 +146,7 @@ def test_leadin_cap_makes_every_analysis_degenerate(monkeypatch):
         return frame
 
     monkeypatch.setattr(harness, "draw_continuous_patients", counting)
-    records = harness._rep_worker((cfg, np.random.SeedSequence(3)))
+    records = run_trial(cfg, np.random.SeedSequence(3))
     assert batch_sizes == [8] * 400
     assert set(records) == set(cfg.analyses)
     for record in records.values():
@@ -501,6 +501,35 @@ def test_cli_gen_writes_the_first_replicates_cohort(name, tmp_path, monkeypatch)
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(dict(SCENARIO_JSON, bogus=1)))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+def test_cli_small_survival_cox_records_singular_fits_as_degenerate(tmp_path, capsys):
+    # at N=8 the information matrix of replicates 73 and 95 is singular, and
+    # its LinAlgError used to end the run
+    d = {"design": "parallel", "outcome_family": "survival", "generator": {},
+         "analyses": ["Cox"], "n_total": 8, "reps": 100}
+    cfg = scenario_from_dict(d)
+    seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.reps)
+    for rep in (73, 95):
+        record = run_trial(cfg, seeds[rep])["Cox"]
+        assert record.degenerate and record.note == "singular information matrix"
+    cfg_path = tmp_path / "cox8.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["Cox"]["degenerate_count"] >= 2
+
+
+def test_cli_obrien_on_an_arm_of_one_is_a_config_error(tmp_path):
+    # int(4 * 0.25) = 1 treated patient: obrien_first_event raised ValueError mid-run
+    d = {"design": "parallel", "outcome_family": "survival", "generator": {"allocation": 0.25},
+         "analyses": ["Obrien"], "n_total": 4}
+    with pytest.raises(ConfigError, match="Obrien needs two patients per arm"):
+        scenario_from_dict(d)
+    scenario_from_dict(dict(d, analyses=["StratUnmatchedWR"]))
+    scenario_from_dict(dict(d, n_total=8))
+    cfg_path = tmp_path / "obrien.json"
+    cfg_path.write_text(json.dumps(d))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
 
 

@@ -184,6 +184,16 @@ def _g_free(t):
     return w / l
 
 
+@pytest.mark.parametrize("rates", [(0, 0, 1, 0.5), (0, 0, 0, 0)])
+def test_zero_loss_probability_is_a_config_error(rates):
+    # the gradient divided by l^2, so unmatched_variance returned nan with a
+    # RuntimeWarning where unmatched_g refused the same theta
+    theta = ThetaBinary.from_rates(*rates)
+    for f in (unmatched_g, unmatched_g_gradient, lambda t: unmatched_variance(t, 1, 1)):
+        with pytest.raises(ConfigError, match="loss probability is zero"):
+            f(theta)
+
+
 def test_variance_mirror_identity():
     # under equal allocation, swapping arms inverts g, so the delta-method
     # variance transforms by 1/g^4; the two variances coincide exactly when
