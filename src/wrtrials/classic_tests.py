@@ -25,8 +25,6 @@ class CoxResult:
     ci_low: float
     ci_high: float
     iterations: int
-    converged: bool
-    separation: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,25 +67,21 @@ class _CoxPatterns(NamedTuple):
 
 
 def _cox_patterns(times: np.ndarray, X: np.ndarray) -> _CoxPatterns:
-    n, k = X.shape
+    k = X.shape[1]
     # tie groups share the risk set of their first row, and the counts at a
     # group start do not depend on the order inside the group
-    order = np.argsort(times)
-    t = times[order]
-    if n < 2 or t[0] == t[-1]:
+    order, start, stop = tie_groups(times)
+    if len(start) < 2:
         raise ValueError("need at least two distinct event times")
     code = (X @ 2.0 ** np.arange(k)).astype(np.intp)[order]
     rows = np.arange(2**k)[:, None] == code
     # counted in int32, which numpy accumulates about twice as fast as float64
     at_risk = np.cumsum(rows[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
-    new = np.ones(n, dtype=bool)
-    np.not_equal(t[1:], t[:-1], out=new[1:])
-    group_start = np.maximum.accumulate(np.where(new, np.arange(n), 0))
     xp = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
     totals = at_risk[:, 0].astype(float)  # every row is at risk at the first time
     return _CoxPatterns(xp, np.column_stack([np.ones(2**k), xp]),
                         (xp[:, None] - xp[None]).reshape(-1, k), totals, totals @ xp,
-                        at_risk.take(group_start, axis=1).astype(float))
+                        at_risk.take(np.repeat(start, stop - start), axis=1).astype(float))
 
 
 def cox_loglik(beta: np.ndarray, data: _CoxPatterns) -> float:
@@ -176,8 +170,9 @@ def cox_ph(
         new_ll = cox_loglik(new_beta, data)
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
-        # falls below its rounding noise, halving near-optimal steps at random
-        while new_ll < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
+        # falls below its rounding noise, halving near-optimal steps at random;
+        # written so that a NaN trial point (an exp overflow) is halved too
+        while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
             step *= 0.5
             new_beta = beta + step
             new_ll = cox_loglik(new_beta, data)
@@ -209,7 +204,10 @@ def cox_fit(cohort: Cohort) -> CoxResult:
 
     The Wald statistic refers to the treatment coefficient; covariate
     coefficients are nuisance terms.  A cohort without both arms raises
-    ``ValueError``, and a singular information matrix ``DegenerateResultError``.
+    ``ValueError``.  A fit without a usable estimate raises
+    ``DegenerateResultError`` with one of three reasons: "singular information
+    matrix", "separation" (a coefficient reached the |beta| = 15 cap) or
+    "non-convergence" (the Newton loop ended with |score| >= 1e-8).
     """
     times = first_event_times(cohort)
     X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
@@ -219,6 +217,8 @@ def cox_fit(cohort: Cohort) -> CoxResult:
         raise ValueError(f"Cox analysis needs both arms: the cohort has no {missing} patients")
     X = X[:, [True, 0 < n_x1 < len(X), 0 < n_x2 < len(X)]]
     beta, cov, iters, converged, separation = cox_ph(times, X)
+    if separation or not converged:
+        raise DegenerateResultError("separation" if separation else "non-convergence")
     b = float(beta[0])
     se = float(math.sqrt(max(cov[0, 0], 0.0)))
     z = b / se if se > 0 else math.copysign(math.inf, b)
@@ -232,8 +232,6 @@ def cox_fit(cohort: Cohort) -> CoxResult:
         ci_low=safe_exp(b - Z_95 * se),
         ci_high=safe_exp(b + Z_95 * se),
         iterations=iters,
-        converged=converged,
-        separation=separation,
     )
 
 

@@ -68,14 +68,9 @@ def _cmd_power(args) -> int:
         "C1": None,
     }
     if args.matched:
-        if probs.p_tie >= 1.0:
+        if probs.p_w + probs.p_l <= 0.0:
             raise ConfigError("no effect: every pair ties")
-        p_a = probs.p_w / (1.0 - probs.p_tie)
-        if p_a <= 0.5:
-            p_a_mirror = probs.p_l / (1.0 - probs.p_tie)
-            if p_a_mirror <= 0.5:
-                raise ConfigError("no effect: win and loss probabilities are equal")
-            p_a = p_a_mirror
+        p_a = max(probs.p_w, probs.p_l) / (probs.p_w + probs.p_l)
         n, total_pairs = matched_sample_size(p_a, probs.p_tie, args.alpha, args.power)
         record["n"] = n
         record["N"] = total_pairs
@@ -153,10 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as err:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DegenerateResultError as err:

@@ -195,8 +195,6 @@ def _analysis_record(analysis: str, cfg: ScenarioConfig, cohort: Cohort, rule,
         return _wr_record(analysis, res)
     if analysis == "Cox":
         res = cox_fit(cohort)
-        if res.separation or not res.converged:
-            raise DegenerateResultError("separation or non-convergence")
         return TrialRecord(analysis, res.hr, res.ci_low, res.ci_high, res.z, res.p_value)
     if analysis == "Obrien":
         if cfg.outcome_family == "survival":

@@ -105,7 +105,9 @@ def matched_sample_size(
     """Pairs needed for the matched win-ratio test.
 
     ``p_a`` is the win proportion among informative pairs under the
-    alternative, ``p_tie`` the tie probability per pair.  Returns
+    alternative, ``p_tie`` the tie probability per pair.  A share within
+    1e-12 of 1/2 (no effect) or of 1 (separation) raises ``ConfigError``:
+    rounding there gives n of about 1e30 or 0.  Returns
     (n, n_pairs_total): informative pairs and total pairs enrolled
     (n / (1 - p_tie), rounded up).  One patient pair per unit, so the
     total patient count is 2 * n_pairs_total.
@@ -116,8 +118,8 @@ def matched_sample_size(
     p/(1-p) with null variance one; it returns far smaller sizes whose
     realized power falls short of the target (see the module docstring).
     """
-    if not (0.5 < p_a < 1.0):
-        raise ConfigError("no effect: sample size infinite (need 0.5 < p_a < 1)")
+    if not (0.5 + 1e-12 < p_a < 1.0 - 1e-12):
+        raise ConfigError("no effect or separation: need 0.5 < p_a < 1 (by more than 1e-12)")
     if not (0.0 <= p_tie < 1.0):
         raise ConfigError("p_tie must lie in [0, 1)")
     if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):

@@ -11,17 +11,22 @@ from scipy.stats import f as f_dist, rankdata
 from wrtrials import (
     Arm,
     DegenerateResultError,
+    ScenarioConfig,
     SurvivalGenConfig,
     classic_tests,
     contingency_or_test,
     cox_fit,
     gen_survival_cohort,
+    harness,
     obrien_test,
+    scenario_from_dict,
+    trial_cohort,
 )
 from wrtrials.classic_tests import (
     BETA_CAP,
     cox_loglik,
     cox_ph,
+    first_event_times,
     midranks,
     obrien_first_event,
     _cox_patterns,
@@ -110,7 +115,7 @@ def row_cox_ph(times, X, max_iter=50, tol=1e-8):
         new_beta = beta + step
         new_ll = row_cox_loglik(new_beta, t, Xs)
         halvings = 0
-        while new_ll < ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
+        while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
             step *= 0.5
             new_beta = beta + step
             new_ll = row_cox_loglik(new_beta, t, Xs)
@@ -198,6 +203,23 @@ class LoglikCounter:
         return self.fn(*args)
 
 
+class CoxCallLog:
+    """The ``cox_loglik`` values and the ``_cox_score_info`` calls of a fit, in call order."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("cox_loglik", "_cox_score_info"):
+            monkeypatch.setattr(classic_tests, name, self._recording(name, getattr(classic_tests, name)))
+
+    def _recording(self, name, fn):
+        def call(*args):
+            result = fn(*args)
+            self.calls.append((name, result))
+            return result
+
+        return call
+
+
 def _fit_cases():
     for n in (60, 200, 4000):
         yield f"tie-free N={n}", *survival_design(n, n), {}
@@ -246,9 +268,9 @@ def test_cox_converges_where_an_absolute_line_search_bound_stalled(seed):
     # at N=1000 |ll| is about 5800, where one ulp is about 1e-12: an absolute
     # acceptance bound of 1e-12 halved near-optimal steps at random, and these
     # fits crawled to max_iter without converging
+    # cox_fit raises DegenerateResultError on separation or non-convergence
     cfg = SurvivalGenConfig(beta_t=math.log(0.6), n=1000)
     res = cox_fit(gen_survival_cohort(cfg, np.random.default_rng(seed)))
-    assert res.converged and not res.separation
     assert res.iterations <= 3
 
 
@@ -257,8 +279,8 @@ def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
     plain = cox_fit(cohort)
     counter = LoglikCounter(monkeypatch)
     counted = cox_fit(cohort)
-    assert counted == plain
-    assert counted.converged and counted.iterations >= 2
+    assert counted == plain  # a fit that returns has converged
+    assert counted.iterations >= 2
     assert counter.calls == counted.iterations + 1
 
 
@@ -335,8 +357,7 @@ def test_cox_identical_arms_give_null_fit():
     times = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2)
     res = cox_fit(make_cohort([1, 0] * 6, e_death=times, e_hosp=times + 100))
     assert res.beta_t_hat == pytest.approx(0.0, abs=1e-8)
-    assert res.hr == pytest.approx(1.0, abs=1e-8)
-    assert res.converged
+    assert res.hr == pytest.approx(1.0, abs=1e-8)  # returned, so converged
 
 
 def test_cox_time_scale_invariance():
@@ -373,22 +394,69 @@ def test_cox_recovers_known_hazard_ratio():
     assert b[0] == pytest.approx(math.log(2.0), abs=0.08)
 
 
-def test_cox_separation_flagged_and_capped():
+def separated_cohort():
+    """12 rows, every treated first event after every control one."""
     i = np.arange(6)
     e_death = np.column_stack([100.0 + i, 1.0 + 0.01 * i]).ravel()  # treatment, control
-    res = cox_fit(make_cohort([1, 0] * 6, e_death=e_death, e_hosp=np.full(12, 200.0)))
-    assert res.separation
-    assert abs(res.beta_t_hat) <= 15.0 + 1e-9
+    return make_cohort([1, 0] * 6, e_death=e_death, e_hosp=np.full(12, 200.0))
+
+
+def collinear_cohort():
+    """8 rows with x2 == 1 - x1, so the information matrix is singular."""
+    x1 = np.array([0, 1] * 4)
+    return make_cohort([1, 1, 1, 1, 0, 0, 0, 0], x1, 1 - x1,
+                       e_death=np.arange(1.0, 9.0), e_hosp=np.full(8, 20.0))
+
+
+def test_cox_separation_flagged_and_capped():
+    cohort = separated_cohort()
+    # the design cox_fit builds: x1 and x2 are constant, so the arm alone
+    beta, _, _, _, separation = cox_ph(first_event_times(cohort), cohort.arm[:, None].astype(float))
+    assert separation
+    assert abs(beta[0]) <= 15.0 + 1e-9
+    with pytest.raises(DegenerateResultError, match="^separation$"):
+        cox_fit(cohort)
 
 
 def test_cox_singular_information_is_degenerate():
     # x2 == 1 - x1: the two covariate columns are collinear, and inverting
     # the information matrix raised LinAlgError out of monte_carlo
-    x1 = np.array([0, 1] * 4)
-    cohort = make_cohort([1, 1, 1, 1, 0, 0, 0, 0], x1, 1 - x1,
-                         e_death=np.arange(1.0, 9.0), e_hosp=np.full(8, 20.0))
     with pytest.raises(DegenerateResultError, match="singular information matrix"):
-        cox_fit(cohort)
+        cox_fit(collinear_cohort())
+
+
+def test_cox_halves_a_nan_trial_point(monkeypatch):
+    # survival defaults at N=4, replicate 122 of the default master seed: a
+    # Newton step overflows exp, and the fit took the step to its NaN
+    # log-likelihood unhalved, because NaN < bound is False
+    cfg = scenario_from_dict({"design": "parallel", "outcome_family": "survival",
+                              "generator": {}, "analyses": ["Cox"], "n_total": 4})
+    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(123)[122])
+    X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
+    assert X.T.tolist() == [[0, 0, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1]]
+    log = CoxCallLog(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cox_ph(first_event_times(cohort), X)
+    assert any(name == "cox_loglik" and math.isnan(ll) for name, ll in log.calls)
+    # the log-likelihood evaluated last before each score is the accepted point's
+    accepted = [prev for (prev_name, prev), (name, _) in zip(log.calls, log.calls[1:])
+                if name == "_cox_score_info" and prev_name == "cox_loglik"]
+    assert len(accepted) == sum(name == "_cox_score_info" for name, _ in log.calls)
+    assert len(accepted) >= 2 and all(math.isfinite(ll) for ll in accepted)
+
+
+@pytest.mark.parametrize("reason", ["separation", "non-convergence", "singular information matrix"])
+def test_each_cox_reason_reaches_the_trial_record_note(reason, monkeypatch):
+    if reason == "non-convergence":
+        cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(4))
+        fit = classic_tests.cox_ph
+        monkeypatch.setattr(classic_tests, "cox_ph", lambda times, X: fit(times, X, max_iter=1))
+    else:
+        cohort = separated_cohort() if reason == "separation" else collinear_cohort()
+    n = len(cohort)
+    cfg = ScenarioConfig("parallel", "survival", SurvivalGenConfig(n=n), ("Cox",), n)
+    record = harness._run_analyses(cfg, cohort, np.random.default_rng(0))["Cox"]
+    assert record.degenerate and record.note == reason
 
 
 def test_cox_breslow_handles_ties():

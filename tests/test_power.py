@@ -233,6 +233,10 @@ def test_variance_against_null_simulation():
 def test_matched_sample_size_null_boundary():
     with pytest.raises(ConfigError):
         matched_sample_size(0.5, 0.25)
+    # within rounding of 1/2 or of 1 the formula gives n of about 1e30 or 0
+    for p_a in (0.5000000000000002, 1.0 - 1e-13, 1.0):
+        with pytest.raises(ConfigError):
+            matched_sample_size(p_a, 0.25)
 
 
 def test_matched_sample_size_tie_scaling():
@@ -283,8 +287,10 @@ RATES = ["--pt", "0.3", "--qt", "0.3", "--pc", "0.5", "--qc", "0.5"]
     ["--unmatched", *RATES, "--alpha", "0"],
     ["--unmatched", *RATES, "--power", "1.5"],
     ["--matched", *RATES, "--alpha", "0"],
+    ["--matched", "--pt", "0", "--qt", "0.05", "--pc", "0", "--qc", "0.05"],  # identical arms
+    ["--matched", "--pt", "0", "--qt", "0", "--pc", "1", "--qc", "0.5"],  # p_a = 1: no losses
 ], ids=["matched-all-ties", "unmatched-all-ties", "unmatched-no-losses", "unmatched-alpha-0",
-        "unmatched-power-1.5", "matched-alpha-0"])
+        "unmatched-power-1.5", "matched-alpha-0", "matched-identical-arms", "matched-no-losses"])
 def test_cli_power_rejects_degenerate_inputs(argv, capsys):
     assert cli_main(["power", *argv]) == 2
     assert "config error" in capsys.readouterr().err
