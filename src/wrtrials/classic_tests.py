@@ -167,16 +167,17 @@ def cox_ph(
         except np.linalg.LinAlgError:
             step = score / max(np.max(np.abs(np.diag(info))), 1.0)
         new_beta = beta + step
-        new_ll = cox_loglik(new_beta, data)
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
         # falls below its rounding noise, halving near-optimal steps at random;
-        # written so that a NaN trial point (an exp overflow) is halved too
-        while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
-            step *= 0.5
-            new_beta = beta + step
+        # a NaN trial point (an exp overflow) is halved too, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             new_ll = cox_loglik(new_beta, data)
-            halvings += 1
+            while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
+                step *= 0.5
+                new_beta = beta + step
+                new_ll = cox_loglik(new_beta, data)
+                halvings += 1
         beta, ll = new_beta, new_ll
         if np.max(np.abs(beta)) > BETA_CAP:
             separation = True

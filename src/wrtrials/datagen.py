@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Cohort, ConfigError
+from .core import _FAMILY_COLUMNS, Cohort, ConfigError
 
 
 def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -321,19 +321,15 @@ def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray
 
 
 def cohort_to_csv(cohort: Cohort, path: str) -> None:
-    """One row per patient: id, arm, covariates, stratum, outcome columns."""
-    if cohort.y_death is not None:
-        extra = ["y_death", "x_hosp"]
-        outcomes = [cohort.y_death.tolist(), cohort.x_hosp.tolist()]
-    elif cohort.e_death is not None:
-        extra = ["e_death", "e_hosp"]
-        outcomes = [map(repr, cohort.e_death.tolist()), map(repr, cohort.e_hosp.tolist())]
-    else:
-        extra = ["y_base", "y1", "y2", "y3"]
-        outcomes = [map(repr, col.tolist()) for col in (cohort.y_base, *cohort.y.T)]
+    """One row per patient: id, arm, covariates, stratum, the family's outcome columns."""
+    outcomes = {}  # header -> column, with y split into y1..y3
+    for name in next(names for names in _FAMILY_COLUMNS if getattr(cohort, names[0]) is not None):
+        col = getattr(cohort, name)
+        outcomes.update({name: col} if col.ndim == 1 else
+                        {f"{name}{k + 1}": c for k, c in enumerate(col.T)})
     design = [cohort.arm.astype(int).tolist(), cohort.x1.tolist(), cohort.x2.tolist(),
               cohort.stratum.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "arm", "x_cov1", "x_cov2", "stratum"] + extra)
-        writer.writerows(zip(range(len(cohort)), *design, *outcomes))
+        writer.writerow(["id", "arm", "x_cov1", "x_cov2", "stratum", *outcomes])
+        writer.writerows(zip(range(len(cohort)), *design, *(c.tolist() for c in outcomes.values())))

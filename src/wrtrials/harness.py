@@ -4,7 +4,8 @@ A trial is ``trial_cohort``, which draws the cohort of ``cfg.design`` from
 the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``run_trial`` is the two in turn, and ``wrtrials gen`` writes the first.
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
-analyses and the rule that scores its pairs.
+analyses, the rule that scores its pairs, the draw of a trial's cohort, its
+O'Brien endpoint, and the arm sizes and default cohort size of its generator.
 Replications are independent: each owns a private generator derived from the
 master seed through ``SeedSequence.spawn``, so results are identical whether
 reps run on one worker or many.
@@ -47,21 +48,41 @@ ANALYSES = _WIN_RATIO + ("Cox", "Obrien", "Contingency")
 
 
 class _Family(NamedTuple):
-    """What one outcome family allows, and the rule that scores its pairs."""
+    """What one outcome family allows, how a trial draws it, and how it is scored.
+
+    Its callables look up this module's functions when called, so a replaced one runs.
+    """
 
     generator: type
     designs: tuple[str, ...]
     analyses: tuple[str, ...]
     rule: Callable[[ScenarioConfig], object]
+    cohort: Callable[[ScenarioConfig, object], tuple[Cohort, np.random.Generator]]  # (cfg, seed)
+    arms: Callable[[object], tuple[int, int]]  # the generator's (treated, control) sizes
+    sizes: Callable[[int], dict]  # the generator's size fields that n_total implies
+    obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
+
+
+def _split(n: int, allocation: float) -> tuple[int, int]:
+    """The arm sizes ``datagen._assign_arms`` gives n patients: floor(n * allocation) treated."""
+    return int(n * allocation), n - int(n * allocation)
 
 
 _FAMILIES = {
     "survival": _Family(SurvivalGenConfig, ("parallel",), _WIN_RATIO + ("Cox", "Obrien"),
-                        lambda cfg: SurvivalRule(cfg.win_priority)),
-    "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule()),
+                        lambda cfg: SurvivalRule(cfg.win_priority),
+                        lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort),
+                        lambda gen: _split(gen.n, gen.allocation), lambda n: {"n": n},
+                        lambda cohort: obrien_first_event(cohort)),
+    "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule(),
+                      lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
+                      lambda gen: (gen.n1, gen.n0), lambda n: {"n1": n // 2, "n0": n - n // 2}),
     "continuous": _Family(ContinuousGenConfig, ("parallel", "cr", "sed"),
                           _WIN_RATIO + ("Obrien", "Contingency"),
-                          lambda cfg: ContinuousRule(cfg.cutoffs.c_t)),
+                          lambda cfg: ContinuousRule(cfg.cutoffs.c_t),
+                          lambda cfg, seed: _continuous_trial_cohort(cfg, seed),
+                          lambda gen: _split(gen.n, 0.5), lambda n: {"n": n},
+                          lambda cohort: obrien_test(-cohort.y, cohort.arm)),  # shorter is better
 }
 
 
@@ -124,16 +145,12 @@ class ScenarioConfig:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.win_priority not in ("death", "hosp"):
             raise ConfigError("win_priority must be 'death' or 'hosp'")
-        if self.outcome_family == "binary":
-            if self.generator.n1 + self.generator.n0 != self.n_total:
-                raise ConfigError("binary arm sizes must sum to n_total")
-        elif self.generator.n != self.n_total:
-            raise ConfigError("generator cohort size must equal n_total")
-        if self.outcome_family == "survival" and "Obrien" in self.analyses:
-            n_treated = int(self.n_total * self.generator.allocation)
-            if min(n_treated, self.n_total - n_treated) < 2:
-                raise ConfigError(f"Obrien needs two patients per arm, and {n_treated} "
-                                  f"of {self.n_total} are treated")
+        treated, control = spec.arms(self.generator)
+        if treated + control != self.n_total:
+            raise ConfigError(f"generator arm sizes {treated} + {control} must sum to n_total={self.n_total}")
+        if "Obrien" in self.analyses and min(treated, control) < 2:
+            raise ConfigError(f"Obrien needs two patients per arm, and {treated} "
+                              f"of {self.n_total} are treated")
 
 
 @dataclass(frozen=True)
@@ -197,10 +214,7 @@ def _analysis_record(analysis: str, cfg: ScenarioConfig, cohort: Cohort, rule,
         res = cox_fit(cohort)
         return TrialRecord(analysis, res.hr, res.ci_low, res.ci_high, res.z, res.p_value)
     if analysis == "Obrien":
-        if cfg.outcome_family == "survival":
-            res = obrien_first_event(cohort)
-        else:
-            res = obrien_test(-cohort.y, cohort.arm)
+        res = _FAMILIES[cfg.outcome_family].obrien(cohort)
         return TrialRecord(analysis, z=res.f_stat, p_value=res.p_value)
     # Contingency: first-stage comparisons only, one record per patient: the
     # plain 2x2 Wald test has no stratum structure, and pooling records across
@@ -269,9 +283,13 @@ def _leadin_frame(
     )
 
 
-def _continuous_trial_cohort(
-    cfg: ScenarioConfig, seed, sed: bool
-) -> tuple[Cohort, np.random.Generator]:
+def _one_stream_cohort(cfg: ScenarioConfig, seed, draw) -> tuple[Cohort, np.random.Generator]:
+    """``draw(cfg.generator, rng)`` on the first of two streams; the second is the analyses'."""
+    gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
+    return draw(cfg.generator, np.random.default_rng(gen_seed)), np.random.default_rng(analysis_seed)
+
+
+def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
     gen = cfg.generator
     (
         patients_seed,
@@ -286,7 +304,7 @@ def _continuous_trial_cohort(
     patients_rng = np.random.default_rng(patients_seed)
     n = cfg.n_total
 
-    if sed:
+    if cfg.design == "sed":
         frame = _leadin_frame(gen, cfg.cutoffs.c_s0, n, patients_rng,
                               np.random.default_rng(leadin_seed))
     else:
@@ -298,7 +316,7 @@ def _continuous_trial_cohort(
     )
     stages = [(frame, s1_arm, y1)]
 
-    if sed:
+    if cfg.design == "sed":
         drug_idx = np.where(s1_arm == 1)[0]
         responders = drug_idx[
             ~_nonresponder_mask(y1[drug_idx], frame.y_base[drug_idx], cfg.cutoffs.c_s1)
@@ -335,15 +353,7 @@ def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator
     is empty, so the analysis coincides with ``cr`` on the same seed: that
     degeneracy is the regression anchor for the seeding scheme.
     """
-    if cfg.outcome_family == "continuous":
-        return _continuous_trial_cohort(cfg, seed, sed=cfg.design == "sed")
-    gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
-    rng = np.random.default_rng(gen_seed)
-    if cfg.outcome_family == "survival":
-        cohort = gen_survival_cohort(cfg.generator, rng)
-    else:
-        cohort = gen_binary_cohort(cfg.generator, rng)
-    return cohort, np.random.default_rng(analysis_seed)
+    return _FAMILIES[cfg.outcome_family].cohort(cfg, seed)
 
 
 def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
@@ -468,7 +478,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     Cutoffs accept the strings "inf" and "-inf" as sentinels.
     """
     kw = _kwargs(ScenarioConfig, d, "", {})
-    gen_type, n = _family(kw["outcome_family"]).generator, kw["n_total"]
-    sizes = {"n1": n // 2, "n0": n - n // 2} if gen_type is BinaryGenConfig else {"n": n}
-    kw["generator"] = gen_type(**_kwargs(gen_type, kw["generator"], "generator", sizes))
+    spec = _family(kw["outcome_family"])
+    sizes = spec.sizes(kw["n_total"])
+    kw["generator"] = spec.generator(**_kwargs(spec.generator, kw["generator"], "generator", sizes))
     return ScenarioConfig(**kw)

@@ -3,8 +3,8 @@
 Tables t3..t14 bundle reference operating characteristics (estimates, Type I
 error rates, powers) for fixed generative settings.  One ``_TABLES`` entry
 specifies each table: its scenarios, reference cells, per-cell tolerances and
-the cells that are informational only; ``_checks`` holds its structural checks
-(orderings, thresholds, design gaps).  ``reproduce_table`` reruns the grid and
+the cells that are informational only, and its structural checks (orderings,
+thresholds, design gaps).  ``reproduce_table`` reruns the grid and
 reports simulated minus reference per cell.  Known systematic deviations of
 this implementation from the reference values are listed in the README.
 """
@@ -170,12 +170,54 @@ def sed_scenario(
 
 
 # ---------------------------------------------------------------------------
+# structural checks, on the summaries of a table keyed by (design, N)
+
+
+def _power_ordering(summaries, n: int, chain, strict, required: bool = True) -> CheckReport:
+    """Power at N=n falls along ``chain``: strictly where ``strict`` says, else weakly."""
+    power = {a: summaries[("parallel", n)][a].rejection_rate for a in chain}
+    ok = all(power[a] > power[b] if s else power[a] >= power[b]
+             for a, b, s in zip(chain, chain[1:], strict))
+    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
+    return CheckReport(f"power ordering at N={n}", ok, detail, required)
+
+
+def _power_bound(label: str, summaries, n: int, rows, bound: float, above: bool,
+                 required: bool = True) -> CheckReport:
+    """Power at N=n is at least (``above``) or at most ``bound`` for every analysis in ``rows``."""
+    power = {a: summaries[("parallel", n)][a].rejection_rate for a in rows}
+    ok = all(p >= bound if above else p <= bound for p in power.values())
+    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
+    return CheckReport(label, ok, detail, required)
+
+
+def _estimate_near(label: str, summaries, n: int, row: str, target: float, tol: float) -> CheckReport:
+    mean = summaries[("parallel", n)][row].mean_estimate
+    return CheckReport(label, abs(mean - target) <= tol, f"mean={mean:.3f}")
+
+
+_GAPS = tuple((a, n) for a in ("StratUnmatchedWR", "UnstratUnmatchedWR") for n in (100, 200))
+
+
+def _sed_gaps(summaries, info=()) -> list[CheckReport]:
+    """SED's power exceeds CR's by 0.05 or more at each ``_GAPS`` cell; enforced unless in ``info``."""
+    checks = []
+    for analysis, n in _GAPS:
+        sed = summaries[("sed", n)][analysis].rejection_rate
+        cr = summaries[("cr", n)][analysis].rejection_rate
+        gap = sed - cr
+        checks.append(CheckReport(f"SED gains over CR: {analysis} at N={n} (gap >= 0.05)", gap >= 0.05,
+                                  f"sed={sed:.3f} cr={cr:.3f} gap={gap:+.3f}", (analysis, n) not in info))
+    return checks
+
+
+# ---------------------------------------------------------------------------
 # table specs
 
 
 @dataclass(frozen=True)
 class _Table:
-    """What one benchmark table simulates and the reference it is held to."""
+    """What one benchmark table simulates, and the reference and checks it is held to."""
 
     title: str
     designs: tuple[str, ...]
@@ -186,6 +228,7 @@ class _Table:
     # a cell is matched by its row, its N or its (row, N)
     tol_at: Mapping = field(default_factory=dict)  # match -> tolerance; 0.05 where none
     info: Collection = ()  # matches reported but not enforced
+    checks: Callable[[Mapping], list[CheckReport]] = lambda summaries: []  # of summaries by (design, N)
 
 
 _SURV_NS = (60, 100, 200)
@@ -239,6 +282,9 @@ _TABLES = {
             "Obrien": {"parallel": (0.32, 0.51, 0.82)},
         },
         info={*_WR_ROWS, ("Cox", 60)},
+        checks=lambda s: [_power_ordering(
+            s, 200, ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"],
+            [True, True, False, True])],
     ),
     "t7": _Table(
         "effect on death only: estimates", ("parallel",), _SURV_NS,
@@ -262,6 +308,11 @@ _TABLES = {
             "Obrien": {"parallel": (0.50, 0.74, 0.93)},
         },
         info={"Obrien", ("Cox", 100), ("Cox", 200)},
+        checks=lambda s: [
+            _power_ordering(s, 100, ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"],
+                            [False, True, True, True], required=False),
+            _estimate_near("matched WR estimate near 3.0 at N=200", s, 200, "MatchedWR", 3.0, 0.30),
+        ],
     ),
     "t9": _Table(
         "effect on death only, priorities swapped: estimates", ("parallel",), _SURV_NS,
@@ -285,6 +336,13 @@ _TABLES = {
             "Obrien": {"parallel": (0.51, 0.72, 0.91)},
         },
         info={"Cox", "Obrien", *((row, 200) for row in _WR_ROWS)},
+        checks=lambda s: [
+            _power_bound("win-ratio methods defused at N=100 (power <= 0.15)",
+                         s, 100, _WR_ROWS, 0.15, above=False),
+            _power_bound("rank-sum-type test retains power at N=100 (>= 0.65)",
+                         s, 100, ("Obrien",), 0.65, above=True, required=False),
+            _power_bound("Cox retains power at N=100 (>= 0.60)", s, 100, ("Cox",), 0.60, above=True),
+        ],
     ),
     "t11": _Table(
         "enriched vs complete randomization: Type I error", ("cr", "sed"), _SED_NS,
@@ -306,7 +364,7 @@ _TABLES = {
             "StratUnmatchedWR": {"sed": (0.49, 0.81, 0.99), "cr": (0.47, 0.74, 0.99)},
             "UnstratUnmatchedWR": {"sed": (0.33, 0.59, 0.92), "cr": (0.32, 0.51, 0.93)},
         },
-        info=SED_ANALYSES,
+        info=SED_ANALYSES, checks=lambda s: _sed_gaps(s, info=_GAPS),
     ),
     "t13": _Table(
         "enriched vs complete randomization: power, scenario 2", ("cr", "sed"), _SED_NS,
@@ -317,7 +375,7 @@ _TABLES = {
             "StratUnmatchedWR": {"sed": (0.23, 0.27, 0.41), "cr": (0.11, 0.17, 0.32)},
             "UnstratUnmatchedWR": {"sed": (0.22, 0.24, 0.32), "cr": (0.07, 0.14, 0.22)},
         },
-        info=SED_ANALYSES,
+        info=SED_ANALYSES, checks=_sed_gaps,
     ),
     "t14": _Table(
         "enriched vs complete randomization: power, scenario 3", ("cr", "sed"), _SED_NS,
@@ -329,6 +387,8 @@ _TABLES = {
             "UnstratUnmatchedWR": {"sed": (0.20, 0.24, 0.29), "cr": (0.06, 0.10, 0.19)},
         },
         info=SED_ANALYSES,
+        # the stratified gap at N=100 sits at 0.05 (README)
+        checks=lambda s: _sed_gaps(s, info={("StratUnmatchedWR", 100)}),
     ),
 }
 
@@ -351,7 +411,7 @@ def reproduce_table(
         for n in spec.ns:
             cfg = spec.scenario(design, n=n, reps=reps, master_seed=_table_seed(seed, table_no, d, n))
             summaries[(design, n)] = monte_carlo(cfg, n_jobs=n_jobs)
-    report = TableReport(table_id, spec.title, checks=_checks(table_id, summaries))
+    report = TableReport(table_id, spec.title, checks=spec.checks(summaries))
     for row, by_design in spec.reference.items():
         for design, targets in by_design.items():
             for n, target in zip(spec.ns, targets):
@@ -361,70 +421,3 @@ def reproduce_table(
                 simulated = getattr(summaries[(design, n)][row], spec.value)
                 report.cells.append(CellReport(row, design, n, simulated, target, tol, required))
     return report
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-def _power_ordering(summaries, n: int, chain, strict, required: bool = True) -> CheckReport:
-    """Power at N=n falls along ``chain``: strictly where ``strict`` says, else weakly."""
-    power = {a: summaries[("parallel", n)][a].rejection_rate for a in chain}
-    ok = all(
-        power[a] > power[b] if s else power[a] >= power[b]
-        for a, b, s in zip(chain, chain[1:], strict)
-    )
-    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
-    return CheckReport(f"power ordering at N={n}", ok, detail, required)
-
-
-def _power_bound(label: str, summaries, n: int, rows, bound: float, above: bool,
-                 required: bool = True) -> CheckReport:
-    """Power at N=n is at least (``above``) or at most ``bound`` for every analysis in ``rows``."""
-    power = {a: summaries[("parallel", n)][a].rejection_rate for a in rows}
-    ok = all(p >= bound if above else p <= bound for p in power.values())
-    detail = " ".join(f"{a}={p:.3f}" for a, p in power.items())
-    return CheckReport(label, ok, detail, required)
-
-
-def _checks(table_id: str, summaries) -> list[CheckReport]:
-    """The table's structural checks; ``summaries`` is keyed by (design, N)."""
-    if table_id == "t6":
-        return [_power_ordering(
-            summaries, 200, ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"],
-            [True, True, False, True],
-        )]
-    if table_id == "t8":
-        wr200 = summaries[("parallel", 200)]["MatchedWR"].mean_estimate
-        return [
-            _power_ordering(
-                summaries, 100, ["StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR", "Obrien", "Cox"],
-                [False, True, True, True], required=False,
-            ),
-            CheckReport(
-                "matched WR estimate near 3.0 at N=200", abs(wr200 - 3.0) <= 0.30, f"mean={wr200:.3f}"
-            ),
-        ]
-    if table_id == "t10":
-        return [
-            _power_bound("win-ratio methods defused at N=100 (power <= 0.15)",
-                         summaries, 100, _WR_ROWS, 0.15, above=False),
-            _power_bound("rank-sum-type test retains power at N=100 (>= 0.65)",
-                         summaries, 100, ("Obrien",), 0.65, above=True, required=False),
-            _power_bound("Cox retains power at N=100 (>= 0.60)", summaries, 100, ("Cox",), 0.60, above=True),
-        ]
-    checks = []
-    if table_id in ("t12", "t13", "t14"):
-        for analysis in ("StratUnmatchedWR", "UnstratUnmatchedWR"):
-            for n in (100, 200):
-                sed = summaries[("sed", n)][analysis].rejection_rate
-                cr = summaries[("cr", n)][analysis].rejection_rate
-                gap = sed - cr
-                # t12's gaps are informational; t14's stratified gap at N=100 sits at 0.05 (README)
-                checks.append(CheckReport(
-                    f"SED gains over CR: {analysis} at N={n} (gap >= 0.05)",
-                    gap >= 0.05,
-                    f"sed={sed:.3f} cr={cr:.3f} gap={gap:+.3f}",
-                    table_id != "t12" and (table_id, analysis, n) != ("t14", "StratUnmatchedWR", 100),
-                ))
-    return checks

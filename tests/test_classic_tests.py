@@ -1,6 +1,7 @@
 """Cox, rank-sum-type, and odds-ratio analyses against independent oracles."""
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -425,24 +426,39 @@ def test_cox_singular_information_is_degenerate():
         cox_fit(collinear_cohort())
 
 
-def test_cox_halves_a_nan_trial_point(monkeypatch):
-    # survival defaults at N=4, replicate 122 of the default master seed: a
-    # Newton step overflows exp, and the fit took the step to its NaN
-    # log-likelihood unhalved, because NaN < bound is False
+def nan_trial_point_design():
+    """Survival defaults at N=4, replicate 122 of the default master seed: a Newton step overflows exp."""
     cfg = scenario_from_dict({"design": "parallel", "outcome_family": "survival",
                               "generator": {}, "analyses": ["Cox"], "n_total": 4})
     cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(123)[122])
     X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
     assert X.T.tolist() == [[0, 0, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1]]
+    return first_event_times(cohort), X
+
+
+def test_cox_halves_a_nan_trial_point(monkeypatch):
+    # the fit took the step to its NaN log-likelihood unhalved, because NaN <
+    # bound is False
+    times, X = nan_trial_point_design()
     log = CoxCallLog(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        cox_ph(first_event_times(cohort), X)
+        cox_ph(times, X)
     assert any(name == "cox_loglik" and math.isnan(ll) for name, ll in log.calls)
     # the log-likelihood evaluated last before each score is the accepted point's
     accepted = [prev for (prev_name, prev), (name, _) in zip(log.calls, log.calls[1:])
                 if name == "_cox_score_info" and prev_name == "cox_loglik"]
     assert len(accepted) == sum(name == "_cox_score_info" for name, _ in log.calls)
     assert len(accepted) >= 2 and all(math.isfinite(ll) for ll in accepted)
+
+
+def test_cox_nan_trial_point_warns_nothing():
+    # the NaN trial point is expected and halved; numpy printed "overflow
+    # encountered in exp" and "invalid value encountered in matmul" for it
+    times, X = nan_trial_point_design()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, _, _, _, separation = cox_ph(times, X)
+    assert separation and np.max(np.abs(beta)) == 15.0
 
 
 @pytest.mark.parametrize("reason", ["separation", "non-convergence", "singular information matrix"])

@@ -2,8 +2,10 @@
 
 ``golden_summaries.json`` holds the full ``McSummary`` of each ``monte_carlo``
 cell that ``reproduce_table`` runs for t3..t14 at ``reps=8, seed=1``, plus one
-binary parallel cell (no table exercises the binary generator).  Every field
-must match exactly, NaN matching NaN; a refactor that moves any digit fails.
+binary parallel cell (no table exercises the binary generator) and one
+continuous parallel cell with O'Brien (no table runs the continuous family on
+the parallel design or with O'Brien).  Every field must match exactly, NaN
+matching NaN; a refactor that moves any digit fails.
 
 Regenerate only when a change is meant to move the numbers, and say so in
 CHANGES.md:
@@ -20,7 +22,7 @@ import math
 from pathlib import Path
 
 from wrtrials import presets
-from wrtrials.datagen import BinaryGenConfig
+from wrtrials.datagen import BinaryGenConfig, ContinuousGenConfig, SubpopMix
 from wrtrials.harness import ScenarioConfig, monte_carlo
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_summaries.json"
@@ -33,6 +35,16 @@ BINARY_CELL = ScenarioConfig(
     generator=BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=100, n0=100),
     analyses=("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"),
     n_total=200,
+    reps=REPS,
+    master_seed=SEED,
+)
+
+CONTINUOUS_CELL = ScenarioConfig(
+    design="parallel",
+    outcome_family="continuous",
+    generator=ContinuousGenConfig(beta_t1=-2.0, n=100, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
+    analyses=("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien", "Contingency"),
+    n_total=100,
     reps=REPS,
     master_seed=SEED,
 )
@@ -62,6 +74,7 @@ def collect_summaries() -> dict:
     finally:
         presets.monte_carlo = table_mc
     cells["binary/parallel/N=200"] = _as_json(monte_carlo(BINARY_CELL))
+    cells["continuous/parallel/N=100"] = _as_json(monte_carlo(CONTINUOUS_CELL))
     return cells
 
 
@@ -77,7 +90,7 @@ def test_golden_summaries_bit_identical():
     with open(GOLDEN_FILE) as fh:
         golden = json.load(fh)
     got = collect_summaries()
-    assert len(golden) == 49
+    assert len(golden) == 50
     assert sorted(got) == sorted(golden)
     for key, analyses in golden.items():
         assert sorted(got[key]) == sorted(analyses), key

@@ -202,6 +202,21 @@ def test_generator_size_must_match():
             analyses=("Cox",),
             n_total=60,
         )
+    binary = BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=30, n0=20)
+    with pytest.raises(ConfigError, match="n_total"):
+        ScenarioConfig("parallel", "binary", binary, ("MatchedWR",), n_total=60)
+    # unequal arms are fine as long as they sum to n_total
+    assert ScenarioConfig("parallel", "binary", binary, ("MatchedWR",), n_total=50).n_total == 50
+    continuous = ContinuousGenConfig(n=100, mix=SubpopMix(0.25, 0.25, 0.25, 0.25))
+    with pytest.raises(ConfigError, match="n_total"):
+        ScenarioConfig("sed", "continuous", continuous, ("MatchedWR",), n_total=90)
+
+
+def test_scenario_from_dict_defaults_binary_arms_from_n_total():
+    cfg = scenario_from_dict({"design": "parallel", "outcome_family": "binary",
+                              "generator": {"p_t": 0.2, "q_t": 0.3, "p_c": 0.3, "q_c": 0.4},
+                              "analyses": ["MatchedWR"], "n_total": 51})
+    assert (cfg.generator.n1, cfg.generator.n0) == (25, 26)
 
 
 SCENARIO_JSON = {
