@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,22 +67,37 @@ class _CoxPatterns(NamedTuple):
     at_risk: np.ndarray  # (P, N)
 
 
-def _cox_patterns(times: np.ndarray, X: np.ndarray) -> _CoxPatterns:
-    k = X.shape[1]
+@functools.cache
+def _pattern_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``xp``, ``xp1`` and ``diff`` of k columns, built on first use and shared read-only."""
+    xp = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
+    tables = xp, np.column_stack([np.ones(2**k), xp]), (xp[:, None] - xp[None]).reshape(-1, k)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _cox_patterns(times: np.ndarray, columns) -> _CoxPatterns:
+    """The patterns of a fit from its times and its k 0/1 design columns."""
+    if not np.isfinite(times).all():
+        raise ValueError("event times must be finite")
     # tie groups share the risk set of their first row, and the counts at a
     # group start do not depend on the order inside the group
     order, start, stop = tie_groups(times)
     if len(start) < 2:
         raise ValueError("need at least two distinct event times")
-    code = (X @ 2.0 ** np.arange(k)).astype(np.intp)[order]
-    rows = np.arange(2**k)[:, None] == code
+    k = len(columns)
+    code = columns[0].astype(np.intp)  # each row's pattern: column j is bit j
+    for j in range(1, k):
+        code += columns[j].astype(np.intp) << j
+    rows = np.arange(2**k)[:, None] == code[order]
     # counted in int32, which numpy accumulates about twice as fast as float64
     at_risk = np.cumsum(rows[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
-    xp = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
     totals = at_risk[:, 0].astype(float)  # every row is at risk at the first time
-    return _CoxPatterns(xp, np.column_stack([np.ones(2**k), xp]),
-                        (xp[:, None] - xp[None]).reshape(-1, k), totals, totals @ xp,
-                        at_risk.take(np.repeat(start, stop - start), axis=1).astype(float))
+    if len(start) < len(times):  # a tied row takes the counts of its group start
+        at_risk = at_risk.take(np.repeat(start, stop - start), axis=1)
+    xp, xp1, diff = _pattern_tables(k)
+    return _CoxPatterns(xp, xp1, diff, totals, totals @ xp, at_risk.astype(float))
 
 
 def cox_loglik(beta: np.ndarray, data: _CoxPatterns) -> float:
@@ -103,7 +119,7 @@ def _cox_score_info(beta: np.ndarray, data: _CoxPatterns) -> tuple[np.ndarray, n
     s = (data.xp1 * w[:, None]).T @ data.at_risk  # (1 + k, N): s0, then s1
     r = 1.0 / s[0]
     score = data.sum_x - s[1:] @ r
-    pair_weight = ((data.at_risk * r**2) @ data.at_risk.T) * np.outer(w, w)
+    pair_weight = ((data.at_risk * r**2) @ data.at_risk.T) * (w[:, None] * w)
     info = 0.5 * (data.diff.T * pair_weight.ravel()) @ data.diff
     return score, info
 
@@ -126,14 +142,16 @@ def cox_ph(
     fit is flagged.  A singular information matrix raises ``DegenerateResultError``.
 
     Every entry of ``X`` must be 0 or 1, so the N rows hold at most 2^k
-    distinct covariate patterns.  A fit sorts the times once and counts
-    each pattern's rows at risk at every tie-group start; the risk-set sums
-    of an iterate are then one product with those (2^k, N) counts, after
-    2^k ``exp`` calls, so an iterate costs O(N 2^k).  The score and
-    information are evaluated once per iterate (iterations + 1 times) and
-    serve the convergence test, the next Newton step and the returned
-    covariance; the log-likelihood is evaluated once at the start and once
-    per trial point of each step.
+    distinct covariate patterns.  After checking ``X``, a fit runs the Newton
+    core that ``cox_fit`` runs on a cohort's columns: each row is coded as
+    its pattern number (column j is bit j), the times are sorted once, and
+    each pattern's rows at risk are counted at every tie-group start; the
+    risk-set sums of an iterate are then one product with those (2^k, N)
+    counts, after 2^k ``exp`` calls, so an iterate costs O(N 2^k).  The
+    score and information are evaluated once per iterate (iterations + 1
+    times) and serve the convergence test, the next Newton step and the
+    returned covariance; the log-likelihood is evaluated once at the start
+    and once per trial point of each step.
     """
     times = np.asarray(times, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -143,22 +161,29 @@ def cox_ph(
         raise ValueError("design matrix has no columns")
     if X.shape[1] > _MAX_COX_COLUMNS:
         raise ValueError(f"design matrix has more than {_MAX_COX_COLUMNS} columns")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(X))):
-        raise ValueError("event times and design matrix must be finite")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("design matrix must be finite")
     if not np.all((X == 0) | (X == 1)):
         raise ValueError("design matrix entries must be 0 or 1")
-    data = _cox_patterns(times, X)
+    data = _cox_patterns(times, X.T)
     if np.any((data.sum_x == 0) | (data.sum_x == len(times))):
         raise ValueError("design matrix has a constant column")
+    return _cox_newton(data, max_iter, tol)
 
-    beta = np.zeros(X.shape[1])
+
+def _cox_newton(
+    data: _CoxPatterns, max_iter: int = 50, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, int, bool, bool]:
+    """The damped Newton fit that ``cox_ph`` and ``cox_fit`` share; ``cox_ph`` documents it."""
+    beta = np.zeros(data.xp.shape[1])
     ll = cox_loglik(beta, data)
     score, info = _cox_score_info(beta, data)
     converged = False
     separation = False
     it = 0
     for it in range(1, max_iter + 1):
-        if np.max(np.abs(score)) < tol:
+        # the array method, not np.max: the same reduction without the dispatch
+        if np.abs(score).max() < tol:
             converged = True
             it -= 1
             break
@@ -179,13 +204,13 @@ def cox_ph(
                 new_ll = cox_loglik(new_beta, data)
                 halvings += 1
         beta, ll = new_beta, new_ll
-        if np.max(np.abs(beta)) > BETA_CAP:
+        if np.abs(beta).max() > BETA_CAP:
             separation = True
             beta = np.clip(beta, -BETA_CAP, BETA_CAP)
         score, info = _cox_score_info(beta, data)
         if separation:
             break
-    if not separation and np.max(np.abs(score)) < tol:
+    if not separation and np.abs(score).max() < tol:
         converged = True
     try:
         cov = np.linalg.inv(info)
@@ -209,15 +234,20 @@ def cox_fit(cohort: Cohort) -> CoxResult:
     ``DegenerateResultError`` with one of three reasons: "singular information
     matrix", "separation" (a coefficient reached the |beta| = 15 cap) or
     "non-convergence" (the Newton loop ended with |score| >= 1e-8).
+
+    The cohort's columns are 0/1 already, so no design matrix is built: the
+    fit codes each row as arm + 2 x1 + 4 x2, a constant covariate's bit
+    dropped, the same code and the same fit as ``cox_ph`` on
+    ``column_stack([arm, x1, x2])`` without the constant columns.
     """
     times = first_event_times(cohort)
-    X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
-    n_treated, n_x1, n_x2 = X.sum(axis=0)
-    if n_treated in (0, len(X)):
+    n = len(cohort)
+    n_treated = int(cohort.arm.sum())
+    if n_treated in (0, n):
         missing = "treatment" if n_treated == 0 else "control"
         raise ValueError(f"Cox analysis needs both arms: the cohort has no {missing} patients")
-    X = X[:, [True, 0 < n_x1 < len(X), 0 < n_x2 < len(X)]]
-    beta, cov, iters, converged, separation = cox_ph(times, X)
+    columns = [cohort.arm] + [x for x in (cohort.x1, cohort.x2) if 0 < x.sum() < n]
+    beta, cov, iters, converged, separation = _cox_newton(_cox_patterns(times, columns))
     if separation or not converged:
         raise DegenerateResultError("separation" if separation else "non-convergence")
     b = float(beta[0])
@@ -266,10 +296,11 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     n = values.shape[0]
     if len(groups) != n:
         raise ValueError("values and groups sizes disagree")
-    labels = np.unique(groups)
+    labels, label_of = np.unique(groups, return_inverse=True)
+    sizes = np.bincount(label_of)  # faster than np.unique's return_counts
     if len(labels) < 2:
         raise ValueError("need at least two groups")
-    if min(int((groups == g).sum()) for g in labels) < 2:
+    if sizes.min() < 2:
         raise ValueError("each group needs at least two patients")
 
     if not np.all(np.isfinite(values)):
@@ -279,14 +310,16 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
     for k in range(values.shape[1]):
         s += midranks(values[:, k])
     grand = s.mean()
+    # sums of half-integer ranks are exact, so these are the means of s[groups == g]
+    group_means = np.bincount(label_of, weights=s) / sizes
     ss_between = 0.0
     ss_within = 0.0
-    means = {}
-    for g in labels:
-        sg = s[groups == g]
-        means[g] = float(sg.mean())
-        ss_between += len(sg) * (sg.mean() - grand) ** 2
-        ss_within += float(((sg - sg.mean()) ** 2).sum())
+    for g, (size, mean) in enumerate(zip(sizes.tolist(), group_means.tolist())):
+        ss_between += size * (mean - grand) ** 2
+        # summed pairwise over the group's rows, as s[groups == g].sum() would:
+        # a bincount of the squares sums in another order and moves F by an ulp
+        ss_within += float(((s[label_of == g] - mean) ** 2).sum())
+    means = dict(zip(labels, group_means.tolist()))
     df_b = len(labels) - 1
     df_w = n - len(labels)
     if ss_within <= 0:

@@ -6,7 +6,8 @@ Subcommands:
   reproduce-table  rerun a benchmark table and print per-cell verdicts
   gen              write the cohort of the scenario's first replicate to CSV
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate-only results.
+Exit codes: 0 success, 1 a reproduced table failed its required checks,
+2 configuration error, 3 degenerate-only results.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _cmd_reproduce_table(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows(report.to_csv_rows())
-    return 0
+    return 0 if report.required_pass else 1
 
 
 def _cmd_gen(args) -> int:

@@ -80,10 +80,14 @@ class _Ranked:
 
     A run is a set of rows of equal (stratum, key); every row of a run has
     the same rows of its stratum strictly below it and strictly above it.
+    When every run holds one row (continuous times without ties), no pair
+    ties within a run and a per-run array is already one value per row, so
+    ``cross_ties`` and ``rows`` skip their per-run counts and repeats.
     """
 
     def __init__(self, key: np.ndarray, groups: np.ndarray):
         self.order, self.start, self.stop = tie_groups(key, groups)
+        self.tie_free = len(self.start) == len(self.order)
         # the sorted positions of each run's stratum block
         block_size = np.bincount(groups)
         block_stop = np.cumsum(block_size)
@@ -105,11 +109,13 @@ class _Ranked:
     def rows(self, per_run: np.ndarray) -> np.ndarray:
         """A per-run array spread over the rows, in input order."""
         out = np.empty(len(self.order), dtype=per_run.dtype)
-        out[self.order] = np.repeat(per_run, self.stop - self.start)
+        out[self.order] = per_run if self.tie_free else np.repeat(per_run, self.stop - self.start)
         return out
 
     def cross_ties(self, is_t: np.ndarray, is_c: np.ndarray | None = None) -> int:
         """Pairs of a row in ``is_t`` and a row in ``is_c`` (default: not in ``is_t``) within a run."""
+        if self.tie_free:
+            return 0
         t = self.count(is_t)
         c = self.stop - self.start - t if is_c is None else self.count(is_c)
         return int(t @ c)
@@ -296,26 +302,31 @@ def fs_unmatched_test(
     # 8-bit labels, which sort in linear time
     groups = cohort.stratum.astype(np.uint8) if stratified else np.zeros(len(cohort), dtype=np.uint8)
     u, n_tie = rule.u_ties(rule.columns(cohort), is_t, groups)
-    sizes = np.bincount(groups)
-    m_counts = np.bincount(groups[is_t], minlength=len(sizes))
-    # exact integers below 2**53, so summed in any order they are the same floats
-    squares = np.bincount(groups, weights=u * u)
+    if stratified:
+        sizes = np.bincount(groups)
+        # (size, treated, sum of U^2) per stratum; the squares are exact
+        # integers below 2**53, so summed in any order they are the same floats
+        strata = zip(sizes.tolist(), np.bincount(groups[is_t], minlength=len(sizes)).tolist(),
+                     np.bincount(groups, weights=u * u).tolist())
+    else:  # one stratum: its totals, twice as fast as a bincount over a constant label
+        strata = [(len(cohort), int(is_t.sum()), float((u * u).sum()))]
     # Every score is antisymmetric, so within a stratum the U-scores sum to
     # zero (a one-arm stratum adds nothing to T) and the treatment-treatment
     # scores cancel: T is wins less losses over the cross-arm pairs, and every
     # cross-arm pair is a win, a loss or a tie.
     diff = int(u[is_t].sum())
-    decided = int(m_counts @ (sizes - m_counts)) - n_tie
-    n_w, n_l = (decided + diff) // 2, (decided - diff) // 2
+    decided = -n_tie
     v_stat = 0.0
     dropped = 0
-    for n_k, m_k, ss_k in zip(sizes.tolist(), m_counts.tolist(), squares.tolist()):
+    for n_k, m_k, ss_k in strata:
+        decided += m_k * (n_k - m_k)
         if n_k == 0:
             continue
         if n_k < 2 or m_k == 0 or m_k == n_k:
             dropped += 1
             continue
         v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * ss_k
+    n_w, n_l = (decided + diff) // 2, (decided - diff) // 2
 
     method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
     if v_stat <= 0:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from scipy.special import fdtrc
-from scipy.stats import f as f_dist, rankdata
+from scipy.stats import f as f_dist, f_oneway, norm, rankdata
 
 from wrtrials import (
     Arm,
@@ -25,6 +25,7 @@ from wrtrials import (
 )
 from wrtrials.classic_tests import (
     BETA_CAP,
+    CoxResult,
     cox_loglik,
     cox_ph,
     first_event_times,
@@ -157,11 +158,11 @@ def score_info(beta, times, X):
 
 
 def pattern_score_info(beta, times, X):
-    return _cox_score_info(beta, _cox_patterns(times, X))
+    return _cox_score_info(beta, _cox_patterns(times, X.T))
 
 
 def pattern_cox_loglik(beta, times, X):
-    return cox_loglik(beta, _cox_patterns(times, X))
+    return cox_loglik(beta, _cox_patterns(times, X.T))
 
 
 def assert_rel_close(got, want, rel, label):
@@ -273,6 +274,39 @@ def test_cox_converges_where_an_absolute_line_search_bound_stalled(seed):
     cfg = SurvivalGenConfig(beta_t=math.log(0.6), n=1000)
     res = cox_fit(gen_survival_cohort(cfg, np.random.default_rng(seed)))
     assert res.iterations <= 3
+
+
+def fit_cohort_cases():
+    """Cohorts whose cox_fit drops none, one or both covariate columns, with and without ties."""
+    for seed, n in ((20, 60), (21, 200), (22, 1000)):
+        cohort = gen_survival_cohort(SurvivalGenConfig(n=n, beta_t=math.log(0.6)), np.random.default_rng(seed))
+        zeros, ones = np.zeros(n, dtype=int), np.ones(n, dtype=int)
+        tied = {"e_death": np.round(cohort.e_death, 1) + 0.1, "e_hosp": np.round(cohort.e_hosp, 1) + 0.1}
+        for name, x1, x2 in (("", cohort.x1, cohort.x2), (", x1 constant", zeros, cohort.x2),
+                             (", x2 constant", cohort.x1, ones), (", both constant", ones, zeros)):
+            for ties, outcomes in (("tie-free", {"e_death": cohort.e_death, "e_hosp": cohort.e_hosp}),
+                                   ("tied", tied)):
+                yield f"{ties} N={n}{name}", make_cohort(cohort.arm, x1, x2, **outcomes)
+
+
+def test_cox_fit_equals_cox_ph_on_the_design_matrix():
+    # cox_fit codes the cohort's 0/1 columns itself; cox_ph fits the float
+    # design with its constant columns dropped, and every field must agree
+    cases = 0
+    for name, cohort in fit_cohort_cases():
+        X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
+        X = X[:, [True, *(0 < X[:, 1:].sum(axis=0)) & (X[:, 1:].sum(axis=0) < len(X))]]
+        beta, cov, iterations, converged, separation = cox_ph(first_event_times(cohort), X)
+        assert converged and not separation, name
+        b, se = float(beta[0]), math.sqrt(max(cov[0, 0], 0.0))
+        z = b / se
+        want = CoxResult(b, se, z, float(2.0 * norm.sf(abs(z))), math.exp(b),
+                         math.exp(b - 1.959963984540054 * se), math.exp(b + 1.959963984540054 * se),
+                         iterations)
+        assert cox_fit(cohort) == want, name
+        assert iterations >= 2, name
+        cases += 1
+    assert cases == 24
 
 
 def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
@@ -465,8 +499,9 @@ def test_cox_nan_trial_point_warns_nothing():
 def test_each_cox_reason_reaches_the_trial_record_note(reason, monkeypatch):
     if reason == "non-convergence":
         cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(4))
-        fit = classic_tests.cox_ph
-        monkeypatch.setattr(classic_tests, "cox_ph", lambda times, X: fit(times, X, max_iter=1))
+        # one Newton step of the core that cox_fit and cox_ph share leaves |score| above 1e-8
+        newton = classic_tests._cox_newton
+        monkeypatch.setattr(classic_tests, "_cox_newton", lambda data: newton(data, max_iter=1))
     else:
         cohort = separated_cohort() if reason == "separation" else collinear_cohort()
     n = len(cohort)
@@ -559,6 +594,23 @@ def test_obrien_hand_anova():
     assert res.df == (1, 2)
     assert res.rank_sums[0] == pytest.approx(1.5)
     assert res.rank_sums[1] == pytest.approx(3.5)
+
+
+def test_obrien_string_labels_match_f_oneway_on_midrank_sums():
+    rng = np.random.default_rng(14)
+    n = 90
+    values = np.column_stack([rng.exponential(1.0, n), rng.integers(0, 5, n)])
+    groups = np.array(["placebo", "low", "high"])[np.arange(n) % 3]
+    values[groups == "high"] += 0.5
+    res = obrien_test(values, groups)
+    sums = rankdata(values[:, 0]) + rankdata(values[:, 1])
+    want = f_oneway(*(sums[groups == g] for g in ("high", "low", "placebo")))
+    assert res.f_stat == pytest.approx(want.statistic, rel=1e-12)
+    assert res.p_value == pytest.approx(want.pvalue, rel=1e-12)
+    assert res.df == (2, n - 3)
+    assert set(res.rank_sums) == {"placebo", "low", "high"}
+    for g in ("placebo", "low", "high"):
+        assert res.rank_sums[g] == pytest.approx(sums[groups == g].mean(), rel=1e-12)
 
 
 def test_obrien_identical_groups_f_zero():

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from wrtrials import ConfigError, presets
+from wrtrials import ConfigError, cli, presets
 from wrtrials.cli import main as cli_main
 from wrtrials.harness import McSummary
 from wrtrials.presets import TABLE_IDS, reproduce_table
@@ -45,11 +45,20 @@ def test_cli_reproduce_table(tmp_path, capsys):
     out_csv = tmp_path / "cells.csv"
     code = cli_main(["reproduce-table", "t4", "--reps", "10", "--seed", "3",
                      "--csv", str(out_csv)])
-    assert code == 0
     out = capsys.readouterr().out
-    assert "table t4" in out and "verdict" in out
+    assert "table t4" in out
+    # 10 reps are too few for the table's tolerances, and a failed verdict exits 1
+    assert "table t4 verdict: FAIL" in out and code == 1
     assert out_csv.exists()
 
+
+@pytest.mark.parametrize("ok,code", [(True, 0), (False, 1)])
+def test_cli_reproduce_table_exit_code_is_the_verdict(ok, code, monkeypatch, capsys):
+    report = presets.TableReport("t4", "stub", checks=[presets.CheckReport("stub", ok, "")])
+    monkeypatch.setattr(cli, "reproduce_table", lambda *args, **kwargs: report)
+    assert cli_main(["reproduce-table", "t4", "--reps", "2"]) == code
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        f"table t4 verdict: {'PASS' if ok else 'FAIL'}")
 
 
 def _digest(strings) -> str:
