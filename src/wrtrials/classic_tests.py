@@ -195,8 +195,9 @@ def _cox_newton(
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
         # falls below its rounding noise, halving near-optimal steps at random;
-        # a NaN trial point (an exp overflow) is halved too, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a NaN trial point (an exp overflow) is halved too, without a warning,
+        # and a risk set whose exps all underflow takes log(0) without one
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             new_ll = cox_loglik(new_beta, data)
             while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
                 step *= 0.5

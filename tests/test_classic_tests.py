@@ -460,11 +460,17 @@ def test_cox_singular_information_is_degenerate():
         cox_fit(collinear_cohort())
 
 
+def survival_defaults_cohort(n_total, replicate):
+    """The cohort of one replicate of ``wrtrials simulate`` on the survival defaults with Cox."""
+    cfg = scenario_from_dict({"design": "parallel", "outcome_family": "survival",
+                              "generator": {}, "analyses": ["Cox"], "n_total": n_total})
+    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(replicate + 1)[replicate])
+    return cohort
+
+
 def nan_trial_point_design():
     """Survival defaults at N=4, replicate 122 of the default master seed: a Newton step overflows exp."""
-    cfg = scenario_from_dict({"design": "parallel", "outcome_family": "survival",
-                              "generator": {}, "analyses": ["Cox"], "n_total": 4})
-    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(123)[122])
+    cohort = survival_defaults_cohort(4, 122)
     X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
     assert X.T.tolist() == [[0, 0, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1]]
     return first_event_times(cohort), X
@@ -493,6 +499,19 @@ def test_cox_nan_trial_point_warns_nothing():
         warnings.simplefilter("error")
         beta, _, _, _, separation = cox_ph(times, X)
     assert separation and np.max(np.abs(beta)) == 15.0
+
+
+def test_cox_underflowing_trial_point_warns_nothing():
+    # survival defaults at N=6, replicate 1351, the first to warn: a Newton
+    # trial point underflows every exp of a risk set, and numpy printed
+    # "divide by zero encountered in log" for it
+    cohort = survival_defaults_cohort(6, 1351)
+    assert np.column_stack([cohort.arm, cohort.x1, cohort.x2]).T.tolist() == [
+        [1, 1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 1], [1, 1, 1, 0, 1, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateResultError):
+            cox_fit(cohort)
 
 
 @pytest.mark.parametrize("reason", ["separation", "non-convergence", "singular information matrix"])

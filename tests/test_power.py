@@ -2,10 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm  # the reference quantile; the package itself does not import scipy.stats
 
+import wrtrials
 from wrtrials import (
     BinaryRule,
     ConfigError,
@@ -24,6 +30,8 @@ from wrtrials.power import (
     null_ratio_variance_candidates,
     unmatched_g_gradient,
     unmatched_win_loss,
+    z_alpha,
+    z_beta,
 )
 
 from test_wr_tests import LOSS, WIN, binary, pair_score
@@ -300,3 +308,27 @@ def test_unmatched_sample_size_even_total_for_balanced_arms():
     theta = ThetaBinary.from_rates(0.35, 0.35, 0.5, 0.5)
     n_t = unmatched_sample_size(theta)
     assert n_t % 2 == 0
+
+
+def test_quantiles_equal_scipy_stats_norm_ppf_bit_for_bit():
+    # the levels and powers in use, both ends of [0, 1] and within rounding
+    # of them, and a dense grid between
+    ends = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 1e-3]
+    grid = [0.05, 0.5, 0.8, *ends, *(1.0 - v for v in ends), np.nextafter(1.0, 0.0),
+            *np.linspace(0.0, 1.0, 1001)]
+    got = np.array([[z_alpha(v), z_beta(v)] for v in grid])
+    want = np.array([[norm.ppf(1.0 - v / 2.0), norm.ppf(1.0 - v)] for v in grid])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_package_imports_no_scipy_subpackage_beyond_special():
+    # scipy.stats, once imported for two normal quantiles, loaded itself and
+    # nine more subpackages (optimize, sparse, linalg, ...): about 45 MiB and
+    # half a second more at the start of every process (BENCH_18.json)
+    code = "import sys, wrtrials, wrtrials.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    src = str(Path(wrtrials.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    subpackages = {name.split(".")[1] for name in out.stdout.split()}
+    public = sorted(p for p in subpackages if not p.startswith("_"))
+    assert public == ["special", "version"], f"import wrtrials loads scipy.{{{', '.join(public)}}}"
