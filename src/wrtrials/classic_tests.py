@@ -10,9 +10,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import fdtrc
 
-from .core import Cohort, DegenerateResultError, _two_sided_p, tie_groups
+from .core import Z_95, Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
-Z_95 = 1.959963984540054
 BETA_CAP = 15.0
 
 
@@ -168,24 +167,22 @@ def cox_ph(
     data = _cox_patterns(times, X.T)
     if np.any((data.sum_x == 0) | (data.sum_x == len(times))):
         raise ValueError("design matrix has a constant column")
-    return _cox_newton(data, max_iter, tol)
+    beta, cov, iterations, reason = _cox_newton(data, max_iter, tol)
+    return beta, cov, iterations, reason is None, reason == "separation"
 
 
 def _cox_newton(
     data: _CoxPatterns, max_iter: int = 50, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, int, bool, bool]:
-    """The damped Newton fit that ``cox_ph`` and ``cox_fit`` share; ``cox_ph`` documents it."""
+) -> tuple[np.ndarray, np.ndarray, int, str | None]:
+    """The damped Newton fit that ``cox_ph`` documents; reason is None, "separation" or "non-convergence"."""
     beta = np.zeros(data.xp.shape[1])
     ll = cox_loglik(beta, data)
     score, info = _cox_score_info(beta, data)
-    converged = False
-    separation = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        # the array method, not np.max: the same reduction without the dispatch
-        if np.abs(score).max() < tol:
-            converged = True
-            it -= 1
+    iterations, reason = 0, None
+    # the array method, not np.max: the same reduction without the dispatch
+    while reason is None and not np.abs(score).max() < tol:
+        if iterations == max_iter:
+            reason = "non-convergence"
             break
         try:
             step = np.linalg.solve(info, score)
@@ -195,29 +192,27 @@ def _cox_newton(
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
         # falls below its rounding noise, halving near-optimal steps at random;
-        # a NaN trial point (an exp overflow) is halved too, without a warning,
-        # and a risk set whose exps all underflow takes log(0) without one
+        # a NaN trial point (an exp overflow) and a +inf one (every exp of a
+        # risk set underflows, and log(0) = -inf) are halved too, without a warning
+        bound = ll - 1e-12 * max(1.0, abs(ll))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             new_ll = cox_loglik(new_beta, data)
-            while not new_ll >= ll - 1e-12 * max(1.0, abs(ll)) and halvings < 30:
+            while not bound <= new_ll < math.inf and halvings < 30:
                 step *= 0.5
                 new_beta = beta + step
                 new_ll = cox_loglik(new_beta, data)
                 halvings += 1
         beta, ll = new_beta, new_ll
+        iterations += 1
         if np.abs(beta).max() > BETA_CAP:
-            separation = True
+            reason = "separation"  # stops the fit whatever the score at the cap
             beta = np.clip(beta, -BETA_CAP, BETA_CAP)
         score, info = _cox_score_info(beta, data)
-        if separation:
-            break
-    if not separation and np.abs(score).max() < tol:
-        converged = True
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:  # collinear columns, or a separated fit
         raise DegenerateResultError("singular information matrix") from None
-    return beta, cov, it, converged, separation
+    return beta, cov, iterations, reason
 
 
 def first_event_times(cohort: Cohort) -> np.ndarray:
@@ -248,9 +243,9 @@ def cox_fit(cohort: Cohort) -> CoxResult:
         missing = "treatment" if n_treated == 0 else "control"
         raise ValueError(f"Cox analysis needs both arms: the cohort has no {missing} patients")
     columns = [cohort.arm] + [x for x in (cohort.x1, cohort.x2) if 0 < x.sum() < n]
-    beta, cov, iters, converged, separation = _cox_newton(_cox_patterns(times, columns))
-    if separation or not converged:
-        raise DegenerateResultError("separation" if separation else "non-convergence")
+    beta, cov, iters, reason = _cox_newton(_cox_patterns(times, columns))
+    if reason is not None:
+        raise DegenerateResultError(reason)
     b = float(beta[0])
     se = float(math.sqrt(max(cov[0, 0], 0.0)))
     z = b / se if se > 0 else math.copysign(math.inf, b)

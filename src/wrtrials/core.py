@@ -28,6 +28,9 @@ class DegenerateResultError(RuntimeError):
     """An analysis could not produce a test statistic (all ties, V=0, ...)."""
 
 
+Z_95 = 1.959963984540054  # Phi^-1(0.975), the two-sided 95% normal quantile
+
+
 def _two_sided_p(z: float) -> float:
     """Two-sided normal p-value, 2 * P(Z > |z|).
 

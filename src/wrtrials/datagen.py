@@ -50,9 +50,15 @@ def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def _assign_arms(rng: np.random.Generator, n: int, allocation: float) -> np.ndarray:
-    """Fixed-allocation randomization: floor(n * allocation) treatment slots."""
+def arm_sizes(n: int, allocation: float) -> tuple[int, int]:
+    """The (treated, control) sizes of fixed allocation: floor(n * allocation) treated."""
     n_treat = int(n * allocation)
+    return n_treat, n - n_treat
+
+
+def _assign_arms(rng: np.random.Generator, n: int, allocation: float) -> np.ndarray:
+    """Fixed-allocation randomization into the arms of ``arm_sizes``."""
+    n_treat, _ = arm_sizes(n, allocation)
     arm = np.zeros(n, dtype=int)
     arm[rng.permutation(n)[:n_treat]] = 1
     return arm
@@ -89,7 +95,7 @@ class SurvivalGenConfig:
             raise ConfigError("cohort size must be at least 2")
         if not (0.0 < self.allocation < 1.0):
             raise ConfigError("allocation must lie in (0, 1)")
-        if int(self.n * self.allocation) == 0:
+        if arm_sizes(self.n, self.allocation)[0] == 0:
             raise ConfigError(f"allocation {self.allocation} leaves the treatment arm of "
                               f"{self.n} patients empty")
 

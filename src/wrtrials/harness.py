@@ -33,6 +33,7 @@ from .datagen import (
     gen_binary_cohort,
     gen_survival_cohort,
     _assign_arms,
+    arm_sizes,
 )
 from .wr_tests import (
     BinaryRule,
@@ -63,16 +64,11 @@ class _Family(NamedTuple):
     obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
 
 
-def _split(n: int, allocation: float) -> tuple[int, int]:
-    """The arm sizes ``datagen._assign_arms`` gives n patients: floor(n * allocation) treated."""
-    return int(n * allocation), n - int(n * allocation)
-
-
 _FAMILIES = {
     "survival": _Family(SurvivalGenConfig, ("parallel",), _WIN_RATIO + ("Cox", "Obrien"),
                         lambda cfg: SurvivalRule(cfg.win_priority),
                         lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort),
-                        lambda gen: _split(gen.n, gen.allocation), lambda n: {"n": n},
+                        lambda gen: arm_sizes(gen.n, gen.allocation), lambda n: {"n": n},
                         lambda cohort: obrien_first_event(cohort)),
     "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule(),
                       lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
@@ -81,7 +77,7 @@ _FAMILIES = {
                           _WIN_RATIO + ("Obrien", "Contingency"),
                           lambda cfg: ContinuousRule(cfg.cutoffs.c_t),
                           lambda cfg, seed: _continuous_trial_cohort(cfg, seed),
-                          lambda gen: _split(gen.n, 0.5), lambda n: {"n": n},
+                          lambda gen: arm_sizes(gen.n, 0.5), lambda n: {"n": n},
                           lambda cohort: obrien_test(-cohort.y, cohort.arm)),  # shorter is better
 }
 
@@ -373,12 +369,19 @@ def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
 # Monte Carlo engine
 
 
+def _finite_mean(values) -> float:
+    """The mean of the finite values, NaN if there are none."""
+    finite = [v for v in values if math.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.nan
+
+
 def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     """Run ``cfg.reps`` independent trials and aggregate per analysis.
 
-    Rejection rates count p < alpha among non-degenerate replicates; mean
-    estimates and CI endpoints average the replicates where they are
-    finite.  The summary is a pure function of the config (including
+    Every non-degenerate replicate counts in ``reps_used`` and the rejection
+    rate (the share with p < alpha).  ``mean_estimate`` and each end of
+    ``mean_ci`` average the replicates where that value is finite, NaN if
+    none is.  The summary is a pure function of the config (including
     master_seed) regardless of ``n_jobs``.
     """
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.reps)
@@ -395,16 +398,10 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
         if not used:
             raise DegenerateResultError(f"every replicate was degenerate for {analysis}")
         rejections = sum(1 for r in used if r.p_value < cfg.alpha)
-        estimates = [r.estimate for r in used if math.isfinite(r.estimate)]
-        ci_l = [r.ci_low for r in used if math.isfinite(r.ci_low)]
-        ci_h = [r.ci_high for r in used if math.isfinite(r.ci_high)]
         out[analysis] = McSummary(
             rejection_rate=rejections / len(used),
-            mean_estimate=float(np.mean(estimates)) if estimates else float("nan"),
-            mean_ci=(
-                float(np.mean(ci_l)) if ci_l else float("nan"),
-                float(np.mean(ci_h)) if ci_h else float("nan"),
-            ),
+            mean_estimate=_finite_mean(r.estimate for r in used),
+            mean_ci=(_finite_mean(r.ci_low for r in used), _finite_mean(r.ci_high for r in used)),
             reps_used=len(used),
             degenerate_count=len(all_records) - len(used),
         )

@@ -165,38 +165,20 @@ def unmatched_win_loss(theta: ThetaBinary) -> tuple[float, float]:
 def unmatched_g(theta: ThetaBinary) -> float:
     """Win ratio g(theta) = expected wins / expected losses."""
     w, l = unmatched_win_loss(theta)
-    if l == 0:
+    if abs(l) <= 1e-12:  # rounding leaves |l| of about 1e-17 where it is exactly 0
         raise ConfigError("loss probability is zero: win ratio infinite")
     return w / l
 
 
 def unmatched_g_gradient(theta: ThetaBinary) -> np.ndarray:
-    """Analytic gradient of g; cross-checked against central differences."""
-    t1, t2, t3, t4, t5, t6 = theta.theta
-    w, l = unmatched_win_loss(theta)
-    if l == 0:
-        raise ConfigError("loss probability is zero: win ratio infinite")
-    dw = np.array(
-        [
-            -t4 + t6 - (t5 - t6),
-            -(t5 - t6),
-            -t6 + (t5 - t6),
-            1 - t1,
-            1 - t1 - t2 + t3,
-            (t1 - t3) - (1 - t1 - t2 + t3),
-        ]
-    )
-    dl = np.array(
-        [
-            1 - t4,
-            1 - t4 - t5 + t6,
-            (t4 - t6) - (1 - t4 - t5 + t6),
-            -t1 + t3 - (t2 - t3),
-            -(t2 - t3),
-            -t3 + (t2 - t3),
-        ]
-    )
-    return (dw * l - w * dl) / l**2
+    """Gradient of g; cross-checked against central differences."""
+    g = unmatched_g(theta)
+    t = np.array(theta.theta)
+    w, l = _binary_win_loss(t)
+    # w and l are bilinear across the arms, so affine in any one coordinate:
+    # a unit step along coordinate k changes them by exactly their k-th partial
+    w_step, l_step = _binary_win_loss(t[:, None] + np.eye(6))  # column k: theta + e_k
+    return ((w_step - w) - g * (l_step - l)) / l
 
 
 def _bernoulli_block(p: float, q: float) -> np.ndarray:
@@ -247,7 +229,7 @@ def unmatched_sample_size(
     if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
         raise ConfigError("alpha and power must lie in (0, 1)")
     g1 = unmatched_g(theta1)
-    if g1 == 1.0:
+    if abs(g1 - 1.0) <= 1e-12:  # as in matched_sample_size: rounding there gives N of 1e33
         raise ConfigError("no effect: g(theta1) = 1 gives an infinite sample size")
     # allocation-consistent reference sizes; only their ratio matters
     n1, n0 = allocation, 1.0 - allocation

@@ -40,9 +40,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
-
-Z_95 = 1.959963984540054
+from .core import Z_95, Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
 METHOD_MATCHED = "MatchedStratified"
 METHOD_UNMATCHED_STRAT = "UnmatchedStratified"

@@ -476,6 +476,14 @@ def nan_trial_point_design():
     return first_event_times(cohort), X
 
 
+def accepted_logliks(log):
+    """The log-likelihood of each accepted iterate: the one evaluated last before its score."""
+    accepted = [prev for (prev_name, prev), (name, _) in zip(log.calls, log.calls[1:])
+                if name == "_cox_score_info" and prev_name == "cox_loglik"]
+    assert len(accepted) == sum(name == "_cox_score_info" for name, _ in log.calls)
+    return accepted
+
+
 def test_cox_halves_a_nan_trial_point(monkeypatch):
     # the fit took the step to its NaN log-likelihood unhalved, because NaN <
     # bound is False
@@ -484,10 +492,20 @@ def test_cox_halves_a_nan_trial_point(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         cox_ph(times, X)
     assert any(name == "cox_loglik" and math.isnan(ll) for name, ll in log.calls)
-    # the log-likelihood evaluated last before each score is the accepted point's
-    accepted = [prev for (prev_name, prev), (name, _) in zip(log.calls, log.calls[1:])
-                if name == "_cox_score_info" and prev_name == "cox_loglik"]
-    assert len(accepted) == sum(name == "_cox_score_info" for name, _ in log.calls)
+    accepted = accepted_logliks(log)
+    assert len(accepted) >= 2 and all(math.isfinite(ll) for ll in accepted)
+
+
+def test_cox_halves_an_infinite_trial_point(monkeypatch):
+    # survival defaults at N=6, replicate 1351: every exp of a risk set
+    # underflows at a trial point, log(0) = -inf makes its log-likelihood
+    # +inf, and the fit took that step unhalved, because +inf passes the bound
+    cohort = survival_defaults_cohort(6, 1351)
+    log = CoxCallLog(monkeypatch)
+    with pytest.raises(DegenerateResultError, match="singular information matrix"):
+        cox_fit(cohort)
+    assert any(name == "cox_loglik" and ll == math.inf for name, ll in log.calls)
+    accepted = accepted_logliks(log)
     assert len(accepted) >= 2 and all(math.isfinite(ll) for ll in accepted)
 
 

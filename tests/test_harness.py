@@ -70,6 +70,35 @@ def test_monte_carlo_worker_count_irrelevant():
     assert repr(monte_carlo(cfg, n_jobs=1)) == repr(monte_carlo(cfg, n_jobs=2))
 
 
+def test_monte_carlo_means_leave_out_non_finite_values(monkeypatch):
+    # (estimate, ci_low, ci_high, p_value) per replicate; None is degenerate
+    inf, nan = math.inf, math.nan
+    matched = [(2.0, 1.0, 4.0, 0.01), (inf, 1.5, inf, 0.001), (nan, nan, nan, 0.5),
+               (-inf, -inf, 3.0, 0.04), None, (4.0, 2.0, 6.0, 0.2)]
+    cox = [(inf, nan, inf, 0.01), (nan, -inf, nan, 0.3), None, (-inf, nan, inf, 0.6),
+           (inf, inf, -inf, 0.02), (nan, nan, nan, 0.9)]
+    replicates = iter(range(6))
+
+    def stub(cfg, seed):
+        i = next(replicates)
+        return {name: harness.TrialRecord(name, degenerate=True) if rows[i] is None
+                else harness.TrialRecord(name, *rows[i][:3], p_value=rows[i][3])
+                for name, rows in (("MatchedWR", matched), ("Cox", cox))}
+
+    monkeypatch.setattr(harness, "run_trial", stub)
+    cfg = replace(survival_cfg(reps=6), analyses=("MatchedWR", "Cox"))
+    out = monte_carlo(cfg)
+    # a non-finite value still counts as a replicate and in the rejection rate
+    assert (out["MatchedWR"].reps_used, out["MatchedWR"].degenerate_count) == (5, 1)
+    assert out["MatchedWR"].rejection_rate == 3 / 5
+    assert out["MatchedWR"].mean_estimate == 3.0
+    assert out["MatchedWR"].mean_ci == (1.5, 13.0 / 3.0)
+    # an analysis with no finite value gets NaN means
+    assert (out["Cox"].reps_used, out["Cox"].rejection_rate) == (5, 2 / 5)
+    assert math.isnan(out["Cox"].mean_estimate)
+    assert all(math.isnan(v) for v in out["Cox"].mean_ci)
+
+
 def test_alpha_one_rejects_everything():
     cfg = survival_cfg(reps=10)
     cfg = ScenarioConfig(**{**cfg.__dict__, "alpha": 1.0})

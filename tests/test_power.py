@@ -297,8 +297,13 @@ RATES = ["--pt", "0.3", "--qt", "0.3", "--pc", "0.5", "--qc", "0.5"]
     ["--matched", *RATES, "--alpha", "0"],
     ["--matched", "--pt", "0", "--qt", "0.05", "--pc", "0", "--qc", "0.05"],  # identical arms
     ["--matched", "--pt", "0", "--qt", "0", "--pc", "1", "--qc", "0.5"],  # p_a = 1: no losses
+    # rounding leaves g = 0.9999999999999999 where g is 1: N of about 5.5e33
+    ["--unmatched", "--pt", "0.1", "--qt", "0.9", "--pc", "0.5", "--qc", "0.1"],
+    # rounding leaves p_l = -5.6e-18 where no loss can occur: g of -1.7e17
+    ["--unmatched", "--pt", "0", "--qt", "0.1", "--pc", "0.3", "--qc", "1"],
 ], ids=["matched-all-ties", "unmatched-all-ties", "unmatched-no-losses", "unmatched-alpha-0",
-        "unmatched-power-1.5", "matched-alpha-0", "matched-identical-arms", "matched-no-losses"])
+        "unmatched-power-1.5", "matched-alpha-0", "matched-identical-arms", "matched-no-losses",
+        "unmatched-rounded-null", "unmatched-rounded-zero-loss"])
 def test_cli_power_rejects_degenerate_inputs(argv, capsys):
     assert cli_main(["power", *argv]) == 2
     assert "config error" in capsys.readouterr().err
