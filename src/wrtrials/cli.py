@@ -7,7 +7,8 @@ Subcommands:
   gen              write the cohort of the scenario's first replicate to CSV
 
 Exit codes: 0 success, 1 a reproduced table failed its required checks,
-2 configuration error, 3 degenerate-only results.
+2 configuration error (an unreadable or unwritable path included),
+3 degenerate-only results.
 """
 
 from __future__ import annotations
@@ -20,18 +21,21 @@ import sys
 from .core import ConfigError, DegenerateResultError
 from .datagen import cohort_to_csv
 from .harness import monte_carlo, scenario_from_dict, trial_cohort
-from .power import (
-    THETA_NULL,
-    ThetaBinary,
-    matched_sample_size,
-    matched_win_probs,
-    unmatched_g,
-    unmatched_sample_size,
-    unmatched_variance,
-)
+from .power import ThetaBinary, matched_sample_size, matched_win_probs, unmatched_sample_size
 from .presets import TABLE_IDS, reproduce_table
 
 import numpy as np
+
+
+def _csv_row(name: str, summary: dict) -> dict:
+    """One ``simulate --csv`` row: the summary's fields in order, ``mean_ci`` split in two."""
+    row = {"analysis": name}
+    for key, value in summary.items():
+        if key == "mean_ci":
+            row["mean_ci_low"], row["mean_ci_high"] = value
+        else:
+            row[key] = value
+    return row
 
 
 def _cmd_simulate(args) -> int:
@@ -41,45 +45,27 @@ def _cmd_simulate(args) -> int:
     payload = {name: s.to_dict() for name, s in summaries.items()}
     print(json.dumps(payload, indent=2))
     if args.csv:
+        rows = [_csv_row(name, summary) for name, summary in payload.items()]
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["analysis", "rejection_rate", "mean_estimate", "mean_ci_low",
-                 "mean_ci_high", "reps_used", "degenerate_count"]
-            )
-            for name, s in summaries.items():
-                writer.writerow(
-                    [name, s.rejection_rate, s.mean_estimate, s.mean_ci[0],
-                     s.mean_ci[1], s.reps_used, s.degenerate_count]
-                )
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 
 def _cmd_power(args) -> int:
     probs = matched_win_probs(args.pt, args.qt, args.pc, args.qc)
-    theta1 = ThetaBinary.from_rates(args.pt, args.qt, args.pc, args.qc)
-    record = {
-        "n": None,
-        "N": None,
-        "p_w": probs.p_w,
-        "p_l": probs.p_l,
-        "p_tie": probs.p_tie,
-        "g": None,
-        "C0": None,
-        "C1": None,
-    }
+    n = g = c0 = c1 = None
     if args.matched:
         if probs.p_w + probs.p_l <= 0.0:
             raise ConfigError("no effect: every pair ties")
         p_a = max(probs.p_w, probs.p_l) / (probs.p_w + probs.p_l)
-        n, total_pairs = matched_sample_size(p_a, probs.p_tie, args.alpha, args.power)
-        record["n"] = n
-        record["N"] = total_pairs
+        n, total = matched_sample_size(p_a, probs.p_tie, args.alpha, args.power)
     else:
-        record["g"] = unmatched_g(theta1)
-        record["C0"] = unmatched_variance(THETA_NULL, 1, 1) ** 0.5
-        record["C1"] = unmatched_variance(theta1, 1, 1) ** 0.5
-        record["N"] = unmatched_sample_size(theta1, args.alpha, args.power)
+        theta1 = ThetaBinary.from_rates(args.pt, args.qt, args.pc, args.qc)
+        total, g, c0, c1 = unmatched_sample_size(theta1, args.alpha, args.power)
+    record = {"n": n, "N": total, "p_w": probs.p_w, "p_l": probs.p_l, "p_tie": probs.p_tie,
+              "g": g, "C0": c0, "C1": c1}
     print(json.dumps(record, indent=2))
     return 0
 
@@ -149,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DegenerateResultError as err:

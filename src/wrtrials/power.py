@@ -11,7 +11,9 @@ anticonservative.
 Unmatched analysis: the win ratio is a smooth function g of the six arm-wise
 means theta = (p_t, q_t, p_t q_t, p_c, q_c, p_c q_c); the delta method gives
 its asymptotic variance C^2 and the sample size formula
-n_t = ((C0 Z_alpha - C1 Z_beta) / (g(theta1) - 1))^2.
+n_t = ((C0 Z_alpha - C1 Z_beta) / (g(theta1) - 1))^2 for 1:1 allocation,
+rounded up to an even total.  ``unmatched_sample_size`` returns
+(N, g, C0, C1), and ``wrtrials power --unmatched`` prints those values.
 
 Sign conventions, frozen here and in the tests: Z_alpha = Phi^-1(1 - alpha/2)
 for a two-sided level alpha, Z_beta = Phi^-1(1 - power) (negative whenever
@@ -157,14 +159,9 @@ def null_ratio_variance_candidates(p: float = 0.5) -> tuple[float, float]:
 # unmatched asymptotics
 
 
-def unmatched_win_loss(theta: ThetaBinary) -> tuple[float, float]:
-    """Expected per-pair win and loss probabilities across arms."""
-    return _binary_win_loss(theta.theta)
-
-
 def unmatched_g(theta: ThetaBinary) -> float:
     """Win ratio g(theta) = expected wins / expected losses."""
-    w, l = unmatched_win_loss(theta)
+    w, l = _binary_win_loss(theta.theta)
     if abs(l) <= 1e-12:  # rounding leaves |l| of about 1e-17 where it is exactly 0
         raise ConfigError("loss probability is zero: win ratio infinite")
     return w / l
@@ -216,29 +213,22 @@ def unmatched_sample_size(
     theta1: ThetaBinary,
     alpha: float = 0.05,
     power: float = 0.8,
-    allocation: float = 0.5,
-) -> int:
-    """Total patients n_t for the asymptotic unmatched win-ratio test.
+) -> tuple[int, float, float, float]:
+    """Total patients for the asymptotic unmatched win-ratio test, 1:1 allocation.
 
     n_t = ((C0 Z_alpha - C1 Z_beta) / (g(theta1) - 1))^2 with C0 evaluated
-    at the null theta and C1 at the alternative; the result is rounded up
-    and then raised to the next multiple that makes both arms integral.
+    at the null theta and C1 at the alternative, rounded up to an even
+    total.  Returns (n_t, g(theta1), C0, C1): the size and the values it
+    was computed from.
     """
-    if not (0.0 < allocation < 1.0):
-        raise ConfigError("allocation must lie in (0, 1)")
     if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
         raise ConfigError("alpha and power must lie in (0, 1)")
     g1 = unmatched_g(theta1)
     if abs(g1 - 1.0) <= 1e-12:  # as in matched_sample_size: rounding there gives N of 1e33
         raise ConfigError("no effect: g(theta1) = 1 gives an infinite sample size")
-    # allocation-consistent reference sizes; only their ratio matters
-    n1, n0 = allocation, 1.0 - allocation
-    c0 = math.sqrt(unmatched_variance(THETA_NULL, n1, n0))
-    c1 = math.sqrt(unmatched_variance(theta1, n1, n0))
+    c0 = math.sqrt(unmatched_variance(THETA_NULL, 1, 1))
+    c1 = math.sqrt(unmatched_variance(theta1, 1, 1))
     za, zb = z_alpha(alpha), z_beta(power)
-    n_t = ((c0 * za - c1 * zb) / (g1 - 1.0)) ** 2
-    n_t = math.ceil(n_t - 1e-9)
-    # make both arm counts integral (even total under 1:1)
-    while (n_t * allocation) % 1 > 1e-9 or (n_t * (1 - allocation)) % 1 > 1e-9:
-        n_t += 1
-    return n_t
+    n_t = math.ceil(((c0 * za - c1 * zb) / (g1 - 1.0)) ** 2 - 1e-9)
+    n_t += n_t % 2  # both arms integral
+    return n_t, g1, c0, c1

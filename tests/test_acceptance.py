@@ -27,7 +27,7 @@ from wrtrials import (
     unmatched_sample_size,
 )
 from wrtrials.core import DegenerateResultError
-from wrtrials.power import THETA_NULL, unmatched_win_loss
+from wrtrials.power import THETA_NULL, _binary_win_loss
 from wrtrials.presets import reproduce_table
 from wrtrials.wr_tests import BinaryRule, SurvivalRule, fs_unmatched_test
 
@@ -312,7 +312,7 @@ def test_c7_closed_form_consistency():
         # by the binary rule on 0-d columns of a built cohort
         ew, el, et = enumerate_win_probs(p_t, q_t, p_c, q_c)
         worst = max(worst, abs(probs.p_w - ew), abs(probs.p_l - el), abs(probs.p_tie - et))
-        wl = unmatched_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c))
+        wl = _binary_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c).theta)
         worst = max(worst, abs(wl[0] - ew), abs(wl[1] - el))
     g0 = unmatched_g(THETA_NULL)
     _report("7 (closed forms vs 625-point enumeration)", worst < 1e-12 and g0 == 1.0,
@@ -349,7 +349,7 @@ def test_c8_sample_size_soundness():
                 pass
         powers.append(rej / reps)
     for rates in UNMATCHED_SETTINGS:
-        n_t = unmatched_sample_size(ThetaBinary.from_rates(*rates))
+        n_t, *_ = unmatched_sample_size(ThetaBinary.from_rates(*rates))
         n1 = n0 = n_t // 2
         rej = 0
         reps = REPS

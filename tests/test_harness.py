@@ -1,5 +1,6 @@
 """Engine determinism, design degeneracies, config parsing, CLI surface."""
 
+import csv
 import json
 import math
 import re
@@ -500,7 +501,16 @@ def test_cli_simulate_and_gen(tmp_path, capsys):
     assert set(payload["Cox"]) == {
         "rejection_rate", "mean_estimate", "mean_ci", "reps_used", "degenerate_count"
     }
-    assert out_csv.exists()
+    # the CSV holds the printed summaries: McSummary's fields, mean_ci split in two
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == ("analysis,rejection_rate,mean_estimate,mean_ci_low,mean_ci_high,"
+                        "reps_used,degenerate_count")
+    rows = list(csv.DictReader(lines))
+    assert [row["analysis"] for row in rows] == list(payload)
+    for row in rows:
+        s = payload[row["analysis"]]
+        want = dict(s, mean_ci_low=s["mean_ci"][0], mean_ci_high=s["mean_ci"][1])
+        assert all(row[k] == str(want[k]) for k in lines[0].split(",")[1:])
 
     cohort_csv = tmp_path / "cohort.csv"
     code = cli_main(["gen", "--config", str(cfg_path), "--out", str(cohort_csv)])
@@ -540,6 +550,20 @@ def test_cli_gen_writes_the_first_replicates_cohort(name, tmp_path, monkeypatch)
     got = tmp_path / "got.csv"
     assert cli_main(["gen", "--config", str(cfg_path), "--out", str(got)]) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{dir}"],
+    ["simulate", "--config", "{cfg}", "--csv", "{dir}"],
+    ["gen", "--config", "{cfg}", "--out", "{dir}"],
+], ids=["config", "csv", "out"])
+def test_cli_directory_path_is_a_config_error(argv, tmp_path, capsys):
+    # a directory raises IsADirectoryError, an OSError but no FileNotFoundError
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(SCENARIO_JSON, reps=2)))
+    argv = [a.format(dir=tmp_path, cfg=cfg_path) for a in argv]
+    assert cli_main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

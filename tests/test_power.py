@@ -1,6 +1,7 @@
 """Closed-form checks pinned to exhaustive-enumeration oracles."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -29,7 +30,6 @@ from wrtrials.power import (
     _binary_win_loss,
     null_ratio_variance_candidates,
     unmatched_g_gradient,
-    unmatched_win_loss,
     z_alpha,
     z_beta,
 )
@@ -134,24 +134,22 @@ def test_matched_win_probs_rejects_bad_rates():
 def test_unmatched_win_loss_matches_enumeration():
     for p_t, q_t, p_c, q_c in itertools.product([0.1, 0.4, 0.5, 0.8], repeat=4):
         theta = ThetaBinary.from_rates(p_t, q_t, p_c, q_c)
-        w, l = unmatched_win_loss(theta)
+        w, l = _binary_win_loss(theta.theta)
         ew, el, _ = enumerate_win_probs(p_t, q_t, p_c, q_c)
         assert w == pytest.approx(ew, abs=1e-12)
         assert l == pytest.approx(el, abs=1e-12)
 
 
 def test_unmatched_matched_probs_agree():
-    # the per-pair comparison is the same rule, so the probabilities coincide
+    # the per-pair comparison is the same rule, so g is the matched p_w / p_l
     for p_t, q_t, p_c, q_c in itertools.product([0.2, 0.5, 0.7], repeat=4):
         probs = matched_win_probs(p_t, q_t, p_c, q_c)
-        w, l = unmatched_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c))
-        assert probs.p_w == pytest.approx(w, abs=1e-12)
-        assert probs.p_l == pytest.approx(l, abs=1e-12)
+        assert unmatched_g(ThetaBinary.from_rates(p_t, q_t, p_c, q_c)) == probs.p_w / probs.p_l
 
 
 def test_g_is_one_at_null():
     assert unmatched_g(THETA_NULL) == pytest.approx(1.0, abs=1e-15)
-    w, l = unmatched_win_loss(THETA_NULL)
+    w, l = _binary_win_loss(THETA_NULL.theta)
     assert w == pytest.approx(0.375, abs=1e-15)
     assert l == pytest.approx(0.375, abs=1e-15)
 
@@ -280,7 +278,7 @@ def test_null_ratio_variance_measurement_identifies_candidate():
 def test_unmatched_sample_size_monotone_and_null_boundary():
     theta_weak = ThetaBinary.from_rates(0.45, 0.45, 0.5, 0.5)
     theta_strong = ThetaBinary.from_rates(0.3, 0.3, 0.5, 0.5)
-    assert unmatched_sample_size(theta_weak) > unmatched_sample_size(theta_strong)
+    assert unmatched_sample_size(theta_weak)[0] > unmatched_sample_size(theta_strong)[0]
     with pytest.raises(ConfigError):
         unmatched_sample_size(THETA_NULL)
 
@@ -311,8 +309,20 @@ def test_cli_power_rejects_degenerate_inputs(argv, capsys):
 
 def test_unmatched_sample_size_even_total_for_balanced_arms():
     theta = ThetaBinary.from_rates(0.35, 0.35, 0.5, 0.5)
-    n_t = unmatched_sample_size(theta)
+    n_t, *_ = unmatched_sample_size(theta)
     assert n_t % 2 == 0
+
+
+def test_cli_power_unmatched_prints_the_inputs_of_n(capsys):
+    # at these rates C1^2 ** 0.5 and math.sqrt(C1^2) differ in the last bit,
+    # so a C1 computed apart from N's would show
+    theta1 = ThetaBinary.from_rates(0.3, 0.4, 0.6, 0.8)
+    assert cli_main(["power", "--unmatched", "--pt", "0.3", "--qt", "0.4",
+                     "--pc", "0.6", "--qc", "0.8"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["C1"] == math.sqrt(unmatched_variance(theta1, 1, 1))
+    assert (record["N"], record["g"], record["C0"], record["C1"]) == unmatched_sample_size(theta1)
+    assert record["n"] is None
 
 
 def test_quantiles_equal_scipy_stats_norm_ppf_bit_for_bit():
