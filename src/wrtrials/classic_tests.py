@@ -76,27 +76,34 @@ def _pattern_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _cox_patterns(times: np.ndarray, columns) -> _CoxPatterns:
-    """The patterns of a fit from its times and its k 0/1 design columns."""
+def _cox_patterns(times: np.ndarray, columns, ties=None) -> _CoxPatterns:
+    """The patterns of a fit from its times and its k 0/1 design columns.
+
+    ``ties``, if given, is ``tie_groups(times)``.
+    """
     if not np.isfinite(times).all():
         raise ValueError("event times must be finite")
     # tie groups share the risk set of their first row, and the counts at a
     # group start do not depend on the order inside the group
-    order, start, stop = tie_groups(times)
+    order, start, stop = tie_groups(times) if ties is None else ties
     if len(start) < 2:
         raise ValueError("need at least two distinct event times")
     k = len(columns)
     code = columns[0].astype(np.intp)  # each row's pattern: column j is bit j
     for j in range(1, k):
         code += columns[j].astype(np.intp) << j
-    rows = np.arange(2**k)[:, None] == code[order]
-    # counted in int32, which numpy accumulates about twice as fast as float64
-    at_risk = np.cumsum(rows[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
-    totals = at_risk[:, 0].astype(float)  # every row is at risk at the first time
+    # each row's pattern as a one-hot row of an (N, 2^k) matrix, latest time
+    # first: numpy accumulates down the rows of a narrow matrix faster than
+    # along the rows of a wide one, and in int32 about twice as fast as in float64
+    rows = np.eye(2**k, dtype=bool).take(code[order[::-1]], axis=0)
+    at_risk = np.cumsum(rows, axis=0, dtype=np.int32)[::-1]
+    totals = at_risk[0].astype(float)  # every row is at risk at the first time
     if len(start) < len(times):  # a tied row takes the counts of its group start
-        at_risk = at_risk.take(np.repeat(start, stop - start), axis=1)
+        at_risk = at_risk[np.repeat(start, stop - start)]
     xp, xp1, diff = _pattern_tables(k)
-    return _CoxPatterns(xp, xp1, diff, totals, totals @ xp, at_risk.astype(float))
+    # exact integer counts, so the float (2^k, N) copy holds the same values
+    # in the row-contiguous layout the matrix products run over
+    return _CoxPatterns(xp, xp1, diff, totals, totals @ xp, at_risk.T.astype(float, order="C"))
 
 
 def cox_loglik(beta: np.ndarray, data: _CoxPatterns) -> float:
@@ -215,12 +222,6 @@ def _cox_newton(
     return beta, cov, iterations, reason
 
 
-def first_event_times(cohort: Cohort) -> np.ndarray:
-    if cohort.e_death is None:
-        raise ValueError("Cox analysis needs survival outcomes")
-    return np.minimum(cohort.e_death, cohort.e_hosp)
-
-
 def cox_fit(cohort: Cohort) -> CoxResult:
     """Cox regression of the time to first event on arm and the nonconstant covariates.
 
@@ -234,16 +235,18 @@ def cox_fit(cohort: Cohort) -> CoxResult:
     The cohort's columns are 0/1 already, so no design matrix is built: the
     fit codes each row as arm + 2 x1 + 4 x2, a constant covariate's bit
     dropped, the same code and the same fit as ``cox_ph`` on
-    ``column_stack([arm, x1, x2])`` without the constant columns.
+    ``column_stack([arm, x1, x2])`` without the constant columns.  The times
+    and their tie groups are the cohort's kept ``first_event`` and
+    ``first_event_ties``, which ``obrien_first_event`` shares.
     """
-    times = first_event_times(cohort)
+    times = cohort.first_event
     n = len(cohort)
     n_treated = int(cohort.arm.sum())
     if n_treated in (0, n):
         missing = "treatment" if n_treated == 0 else "control"
         raise ValueError(f"Cox analysis needs both arms: the cohort has no {missing} patients")
     columns = [cohort.arm] + [x for x in (cohort.x1, cohort.x2) if 0 < x.sum() < n]
-    beta, cov, iters, reason = _cox_newton(_cox_patterns(times, columns))
+    beta, cov, iters, reason = _cox_newton(_cox_patterns(times, columns, cohort.first_event_ties))
     if reason is not None:
         raise DegenerateResultError(reason)
     b = float(beta[0])
@@ -266,24 +269,25 @@ def cox_fit(cohort: Cohort) -> CoxResult:
 # O'Brien rank-sum-type test
 
 
-def midranks(x: np.ndarray) -> np.ndarray:
+def midranks(x: np.ndarray, ties=None) -> np.ndarray:
     """Ranks 1..n of ``x``; tied entries share the mean of their ranks.
 
     The same values as ``scipy.stats.rankdata(x)``: each is an exact
-    half-integer.
+    half-integer.  ``ties``, if given, is ``tie_groups(x)``.
     """
-    order, start, stop = tie_groups(x)
+    order, start, stop = tie_groups(x) if ties is None else ties
     ranks = np.empty(len(x))
     ranks[order] = np.repeat(0.5 * (start + stop + 1), stop - start)
     return ranks
 
 
-def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
+def obrien_test(values: np.ndarray, groups: np.ndarray, ties=None) -> ObrienResult:
     """Rank-sum-type test: pooled midranks per endpoint, ANOVA on rank sums.
 
     ``values`` is (n, K) with larger entries better; ``groups`` labels each
     row.  Per endpoint the pooled sample is midranked, ranks are summed per
     patient, and a one-way ANOVA compares the sums across groups.
+    ``ties``, if given, holds ``tie_groups`` of each endpoint.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -304,7 +308,7 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
 
     s = np.zeros(n)
     for k in range(values.shape[1]):
-        s += midranks(values[:, k])
+        s += midranks(values[:, k], None if ties is None else ties[k])
     grand = s.mean()
     # sums of half-integer ranks are exact, so these are the means of s[groups == g]
     group_means = np.bincount(label_of, weights=s) / sizes
@@ -330,8 +334,11 @@ def obrien_test(values: np.ndarray, groups: np.ndarray) -> ObrienResult:
 
 
 def obrien_first_event(cohort: Cohort) -> ObrienResult:
-    """Rank-sum-type test on the time to first event (longer is better)."""
-    return obrien_test(first_event_times(cohort)[:, None], cohort.arm)
+    """Rank-sum-type test on the time to first event (longer is better).
+
+    It ranks on the cohort's kept ``first_event_ties``, which ``cox_fit`` shares.
+    """
+    return obrien_test(cohort.first_event[:, None], cohort.arm, (cohort.first_event_ties,))
 
 
 # ---------------------------------------------------------------------------

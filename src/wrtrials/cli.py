@@ -7,13 +7,15 @@ Subcommands:
   gen              write the cohort of the scenario's first replicate to CSV
 
 Exit codes: 0 success, 1 a reproduced table failed its required checks,
-2 configuration error (an unreadable or unwritable path included),
-3 degenerate-only results.
+2 configuration error (an unreadable or unwritable path included; a
+``--csv`` path is opened before the run, so an unwritable one runs and
+prints nothing), 3 degenerate-only results.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -38,16 +40,25 @@ def _csv_row(name: str, summary: dict) -> dict:
     return row
 
 
+def _csv_out(path):
+    """``path`` opened for a CSV, or a null context without a path.
+
+    Opened before the run, so an unwritable path is refused (an ``OSError``,
+    exit 2) before any replicate runs or anything is printed.
+    """
+    return open(path, "w", newline="") if path else contextlib.nullcontext()
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = scenario_from_dict(json.load(fh))
-    summaries = monte_carlo(cfg, n_jobs=args.jobs)
-    payload = {name: s.to_dict() for name, s in summaries.items()}
-    print(json.dumps(payload, indent=2))
-    if args.csv:
-        rows = [_csv_row(name, summary) for name, summary in payload.items()]
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    with _csv_out(args.csv) as out:
+        summaries = monte_carlo(cfg, n_jobs=args.jobs)
+        payload = {name: s.to_dict() for name, s in summaries.items()}
+        print(json.dumps(payload, indent=2))
+        if out:
+            rows = [_csv_row(name, summary) for name, summary in payload.items()]
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return 0
@@ -71,12 +82,12 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    report = reproduce_table(args.table, reps=args.reps, seed=args.seed, n_jobs=args.jobs)
-    for line in report.lines():
-        print(line)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(report.to_csv_rows())
+    with _csv_out(args.csv) as out:
+        report = reproduce_table(args.table, reps=args.reps, seed=args.seed, n_jobs=args.jobs)
+        for line in report.lines():
+            print(line)
+        if out:
+            csv.writer(out).writerows(report.to_csv_rows())
     return 0 if report.required_pass else 1
 
 

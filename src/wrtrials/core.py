@@ -7,13 +7,15 @@ the cohort is built, and derives the stratum of every row.  There is no
 per-patient object: analyses and CSV export read the columns, and a cohort is
 built by hand from columns too.  A cohort is never modified after it is
 built, so it can be shared freely between concurrently running replications
-as long as each replication owns its own random generator.
+as long as each replication owns its own random generator, and the sorts of
+its survival times are kept on the cohort for every analysis that ranks them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -61,6 +63,11 @@ def _is_binary(col: np.ndarray) -> bool:
     return bool(((col == 0) | (col == 1)).all())
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """A trial's patients as parallel columns; row ``i`` is patient ``i``.
@@ -72,6 +79,13 @@ class Cohort:
     derived as 4 * stage + 2 * x1 + x2, so each stage is its own layer of
     covariate strata; the encoding is fixed, so a cohort written to CSV by
     one process is re-analyzed by another without renumbering.
+
+    A survival cohort keeps its rankings, each built on first use and
+    read-only: ``first_event`` (min(e_death, e_hosp)) and its
+    ``first_event_ties``, which ``cox_fit`` and ``obrien_first_event`` share,
+    and ``time_order`` of each time column, which the stratified and
+    unstratified FS tests share.  So a replicate sorts each of its three
+    time columns once, whichever analyses it runs in whatever order.
     """
 
     arm: np.ndarray
@@ -85,6 +99,7 @@ class Cohort:
     y_base: np.ndarray | None = None
     y: np.ndarray | None = None
     stratum: np.ndarray = field(init=False)
+    _time_orders: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         present = tuple(name for name in _OUTCOME_COLUMNS if getattr(self, name) is not None)
@@ -124,27 +139,52 @@ class Cohort:
         """
         return map(ArmStratum, self.arm.tolist(), self.stratum.tolist())
 
+    @cached_property
+    def first_event(self) -> np.ndarray:
+        """Each row's time to its first event, min(e_death, e_hosp), as floats."""
+        if self.e_death is None:
+            raise ValueError("the time to first event needs survival outcomes")
+        t = np.minimum(self.e_death, self.e_hosp).astype(float, copy=False)
+        _read_only(t)
+        return t
 
-def tie_groups(key: np.ndarray, groups: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Rows sorted by (group, key), and the runs of equal (group, key) in that order.
+    @cached_property
+    def first_event_ties(self) -> tuple[np.ndarray, ...]:
+        """``tie_groups(first_event)``."""
+        ties = tie_groups(self.first_event)
+        _read_only(*ties)
+        return ties
 
-    Returns ``order``, the row ids in sorted order, and the sorted positions
-    ``start`` and ``stop`` that bound each run: run ``r`` is
-    ``order[start[r]:stop[r]]``, its rows in no particular order.  Without
-    ``groups`` all rows are one group.  Groups are sorted with a stable
-    sort, which is a linear-time radix sort for 8- and 16-bit labels.
+    def time_order(self, name: str) -> np.ndarray:
+        """An argsort of the time column ``name`` ("e_death" or "e_hosp"), as floats."""
+        order = self._time_orders.get(name)
+        if order is None:
+            order = self._time_orders[name] = np.argsort(getattr(self, name).astype(float, copy=False))
+            _read_only(order)
+        return order
+
+
+def tie_groups(key: np.ndarray, order: np.ndarray | None = None,
+               breaks: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The rows in sorted order, and the runs of equal ``key`` in that order.
+
+    ``order`` lists the row ids in sorted order, by default ``argsort(key)``.
+    A caller that sorts by a coarser label first (the FS test's strata) gives
+    in ``breaks`` the sorted positions where each label's rows begin, so that
+    no run crosses one.  Returns ``order`` and the sorted positions ``start``
+    and ``stop`` that bound each run: run ``r`` is ``order[start[r]:stop[r]]``,
+    its rows in no particular order, so the runs do not depend on how
+    ``order`` ranks equal keys.
     """
     n = len(key)
-    order = np.argsort(key)
-    if groups is not None:
-        order = order[np.argsort(groups[order], kind="stable")]
+    if order is None:
+        order = np.argsort(key)
     k = key[order]
     new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(k[1:], k[:-1], out=new[1:])
-    if groups is not None:
-        g = groups[order]
-        new[1:] |= g[1:] != g[:-1]
+    if breaks is not None:
+        new[breaks] = True
     start = np.flatnonzero(new)
     stop = np.empty_like(start)
     stop[:-1] = start[1:]

@@ -8,9 +8,10 @@ A trial's cohort comes from ``harness.trial_cohort``, which calls these
 generators for ``cfg.design``; ``harness.run_trial`` runs the analyses on it.
 
 RNG contract of a continuous trial (``harness._continuous_trial_cohort``).
-The trial seed spawns seven streams, in this order: patients, lead-in, stage-1
-assignment, stage-1 outcomes, stage-2 assignment, stage-2 outcomes and
-analysis.  The SED lead-in uses only the patients and lead-in streams.  For
+The streams are the trial seed's first seven children (``harness._streams``,
+what ``spawn(7)`` gives on a fresh seed), in this order: patients, lead-in,
+stage-1 assignment, stage-1 outcomes, stage-2 assignment, stage-2 outcomes
+and analysis.  The SED lead-in uses only the patients and lead-in streams.  For
 each batch of n enrollees it draws, in this order:
 
 1. from the patients stream, the x1 and x2 bits in one ``integers(0, 2, 2n)``

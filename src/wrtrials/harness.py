@@ -175,10 +175,16 @@ class McSummary:
         return asdict(self)
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _streams(seed, n: int) -> list[np.random.SeedSequence]:
+    """The first n children of ``seed`` (a SeedSequence or an int), whatever it has spawned.
+
+    They equal ``seed.spawn(n)`` on a fresh SeedSequence, but leave ``seed``
+    as it was, so the same seed gives the same trial on every call.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
+                                   pool_size=seed.pool_size) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +287,7 @@ def _leadin_frame(
 
 def _one_stream_cohort(cfg: ScenarioConfig, seed, draw) -> tuple[Cohort, np.random.Generator]:
     """``draw(cfg.generator, rng)`` on the first of two streams; the second is the analyses'."""
-    gen_seed, analysis_seed = _as_seedseq(seed).spawn(2)
+    gen_seed, analysis_seed = _streams(seed, 2)
     return draw(cfg.generator, np.random.default_rng(gen_seed)), np.random.default_rng(analysis_seed)
 
 
@@ -295,7 +301,7 @@ def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.rand
         s2_assign_seed,
         s2_outcome_seed,
         analysis_seed,
-    ) = _as_seedseq(seed).spawn(7)
+    ) = _streams(seed, 7)
 
     patients_rng = np.random.default_rng(patients_seed)
     n = cfg.n_total
@@ -348,6 +354,9 @@ def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator
     With c_s0 = -inf and c_s1 = -inf the lead-in keeps everyone and stage 2
     is empty, so the analysis coincides with ``cr`` on the same seed: that
     degeneracy is the regression anchor for the seeding scheme.
+
+    ``seed`` (a SeedSequence or an int) is read, not spawned from, so the
+    same seed gives the same cohort and the same analysis stream on every call.
     """
     return _FAMILIES[cfg.outcome_family].cohort(cfg, seed)
 

@@ -29,8 +29,11 @@ would, in O(n) memory, in one of two ways:
   rows below and above it: O(n log n) time.
 
 ``matched_wr_test`` scores its pairs with ``pair_scores``;
-``fs_unmatched_test`` calls ``u_ties`` once with every row's stratum and
-derives the cross-arm wins and losses from the U-scores and the ties.
+``fs_unmatched_test`` calls ``u_ties`` once, with every row's stratum or,
+unstratified, with no labels, and derives the cross-arm wins and losses from
+the U-scores and the ties.  The survival ranking starts from the argsorts of
+the two time columns that the cohort keeps (``rule.orders``), so the
+stratified and unstratified tests sort each column once between them.
 """
 
 from __future__ import annotations
@@ -78,27 +81,53 @@ class _Ranked:
 
     A run is a set of rows of equal (stratum, key); every row of a run has
     the same rows of its stratum strictly below it and strictly above it.
-    When every run holds one row (continuous times without ties), no pair
-    ties within a run and a per-run array is already one value per row, so
-    ``cross_ties`` and ``rows`` skip their per-run counts and repeats.
+    ``order``, if given, is an argsort of ``key``.  Without ``groups`` every
+    row is in one stratum, the whole sorted range; with them a stable sort
+    by the label, a linear-time radix sort for 8-bit labels, lays the rows
+    out in stratum blocks that keep the key order.  When every run holds
+    one row (continuous times without ties), no pair ties within a run and
+    a per-run array is already one value per row, so ``cross_ties`` and
+    ``rows`` skip their per-run counts and repeats.
     """
 
-    def __init__(self, key: np.ndarray, groups: np.ndarray):
-        self.order, self.start, self.stop = tie_groups(key, groups)
+    def __init__(self, key: np.ndarray, groups: np.ndarray | None = None,
+                 order: np.ndarray | None = None):
+        if groups is None:
+            self.order, self.start, self.stop = tie_groups(key, order)
+            self.tie_free = len(self.start) == len(self.order)
+            self.block = None
+            return
+        if order is None:
+            order = np.argsort(key)
+        order = order[np.argsort(groups[order], kind="stable")]
+        size = np.bincount(groups)
+        block_stop = np.cumsum(size)
+        block_start = block_stop - size
+        self.order, self.start, self.stop = tie_groups(key, order, block_start[size > 0])
         self.tie_free = len(self.start) == len(self.order)
-        # the sorted positions of each run's stratum block
-        block_size = np.bincount(groups)
-        block_stop = np.cumsum(block_size)
-        g = groups[self.order[self.start]]
-        self.lo, self.hi = (block_stop - block_size)[g], block_stop[g]
+        # each run's stratum, and the sorted positions its stratum's block starts and stops at
+        g = np.repeat(np.arange(len(size)), size)
+        self.block = g if self.tie_free else g[self.start]
+        self.block_start, self.block_stop = block_start, block_stop
 
     def sign_sums(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Per run: the rows of its stratum (those in ``mask``) below it less those above it."""
+        """Per run: the rows of its stratum (those in ``mask``) below it less those above it.
+
+        With c[i] the rows (in ``mask``) before sorted position i, a run has
+        c[start] - c[lo] rows of its stratum below it and c[hi] - c[stop]
+        above it, where its stratum's block spans the positions lo..hi.
+        """
         if mask is None:
-            return (self.start - self.lo) - (self.hi - self.stop)
-        c = np.zeros(len(mask) + 1, dtype=np.int64)
-        np.cumsum(mask[self.order], out=c[1:])
-        return (c[self.start] - c[self.lo]) - (c[self.hi] - c[self.stop])
+            c = np.arange(len(self.order) + 1)
+            around = self.start + self.stop
+        else:
+            c = np.zeros(len(mask) + 1, dtype=np.int64)
+            np.cumsum(mask[self.order], out=c[1:])
+            # one row per run: its run starts and stops at its own sorted position
+            around = c[:-1] + c[1:] if self.tie_free else c[self.start] + c[self.stop]
+        if self.block is None:
+            return around - c[-1]
+        return around - (c[self.block_start] + c[self.block_stop])[self.block]
 
     def count(self, mask: np.ndarray) -> np.ndarray:
         """Per run: its rows in ``mask``."""
@@ -132,12 +161,18 @@ class _KeyRule:
         (k_i,), (k_j,) = left, right
         return np.sign(k_i - k_j).astype(np.int64)
 
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
+    def orders(self, cohort: Cohort) -> None:
+        """The count kernel sorts nothing, so it takes no kept sort orders."""
+        return None
+
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray | None = None,
+               orders=None) -> tuple[np.ndarray, int]:
         # one (stratum, level) count table: a row's U is its stratum's rows
         # below its level less those above it, 2 * at_most - counts - n_g
-        # (cells in intp, so no 8-bit label overflows)
-        cell = groups * np.intp(self.L) + cols[0]
-        counts = np.bincount(cell, minlength=self.L * (int(groups.max()) + 1)).reshape(-1, self.L)
+        # (cells in intp, so no 8-bit label overflows); without labels one stratum
+        cell = cols[0] if groups is None else groups * np.intp(self.L) + cols[0]
+        n_strata = 1 if groups is None else int(groups.max()) + 1
+        counts = np.bincount(cell, minlength=self.L * n_strata).reshape(-1, self.L)
         at_most = np.cumsum(counts, axis=1)
         u = 2 * at_most - counts - at_most[:, -1:]
         treated = np.bincount(cell[is_t], minlength=counts.size)
@@ -173,33 +208,39 @@ class SurvivalRule:
         if priority not in ("death", "hosp"):
             raise ValueError(f"priority must be 'death' or 'hosp', got {priority!r}")
         self.priority = priority
+        self._names = ("e_death", "e_hosp") if priority == "death" else ("e_hosp", "e_death")
 
     def columns(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
         # as floats, so the differences pair_scores takes cannot wrap on unsigned times
-        d, h = cohort.e_death.astype(float, copy=False), cohort.e_hosp.astype(float, copy=False)
-        return (d, h) if self.priority == "death" else (h, d)
+        return tuple(getattr(cohort, name).astype(float, copy=False) for name in self._names)
+
+    def orders(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
+        """The argsorts of ``columns(cohort)`` that the cohort keeps."""
+        return tuple(cohort.time_order(name) for name in self._names)
 
     def pair_scores(self, left, right) -> np.ndarray:
         (p_i, s_i), (p_j, s_j) = left, right
         primary_first = (p_i < s_i) | (p_j < s_j)
         return np.where(primary_first, np.sign(p_i - p_j), np.sign(s_i - s_j)).astype(np.int64)
 
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, int]:
+    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray | None = None,
+               orders=None) -> tuple[np.ndarray, int]:
+        """U-scores and cross-arm ties; ``orders``, if given, are argsorts of p and s."""
         # A = {primary first}: a pair with a member in A is decided on p,
         # any other pair on s.  So a row in A is ranked on p against its
         # whole stratum, and a row outside A on p against the rows in A and
-        # on s against the rest.
+        # on s against the other rows outside A.
         p, s = cols
+        p_order, s_order = orders or (None, None)
         a = p < s
-        on_p = _Ranked(p, groups)
-        rest = np.flatnonzero(~a)
-        on_s = _Ranked(s[rest], groups[rest])
-        u = np.where(a, on_p.rows(on_p.sign_sums()), on_p.rows(on_p.sign_sums(a)))
-        u[rest] += on_s.rows(on_s.sign_sums())
+        b = ~a
+        on_p, on_s = _Ranked(p, groups, p_order), _Ranked(s, groups, s_order)
+        u = np.where(a, on_p.rows(on_p.sign_sums()),
+                     on_p.rows(on_p.sign_sums(a)) + on_s.rows(on_s.sign_sums(b)))
         # a cross-arm pair ties on p within a run of on_p unless neither
-        # member is in A, and on s within a run of on_s
-        n_tie = (on_p.cross_ties(is_t) - on_p.cross_ties(is_t & ~a, ~is_t & ~a)
-                 + on_s.cross_ties(is_t[rest]))
+        # member is in A, and on s within a run of on_s if neither is
+        t_b, c_b = is_t & b, ~is_t & b
+        n_tie = on_p.cross_ties(is_t) - on_p.cross_ties(t_b, c_b) + on_s.cross_ties(t_b, c_b)
         return u, n_tie
 
 
@@ -297,22 +338,23 @@ def fs_unmatched_test(
     and counted in ``dropped_strata``.
     """
     is_t = cohort.arm == Arm.TREATMENT
-    # 8-bit labels, which sort in linear time
-    groups = cohort.stratum.astype(np.uint8) if stratified else np.zeros(len(cohort), dtype=np.uint8)
-    u, n_tie = rule.u_ties(rule.columns(cohort), is_t, groups)
+    # 8-bit labels, which sort in linear time; unstratified, no labels at all
+    groups = cohort.stratum.astype(np.uint8) if stratified else None
+    u, n_tie = rule.u_ties(rule.columns(cohort), is_t, groups, rule.orders(cohort))
     if stratified:
-        sizes = np.bincount(groups)
-        # (size, treated, sum of U^2) per stratum; the squares are exact
+        # (size, treated, sum of U^2) per stratum < 8, sizes and treated from
+        # one count of the label 2 * stratum + arm; the squares are exact
         # integers below 2**53, so summed in any order they are the same floats
-        strata = zip(sizes.tolist(), np.bincount(groups[is_t], minlength=len(sizes)).tolist(),
-                     np.bincount(groups, weights=u * u).tolist())
+        by_arm = np.bincount(2 * groups + is_t, minlength=16).reshape(8, 2)
+        strata = zip((by_arm[:, 0] + by_arm[:, 1]).tolist(), by_arm[:, 1].tolist(),
+                     np.bincount(groups, weights=u * u, minlength=8).tolist())
     else:  # one stratum: its totals, twice as fast as a bincount over a constant label
         strata = [(len(cohort), int(is_t.sum()), float((u * u).sum()))]
     # Every score is antisymmetric, so within a stratum the U-scores sum to
     # zero (a one-arm stratum adds nothing to T) and the treatment-treatment
     # scores cancel: T is wins less losses over the cross-arm pairs, and every
     # cross-arm pair is a win, a loss or a tie.
-    diff = int(u[is_t].sum())
+    diff = int(u @ is_t)
     decided = -n_tie
     v_stat = 0.0
     dropped = 0

@@ -28,7 +28,6 @@ from wrtrials.classic_tests import (
     CoxResult,
     cox_loglik,
     cox_ph,
-    first_event_times,
     midranks,
     obrien_first_event,
     _cox_patterns,
@@ -296,7 +295,7 @@ def test_cox_fit_equals_cox_ph_on_the_design_matrix():
     for name, cohort in fit_cohort_cases():
         X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
         X = X[:, [True, *(0 < X[:, 1:].sum(axis=0)) & (X[:, 1:].sum(axis=0) < len(X))]]
-        beta, cov, iterations, converged, separation = cox_ph(first_event_times(cohort), X)
+        beta, cov, iterations, converged, separation = cox_ph(cohort.first_event, X)
         assert converged and not separation, name
         b, se = float(beta[0]), math.sqrt(max(cov[0, 0], 0.0))
         z = b / se
@@ -446,7 +445,7 @@ def collinear_cohort():
 def test_cox_separation_flagged_and_capped():
     cohort = separated_cohort()
     # the design cox_fit builds: x1 and x2 are constant, so the arm alone
-    beta, _, _, _, separation = cox_ph(first_event_times(cohort), cohort.arm[:, None].astype(float))
+    beta, _, _, _, separation = cox_ph(cohort.first_event, cohort.arm[:, None].astype(float))
     assert separation
     assert abs(beta[0]) <= 15.0 + 1e-9
     with pytest.raises(DegenerateResultError, match="^separation$"):
@@ -473,7 +472,7 @@ def nan_trial_point_design():
     cohort = survival_defaults_cohort(4, 122)
     X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
     assert X.T.tolist() == [[0, 0, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1]]
-    return first_event_times(cohort), X
+    return cohort.first_event, X
 
 
 def accepted_logliks(log):

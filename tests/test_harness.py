@@ -61,6 +61,23 @@ def test_trial_deterministic_given_seed():
     assert repr(a) == repr(b)  # repr-compare: NaN fields defeat ==
 
 
+@pytest.mark.parametrize("cfg", [survival_cfg(), continuous_cfg("sed")], ids=["survival", "sed"])
+def test_trial_on_one_seedsequence_twice_is_the_same_trial(cfg):
+    # a trial reads its SeedSequence without spawning from it, so a second
+    # call on the same child is the same trial, and the first child's streams
+    # are those of a fresh spawn
+    child = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
+    first = run_trial(cfg, child)
+    assert child.n_children_spawned == 0
+    assert repr(run_trial(cfg, child)) == repr(first)
+    cohort, rng = harness.trial_cohort(cfg, child)
+    assert repr(harness._run_analyses(cfg, cohort, rng)) == repr(first)
+    fresh = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
+    streams = fresh.spawn(7 if cfg.design == "sed" else 2)
+    assert all(np.array_equal(a.generate_state(4), b.generate_state(4))
+               for a, b in zip(harness._streams(child, len(streams)), streams, strict=True))
+
+
 def test_monte_carlo_deterministic():
     cfg = survival_cfg(reps=30)
     assert repr(monte_carlo(cfg)) == repr(monte_carlo(cfg))
@@ -564,6 +581,27 @@ def test_cli_directory_path_is_a_config_error(argv, tmp_path, capsys):
     argv = [a.format(dir=tmp_path, cfg=cfg_path) for a in argv]
     assert cli_main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce-table"])
+@pytest.mark.parametrize("where", ["directory", "missing folder"])
+def test_cli_unwritable_csv_is_refused_before_the_run(command, where, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("monte_carlo ran before the CSV path was checked")
+
+    from wrtrials import cli, presets
+    monkeypatch.setattr(cli, "monte_carlo", no_run)
+    monkeypatch.setattr(presets, "monte_carlo", no_run)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(SCENARIO_JSON))
+    csv_path = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    head = ["simulate", "--config", str(cfg_path)] if command == "simulate" else [
+        "reproduce-table", "t6", "--reps", "2"]
+    assert cli_main(head + ["--csv", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err
 
 
 def test_cli_config_error_exit_code(tmp_path):

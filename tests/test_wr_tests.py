@@ -19,6 +19,7 @@ from wrtrials import (
     improvement_indicators,
     matched_wr_test,
 )
+from wrtrials.classic_tests import cox_fit, obrien_first_event
 from wrtrials.core import _OUTCOME_COLUMNS
 from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, _KeyRule
 
@@ -339,6 +340,68 @@ def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
             assert np.array_equal(u, want_u)
             dropped += res.dropped_strata
     assert dropped > 0
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False])
+@pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
+def test_label_free_unstratified_path_equals_zero_labels(family, rule, tie_heavy):
+    # the unstratified FS test passes no labels; all-zero labels are the
+    # one-stratum reference, read by the stratified test on a one-stratum cohort
+    rng = np.random.default_rng(41)
+    informative = 0
+    for n in (2, 3, 7, 50, 400):
+        arm = (rng.random(n) < 0.5).astype(int)
+        arm[:2] = (1, 0)
+        cohort = make_cohort(arm, **random_outcomes(rng, family, n, tie_heavy))
+        assert not cohort.stratum.any()
+        cols, is_t = rule.columns(cohort), cohort.arm == Arm.TREATMENT
+        for orders in (None, rule.orders(cohort)):
+            u, n_tie = rule.u_ties(cols, is_t, None, orders)
+            u_zero, n_tie_zero = rule.u_ties(cols, is_t, np.zeros(n, dtype=np.uint8), orders)
+            assert u.dtype == u_zero.dtype == np.int64
+            assert np.array_equal(u, u_zero)
+            assert type(n_tie) is int and n_tie == n_tie_zero
+        # so T (wins less losses) and z = T / sqrt(V) are the same floats
+        one = or_degenerate(fs_unmatched_test, cohort, rule, False)
+        zero = or_degenerate(fs_unmatched_test, cohort, rule, True)
+        assert (one is None) == (zero is None)
+        if one is not None:
+            assert one.method == "UnmatchedUnstratified"
+            assert repr(one) == repr(replace(zero, method=one.method))
+            informative += 1
+    assert informative >= 3
+
+
+@pytest.mark.parametrize("tie_heavy", [True, False])
+@pytest.mark.parametrize("priority", ["death", "hosp"])
+def test_survival_analyses_sharing_a_cohort_equal_fresh_copies_in_every_order(priority, tie_heavy):
+    # Cox and O'Brien share the cohort's first-event ranking and both FS
+    # tests its time-column sorts, each built by whichever call comes first
+    rng = np.random.default_rng(43)
+    rule = SurvivalRule(priority)
+    calls = {
+        "cox": cox_fit,
+        "obrien": obrien_first_event,
+        "fs strat": lambda c: fs_unmatched_test(c, rule, True),
+        "fs unstrat": lambda c: fs_unmatched_test(c, rule, False),
+    }
+    informative = 0
+    for n in (12, 60, 300):
+        arm = (rng.random(n) < 0.5).astype(int)
+        arm[:4] = (1, 1, 0, 0)
+        x1, x2, stage = (rng.random((3, n)) < 0.4).astype(int)
+        cohort = make_cohort(arm, x1, x2, stage, **random_outcomes(rng, "survival", n, tie_heavy))
+        alone = {name: repr(or_degenerate(call, replace(cohort))) for name, call in calls.items()}
+        informative += sum(r != "None" for r in alone.values())
+        for order in itertools.permutations(calls):
+            shared = replace(cohort)
+            assert {name: repr(or_degenerate(calls[name], shared)) for name in order} == alone
+            # the kept rankings are built once and cannot be written through
+            assert shared.first_event_ties is shared.first_event_ties
+            assert rule.orders(shared)[0] is rule.orders(shared)[0]
+            for kept in (shared.first_event, *shared.first_event_ties, *rule.orders(shared)):
+                assert not kept.flags.writeable
+    assert informative >= 10
 
 
 # ---------------------------------------------------------------------------
