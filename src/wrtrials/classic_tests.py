@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import fdtrc
 
-from .core import Z_95, Cohort, DegenerateResultError, _two_sided_p, tie_groups
+from .core import Z_95, Cohort, DegenerateResultError, _is_binary, _two_sided_p, tie_groups
 
 BETA_CAP = 15.0
 
@@ -76,16 +76,13 @@ def _pattern_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _cox_patterns(times: np.ndarray, columns, ties=None) -> _CoxPatterns:
-    """The patterns of a fit from its times and its k 0/1 design columns.
-
-    ``ties``, if given, is ``tie_groups(times)``.
-    """
+def _cox_patterns(times: np.ndarray, columns, ties) -> _CoxPatterns:
+    """The patterns of a fit from its times, its k 0/1 design columns and ``tie_groups(times)``."""
     if not np.isfinite(times).all():
         raise ValueError("event times must be finite")
     # tie groups share the risk set of their first row, and the counts at a
     # group start do not depend on the order inside the group
-    order, start, stop = tie_groups(times) if ties is None else ties
+    order, start, stop = ties
     if len(start) < 2:
         raise ValueError("need at least two distinct event times")
     k = len(columns)
@@ -130,58 +127,21 @@ def _cox_score_info(beta: np.ndarray, data: _CoxPatterns) -> tuple[np.ndarray, n
     return score, info
 
 
-# at most 2^8 patterns: the at-risk counts take N * 2^k floats
-_MAX_COX_COLUMNS = 8
-
-
-def cox_ph(
-    times: np.ndarray,
-    X: np.ndarray,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, int, bool, bool]:
-    """Fit the partial likelihood of a 0/1 design by damped Newton iteration.
-
-    Returns (beta, covariance, iterations, converged, separation).  Ties are
-    handled with the Breslow approximation.  When the likelihood is monotone
-    (complete separation) coefficients are capped at |beta| <= 15 and the
-    fit is flagged.  A singular information matrix raises ``DegenerateResultError``.
-
-    Every entry of ``X`` must be 0 or 1, so the N rows hold at most 2^k
-    distinct covariate patterns.  After checking ``X``, a fit runs the Newton
-    core that ``cox_fit`` runs on a cohort's columns: each row is coded as
-    its pattern number (column j is bit j), the times are sorted once, and
-    each pattern's rows at risk are counted at every tie-group start; the
-    risk-set sums of an iterate are then one product with those (2^k, N)
-    counts, after 2^k ``exp`` calls, so an iterate costs O(N 2^k).  The
-    score and information are evaluated once per iterate (iterations + 1
-    times) and serve the convergence test, the next Newton step and the
-    returned covariance; the log-likelihood is evaluated once at the start
-    and once per trial point of each step.
-    """
-    times = np.asarray(times, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(times) != X.shape[0]:
-        raise ValueError("times and design matrix sizes disagree")
-    if X.shape[1] == 0:
-        raise ValueError("design matrix has no columns")
-    if X.shape[1] > _MAX_COX_COLUMNS:
-        raise ValueError(f"design matrix has more than {_MAX_COX_COLUMNS} columns")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("design matrix must be finite")
-    if not np.all((X == 0) | (X == 1)):
-        raise ValueError("design matrix entries must be 0 or 1")
-    data = _cox_patterns(times, X.T)
-    if np.any((data.sum_x == 0) | (data.sum_x == len(times))):
-        raise ValueError("design matrix has a constant column")
-    beta, cov, iterations, reason = _cox_newton(data, max_iter, tol)
-    return beta, cov, iterations, reason is None, reason == "separation"
-
-
 def _cox_newton(
     data: _CoxPatterns, max_iter: int = 50, tol: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """The damped Newton fit that ``cox_ph`` documents; reason is None, "separation" or "non-convergence"."""
+    """Fit the Breslow partial likelihood of a pattern-coded design by damped Newton iteration.
+
+    Returns (beta, covariance, iterations, reason), where reason is None on
+    convergence, "separation" when a coefficient passed the |beta| = 15 cap
+    (it is clipped there and the fit stops) or "non-convergence" after
+    ``max_iter`` steps.  A singular information matrix raises
+    ``DegenerateResultError``.  An iterate costs O(N 2^k): 2^k ``exp`` calls
+    and one product with the (2^k, N) at-risk counts.  The score and
+    information are evaluated once per iterate (iterations + 1 times) and
+    serve the convergence test, the next step and the returned covariance;
+    the log-likelihood is evaluated once at the start and once per trial point.
+    """
     beta = np.zeros(data.xp.shape[1])
     ll = cox_loglik(beta, data)
     score, info = _cox_score_info(beta, data)
@@ -233,11 +193,10 @@ def cox_fit(cohort: Cohort) -> CoxResult:
     "non-convergence" (the Newton loop ended with |score| >= 1e-8).
 
     The cohort's columns are 0/1 already, so no design matrix is built: the
-    fit codes each row as arm + 2 x1 + 4 x2, a constant covariate's bit
-    dropped, the same code and the same fit as ``cox_ph`` on
-    ``column_stack([arm, x1, x2])`` without the constant columns.  The times
-    and their tie groups are the cohort's kept ``first_event`` and
-    ``first_event_ties``, which ``obrien_first_event`` shares.
+    fit codes each row as its pattern arm + 2 x1 + 4 x2, a constant
+    covariate's bit dropped.  The times and their tie groups are the
+    cohort's kept ``first_event`` and ``first_event_ties``, which
+    ``obrien_first_event`` shares.
     """
     times = cohort.first_event
     n = len(cohort)
@@ -281,27 +240,29 @@ def midranks(x: np.ndarray, ties=None) -> np.ndarray:
     return ranks
 
 
-def obrien_test(values: np.ndarray, groups: np.ndarray, ties=None) -> ObrienResult:
-    """Rank-sum-type test: pooled midranks per endpoint, ANOVA on rank sums.
+def obrien_test(values: np.ndarray, arm: np.ndarray, ties=None) -> ObrienResult:
+    """Rank-sum-type test of two arms: pooled midranks per endpoint, ANOVA on rank sums.
 
-    ``values`` is (n, K) with larger entries better; ``groups`` labels each
-    row.  Per endpoint the pooled sample is midranked, ranks are summed per
-    patient, and a one-way ANOVA compares the sums across groups.
-    ``ties``, if given, holds ``tie_groups`` of each endpoint.
+    ``values`` is (n, K) with larger entries better; ``arm`` marks each row
+    0 (control) or 1 (treatment), in any dtype.  Per endpoint the pooled
+    sample is midranked, ranks are summed per patient, and a one-way ANOVA
+    on (1, n - 2) degrees of freedom compares the two arms' sums, whose means
+    ``rank_sums`` holds keyed 0 and 1.  ``ties``, if given, holds
+    ``tie_groups`` of each endpoint.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be a 2-D (n, K) array, got {values.ndim}-D")
-    groups = np.asarray(groups)
+    arm = np.asarray(arm)
     n = values.shape[0]
-    if len(groups) != n:
-        raise ValueError("values and groups sizes disagree")
-    labels, label_of = np.unique(groups, return_inverse=True)
-    sizes = np.bincount(label_of)  # faster than np.unique's return_counts
-    if len(labels) < 2:
-        raise ValueError("need at least two groups")
+    if len(arm) != n:
+        raise ValueError("values and arm sizes disagree")
+    if not _is_binary(arm):
+        raise ValueError("arm must hold 0 (control) and 1 (treatment) only")
+    arm = arm.astype(np.intp)
+    sizes = np.bincount(arm, minlength=2)
     if sizes.min() < 2:
-        raise ValueError("each group needs at least two patients")
+        raise ValueError("each arm needs at least two patients")
 
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
@@ -310,27 +271,24 @@ def obrien_test(values: np.ndarray, groups: np.ndarray, ties=None) -> ObrienResu
     for k in range(values.shape[1]):
         s += midranks(values[:, k], None if ties is None else ties[k])
     grand = s.mean()
-    # sums of half-integer ranks are exact, so these are the means of s[groups == g]
-    group_means = np.bincount(label_of, weights=s) / sizes
+    # sums of half-integer ranks are exact, so these are the means of s[arm == g]
+    means = (np.bincount(arm, weights=s) / sizes).tolist()
     ss_between = 0.0
     ss_within = 0.0
-    for g, (size, mean) in enumerate(zip(sizes.tolist(), group_means.tolist())):
+    for g, (size, mean) in enumerate(zip(sizes.tolist(), means)):
         ss_between += size * (mean - grand) ** 2
-        # summed pairwise over the group's rows, as s[groups == g].sum() would:
+        # summed pairwise over the arm's rows, as s[arm == g].sum() would:
         # a bincount of the squares sums in another order and moves F by an ulp
-        ss_within += float(((s[label_of == g] - mean) ** 2).sum())
-    means = dict(zip(labels, group_means.tolist()))
-    df_b = len(labels) - 1
-    df_w = n - len(labels)
+        ss_within += float(((s[arm == g] - mean) ** 2).sum())
     if ss_within <= 0:
         if ss_between <= 0:
             raise DegenerateResultError("degenerate: rank sums constant across patients")
         f_stat = math.inf
         p = 0.0
     else:
-        f_stat = (ss_between / df_b) / (ss_within / df_w)
-        p = float(fdtrc(df_b, df_w, f_stat))  # the F survival function
-    return ObrienResult(f_stat=float(f_stat), df=(df_b, df_w), p_value=p, rank_sums=means)
+        f_stat = ss_between / (ss_within / (n - 2))
+        p = float(fdtrc(1, n - 2, f_stat))  # the F survival function
+    return ObrienResult(f_stat=float(f_stat), df=(1, n - 2), p_value=p, rank_sums=dict(enumerate(means)))
 
 
 def obrien_first_event(cohort: Cohort) -> ObrienResult:

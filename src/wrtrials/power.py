@@ -55,11 +55,6 @@ class ThetaBinary:
     def from_rates(cls, p_t: float, q_t: float, p_c: float, q_c: float) -> "ThetaBinary":
         return cls((p_t, q_t, p_t * q_t, p_c, q_c, p_c * q_c))
 
-    @property
-    def mirrored(self) -> "ThetaBinary":
-        t = self.theta
-        return ThetaBinary((t[3], t[4], t[5], t[0], t[1], t[2]))
-
 
 THETA_NULL = ThetaBinary((0.5, 0.5, 0.25, 0.5, 0.5, 0.25))
 

@@ -27,12 +27,13 @@ from wrtrials.classic_tests import (
     BETA_CAP,
     CoxResult,
     cox_loglik,
-    cox_ph,
     midranks,
     obrien_first_event,
+    _cox_newton,
     _cox_patterns,
     _cox_score_info,
 )
+from wrtrials.core import tie_groups
 
 from test_core import make_cohort
 
@@ -93,7 +94,7 @@ def row_cox_score_info(beta, data):
 
 
 def row_cox_ph(times, X, max_iter=50, tol=1e-8):
-    """The damped Newton fit of ``cox_ph`` on per-row sums, for any real design."""
+    """The damped Newton fit of ``_cox_newton`` on per-row sums, for any real design."""
     times = np.asarray(times, dtype=float)
     X = np.asarray(X, dtype=float)
     data = sort_for_cox(times, X)
@@ -156,12 +157,17 @@ def score_info(beta, times, X):
     return row_cox_score_info(beta, sort_for_cox(times, X))
 
 
+def cox_fit_design(times, X, **kw):
+    """The pattern fit of a 0/1 design: (beta, covariance, iterations, reason)."""
+    return _cox_newton(_cox_patterns(times, list(X.T), tie_groups(times)), **kw)
+
+
 def pattern_score_info(beta, times, X):
-    return _cox_score_info(beta, _cox_patterns(times, X.T))
+    return _cox_score_info(beta, _cox_patterns(times, list(X.T), tie_groups(times)))
 
 
 def pattern_cox_loglik(beta, times, X):
-    return cox_loglik(beta, _cox_patterns(times, X.T))
+    return cox_loglik(beta, _cox_patterns(times, list(X.T), tie_groups(times)))
 
 
 def assert_rel_close(got, want, rel, label):
@@ -244,23 +250,24 @@ def _fit_cases():
 def test_cox_ph_matches_per_row_oracle():
     names = set()
     for name, times, X, kw in _fit_cases():
-        got = cox_ph(times, X, **kw)
-        want = row_cox_ph(times, X, **kw)
-        assert got[2:] == want[2:], name
-        assert_rel_close(got[0], want[0], 1e-10, name)
-        assert_rel_close(got[1], want[1], 1e-10, name)
+        beta, cov, iterations, reason = cox_fit_design(times, X, **kw)
+        want_beta, want_cov, want_iterations, converged, separation = row_cox_ph(times, X, **kw)
+        assert (iterations, reason is None, reason == "separation") == (
+            want_iterations, converged, separation), name
+        assert_rel_close(beta, want_beta, 1e-10, name)
+        assert_rel_close(cov, want_cov, 1e-10, name)
         names.add(name)
         if name == "separated":
-            assert got[4]
+            assert reason == "separation"
         if name == "max_iter exhausted":
-            assert got[2] == 1 and not got[3]
+            assert iterations == 1 and reason == "non-convergence"
     assert len(names) == 11
 
 
 def test_halving_design_halves_a_step(monkeypatch):
     counter = LoglikCounter(monkeypatch)
-    _, _, iterations, converged, separation = cox_ph(*halving_design())
-    assert converged and not separation
+    _, _, iterations, reason = cox_fit_design(*halving_design())
+    assert reason is None
     assert counter.calls > iterations + 1
 
 
@@ -289,14 +296,14 @@ def fit_cohort_cases():
 
 
 def test_cox_fit_equals_cox_ph_on_the_design_matrix():
-    # cox_fit codes the cohort's 0/1 columns itself; cox_ph fits the float
-    # design with its constant columns dropped, and every field must agree
+    # cox_fit codes the cohort's 0/1 columns itself; the pattern fit of the
+    # float design with its constant columns dropped must agree in every field
     cases = 0
     for name, cohort in fit_cohort_cases():
         X = np.column_stack([cohort.arm, cohort.x1, cohort.x2]).astype(float)
         X = X[:, [True, *(0 < X[:, 1:].sum(axis=0)) & (X[:, 1:].sum(axis=0) < len(X))]]
-        beta, cov, iterations, converged, separation = cox_ph(cohort.first_event, X)
-        assert converged and not separation, name
+        beta, cov, iterations, reason = cox_fit_design(cohort.first_event, X)
+        assert reason is None, name
         b, se = float(beta[0]), math.sqrt(max(cov[0, 0], 0.0))
         z = b / se
         want = CoxResult(b, se, z, float(2.0 * norm.sf(abs(z))), math.exp(b),
@@ -399,8 +406,8 @@ def test_cox_time_scale_invariance():
     n = 40
     times = rng.exponential(1.0, n) + 1e-9
     X = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n)]).astype(float)
-    b1, _, _, _, _ = cox_ph(times, X)
-    b2, _, _, _, _ = cox_ph(times * 17.3, X)
+    b1, _, _, _ = cox_fit_design(times, X)
+    b2, _, _, _ = cox_fit_design(times * 17.3, X)
     assert np.allclose(b1, b2, atol=1e-8)
 
 
@@ -410,10 +417,11 @@ def test_cox_observed_information_psd_at_solution():
     times = rng.exponential(1.0, n) + 1e-9
     X = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)]).astype(float)
     X01 = np.column_stack([X[:, 0], X[:, 1] > 0]).astype(float)
-    for fit, si, design in ((row_cox_ph, score_info, X), (cox_ph, pattern_score_info, X01)):
-        beta, cov, _, converged, _ = fit(times, design)
-        assert converged
-        _, info = si(beta, times, design)
+    row_beta, _, _, converged, _ = row_cox_ph(times, X)
+    beta, _, _, reason = cox_fit_design(times, X01)
+    assert converged and reason is None
+    for si, b, design in ((score_info, row_beta, X), (pattern_score_info, beta, X01)):
+        _, info = si(b, times, design)
         eigs = np.linalg.eigvalsh(info)
         assert np.all(eigs >= -1e-9)
 
@@ -423,8 +431,8 @@ def test_cox_recovers_known_hazard_ratio():
     n = 4000
     arm = rng.integers(0, 2, n)
     times = rng.exponential(1.0, n) * np.exp(-math.log(2.0) * arm)
-    b, cov, _, converged, _ = cox_ph(times, np.column_stack([arm]).astype(float))
-    assert converged
+    b, _, _, reason = cox_fit_design(times, np.column_stack([arm]).astype(float))
+    assert reason is None
     assert b[0] == pytest.approx(math.log(2.0), abs=0.08)
 
 
@@ -445,8 +453,8 @@ def collinear_cohort():
 def test_cox_separation_flagged_and_capped():
     cohort = separated_cohort()
     # the design cox_fit builds: x1 and x2 are constant, so the arm alone
-    beta, _, _, _, separation = cox_ph(cohort.first_event, cohort.arm[:, None].astype(float))
-    assert separation
+    beta, _, _, reason = cox_fit_design(cohort.first_event, cohort.arm[:, None].astype(float))
+    assert reason == "separation"
     assert abs(beta[0]) <= 15.0 + 1e-9
     with pytest.raises(DegenerateResultError, match="^separation$"):
         cox_fit(cohort)
@@ -489,7 +497,7 @@ def test_cox_halves_a_nan_trial_point(monkeypatch):
     times, X = nan_trial_point_design()
     log = CoxCallLog(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        cox_ph(times, X)
+        cox_fit_design(times, X)
     assert any(name == "cox_loglik" and math.isnan(ll) for name, ll in log.calls)
     accepted = accepted_logliks(log)
     assert len(accepted) >= 2 and all(math.isfinite(ll) for ll in accepted)
@@ -514,8 +522,8 @@ def test_cox_nan_trial_point_warns_nothing():
     times, X = nan_trial_point_design()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        beta, _, _, _, separation = cox_ph(times, X)
-    assert separation and np.max(np.abs(beta)) == 15.0
+        beta, _, _, reason = cox_fit_design(times, X)
+    assert reason == "separation" and np.max(np.abs(beta)) == 15.0
 
 
 def test_cox_underflowing_trial_point_warns_nothing():
@@ -535,7 +543,7 @@ def test_cox_underflowing_trial_point_warns_nothing():
 def test_each_cox_reason_reaches_the_trial_record_note(reason, monkeypatch):
     if reason == "non-convergence":
         cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(4))
-        # one Newton step of the core that cox_fit and cox_ph share leaves |score| above 1e-8
+        # one step of cox_fit's Newton core leaves |score| above 1e-8
         newton = classic_tests._cox_newton
         monkeypatch.setattr(classic_tests, "_cox_newton", lambda data: newton(data, max_iter=1))
     else:
@@ -549,37 +557,17 @@ def test_each_cox_reason_reaches_the_trial_record_note(reason, monkeypatch):
 def test_cox_breslow_handles_ties():
     times = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 4.0])
     X = np.column_stack([[1, 0, 1, 0, 1, 0]]).astype(float)
-    beta, _, _, converged, _ = cox_ph(times, X)
-    assert converged
+    beta, _, _, reason = cox_fit_design(times, X)
+    assert reason is None
     # independent check of the tied-likelihood gradient at the solution
     score, _ = score_info(beta, times, X)
     assert abs(score[0]) < 1e-7
 
 
 def test_cox_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
-        cox_ph(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError):
-        cox_ph(np.array([1.0, 2.0, 3.0]), np.array([[1.0], [1.0], [1.0]]))
-
-
-def test_cox_rejects_design_without_columns():
-    with pytest.raises(ValueError, match="design matrix"):
-        cox_ph(np.array([1.0, 2.0, 3.0]), np.zeros((3, 0)))
-
-
-def test_cox_rejects_design_with_more_columns_than_the_pattern_cap():
-    # the at-risk counts take N * 2^k floats
-    X = np.random.default_rng(10).integers(0, 2, (40, 9)).astype(float)
-    with pytest.raises(ValueError, match="more than 8 columns"):
-        cox_ph(np.arange(1.0, 41.0), X)
-
-
-@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
-def test_cox_rejects_design_that_is_not_zero_one(bad):
-    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, bad], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="0 or 1"):
-        cox_ph(np.array([4.0, 1.0, 2.0, 3.0]), X)
+    times = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="two distinct event times"):
+        _cox_patterns(times, [np.array([1, 0])], tie_groups(times))
 
 
 @pytest.mark.parametrize("arm,missing", [(Arm.TREATMENT, "control"), (Arm.CONTROL, "treatment")])
@@ -596,11 +584,9 @@ def test_cox_fit_rejects_a_cohort_with_one_arm(arm, missing):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cox_rejects_non_finite_inputs(bad):
-    X = np.array([[1.0], [0.0], [1.0], [0.0]])
+    times = np.array([bad, 1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
-        cox_ph(np.array([bad, 1.0, 2.0, 3.0]), X)
-    with pytest.raises(ValueError, match="finite"):
-        cox_ph(np.array([4.0, 1.0, 2.0, 3.0]), np.where(np.arange(4)[:, None] == 2, bad, X))
+        _cox_patterns(times, [np.array([1, 0, 1, 0])], tie_groups(times))
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +622,29 @@ def test_obrien_string_labels_match_f_oneway_on_midrank_sums():
     rng = np.random.default_rng(14)
     n = 90
     values = np.column_stack([rng.exponential(1.0, n), rng.integers(0, 5, n)])
-    groups = np.array(["placebo", "low", "high"])[np.arange(n) % 3]
-    values[groups == "high"] += 0.5
-    res = obrien_test(values, groups)
+    arm = (np.arange(n) % 3 == 0).astype(int)  # 30 treated, 60 control
+    values[arm == 1] += 0.5
+    res = obrien_test(values, arm)
     sums = rankdata(values[:, 0]) + rankdata(values[:, 1])
-    want = f_oneway(*(sums[groups == g] for g in ("high", "low", "placebo")))
+    want = f_oneway(sums[arm == 0], sums[arm == 1])
     assert res.f_stat == pytest.approx(want.statistic, rel=1e-12)
     assert res.p_value == pytest.approx(want.pvalue, rel=1e-12)
-    assert res.df == (2, n - 3)
-    assert set(res.rank_sums) == {"placebo", "low", "high"}
-    for g in ("placebo", "low", "high"):
-        assert res.rank_sums[g] == pytest.approx(sums[groups == g].mean(), rel=1e-12)
+    assert res.df == (1, n - 2)
+    assert set(res.rank_sums) == {0, 1}
+    for g in (0, 1):
+        assert res.rank_sums[g] == pytest.approx(sums[arm == g].mean(), rel=1e-12)
+
+
+def test_obrien_refuses_labels_other_than_two_arms():
+    for labels in (np.array(["control", "control", "treated", "treated"]),
+                   np.array([0, 0, 2, 2]), np.array([0, 0, 1, 1, 2, 2])):
+        values = np.arange(float(len(labels)))[:, None]
+        with pytest.raises(ValueError, match=r"0 \(control\) and 1 \(treatment\)"):
+            obrien_test(values, labels)
+    # any 0/1 dtype is an arm, as a Cohort's arm may be
+    values = np.array([[1.0], [3.0], [2.0], [4.0], [6.0]])
+    arm = np.array([0, 0, 1, 1, 1])
+    assert obrien_test(values, arm.astype(float)) == obrien_test(values, arm)
 
 
 def test_obrien_identical_groups_f_zero():
