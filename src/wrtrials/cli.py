@@ -22,11 +22,9 @@ import sys
 
 from .core import ConfigError, DegenerateResultError
 from .datagen import cohort_to_csv
-from .harness import monte_carlo, scenario_from_dict, trial_cohort
+from .harness import _streams, monte_carlo, scenario_from_dict, trial_cohort
 from .power import ThetaBinary, matched_sample_size, matched_win_probs, unmatched_sample_size
 from .presets import TABLE_IDS, reproduce_table
-
-import numpy as np
 
 
 def _csv_row(name: str, summary: dict) -> dict:
@@ -95,7 +93,7 @@ def _cmd_gen(args) -> int:
     with open(args.config) as fh:
         cfg = scenario_from_dict(json.load(fh))
     # replicate 0 of monte_carlo: the first of the master seed's children
-    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(1)[0])
+    cohort, _ = trial_cohort(cfg, _streams(cfg.master_seed, 1)[0])
     cohort_to_csv(cohort, args.out)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return 0

@@ -83,8 +83,8 @@ class Cohort:
     A survival cohort keeps its rankings, each built on first use and
     read-only: ``first_event`` (min(e_death, e_hosp)) and its
     ``first_event_ties``, which ``cox_fit`` and ``obrien_first_event`` share,
-    and ``time_order`` of each time column, which the stratified and
-    unstratified FS tests share.  So a replicate sorts each of its three
+    and ``time_orders``, an argsort of each time column, which the stratified
+    and unstratified FS tests share.  So a replicate sorts each of its three
     time columns once, whichever analyses it runs in whatever order.
     """
 
@@ -99,7 +99,6 @@ class Cohort:
     y_base: np.ndarray | None = None
     y: np.ndarray | None = None
     stratum: np.ndarray = field(init=False)
-    _time_orders: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         present = tuple(name for name in _OUTCOME_COLUMNS if getattr(self, name) is not None)
@@ -155,13 +154,13 @@ class Cohort:
         _read_only(*ties)
         return ties
 
-    def time_order(self, name: str) -> np.ndarray:
-        """An argsort of the time column ``name`` ("e_death" or "e_hosp"), as floats."""
-        order = self._time_orders.get(name)
-        if order is None:
-            order = self._time_orders[name] = np.argsort(getattr(self, name).astype(float, copy=False))
-            _read_only(order)
-        return order
+    @cached_property
+    def time_orders(self) -> dict[str, np.ndarray]:
+        """An argsort of each time column as floats, keyed "e_death" and "e_hosp"."""
+        orders = {name: np.argsort(getattr(self, name).astype(float, copy=False))
+                  for name in ("e_death", "e_hosp")}
+        _read_only(*orders.values())
+        return orders
 
 
 def tie_groups(key: np.ndarray, order: np.ndarray | None = None,

@@ -264,7 +264,7 @@ class ContinuousFrame:
 
 
 def draw_continuous_patients(
-    cfg: ContinuousGenConfig, rng: np.random.Generator, n: int | None = None
+    cfg: ContinuousGenConfig, rng: np.random.Generator, n: int
 ) -> ContinuousFrame:
     """Draw covariates, baselines, and responder classes for n patients.
 
@@ -272,7 +272,6 @@ def draw_continuous_patients(
     is strictly positive: each round draws the x1 bits then the x2 bits of
     the rows still bad, in row order, in one ``integers(0, 2, 2k)`` call.
     """
-    n = cfg.n if n is None else n
     b1, b2 = float(cfg.beta_cov1), float(cfg.beta_cov2)
     # each row is carried as its covariate pattern code 2 * x1 + x2; the
     # baselines b1 * x1 + b2 * x2 of the codes, exact where they are positive

@@ -6,9 +6,9 @@ the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
 analyses, the rule that scores its pairs, the draw of a trial's cohort, its
 O'Brien endpoint, and the arm sizes and default cohort size of its generator.
-Replications are independent: each owns a private generator derived from the
-master seed through ``SeedSequence.spawn``, so results are identical whether
-reps run on one worker or many.
+Replications are independent: replicate i's seed is the master seed's i-th
+child (``_streams``), and each trial draws its own streams from that seed the
+same way, so results are identical whether reps run on one worker or many.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class McSummary:
 def _streams(seed, n: int) -> list[np.random.SeedSequence]:
     """The first n children of ``seed`` (a SeedSequence or an int), whatever it has spawned.
 
-    They equal ``seed.spawn(n)`` on a fresh SeedSequence, but leave ``seed``
-    as it was, so the same seed gives the same trial on every call.
+    They equal the children ``SeedSequence.spawn`` gives on a fresh seed, but
+    leave ``seed`` as it was, so the same seed gives the same trial on every call.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -393,7 +393,7 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     none is.  The summary is a pure function of the config (including
     master_seed) regardless of ``n_jobs``.
     """
-    seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.reps)
+    seeds = _streams(cfg.master_seed, cfg.reps)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             all_records = list(pool.map(run_trial, [cfg] * cfg.reps, seeds,

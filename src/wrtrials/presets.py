@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .core import ConfigError
 from .datagen import ContinuousGenConfig, SubpopMix, SurvivalGenConfig
-from .harness import Cutoffs, ScenarioConfig, monte_carlo
+from .harness import ScenarioConfig, monte_carlo
 
 LOG06 = math.log(0.6)
 LOG018 = math.log(0.18)
@@ -151,19 +151,10 @@ def sed_scenario(
     return ScenarioConfig(
         design=design,
         outcome_family="continuous",
-        generator=ContinuousGenConfig(
-            beta_p=(-1.5, -1.5, -1.5),
-            beta_t1=beta_t1,
-            beta_in2=beta_in23,
-            beta_in3=beta_in23,
-            beta_cov1=5.0,
-            beta_cov2=5.0,
-            n=n,
-            mix=mix,
-        ),
+        generator=ContinuousGenConfig(beta_t1=beta_t1, beta_in2=beta_in23, beta_in3=beta_in23,
+                                      n=n, mix=mix),
         analyses=SED_ANALYSES,
         n_total=n,
-        cutoffs=Cutoffs(c_t=0.8, c_s0=0.8, c_s1=0.9),
         reps=reps,
         master_seed=master_seed,
     )

@@ -81,7 +81,7 @@ class _Ranked:
 
     A run is a set of rows of equal (stratum, key); every row of a run has
     the same rows of its stratum strictly below it and strictly above it.
-    ``order``, if given, is an argsort of ``key``.  Without ``groups`` every
+    ``order`` is an argsort of ``key``.  Without ``groups`` every
     row is in one stratum, the whole sorted range; with them a stable sort
     by the label, a linear-time radix sort for 8-bit labels, lays the rows
     out in stratum blocks that keep the key order.  When every run holds
@@ -90,15 +90,12 @@ class _Ranked:
     ``rows`` skip their per-run counts and repeats.
     """
 
-    def __init__(self, key: np.ndarray, groups: np.ndarray | None = None,
-                 order: np.ndarray | None = None):
+    def __init__(self, key: np.ndarray, order: np.ndarray, groups: np.ndarray | None = None):
         if groups is None:
             self.order, self.start, self.stop = tie_groups(key, order)
             self.tie_free = len(self.start) == len(self.order)
             self.block = None
             return
-        if order is None:
-            order = np.argsort(key)
         order = order[np.argsort(groups[order], kind="stable")]
         size = np.bincount(groups)
         block_stop = np.cumsum(size)
@@ -216,7 +213,7 @@ class SurvivalRule:
 
     def orders(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
         """The argsorts of ``columns(cohort)`` that the cohort keeps."""
-        return tuple(cohort.time_order(name) for name in self._names)
+        return tuple(cohort.time_orders[name] for name in self._names)
 
     def pair_scores(self, left, right) -> np.ndarray:
         (p_i, s_i), (p_j, s_j) = left, right
@@ -231,10 +228,10 @@ class SurvivalRule:
         # whole stratum, and a row outside A on p against the rows in A and
         # on s against the other rows outside A.
         p, s = cols
-        p_order, s_order = orders or (None, None)
+        p_order, s_order = orders or (np.argsort(p), np.argsort(s))
         a = p < s
         b = ~a
-        on_p, on_s = _Ranked(p, groups, p_order), _Ranked(s, groups, s_order)
+        on_p, on_s = _Ranked(p, p_order, groups), _Ranked(s, s_order, groups)
         u = np.where(a, on_p.rows(on_p.sign_sums()),
                      on_p.rows(on_p.sign_sums(a)) + on_s.rows(on_s.sign_sums(b)))
         # a cross-arm pair ties on p within a run of on_p unless neither
@@ -332,7 +329,9 @@ def fs_unmatched_test(
     V = sum_k m_k (n_k - m_k) / (n_k (n_k - 1)) * sum_{i in k} U_i^2.
 
     Win and loss counts (and hence the win ratio) use only the
-    treatment-versus-control pairs; its CI comes from s = ln(R_w) / z.
+    treatment-versus-control pairs; its CI comes from s = ln(R_w) / z.  With
+    no decided cross-arm pair r_w, p_w and the CI are NaN; when every decided
+    pair goes one way the CI is (0, inf); with as many wins as losses it is NaN.
 
     Strata with fewer than two patients or with an empty arm are dropped
     and counted in ``dropped_strata``.
@@ -373,18 +372,12 @@ def fs_unmatched_test(
         raise DegenerateResultError("degenerate: no discordant pairs (V = 0)")
     z = diff / math.sqrt(v_stat)
 
-    if n_l == 0:
-        return WrResult(method, n_w, n_l, n_tie, 1.0 if n_w else math.nan, math.inf,
-                        z, _two_sided_p(z), math.nan, math.nan, dropped)
-    r_w = n_w / n_l
-    p_w = n_w / (n_w + n_l)
-    if n_w == 0 or z == 0:
-        ci_low, ci_high = (0.0, math.inf) if n_w == 0 else (math.nan, math.nan)
-        return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z),
-                        ci_low, ci_high, dropped)
-    s = math.log(r_w) / z
-    lo = math.exp(math.log(r_w) - Z_95 * s)
-    hi = math.exp(math.log(r_w) + Z_95 * s)
-    if lo > hi:
-        lo, hi = hi, lo
-    return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), lo, hi, dropped)
+    p_w = n_w / (n_w + n_l) if n_w + n_l else math.nan
+    r_w = n_w / n_l if n_l else math.inf if n_w else math.nan
+    if n_w and n_l and diff:
+        # n_w - n_l = diff and z = diff / sqrt(V), so ln(r_w) and z share a sign: s > 0, lo < hi
+        s = math.log(r_w) / z
+        ci = math.exp(math.log(r_w) - Z_95 * s), math.exp(math.log(r_w) + Z_95 * s)
+    else:  # all one way: (0, inf); as many wins as losses, 0 = 0 too: z = 0 gives no width
+        ci = (0.0, math.inf) if diff else (math.nan, math.nan)
+    return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), *ci, dropped)

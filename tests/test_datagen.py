@@ -116,7 +116,7 @@ def test_mix_validation():
 
 def test_subpop_frequencies_follow_mix():
     cfg = ContinuousGenConfig(n=10000, mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
-    labels = draw_continuous_patients(cfg, np.random.default_rng(9)).subpop
+    labels = draw_continuous_patients(cfg, np.random.default_rng(9), cfg.n).subpop
     assert len(labels) == cfg.n
     counts = {s: 0 for s in Subpop}
     for label in labels:
@@ -128,7 +128,7 @@ def test_subpop_frequencies_follow_mix():
 def test_baseline_always_positive_and_effect_applied():
     mix = SubpopMix(0.0, 0.0, 1.0, 0.0)  # every patient in the target class
     cfg = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0, n=500, mix=mix)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(3))
+    frame = draw_continuous_patients(cfg, np.random.default_rng(3), cfg.n)
     assert np.all(frame.y_base > 0)
     assert set(np.unique(frame.y_base)) <= {5.0, 10.0}
     # noise-free check of the effect arithmetic
@@ -143,7 +143,7 @@ def test_baseline_always_positive_and_effect_applied():
 
 def test_continuous_frame_take_and_concat_keep_rows_together():
     cfg = ContinuousGenConfig(n=30, mix=EVEN_MIX)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(9))
+    frame = draw_continuous_patients(cfg, np.random.default_rng(9), cfg.n)
     rows = np.array([4, 0, 29, 4])
     mask = frame.x1 == 1
     for sub, index in [(frame.take(rows), rows), (frame.take(mask), np.flatnonzero(mask)),
@@ -167,7 +167,7 @@ def test_null_effects_make_arms_identical_in_law():
     # not matter for any label
     cfg = ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-1.5, n=2000,
                               mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
-    frame = draw_continuous_patients(cfg, np.random.default_rng(6))
+    frame = draw_continuous_patients(cfg, np.random.default_rng(6), cfg.n)
     y_drug = draw_continuous_response(cfg, frame, np.ones(2000, dtype=bool),
                                       np.random.default_rng(7))
     y_plac = draw_continuous_response(cfg, frame, np.zeros(2000, dtype=bool),
@@ -192,7 +192,7 @@ def test_csv_export_roundtrip(tmp_path):
 def two_stage_cohort(rng):
     """12 drawn stage-0 patients, then 8 stage-1 ones with every pattern (strata 4..7)."""
     cfg = ContinuousGenConfig(n=12, mix=EVEN_MIX)
-    stage0 = draw_continuous_patients(cfg, rng)
+    stage0 = draw_continuous_patients(cfg, rng, cfg.n)
     # no drawn baseline is positive for x1 = x2 = 0, so stage 1's patterns are set
     stage1 = replace(draw_continuous_patients(cfg, rng, 8),
                      x1=np.array([0, 0, 1, 1] * 2), x2=np.array([0, 1] * 4))
@@ -205,7 +205,7 @@ def two_stage_cohort(rng):
 
 def one_stage_cohort(cfg, rng):
     """Patients, a 1:1 assignment and one outcome draw, all from ``rng``."""
-    frame = draw_continuous_patients(cfg, rng)
+    frame = draw_continuous_patients(cfg, rng, cfg.n)
     arm = _assign_arms(rng, cfg.n, 0.5)
     return continuous_cohort([(frame, arm, draw_continuous_response(cfg, frame, arm == 1, rng))])
 
@@ -281,7 +281,7 @@ def test_continuous_config_rejects_covariates_without_positive_baseline(beta_cov
 @pytest.mark.parametrize("beta_cov", [(5.0, -3.0), (-1.0, 2.0), (-1.0, 1.5), (0.5, 0.5)])
 def test_continuous_config_accepts_a_positive_pattern(beta_cov):
     cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], n=50, mix=EVEN_MIX)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(1))
+    frame = draw_continuous_patients(cfg, np.random.default_rng(1), cfg.n)
     assert np.all(frame.y_base > 0)
 
 
@@ -358,7 +358,7 @@ def test_patient_draw_keeps_the_stream(beta_cov):
             want = oracle_draw_continuous_patients(cfg, want_rng, n)
             assert_same_frame(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert draw_continuous_patients(cfg, np.random.default_rng(0)).y_base.shape == (cfg.n,)
+    assert draw_continuous_patients(cfg, np.random.default_rng(0), cfg.n).y_base.shape == (cfg.n,)
 
 
 @pytest.mark.parametrize("beta_t1, beta_in2", [(-1.5, 0.0), (-2.0, 0.5)])

@@ -470,6 +470,16 @@ def or_degenerate(test, *args):
         return None
 
 
+def assert_reciprocal(x, y):
+    """``y`` is 1 / ``x`` at rel 1e-12, with inf and 0 each other's reciprocal and NaN its own."""
+    if math.isnan(x):
+        assert math.isnan(y)
+    elif x in (0.0, math.inf):
+        assert y == (math.inf if x == 0 else 0.0)
+    else:
+        assert y == pytest.approx(1.0 / x, rel=1e-12)
+
+
 @pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
 def test_fs_arm_swap_negates_z_and_swaps_wins_and_losses(family, rule):
     @PROPERTY
@@ -484,6 +494,14 @@ def test_fs_arm_swap_negates_z_and_swaps_wins_and_losses(family, rule):
                 assert b.z == -a.z
                 assert (b.n_w, b.n_l, b.n_tie, b.dropped_strata) == (
                     a.n_l, a.n_w, a.n_tie, a.dropped_strata)
+                # the win ratio inverts, and the CI (lo, hi) becomes (1/hi, 1/lo):
+                # (0, inf) at the boundary maps to itself
+                assert_reciprocal(a.r_w, b.r_w)
+                assert_reciprocal(a.ci_high, b.ci_low)
+                assert_reciprocal(a.ci_low, b.ci_high)
+                for res in (a, b):
+                    if math.isfinite(res.ci_low) and math.isfinite(res.ci_high):
+                        assert res.ci_low < res.ci_high
     check()
 
 
@@ -669,6 +687,31 @@ def test_fs_two_by_two_toy_cohort():
     assert res.n_w == 4 and res.n_l == 0
     assert res.z == pytest.approx(4.0 / math.sqrt(20.0 / 3.0))
     assert math.isinf(res.r_w)
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_fs_no_decided_cross_arm_pair(stratified):
+    # every cross-arm pair is decided on death, and ties there; the two treated
+    # rows are decided on hospitalization against each other, so V > 0
+    cohort = make_cohort([0, 1, 1], **surv([1.0, 1.0, 1.0], [2.0, 0.5, 0.7]))
+    res = fs_unmatched_test(cohort, SurvivalRule(), stratified)
+    assert (res.n_w, res.n_l, res.n_tie, res.z, res.p_value) == (0, 0, 2, 0.0, 1.0)
+    assert all(math.isnan(v) for v in (res.r_w, res.p_w, res.ci_low, res.ci_high))
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_fs_all_wins_and_all_losses_give_the_same_ci(stratified):
+    # every treated row beats every control: levels (3, 2) against (1, 0)
+    cohort = make_cohort([1, 1, 0, 0], **binary([0, 0, 1, 1], [0, 1, 0, 1]))
+    swapped = replace(cohort, arm=1 - cohort.arm)
+    wins = fs_unmatched_test(cohort, BinaryRule(), stratified)
+    losses = fs_unmatched_test(swapped, BinaryRule(), stratified)
+    # U = (3, 1, -1, -3): T = 4, V = (2*2)/(4*3) * 20
+    assert wins.z == -losses.z == pytest.approx(4.0 / math.sqrt(20.0 / 3.0))
+    assert wins.p_value == losses.p_value
+    assert (wins.n_w, wins.n_l, wins.n_tie, wins.p_w, wins.r_w) == (4, 0, 0, 1.0, math.inf)
+    assert (losses.n_w, losses.n_l, losses.n_tie, losses.p_w, losses.r_w) == (0, 4, 0, 0.0, 0.0)
+    assert (wins.ci_low, wins.ci_high) == (losses.ci_low, losses.ci_high) == (0.0, math.inf)
 
 
 def test_fs_all_identical_degenerate():
