@@ -1,8 +1,9 @@
 """Seeded synthetic-cohort generators for the three outcome families.
 
-All generators are pure functions of (config, generator): the same seed and
-config give bit-identical cohorts.  Replications that must run concurrently
-should derive child seeds from a master ``numpy.random.SeedSequence``.
+All generators are pure functions of (config, generator, size), a binary
+config holding its own arm sizes: the same seed, config and size give
+bit-identical cohorts.  Replications that must run concurrently should derive
+child seeds from a master ``numpy.random.SeedSequence``.
 
 A trial's cohort comes from ``harness.trial_cohort``, which calls these
 generators for ``cfg.design``; ``harness.run_trial`` runs the analyses on it.
@@ -85,24 +86,17 @@ class SurvivalGenConfig:
     beta_dhratio: float = 0.0
     beta_cov1: float = -0.5
     beta_cov2: float = 0.5
-    n: int = 100
     allocation: float = 0.5
 
     def __post_init__(self):
         betas = (self.beta_t, self.beta_in, self.beta_dhratio, self.beta_cov1, self.beta_cov2)
         if not all(math.isfinite(b) for b in betas):
             raise ConfigError(f"survival coefficients must be finite, got {betas}")
-        if self.n < 2:
-            raise ConfigError("cohort size must be at least 2")
         if not (0.0 < self.allocation < 1.0):
             raise ConfigError("allocation must lie in (0, 1)")
-        if arm_sizes(self.n, self.allocation)[0] == 0:
-            raise ConfigError(f"allocation {self.allocation} leaves the treatment arm of "
-                              f"{self.n} patients empty")
 
 
-def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator) -> Cohort:
-    n = cfg.n
+def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator, n: int) -> Cohort:
     x1 = rng.integers(0, 2, n)
     x2 = rng.integers(0, 2, n)
     w = (rng.uniform(0.0, 1.0, n) - 0.5) * math.sqrt(12.0)  # mean 0, variance 1
@@ -181,8 +175,9 @@ class SubpopMix:
 
     def __post_init__(self):
         probs = (self.p1, self.p2, self.p3, self.p4)
-        if any(p < 0 for p in probs):
-            raise ConfigError("mixture probabilities must be nonnegative")
+        # NaN passes both p < 0 and the sum check
+        if not all(math.isfinite(p) and p >= 0 for p in probs):
+            raise ConfigError(f"mixture probabilities must be finite and nonnegative, got {probs}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ConfigError("mixture probabilities must sum to 1")
 
@@ -220,12 +215,12 @@ class ContinuousGenConfig:
     beta_cov1: float = 5.0
     beta_cov2: float = 5.0
     noise_sd: float = 1.0
-    n: int = 100
     mix: SubpopMix = field(kw_only=True)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("cohort size must be at least 2")
+        effects = (*self.beta_p, self.beta_t1, self.beta_in2, self.beta_in3)
+        if not all(math.isfinite(b) for b in effects):
+            raise ConfigError(f"response effects must be finite, got {effects}")
         if not (self.noise_sd > 0 and math.isfinite(self.noise_sd)):
             raise ConfigError("noise must have positive finite variance")
         b1, b2 = self.beta_cov1, self.beta_cov2

@@ -5,7 +5,7 @@ the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``run_trial`` is the two in turn, and ``wrtrials gen`` writes the first.
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
 analyses, the rule that scores its pairs, the draw of a trial's cohort, its
-O'Brien endpoint, and the arm sizes and default cohort size of its generator.
+arm sizes, its O'Brien endpoint, and a binary generator's default arms.
 Replications are independent: replicate i's seed is the master seed's i-th
 child (``_streams``), and each trial draws its own streams from that seed the
 same way, so results are identical whether reps run on one worker or many.
@@ -59,25 +59,26 @@ class _Family(NamedTuple):
     analyses: tuple[str, ...]
     rule: Callable[[ScenarioConfig], object]
     cohort: Callable[[ScenarioConfig, object], tuple[Cohort, np.random.Generator]]  # (cfg, seed)
-    arms: Callable[[object], tuple[int, int]]  # the generator's (treated, control) sizes
-    sizes: Callable[[int], dict]  # the generator's size fields that n_total implies
+    arms: Callable[[ScenarioConfig], tuple[int, int]]  # a trial's (treated, control) sizes
     obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
+    sizes: Callable[[int], dict] = lambda n: {}  # the generator's size fields that n_total implies
 
 
 _FAMILIES = {
     "survival": _Family(SurvivalGenConfig, ("parallel",), _WIN_RATIO + ("Cox", "Obrien"),
                         lambda cfg: SurvivalRule(cfg.win_priority),
-                        lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort),
-                        lambda gen: arm_sizes(gen.n, gen.allocation), lambda n: {"n": n},
+                        lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort, cfg.n_total),
+                        lambda cfg: arm_sizes(cfg.n_total, cfg.generator.allocation),
                         lambda cohort: obrien_first_event(cohort)),
     "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule(),
                       lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
-                      lambda gen: (gen.n1, gen.n0), lambda n: {"n1": n // 2, "n0": n - n // 2}),
+                      lambda cfg: (cfg.generator.n1, cfg.generator.n0),
+                      sizes=lambda n: {"n1": n // 2, "n0": n - n // 2}),
     "continuous": _Family(ContinuousGenConfig, ("parallel", "cr", "sed"),
                           _WIN_RATIO + ("Obrien", "Contingency"),
                           lambda cfg: ContinuousRule(cfg.cutoffs.c_t),
                           lambda cfg, seed: _continuous_trial_cohort(cfg, seed),
-                          lambda gen: arm_sizes(gen.n, 0.5), lambda n: {"n": n},
+                          lambda cfg: arm_sizes(cfg.n_total, 0.5),
                           lambda cohort: obrien_test(-cohort.y, cohort.arm)),  # shorter is better
 }
 
@@ -141,9 +142,11 @@ class ScenarioConfig:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.win_priority not in ("death", "hosp"):
             raise ConfigError("win_priority must be 'death' or 'hosp'")
-        treated, control = spec.arms(self.generator)
+        treated, control = spec.arms(self)
         if treated + control != self.n_total:
             raise ConfigError(f"generator arm sizes {treated} + {control} must sum to n_total={self.n_total}")
+        if treated == 0:
+            raise ConfigError(f"{self.generator} leaves the treatment arm of {self.n_total} patients empty")
         if "Obrien" in self.analyses and min(treated, control) < 2:
             raise ConfigError(f"Obrien needs two patients per arm, and {treated} "
                               f"of {self.n_total} are treated")
@@ -285,10 +288,10 @@ def _leadin_frame(
     )
 
 
-def _one_stream_cohort(cfg: ScenarioConfig, seed, draw) -> tuple[Cohort, np.random.Generator]:
-    """``draw(cfg.generator, rng)`` on the first of two streams; the second is the analyses'."""
+def _one_stream_cohort(cfg: ScenarioConfig, seed, draw, *size) -> tuple[Cohort, np.random.Generator]:
+    """``draw(cfg.generator, rng, *size)`` on the first of two streams; the second is the analyses'."""
     gen_seed, analysis_seed = _streams(seed, 2)
-    return draw(cfg.generator, np.random.default_rng(gen_seed)), np.random.default_rng(analysis_seed)
+    return draw(cfg.generator, np.random.default_rng(gen_seed), *size), np.random.default_rng(analysis_seed)
 
 
 def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
@@ -479,9 +482,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
     Keys mirror the fields of ``ScenarioConfig``, of the family's generator
     config, of ``Cutoffs`` and of ``SubpopMix``; numbers must be JSON numbers
-    (integers where the field is an ``int``).  The generator's cohort size
-    (``n``, or ``n1``/``n0`` for binary) defaults to what ``n_total`` implies.
-    Cutoffs accept the strings "inf" and "-inf" as sentinels.
+    (integers where the field is an ``int``).  ``n_total`` is the cohort size;
+    only a binary generator states its arms, and its ``n1``/``n0`` default to
+    an even split of ``n_total``.  Cutoffs accept the strings "inf" and "-inf"
+    as sentinels.
     """
     kw = _kwargs(ScenarioConfig, d, "", {})
     spec = _family(kw["outcome_family"])

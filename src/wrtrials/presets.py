@@ -119,19 +119,16 @@ def survival_scenario(
     beta_t: float = 0.0,
     beta_in: float = 0.0,
     n: int = 100,
-    reps: int = 2000,
-    master_seed: int = 20240501,
-    win_priority: str = "death",
+    **kw,
 ) -> ScenarioConfig:
+    """``kw`` (``reps``, ``master_seed``, ``win_priority``, ...) goes to ``ScenarioConfig``."""
     return ScenarioConfig(
         design="parallel",
         outcome_family="survival",
-        generator=SurvivalGenConfig(beta_t=beta_t, beta_in=beta_in, n=n),
+        generator=SurvivalGenConfig(beta_t=beta_t, beta_in=beta_in),
         analyses=SURV_ANALYSES,
         n_total=n,
-        reps=reps,
-        master_seed=master_seed,
-        win_priority=win_priority,
+        **kw,
     )
 
 
@@ -145,18 +142,17 @@ def sed_scenario(
     beta_in23: float,
     mix: SubpopMix,
     n: int,
-    reps: int = 2000,
-    master_seed: int = 20240501,
+    **kw,
 ) -> ScenarioConfig:
+    """``kw`` (``reps``, ``master_seed``, ...) goes to ``ScenarioConfig``."""
     return ScenarioConfig(
         design=design,
         outcome_family="continuous",
         generator=ContinuousGenConfig(beta_t1=beta_t1, beta_in2=beta_in23, beta_in3=beta_in23,
-                                      n=n, mix=mix),
+                                      mix=mix),
         analyses=SED_ANALYSES,
         n_total=n,
-        reps=reps,
-        master_seed=master_seed,
+        **kw,
     )
 
 

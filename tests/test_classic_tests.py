@@ -176,7 +176,7 @@ def assert_rel_close(got, want, rel, label):
 
 
 def survival_design(n, seed, covariates=True):
-    cohort = gen_survival_cohort(SurvivalGenConfig(n=n, beta_t=-0.4), np.random.default_rng(seed))
+    cohort = gen_survival_cohort(SurvivalGenConfig(beta_t=-0.4), np.random.default_rng(seed), n)
     cols = [cohort.arm, cohort.x1, cohort.x2] if covariates else [cohort.arm]
     return np.minimum(cohort.e_death, cohort.e_hosp), np.column_stack(cols).astype(float)
 
@@ -277,15 +277,15 @@ def test_cox_converges_where_an_absolute_line_search_bound_stalled(seed):
     # acceptance bound of 1e-12 halved near-optimal steps at random, and these
     # fits crawled to max_iter without converging
     # cox_fit raises DegenerateResultError on separation or non-convergence
-    cfg = SurvivalGenConfig(beta_t=math.log(0.6), n=1000)
-    res = cox_fit(gen_survival_cohort(cfg, np.random.default_rng(seed)))
+    cfg = SurvivalGenConfig(beta_t=math.log(0.6))
+    res = cox_fit(gen_survival_cohort(cfg, np.random.default_rng(seed), 1000))
     assert res.iterations <= 3
 
 
 def fit_cohort_cases():
     """Cohorts whose cox_fit drops none, one or both covariate columns, with and without ties."""
     for seed, n in ((20, 60), (21, 200), (22, 1000)):
-        cohort = gen_survival_cohort(SurvivalGenConfig(n=n, beta_t=math.log(0.6)), np.random.default_rng(seed))
+        cohort = gen_survival_cohort(SurvivalGenConfig(beta_t=math.log(0.6)), np.random.default_rng(seed), n)
         zeros, ones = np.zeros(n, dtype=int), np.ones(n, dtype=int)
         tied = {"e_death": np.round(cohort.e_death, 1) + 0.1, "e_hosp": np.round(cohort.e_hosp, 1) + 0.1}
         for name, x1, x2 in (("", cohort.x1, cohort.x2), (", x1 constant", zeros, cohort.x2),
@@ -316,7 +316,7 @@ def test_cox_fit_equals_cox_ph_on_the_design_matrix():
 
 
 def test_cox_fit_calls_the_module_loglik_once_per_iterate(monkeypatch):
-    cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(8))
+    cohort = gen_survival_cohort(SurvivalGenConfig(beta_t=-0.4), np.random.default_rng(8), 200)
     plain = cox_fit(cohort)
     counter = LoglikCounter(monkeypatch)
     counted = cox_fit(cohort)
@@ -542,14 +542,14 @@ def test_cox_underflowing_trial_point_warns_nothing():
 @pytest.mark.parametrize("reason", ["separation", "non-convergence", "singular information matrix"])
 def test_each_cox_reason_reaches_the_trial_record_note(reason, monkeypatch):
     if reason == "non-convergence":
-        cohort = gen_survival_cohort(SurvivalGenConfig(n=200, beta_t=-0.4), np.random.default_rng(4))
+        cohort = gen_survival_cohort(SurvivalGenConfig(beta_t=-0.4), np.random.default_rng(4), 200)
         # one step of cox_fit's Newton core leaves |score| above 1e-8
         newton = classic_tests._cox_newton
         monkeypatch.setattr(classic_tests, "_cox_newton", lambda data: newton(data, max_iter=1))
     else:
         cohort = separated_cohort() if reason == "separation" else collinear_cohort()
     n = len(cohort)
-    cfg = ScenarioConfig("parallel", "survival", SurvivalGenConfig(n=n), ("Cox",), n)
+    cfg = ScenarioConfig("parallel", "survival", SurvivalGenConfig(), ("Cox",), n)
     record = harness._run_analyses(cfg, cohort, np.random.default_rng(0))["Cox"]
     assert record.degenerate and record.note == reason
 

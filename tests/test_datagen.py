@@ -15,6 +15,7 @@ from wrtrials import (
     ConfigError,
     ContinuousGenConfig,
     DegenerateResultError,
+    ScenarioConfig,
     Subpop,
     SubpopMix,
     SurvivalGenConfig,
@@ -33,16 +34,16 @@ EVEN_MIX = SubpopMix(0.25, 0.25, 0.25, 0.25)
 
 
 def test_same_seed_same_cohort():
-    cfg = SurvivalGenConfig(beta_t=math.log(0.7), n=50)
-    a = gen_survival_cohort(cfg, np.random.default_rng(123))
-    b = gen_survival_cohort(cfg, np.random.default_rng(123))
+    cfg = SurvivalGenConfig(beta_t=math.log(0.7))
+    a = gen_survival_cohort(cfg, np.random.default_rng(123), 50)
+    b = gen_survival_cohort(cfg, np.random.default_rng(123), 50)
     for name in ("arm", "x1", "x2", "stage", "e_death", "e_hosp"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_all_times_positive_and_allocation_exact():
-    cfg = SurvivalGenConfig(n=101, allocation=0.5)
-    cohort = gen_survival_cohort(cfg, np.random.default_rng(1))
+    cfg = SurvivalGenConfig(allocation=0.5)
+    cohort = gen_survival_cohort(cfg, np.random.default_rng(1), 101)
     assert np.all(cohort.e_death > 0) and np.all(cohort.e_hosp > 0)
     assert int((cohort.arm == Arm.TREATMENT).sum()) == 50
 
@@ -50,8 +51,8 @@ def test_all_times_positive_and_allocation_exact():
 def test_null_first_event_is_rate_two_exponential():
     # with every coefficient zero both components are unit exponentials, so
     # the first event is exponential with rate 2
-    cfg = SurvivalGenConfig(n=10000)
-    cohort = gen_survival_cohort(cfg, np.random.default_rng(2024))
+    cfg = SurvivalGenConfig()
+    cohort = gen_survival_cohort(cfg, np.random.default_rng(2024), 10000)
     mins = np.minimum(cohort.e_death, cohort.e_hosp)
     stat = kstest(mins, "expon", args=(0, 0.5)).statistic
     assert stat < 1.63 / math.sqrt(len(mins))  # 1% critical value
@@ -63,8 +64,8 @@ def test_null_arms_exchangeable():
     rejections = 0
     reps = 200
     for s in range(reps):
-        cfg = SurvivalGenConfig(n=80)
-        cohort = gen_survival_cohort(cfg, np.random.default_rng(5000 + s))
+        cfg = SurvivalGenConfig()
+        cohort = gen_survival_cohort(cfg, np.random.default_rng(5000 + s), 80)
         mins = np.minimum(cohort.e_death, cohort.e_hosp)
         a, b = mins[cohort.arm == 1], mins[cohort.arm == 0]
         t = (a.mean() - b.mean()) / math.sqrt(a.var() / len(a) + b.var() / len(b))
@@ -73,8 +74,8 @@ def test_null_arms_exchangeable():
 
 
 def test_survival_generator_hits_hazard_ratio_target():
-    cfg = SurvivalGenConfig(beta_t=math.log(0.6), beta_in=0.0, n=6000)
-    cohort = gen_survival_cohort(cfg, np.random.default_rng(77))
+    cfg = SurvivalGenConfig(beta_t=math.log(0.6), beta_in=0.0)
+    cohort = gen_survival_cohort(cfg, np.random.default_rng(77), 6000)
     res = cox_fit(cohort)
     assert res.hr == pytest.approx(0.6, abs=0.04)
 
@@ -115,20 +116,21 @@ def test_mix_validation():
 
 
 def test_subpop_frequencies_follow_mix():
-    cfg = ContinuousGenConfig(n=10000, mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
-    labels = draw_continuous_patients(cfg, np.random.default_rng(9), cfg.n).subpop
-    assert len(labels) == cfg.n
+    n = 10000
+    cfg = ContinuousGenConfig(mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
+    labels = draw_continuous_patients(cfg, np.random.default_rng(9), n).subpop
+    assert len(labels) == n
     counts = {s: 0 for s in Subpop}
     for label in labels:
         counts[Subpop(label)] += 1
     for s, target in zip(Subpop, (0.05, 0.05, 0.8, 0.1)):
-        assert counts[s] / cfg.n == pytest.approx(target, abs=0.02)
+        assert counts[s] / n == pytest.approx(target, abs=0.02)
 
 
 def test_baseline_always_positive_and_effect_applied():
     mix = SubpopMix(0.0, 0.0, 1.0, 0.0)  # every patient in the target class
-    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0, n=500, mix=mix)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(3), cfg.n)
+    cfg = ContinuousGenConfig(beta_t1=-2.0, beta_cov1=5.0, beta_cov2=5.0, mix=mix)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(3), 500)
     assert np.all(frame.y_base > 0)
     assert set(np.unique(frame.y_base)) <= {5.0, 10.0}
     # noise-free check of the effect arithmetic
@@ -142,8 +144,8 @@ def test_baseline_always_positive_and_effect_applied():
 
 
 def test_continuous_frame_take_and_concat_keep_rows_together():
-    cfg = ContinuousGenConfig(n=30, mix=EVEN_MIX)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(9), cfg.n)
+    cfg = ContinuousGenConfig(mix=EVEN_MIX)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(9), 30)
     rows = np.array([4, 0, 29, 4])
     mask = frame.x1 == 1
     for sub, index in [(frame.take(rows), rows), (frame.take(mask), np.flatnonzero(mask)),
@@ -165,9 +167,9 @@ def test_equal_component_effects_align():
 def test_null_effects_make_arms_identical_in_law():
     # when drug and placebo effects coincide, the administration flag must
     # not matter for any label
-    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-1.5, n=2000,
+    cfg = ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-1.5,
                               mix=SubpopMix(0.05, 0.05, 0.8, 0.1))
-    frame = draw_continuous_patients(cfg, np.random.default_rng(6), cfg.n)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(6), 2000)
     y_drug = draw_continuous_response(cfg, frame, np.ones(2000, dtype=bool),
                                       np.random.default_rng(7))
     y_plac = draw_continuous_response(cfg, frame, np.zeros(2000, dtype=bool),
@@ -176,8 +178,8 @@ def test_null_effects_make_arms_identical_in_law():
 
 
 def test_csv_export_roundtrip(tmp_path):
-    cfg = SurvivalGenConfig(n=20)
-    cohort = gen_survival_cohort(cfg, np.random.default_rng(12))
+    cfg = SurvivalGenConfig()
+    cohort = gen_survival_cohort(cfg, np.random.default_rng(12), 20)
     path = tmp_path / "cohort.csv"
     cohort_to_csv(cohort, str(path))
     with open(path) as fh:
@@ -191,8 +193,8 @@ def test_csv_export_roundtrip(tmp_path):
 
 def two_stage_cohort(rng):
     """12 drawn stage-0 patients, then 8 stage-1 ones with every pattern (strata 4..7)."""
-    cfg = ContinuousGenConfig(n=12, mix=EVEN_MIX)
-    stage0 = draw_continuous_patients(cfg, rng, cfg.n)
+    cfg = ContinuousGenConfig(mix=EVEN_MIX)
+    stage0 = draw_continuous_patients(cfg, rng, 12)
     # no drawn baseline is positive for x1 = x2 = 0, so stage 1's patterns are set
     stage1 = replace(draw_continuous_patients(cfg, rng, 8),
                      x1=np.array([0, 0, 1, 1] * 2), x2=np.array([0, 1] * 4))
@@ -203,22 +205,22 @@ def two_stage_cohort(rng):
     return continuous_cohort(stages)
 
 
-def one_stage_cohort(cfg, rng):
-    """Patients, a 1:1 assignment and one outcome draw, all from ``rng``."""
-    frame = draw_continuous_patients(cfg, rng, cfg.n)
-    arm = _assign_arms(rng, cfg.n, 0.5)
+def one_stage_cohort(cfg, rng, n):
+    """n patients, a 1:1 assignment and one outcome draw, all from ``rng``."""
+    frame = draw_continuous_patients(cfg, rng, n)
+    arm = _assign_arms(rng, n, 0.5)
     return continuous_cohort([(frame, arm, draw_continuous_response(cfg, frame, arm == 1, rng))])
 
 
 def csv_pin_cohorts():
     binary = gen_binary_cohort(BinaryGenConfig(0.3, 0.4, 0.5, 0.5, 7, 6), np.random.default_rng(2))
     return {
-        "survival": gen_survival_cohort(SurvivalGenConfig(n=15), np.random.default_rng(1)),
+        "survival": gen_survival_cohort(SurvivalGenConfig(), np.random.default_rng(1), 15),
         "binary": binary,
         "binary-float": replace(binary, y_death=binary.y_death.astype(float),
                                 x_hosp=binary.x_hosp.astype(float)),
-        "continuous": one_stage_cohort(ContinuousGenConfig(n=14, mix=SubpopMix(0.1, 0.2, 0.6, 0.1)),
-                                       np.random.default_rng(3)),
+        "continuous": one_stage_cohort(ContinuousGenConfig(mix=SubpopMix(0.1, 0.2, 0.6, 0.1)),
+                                       np.random.default_rng(3), 14),
         "two-stage": two_stage_cohort(np.random.default_rng(4)),
     }
 
@@ -246,13 +248,17 @@ def test_csv_export_bytes_pinned(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 def test_config_validation():
+    def survival(n, allocation=0.5):
+        return ScenarioConfig("parallel", "survival", SurvivalGenConfig(allocation=allocation),
+                              ("Cox",), n)
+
+    with pytest.raises(ConfigError, match="n_total"):
+        survival(1)
     with pytest.raises(ConfigError):
-        SurvivalGenConfig(n=1)
-    with pytest.raises(ConfigError):
-        SurvivalGenConfig(n=10, allocation=1.0)
-    with pytest.raises(ConfigError):
-        SurvivalGenConfig(n=4, allocation=0.1)  # int(0.4) = 0 treatment slots
-    SurvivalGenConfig(n=10, allocation=0.1)  # one treatment slot
+        SurvivalGenConfig(allocation=1.0)
+    with pytest.raises(ConfigError, match="treatment arm"):
+        survival(4, allocation=0.1)  # int(0.4) = 0 treatment slots
+    survival(10, allocation=0.1)  # one treatment slot
     with pytest.raises(ConfigError):
         BinaryGenConfig(1.5, 0.5, 0.5, 0.5, 10, 10)
     with pytest.raises(ConfigError):
@@ -268,6 +274,24 @@ def test_survival_config_rejects_non_finite_coefficients(name, value):
         SurvivalGenConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["beta_p", "beta_t1", "beta_in2", "beta_in3"])
+def test_continuous_config_rejects_non_finite_effects(name, value):
+    # a non-finite effect used to run: with beta_t1 NaN, a 5-rep CR run at
+    # N=100 reported a rejection rate of 1.0 for every analysis
+    kw = {name: (value, -1.5, -1.5) if name == "beta_p" else value}
+    with pytest.raises(ConfigError, match="finite"):
+        ContinuousGenConfig(**kw, mix=EVEN_MIX)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4"])
+def test_mix_rejects_non_finite_probabilities(name, value):
+    # NaN passes both the sign check and the sum check
+    with pytest.raises(ConfigError, match="finite"):
+        SubpopMix(**{"p1": 0.25, "p2": 0.25, "p3": 0.25, "p4": 0.25, name: value})
+
+
 @pytest.mark.parametrize("beta_cov", [(-1.0, -1.0), (0.0, 0.0), (0.0, -1.0), (math.nan, 5.0),
                                       (5.0, math.inf)])
 def test_continuous_config_rejects_covariates_without_positive_baseline(beta_cov):
@@ -280,8 +304,8 @@ def test_continuous_config_rejects_covariates_without_positive_baseline(beta_cov
 
 @pytest.mark.parametrize("beta_cov", [(5.0, -3.0), (-1.0, 2.0), (-1.0, 1.5), (0.5, 0.5)])
 def test_continuous_config_accepts_a_positive_pattern(beta_cov):
-    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], n=50, mix=EVEN_MIX)
-    frame = draw_continuous_patients(cfg, np.random.default_rng(1), cfg.n)
+    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], mix=EVEN_MIX)
+    frame = draw_continuous_patients(cfg, np.random.default_rng(1), 50)
     assert np.all(frame.y_base > 0)
 
 
@@ -358,7 +382,7 @@ def test_patient_draw_keeps_the_stream(beta_cov):
             want = oracle_draw_continuous_patients(cfg, want_rng, n)
             assert_same_frame(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert draw_continuous_patients(cfg, np.random.default_rng(0), cfg.n).y_base.shape == (cfg.n,)
+    assert draw_continuous_patients(cfg, np.random.default_rng(0), 100).y_base.shape == (100,)
 
 
 @pytest.mark.parametrize("beta_t1, beta_in2", [(-1.5, 0.0), (-2.0, 0.5)])

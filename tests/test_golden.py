@@ -42,7 +42,7 @@ BINARY_CELL = ScenarioConfig(
 CONTINUOUS_CELL = ScenarioConfig(
     design="parallel",
     outcome_family="continuous",
-    generator=ContinuousGenConfig(beta_t1=-2.0, n=100, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
+    generator=ContinuousGenConfig(beta_t1=-2.0, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
     analyses=("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien", "Contingency"),
     n_total=100,
     reps=REPS,

@@ -33,7 +33,7 @@ def survival_cfg(n=60, reps=40, seed=7, **kw):
     return ScenarioConfig(
         design="parallel",
         outcome_family="survival",
-        generator=SurvivalGenConfig(n=n, **kw),
+        generator=SurvivalGenConfig(**kw),
         analyses=("Cox", "MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien"),
         n_total=n,
         reps=reps,
@@ -45,7 +45,7 @@ def continuous_cfg(design, n=60, reps=30, seed=11, c_s0=0.8, c_s1=0.9, beta_t1=-
     return ScenarioConfig(
         design=design,
         outcome_family="continuous",
-        generator=ContinuousGenConfig(beta_t1=beta_t1, n=n, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
+        generator=ContinuousGenConfig(beta_t1=beta_t1, mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
         analyses=("Contingency", "MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"),
         n_total=n,
         cutoffs=Cutoffs(c_t=0.8, c_s0=c_s0, c_s1=c_s1),
@@ -207,7 +207,7 @@ def test_incompatible_analysis_rejected():
         ScenarioConfig(
             design="parallel",
             outcome_family="continuous",
-            generator=ContinuousGenConfig(n=40, mix=SubpopMix(0.25, 0.25, 0.25, 0.25)),
+            generator=ContinuousGenConfig(mix=SubpopMix(0.25, 0.25, 0.25, 0.25)),
             analyses=("Cox",),
             n_total=40,
         )
@@ -218,16 +218,16 @@ def test_design_family_compatibility():
         ScenarioConfig(
             design="sed",
             outcome_family="survival",
-            generator=SurvivalGenConfig(n=40),
+            generator=SurvivalGenConfig(),
             analyses=("Cox",),
             n_total=40,
         )
 
 
 @pytest.mark.parametrize("family,generator", [
-    ("binary", SurvivalGenConfig(n=40)),
+    ("binary", SurvivalGenConfig()),
     ("survival", BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=20, n0=20)),
-    ("survival", ContinuousGenConfig(n=40, mix=SubpopMix(0.25, 0.25, 0.25, 0.25))),
+    ("survival", ContinuousGenConfig(mix=SubpopMix(0.25, 0.25, 0.25, 0.25))),
 ], ids=["binary-survival", "survival-binary", "survival-continuous"])
 def test_generator_of_another_family_rejected(family, generator):
     with pytest.raises(ConfigError, match=f"a {family} scenario needs a"):
@@ -241,22 +241,11 @@ def test_generator_of_another_family_rejected(family, generator):
 
 
 def test_generator_size_must_match():
-    with pytest.raises(ConfigError):
-        ScenarioConfig(
-            design="parallel",
-            outcome_family="survival",
-            generator=SurvivalGenConfig(n=50),
-            analyses=("Cox",),
-            n_total=60,
-        )
     binary = BinaryGenConfig(p_t=0.2, q_t=0.3, p_c=0.3, q_c=0.4, n1=30, n0=20)
     with pytest.raises(ConfigError, match="n_total"):
         ScenarioConfig("parallel", "binary", binary, ("MatchedWR",), n_total=60)
     # unequal arms are fine as long as they sum to n_total
     assert ScenarioConfig("parallel", "binary", binary, ("MatchedWR",), n_total=50).n_total == 50
-    continuous = ContinuousGenConfig(n=100, mix=SubpopMix(0.25, 0.25, 0.25, 0.25))
-    with pytest.raises(ConfigError, match="n_total"):
-        ScenarioConfig("sed", "continuous", continuous, ("MatchedWR",), n_total=90)
 
 
 def test_scenario_from_dict_defaults_binary_arms_from_n_total():
@@ -293,6 +282,11 @@ def test_scenario_unknown_key_rejected():
     bad = dict(SCENARIO_JSON, generator={"beta_t": 0.0, "nope": 1})
     with pytest.raises(ConfigError):
         scenario_from_dict(bad)
+    # the cohort size is n_total alone
+    for scenario in (SCENARIO_JSON, SED_JSON):
+        generator = dict(scenario["generator"], n=scenario["n_total"])
+        with pytest.raises(ConfigError, match="unknown generator keys"):
+            scenario_from_dict(dict(scenario, generator=generator))
 
 
 def test_scenario_with_an_empty_treatment_arm_is_a_config_error():
@@ -386,7 +380,7 @@ def test_scenario_json_parses_to_the_hand_built_config():
     assert scenario_from_dict(SCENARIO_JSON) == ScenarioConfig(
         design="parallel",
         outcome_family="survival",
-        generator=SurvivalGenConfig(beta_t=-0.5108256237659907, beta_in=0.0, n=60),
+        generator=SurvivalGenConfig(beta_t=-0.5108256237659907, beta_in=0.0),
         analyses=("Cox", "StratUnmatchedWR"),
         n_total=60,
         alpha=0.05,
@@ -396,7 +390,7 @@ def test_scenario_json_parses_to_the_hand_built_config():
     assert scenario_from_dict(SED_JSON) == ScenarioConfig(
         design="sed",
         outcome_family="continuous",
-        generator=ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-2.0, n=40,
+        generator=ContinuousGenConfig(beta_p=(-1.5, -1.5, -1.5), beta_t1=-2.0,
                                       mix=SubpopMix(0.05, 0.05, 0.8, 0.1)),
         analyses=("Contingency",),
         n_total=40,
@@ -465,7 +459,7 @@ def test_inputs_that_failed_mid_run_are_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="master_seed"):
         replace(survival_cfg(), master_seed=-1)
     with pytest.raises(ConfigError, match="finite"):
-        replace(survival_cfg(), generator=SurvivalGenConfig(beta_t=math.nan, n=60))
+        replace(survival_cfg(), generator=SurvivalGenConfig(beta_t=math.nan))
     for path, value in (("master_seed", -1), ("generator.beta_t", math.nan)):
         d = with_value(SCENARIO_JSON, path, value)
         with pytest.raises(ConfigError):
@@ -473,6 +467,25 @@ def test_inputs_that_failed_mid_run_are_config_errors(tmp_path):
         cfg_path = tmp_path / "crash.json"
         cfg_path.write_text(json.dumps(d))
         assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("path,value", [
+    ("generator.beta_t1", math.nan),
+    ("generator.beta_in2", math.nan),
+    ("generator.beta_p", [math.inf, -1.5, -1.5]),
+    ("generator.mix.p1", math.nan),
+])
+def test_non_finite_continuous_json_is_a_config_error(path, value, tmp_path, capsys):
+    # json.load accepts the NaN and Infinity literals; such a scenario used to
+    # run and exit 0
+    text = json.dumps(with_value(SED_JSON, path, value))
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ConfigError, match="finite"):
+        scenario_from_dict(json.loads(text))
+    cfg_path = tmp_path / "non_finite.json"
+    cfg_path.write_text(text)
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from wrtrials.cli import main as cli_main
 from wrtrials.harness import McSummary
 from wrtrials.presets import TABLE_IDS, reproduce_table
 
-CONFIGS_SHA256 = "363e526c6baf70a94ff79fd0b5a4e3cbd2d37ded61ba735c8806fddcb215c14b"
+CONFIGS_SHA256 = "2910e2101365e62cffeadb819197732b52003132b2c23b28459225e4374a79af"
 LINES_SHA256 = "e6434d94a6dd35234f4fc2f708570e679187e5922d33ef5fcd77cc9dc50498b8"
 
 
