@@ -92,6 +92,16 @@ class SurvivalGenConfig:
         betas = (self.beta_t, self.beta_in, self.beta_dhratio, self.beta_cov1, self.beta_cov2)
         if not all(math.isfinite(b) for b in betas):
             raise ConfigError(f"survival coefficients must be finite, got {betas}")
+        # an event time is -log(u) * exp(-lp) with -log(u) in [1.1e-16, 36.8], so it
+        # stays in (0, inf) while |lp| < 700; |lp| is largest at arm, x1, x2 in {0, 1}
+        # and |w| = sqrt(3)
+        covs = [self.beta_cov1 * x1 + self.beta_cov2 * x2 for x1 in (0, 1) for x2 in (0, 1)]
+        reach = max(max(abs(self.beta_t * arm + c),
+                        abs((self.beta_t + self.beta_in) * arm + c) + math.sqrt(3.0) * abs(self.beta_dhratio))
+                    for arm in (0, 1) for c in covs)
+        if not reach < 700:
+            raise ConfigError(f"survival linear predictors must stay below 700 in absolute value, "
+                              f"and {betas} reach {reach:.6g}")
         if not (0.0 < self.allocation < 1.0):
             raise ConfigError("allocation must lie in (0, 1)")
 
@@ -226,14 +236,25 @@ class ContinuousGenConfig:
         b1, b2 = self.beta_cov1, self.beta_cov2
         if not (math.isfinite(b1) and math.isfinite(b2)):
             raise ConfigError("covariate coefficients must be finite")
+        # each covariate pattern's baseline, and each mean outcome: a baseline plus an effect
+        shifts = (*self.beta_p, *self.beta_t)
+        if not math.isfinite(max(map(abs, self.baselines)) + max(map(abs, shifts))):
+            raise ConfigError(f"baselines {self.baselines} and mean outcomes, a baseline "
+                              f"plus one of {shifts}, must be finite")
         # the patient draw redraws covariates until the baseline is positive
-        if not (b1 > 0 or b2 > 0 or b1 + b2 > 0):
+        if not max(self.baselines) > 0:
             raise ConfigError("no covariate pattern gives a positive baseline "
                               "(need beta_cov1, beta_cov2 or their sum above 0)")
 
     @property
     def beta_t(self) -> tuple[float, float, float]:
         return (self.beta_t1, self.beta_t1 + self.beta_in2, self.beta_t1 + self.beta_in3)
+
+    @property
+    def baselines(self) -> tuple[float, float, float, float]:
+        """beta_cov1 * x1 + beta_cov2 * x2 of the covariate pattern 2 * x1 + x2."""
+        b1, b2 = float(self.beta_cov1), float(self.beta_cov2)
+        return (0.0, b2, b1, b1 + b2)
 
 
 @dataclass(frozen=True)
@@ -267,10 +288,9 @@ def draw_continuous_patients(
     is strictly positive: each round draws the x1 bits then the x2 bits of
     the rows still bad, in row order, in one ``integers(0, 2, 2k)`` call.
     """
-    b1, b2 = float(cfg.beta_cov1), float(cfg.beta_cov2)
-    # each row is carried as its covariate pattern code 2 * x1 + x2; the
-    # baselines b1 * x1 + b2 * x2 of the codes, exact where they are positive
-    baseline = np.array([0.0, b2, b1, b1 + b2])
+    # each row is carried as its covariate pattern code 2 * x1 + x2, and its
+    # baseline is that code's, exact where it is positive
+    baseline = np.array(cfg.baselines)
     redraw = ~(baseline > 0)
     bits = rng.integers(0, 2, 2 * n)
     code = 2 * bits[:n] + bits[n:]

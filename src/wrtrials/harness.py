@@ -5,7 +5,8 @@ the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``run_trial`` is the two in turn, and ``wrtrials gen`` writes the first.
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
 analyses, the rule that scores its pairs, the draw of a trial's cohort, its
-arm sizes, its O'Brien endpoint, and a binary generator's default arms.
+arm sizes, its O'Brien endpoint, a binary generator's default arms, and the
+win priorities its rule reads.
 Replications are independent: replicate i's seed is the master seed's i-th
 child (``_streams``), and each trial draws its own streams from that seed the
 same way, so results are identical whether reps run on one worker or many.
@@ -62,6 +63,7 @@ class _Family(NamedTuple):
     arms: Callable[[ScenarioConfig], tuple[int, int]]  # a trial's (treated, control) sizes
     obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
     sizes: Callable[[int], dict] = lambda n: {}  # the generator's size fields that n_total implies
+    priorities: tuple[str, ...] = ("death",)  # the win_priority values its rule reads
 
 
 _FAMILIES = {
@@ -69,7 +71,7 @@ _FAMILIES = {
                         lambda cfg: SurvivalRule(cfg.win_priority),
                         lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort, cfg.n_total),
                         lambda cfg: arm_sizes(cfg.n_total, cfg.generator.allocation),
-                        lambda cohort: obrien_first_event(cohort)),
+                        lambda cohort: obrien_first_event(cohort), priorities=("death", "hosp")),
     "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule(),
                       lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
                       lambda cfg: (cfg.generator.n1, cfg.generator.n0),
@@ -140,8 +142,9 @@ class ScenarioConfig:
             raise ConfigError("reps must be positive")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
-        if self.win_priority not in ("death", "hosp"):
-            raise ConfigError("win_priority must be 'death' or 'hosp'")
+        if self.win_priority not in spec.priorities:
+            raise ConfigError(f"win_priority of the {self.outcome_family} family must be one of "
+                              f"{spec.priorities}, got {self.win_priority!r}")
         treated, control = spec.arms(self)
         if treated + control != self.n_total:
             raise ConfigError(f"generator arm sizes {treated} + {control} must sum to n_total={self.n_total}")

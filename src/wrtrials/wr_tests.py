@@ -29,32 +29,28 @@ would, in O(n) memory, in one of two ways:
   rows below and above it: O(n log n) time.
 
 ``matched_wr_test`` scores its pairs with ``pair_scores``;
-``fs_unmatched_test`` calls ``u_ties`` once, with every row's stratum or,
-unstratified, with no labels, and derives the cross-arm wins and losses from
-the U-scores and the ties.  The survival ranking starts from the argsorts of
-the two time columns that the cohort keeps (``rule.orders``), so the
-stratified and unstratified tests sort each column once between them.
+``fs_unmatched_test`` hands ``u_ties`` the cohort once, with every row's
+stratum or, unstratified, with no labels, and derives the cross-arm wins and
+losses from the U-scores and the ties.  The survival rule starts its ranking
+from the argsorts of its two time columns that the cohort keeps
+(``Cohort.time_orders``), so the stratified and unstratified tests sort each
+column once between them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Z_95, Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
-
-METHOD_MATCHED = "MatchedStratified"
-METHOD_UNMATCHED_STRAT = "UnmatchedStratified"
-METHOD_UNMATCHED_UNSTRAT = "UnmatchedUnstratified"
 
 
 @dataclass(frozen=True)
 class WrResult:
     """Counts, win ratio, and normal-theory inference for one procedure."""
 
-    method: str
     n_w: int
     n_l: int
     n_tie: int
@@ -65,9 +61,6 @@ class WrResult:
     ci_low: float
     ci_high: float
     dropped_strata: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +151,13 @@ class _KeyRule:
         (k_i,), (k_j,) = left, right
         return np.sign(k_i - k_j).astype(np.int64)
 
-    def orders(self, cohort: Cohort) -> None:
-        """The count kernel sorts nothing, so it takes no kept sort orders."""
-        return None
-
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray | None = None,
-               orders=None) -> tuple[np.ndarray, int]:
+    def u_ties(self, cohort: Cohort, is_t: np.ndarray,
+               groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         # one (stratum, level) count table: a row's U is its stratum's rows
         # below its level less those above it, 2 * at_most - counts - n_g
         # (cells in intp, so no 8-bit label overflows); without labels one stratum
-        cell = cols[0] if groups is None else groups * np.intp(self.L) + cols[0]
+        (key,) = self.columns(cohort)
+        cell = key if groups is None else groups * np.intp(self.L) + key
         n_strata = 1 if groups is None else int(groups.max()) + 1
         counts = np.bincount(cell, minlength=self.L * n_strata).reshape(-1, self.L)
         at_most = np.cumsum(counts, axis=1)
@@ -211,24 +201,19 @@ class SurvivalRule:
         # as floats, so the differences pair_scores takes cannot wrap on unsigned times
         return tuple(getattr(cohort, name).astype(float, copy=False) for name in self._names)
 
-    def orders(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
-        """The argsorts of ``columns(cohort)`` that the cohort keeps."""
-        return tuple(cohort.time_orders[name] for name in self._names)
-
     def pair_scores(self, left, right) -> np.ndarray:
         (p_i, s_i), (p_j, s_j) = left, right
         primary_first = (p_i < s_i) | (p_j < s_j)
         return np.where(primary_first, np.sign(p_i - p_j), np.sign(s_i - s_j)).astype(np.int64)
 
-    def u_ties(self, cols, is_t: np.ndarray, groups: np.ndarray | None = None,
-               orders=None) -> tuple[np.ndarray, int]:
-        """U-scores and cross-arm ties; ``orders``, if given, are argsorts of p and s."""
+    def u_ties(self, cohort: Cohort, is_t: np.ndarray,
+               groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         # A = {primary first}: a pair with a member in A is decided on p,
         # any other pair on s.  So a row in A is ranked on p against its
         # whole stratum, and a row outside A on p against the rows in A and
         # on s against the other rows outside A.
-        p, s = cols
-        p_order, s_order = orders or (np.argsort(p), np.argsort(s))
+        p, s = self.columns(cohort)
+        p_order, s_order = (cohort.time_orders[name] for name in self._names)
         a = p < s
         b = ~a
         on_p, on_s = _Ranked(p, p_order, groups), _Ranked(s, s_order, groups)
@@ -304,14 +289,14 @@ def matched_wr_test(cohort: Cohort, pairs: np.ndarray, rule) -> WrResult:
     r_w = _odds(p_w)
     if n_w == 0 or n_l == 0:
         z = math.inf if n_l == 0 else -math.inf
-        return WrResult(METHOD_MATCHED, n_w, n_l, n_tie, p_w, r_w, z, 0.0,
+        return WrResult(n_w, n_l, n_tie, p_w, r_w, z, 0.0,
                         ci_low=0.0 if n_w == 0 else math.inf,
                         ci_high=0.0 if n_w == 0 else math.inf)
     half = Z_95 * math.sqrt(p_w * (1.0 - p_w) / n)
     p_lo, p_hi = p_w - half, p_w + half
     z = (p_w - 0.5) / math.sqrt(p_w * (1.0 - p_w) / n)
     return WrResult(
-        METHOD_MATCHED, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z),
+        n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z),
         ci_low=_odds(max(p_lo, 0.0)), ci_high=_odds(min(p_hi, 1.0)),
     )
 
@@ -339,7 +324,7 @@ def fs_unmatched_test(
     is_t = cohort.arm == Arm.TREATMENT
     # 8-bit labels, which sort in linear time; unstratified, no labels at all
     groups = cohort.stratum.astype(np.uint8) if stratified else None
-    u, n_tie = rule.u_ties(rule.columns(cohort), is_t, groups, rule.orders(cohort))
+    u, n_tie = rule.u_ties(cohort, is_t, groups)
     if stratified:
         # (size, treated, sum of U^2) per stratum < 8, sizes and treated from
         # one count of the label 2 * stratum + arm; the squares are exact
@@ -367,7 +352,6 @@ def fs_unmatched_test(
         v_stat += m_k * (n_k - m_k) / (n_k * (n_k - 1)) * ss_k
     n_w, n_l = (decided + diff) // 2, (decided - diff) // 2
 
-    method = METHOD_UNMATCHED_STRAT if stratified else METHOD_UNMATCHED_UNSTRAT
     if v_stat <= 0:
         raise DegenerateResultError("degenerate: no discordant pairs (V = 0)")
     z = diff / math.sqrt(v_stat)
@@ -380,4 +364,4 @@ def fs_unmatched_test(
         ci = math.exp(math.log(r_w) - Z_95 * s), math.exp(math.log(r_w) + Z_95 * s)
     else:  # all one way: (0, inf); as many wins as losses, 0 = 0 too: z = 0 gives no width
         ci = (0.0, math.inf) if diff else (math.nan, math.nan)
-    return WrResult(method, n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), *ci, dropped)
+    return WrResult(n_w, n_l, n_tie, p_w, r_w, z, _two_sided_p(z), *ci, dropped)

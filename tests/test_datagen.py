@@ -274,6 +274,18 @@ def test_survival_config_rejects_non_finite_coefficients(name, value):
         SurvivalGenConfig(**{name: value})
 
 
+@pytest.mark.parametrize("kw", [{"beta_t": 699}, {"beta_t": -699}, {"beta_t": 350, "beta_in": 349},
+                                {"beta_dhratio": 403}])
+def test_survival_config_below_the_predictor_bound_draws_positive_finite_times(kw):
+    # the largest |linear predictor| is just below 700; one step past it is refused
+    cfg = SurvivalGenConfig(**kw)
+    cohort = gen_survival_cohort(cfg, np.random.default_rng(5), 2000)
+    for times in (cohort.e_death, cohort.e_hosp):
+        assert (times > 0).all() and np.isfinite(times).all()
+    with pytest.raises(ConfigError, match="700"):
+        SurvivalGenConfig(**{k: v + math.copysign(1, v) for k, v in kw.items()})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["beta_p", "beta_t1", "beta_in2", "beta_in3"])
 def test_continuous_config_rejects_non_finite_effects(name, value):

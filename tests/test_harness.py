@@ -488,6 +488,44 @@ def test_non_finite_continuous_json_is_a_config_error(path, value, tmp_path, cap
     assert capsys.readouterr().out == ""
 
 
+CR_OBRIEN_JSON = dict(SED_JSON, design="cr", analyses=["Obrien"])
+
+
+@pytest.mark.parametrize("base,changes,match", [
+    # exp(-lp) underflows to 0 or the times overflow to inf
+    (SCENARIO_JSON, {"generator.beta_t": 800}, "700"),
+    (SCENARIO_JSON, {"generator.beta_t": -800}, "700"),
+    (SCENARIO_JSON, {"generator.beta_dhratio": 1000}, "700"),
+    # a baseline or a mean outcome overflows to inf
+    (CR_OBRIEN_JSON, {"generator.beta_cov1": 1e308, "generator.beta_cov2": 1e308}, "finite"),
+    (CR_OBRIEN_JSON, {"generator.beta_cov2": 1e308, "generator.beta_p": [1e308, -1.5, -1.5]},
+     "finite"),
+    # only the survival rule reads a priority
+    (BINARY_JSON, {"win_priority": "hosp"}, "win_priority of the binary family"),
+    (SED_JSON, {"win_priority": "hosp"}, "win_priority of the continuous family"),
+], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
+        "binary hosp", "continuous hosp"])
+def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
+                                                               capsys):
+    # each ended in a traceback mid-run, or ran as if it were not given
+    cfg = scenario_from_dict(base)
+    generator = {p.split(".")[1]: v for p, v in changes.items() if p.startswith("generator.")}
+    scenario = {p: v for p, v in changes.items() if p not in generator and "." not in p}
+    if "beta_p" in generator:
+        generator["beta_p"] = tuple(generator["beta_p"])
+    with pytest.raises(ConfigError, match=match):
+        replace(cfg, generator=replace(cfg.generator, **generator), **scenario)
+    d = base
+    for path, value in changes.items():
+        d = with_value(d, path, value)
+    with pytest.raises(ConfigError, match=match):
+        scenario_from_dict(d)
+    cfg_path = tmp_path / "refused.json"
+    cfg_path.write_text(json.dumps(d))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -20,7 +20,9 @@ def block_after(marker: str, language: str = "python") -> str:
 def test_readme_quick_tour_runs(capsys):
     exec(compile(block_after("## Library quick tour"), str(README), "exec"), {})
     printed = capsys.readouterr().out
-    assert "MatchedStratified" in printed and "UnmatchedStratified" in printed
+    # the matched and the FS result, then the Cox fit
+    assert [line.split("(")[0] for line in printed.splitlines()] == [
+        "WrResult", "WrResult", "CoxResult"]
 
 
 def test_readme_pair_scores_example_runs(capsys):

@@ -3,7 +3,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from wrtrials import (
 )
 from wrtrials.classic_tests import cox_fit, obrien_first_event
 from wrtrials.core import _OUTCOME_COLUMNS
-from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, _KeyRule
+from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, WrResult, _KeyRule
 
 from test_core import make_cohort
 
@@ -268,7 +268,7 @@ def test_kernels_match_pair_score_oracle(family, rule, tie_heavy):
             in_stratum = groups[:, None] == groups[None, :]
             same = np.where(in_stratum, mat, 0)
             cross = same[np.ix_(is_t, ~is_t)]
-            u, n_tie = rule.u_ties(cols, is_t, groups)
+            u, n_tie = rule.u_ties(cohort, is_t, groups)
             assert u.dtype == np.int64
             assert np.array_equal(u, same.sum(axis=1))
             assert n_tie == (in_stratum & (mat == 0))[np.ix_(is_t, ~is_t)].sum()
@@ -336,7 +336,7 @@ def test_fs_matches_per_stratum_reference_exactly(family, rule, tie_heavy):
             assert t == t_stat
             assert res.z == t / math.sqrt(v_stat)
             groups = cohort.stratum if stratified else np.zeros(len(cohort), dtype=int)
-            u, _ = rule.u_ties(rule.columns(cohort), cohort.arm == Arm.TREATMENT, groups)
+            u, _ = rule.u_ties(cohort, cohort.arm == Arm.TREATMENT, groups)
             assert np.array_equal(u, want_u)
             dropped += res.dropped_strata
     assert dropped > 0
@@ -354,20 +354,18 @@ def test_label_free_unstratified_path_equals_zero_labels(family, rule, tie_heavy
         arm[:2] = (1, 0)
         cohort = make_cohort(arm, **random_outcomes(rng, family, n, tie_heavy))
         assert not cohort.stratum.any()
-        cols, is_t = rule.columns(cohort), cohort.arm == Arm.TREATMENT
-        for orders in (None, rule.orders(cohort)):
-            u, n_tie = rule.u_ties(cols, is_t, None, orders)
-            u_zero, n_tie_zero = rule.u_ties(cols, is_t, np.zeros(n, dtype=np.uint8), orders)
-            assert u.dtype == u_zero.dtype == np.int64
-            assert np.array_equal(u, u_zero)
-            assert type(n_tie) is int and n_tie == n_tie_zero
+        is_t = cohort.arm == Arm.TREATMENT
+        u, n_tie = rule.u_ties(cohort, is_t)
+        u_zero, n_tie_zero = rule.u_ties(cohort, is_t, np.zeros(n, dtype=np.uint8))
+        assert u.dtype == u_zero.dtype == np.int64
+        assert np.array_equal(u, u_zero)
+        assert type(n_tie) is int and n_tie == n_tie_zero
         # so T (wins less losses) and z = T / sqrt(V) are the same floats
         one = or_degenerate(fs_unmatched_test, cohort, rule, False)
         zero = or_degenerate(fs_unmatched_test, cohort, rule, True)
         assert (one is None) == (zero is None)
         if one is not None:
-            assert one.method == "UnmatchedUnstratified"
-            assert repr(one) == repr(replace(zero, method=one.method))
+            assert repr(one) == repr(zero)
             informative += 1
     assert informative >= 3
 
@@ -398,8 +396,8 @@ def test_survival_analyses_sharing_a_cohort_equal_fresh_copies_in_every_order(pr
             assert {name: repr(or_degenerate(calls[name], shared)) for name in order} == alone
             # the kept rankings are built once and cannot be written through
             assert shared.first_event_ties is shared.first_event_ties
-            assert rule.orders(shared)[0] is rule.orders(shared)[0]
-            for kept in (shared.first_event, *shared.first_event_ties, *rule.orders(shared)):
+            assert shared.time_orders is shared.time_orders
+            for kept in (shared.first_event, *shared.first_event_ties, *shared.time_orders.values()):
                 assert not kept.flags.writeable
     assert informative >= 10
 
@@ -434,8 +432,16 @@ def test_count_kernel_matches_pair_oracle(table):
     same = groups[:, None] == groups[None, :]
     scores = np.where(same, np.sign(key[:, None] - key[None, :]), 0)
     ties = same & (key[:, None] == key[None, :])
-    for rule in (BinaryRule(), ContinuousRule(0.8)):
-        u, n_tie = rule.u_ties((key,), is_t, groups)
+    # cohorts whose rule levels are the drawn levels
+    arm = is_t.astype(int)
+    improved = np.arange(3) < key[:, None]
+    cohorts = {
+        BinaryRule(): make_cohort(arm, **binary((3 - key) // 2, (3 - key) % 2)),
+        ContinuousRule(0.8): make_cohort(arm, **cont(np.ones(len(key)), np.where(improved, 0.5, 1.0))),
+    }
+    for rule, cohort in cohorts.items():
+        assert np.array_equal(rule.columns(cohort)[0], key)
+        u, n_tie = rule.u_ties(cohort, is_t, groups)
         assert u.dtype == np.int64
         assert np.array_equal(u, scores.sum(axis=1))
         assert type(n_tie) is int
@@ -801,12 +807,11 @@ def test_matched_arm_swap_antisymmetry():
 
 
 def test_wr_result_json_fields():
-    cohort = make_cohort([1, 1, 0, 0], **surv([4.0, 2.5, 2.0, 3.0], [10.0] * 4))
-    res = fs_unmatched_test(cohort, SurvivalRule(), stratified=False)
-    assert set(res.to_dict()) == {
-        "method", "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
+    # the fields that the trial records and the tests read
+    assert [f.name for f in fields(WrResult)] == [
+        "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
         "p_value", "ci_low", "ci_high", "dropped_strata",
-    }
+    ]
 
 
 def test_fs_and_matched_memory_linear_in_n():
