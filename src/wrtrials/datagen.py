@@ -2,8 +2,8 @@
 
 All generators are pure functions of (config, generator, size), a binary
 config holding its own arm sizes: the same seed, config and size give
-bit-identical cohorts.  Replications that must run concurrently should derive
-child seeds from a master ``numpy.random.SeedSequence``.
+bit-identical cohorts.  Every seed they are given comes from
+``harness._streams``: replicate i's is the master seed's i-th child.
 
 A trial's cohort comes from ``harness.trial_cohort``, which calls these
 generators for ``cfg.design``; ``harness.run_trial`` runs the analyses on it.
@@ -203,6 +203,14 @@ class SubpopMix:
         return cdf
 
 
+# A bound on |z| for numpy's ziggurat normal: ``Generator.normal(0, sd)``
+# returns sd * z.  A draw from a layer lies below the ziggurat's edge r.  A
+# tail draw is r + xx, accepted when yy + yy > xx * xx, where yy = -log1p(-u)
+# and u is a 53-bit double below 1; so yy <= 53 ln 2, xx < sqrt(106 ln 2) ~=
+# 8.5717, and with r = 3.6541528853610088 every draw has |z| < 12.2259.
+_MAX_ABS_NORMAL = 12.23
+
+
 @dataclass(frozen=True)
 class ContinuousGenConfig:
     """Times to improvement on three components, against a covariate baseline.
@@ -236,11 +244,13 @@ class ContinuousGenConfig:
         b1, b2 = self.beta_cov1, self.beta_cov2
         if not (math.isfinite(b1) and math.isfinite(b2)):
             raise ConfigError("covariate coefficients must be finite")
-        # each covariate pattern's baseline, and each mean outcome: a baseline plus an effect
+        # every outcome, a baseline plus a shift plus noise, must be finite
         shifts = (*self.beta_p, *self.beta_t)
-        if not math.isfinite(max(map(abs, self.baselines)) + max(map(abs, shifts))):
-            raise ConfigError(f"baselines {self.baselines} and mean outcomes, a baseline "
-                              f"plus one of {shifts}, must be finite")
+        if not math.isfinite(max(map(abs, self.baselines)) + max(map(abs, shifts))
+                             + _MAX_ABS_NORMAL * self.noise_sd):
+            raise ConfigError(f"outcomes, a baseline of {self.baselines} plus one of {shifts} "
+                              f"plus noise up to {_MAX_ABS_NORMAL} * noise_sd "
+                              f"({self.noise_sd}), must be finite")
         # the patient draw redraws covariates until the baseline is positive
         if not max(self.baselines) > 0:
             raise ConfigError("no covariate pattern gives a positive baseline "

@@ -15,6 +15,7 @@ same way, so results are identical whether reps run on one worker or many.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -397,13 +398,17 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     rate (the share with p < alpha).  ``mean_estimate`` and each end of
     ``mean_ci`` average the replicates where that value is finite, NaN if
     none is.  The summary is a pure function of the config (including
-    master_seed) regardless of ``n_jobs``.
+    master_seed) regardless of ``n_jobs``.  At most one worker process runs
+    per CPU and per replicate; ``n_jobs`` below 1 is a ``ConfigError``.
     """
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
     seeds = _streams(cfg.master_seed, cfg.reps)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, cfg.reps, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             all_records = list(pool.map(run_trial, [cfg] * cfg.reps, seeds,
-                                        chunksize=max(1, cfg.reps // (4 * n_jobs))))
+                                        chunksize=max(1, cfg.reps // (4 * workers))))
     else:
         all_records = [run_trial(cfg, s) for s in seeds]
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,51 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_worker_count_irrelevant():
     cfg = survival_cfg(n=40, reps=16)
     assert repr(monte_carlo(cfg, n_jobs=1)) == repr(monte_carlo(cfg, n_jobs=2))
+
+
+@pytest.mark.parametrize("n_jobs,cpus,reps,started", [
+    (2, 4, 16, [2]), (5000, 4, 16, [4]), (8, 64, 3, [3]), (4, None, 16, []), (1, 4, 16, []),
+])
+def test_monte_carlo_starts_at_most_one_worker_per_cpu_and_replicate(n_jobs, cpus, reps, started,
+                                                                     monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = survival_cfg(n=40, reps=reps)
+    assert repr(monte_carlo(cfg, n_jobs=n_jobs)) == repr(monte_carlo(cfg))
+    assert pools == started
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "reproduce-table"])
+def test_cli_jobs_below_one_is_a_config_error(command, jobs, tmp_path, capsys, monkeypatch):
+    # both ran serially, as if --jobs 1 had been given
+    def no_trial(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(SCENARIO_JSON))
+    head = ["simulate", "--config", str(cfg_path)] if command == "simulate" else [
+        "reproduce-table", "t6", "--reps", "2"]
+    assert cli_main(head + ["--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n_jobs must be at least 1" in err
 
 
 def test_monte_carlo_means_leave_out_non_finite_values(monkeypatch):
@@ -500,11 +546,13 @@ CR_OBRIEN_JSON = dict(SED_JSON, design="cr", analyses=["Obrien"])
     (CR_OBRIEN_JSON, {"generator.beta_cov1": 1e308, "generator.beta_cov2": 1e308}, "finite"),
     (CR_OBRIEN_JSON, {"generator.beta_cov2": 1e308, "generator.beta_p": [1e308, -1.5, -1.5]},
      "finite"),
+    # the noise draw overflows: 12.23 * noise_sd bounds its magnitude
+    (CR_OBRIEN_JSON, {"generator.noise_sd": 1e308}, "finite"),
     # only the survival rule reads a priority
     (BINARY_JSON, {"win_priority": "hosp"}, "win_priority of the binary family"),
     (SED_JSON, {"win_priority": "hosp"}, "win_priority of the continuous family"),
 ], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
-        "binary hosp", "continuous hosp"])
+        "noise_sd", "binary hosp", "continuous hosp"])
 def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
                                                                capsys):
     # each ended in a traceback mid-run, or ran as if it were not given
@@ -524,6 +572,14 @@ def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, ma
     cfg_path.write_text(json.dumps(d))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_noise_sd_below_the_overflow_bound_runs(tmp_path, capsys):
+    # 12.23 * 1e306 is finite, so no noise draw can overflow
+    cfg_path = tmp_path / "noisy.json"
+    cfg_path.write_text(json.dumps(with_value(CR_OBRIEN_JSON, "generator.noise_sd", 1e306)))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["Obrien"]["reps_used"] == CR_OBRIEN_JSON["reps"]
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +667,7 @@ def test_cli_gen_writes_the_first_replicates_cohort(name, tmp_path, monkeypatch)
         # two stages: stage-2 rows sit in strata 4..7
         stage2 = cohort.stratum[cohort.stage == 1]
         assert len(stage2) >= 2 and set(stage2) <= {4, 5, 6, 7}
+        assert len(cohort) == d["n_total"] + len(stage2)
     want = tmp_path / "want.csv"
     cohort_to_csv(cohort, str(want))
     cfg_path = tmp_path / "scenario.json"
@@ -677,7 +734,21 @@ def test_cli_small_survival_cox_records_singular_fits_as_degenerate(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["Cox"]["degenerate_count"] >= 2
 
 
-def test_cli_obrien_on_an_arm_of_one_is_a_config_error(tmp_path):
+@pytest.mark.parametrize("n,reps", [(4, 123), (6, 1352)])
+def test_cli_small_survival_cox_warns_nothing(n, reps, tmp_path):
+    # the last replicate of each run takes a Newton trial point that numpy
+    # warned about: at N=4 exp overflows, at N=6 every exp of a risk set
+    # underflows and log(0) is taken; the fit halves both points
+    d = {"design": "parallel", "outcome_family": "survival", "generator": {},
+         "analyses": ["Cox"], "n_total": n, "reps": reps}
+    cfg_path = tmp_path / "cox.json"
+    cfg_path.write_text(json.dumps(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+
+
+def test_cli_obrien_on_an_arm_of_one_is_a_config_error(tmp_path, capsys):
     # int(4 * 0.25) = 1 treated patient: obrien_first_event raised ValueError mid-run
     d = {"design": "parallel", "outcome_family": "survival", "generator": {"allocation": 0.25},
          "analyses": ["Obrien"], "n_total": 4}
@@ -688,6 +759,7 @@ def test_cli_obrien_on_an_arm_of_one_is_a_config_error(tmp_path):
     cfg_path = tmp_path / "obrien.json"
     cfg_path.write_text(json.dumps(d))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_degenerate_exit_code(tmp_path):

@@ -49,7 +49,13 @@ def test_cli_reproduce_table(tmp_path, capsys):
     assert "table t4" in out
     # 10 reps are too few for the table's tolerances, and a failed verdict exits 1
     assert "table t4 verdict: FAIL" in out and code == 1
-    assert out_csv.exists()
+    # a header plus 5 analyses x 3 N
+    assert len(out_csv.read_text().splitlines()) == 16
+    # an SED table: a header plus 4 analyses x 2 designs x 3 N, and 8 reps may fail
+    code = cli_main(["reproduce-table", "t11", "--reps", "8", "--seed", "1",
+                     "--csv", str(out_csv)])
+    assert code in (0, 1)
+    assert len(out_csv.read_text().splitlines()) == 25
 
 
 @pytest.mark.parametrize("ok,code", [(True, 0), (False, 1)])
