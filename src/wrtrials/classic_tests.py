@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .core import Z_95, Cohort, DegenerateResultError, _is_binary, _two_sided_p, tie_groups
 
@@ -286,8 +285,11 @@ def obrien_test(values: np.ndarray, arm: np.ndarray, ties=None) -> ObrienResult:
         f_stat = math.inf
         p = 0.0
     else:
+        # the F survival function; scipy.special is loaded here, at the first
+        # O'Brien p-value, so a run without O'Brien never loads it
+        from scipy.special import fdtrc
         f_stat = ss_between / (ss_within / (n - 2))
-        p = float(fdtrc(1, n - 2, f_stat))  # the F survival function
+        p = float(fdtrc(1, n - 2, f_stat))
     return ObrienResult(f_stat=float(f_stat), df=(1, n - 2), p_value=p, rank_sums=dict(enumerate(means)))
 
 

@@ -14,12 +14,12 @@ its survival times are kept on the cohort for every analysis that ranks them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class ConfigError(ValueError):
@@ -33,13 +33,68 @@ class DegenerateResultError(RuntimeError):
 Z_95 = 1.959963984540054  # Phi^-1(0.975), the two-sided 95% normal quantile
 
 
-def _two_sided_p(z: float) -> float:
-    """Two-sided normal p-value, 2 * P(Z > |z|).
+# Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the code behind scipy.special.ndtr, on x >= 0.
+# Coefficients run from the highest power down; Q, S and U carry the leading 1
+# that Cephes' p1evl leaves implicit, since 0 * x + 1 and 1 * x + c are exact.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # ln(2**1024): exp(-x * x) underflows past it
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
 
-    ``ndtr(-x)`` is what ``scipy.stats.norm.sf(x)`` evaluates, without the
-    distribution wrapper's per-call argument handling.
+
+def _polevl(x: float, coefs: tuple[float, ...]) -> float:
+    """The polynomial with ``coefs``, highest power first, at x by Horner's rule."""
+    y = 0.0
+    for c in coefs:
+        y = y * x + c
+    return y
+
+
+def _erf(x: float) -> float:
+    """Cephes erf(x) for 0 <= x < 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc(x) for x >= 0 (or NaN)."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(z) * _polevl(x, p) / _polevl(x, q)
+
+
+def _two_sided_p(z: float) -> float:
+    """Two-sided normal p-value, 2 * P(Z > |z|), as 2 * ndtr(-|z|).
+
+    ``ndtr`` is a port of Cephes', the code of ``scipy.special.ndtr`` (and so
+    of ``scipy.stats.norm.sf``), in its branch order: erf below x = |z| / sqrt(2)
+    = sqrt(1/2), 1 - erf below 1, one rational approximation of erfc below 8
+    and another above, and 0 once exp(-x * x) underflows (|z| near 37.68).  On
+    floats it evaluates the same operations in the same order, so it returns
+    scipy's values bit for bit without importing scipy;
+    ``tests/test_core.py::test_two_sided_p_equals_norm_sf_bit_for_bit`` holds
+    it to that on every branch edge and a dense grid.
     """
-    return float(2.0 * ndtr(-abs(z)))
+    x = abs(float(z)) * _SQRTH
+    # ndtr(-|z|) is 0.5 + 0.5 * erf(-x) = 0.5 - 0.5 * erf(x) below sqrt(1/2), else 0.5 * erfc(x)
+    return 2.0 * (0.5 - 0.5 * _erf(x) if x < _SQRTH else 0.5 * _erfc(x))
 
 
 class Arm(enum.IntEnum):

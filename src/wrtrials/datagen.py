@@ -244,17 +244,23 @@ class ContinuousGenConfig:
         b1, b2 = self.beta_cov1, self.beta_cov2
         if not (math.isfinite(b1) and math.isfinite(b2)):
             raise ConfigError("covariate coefficients must be finite")
-        # every outcome, a baseline plus a shift plus noise, must be finite
-        shifts = (*self.beta_p, *self.beta_t)
-        if not math.isfinite(max(map(abs, self.baselines)) + max(map(abs, shifts))
-                             + _MAX_ABS_NORMAL * self.noise_sd):
-            raise ConfigError(f"outcomes, a baseline of {self.baselines} plus one of {shifts} "
-                              f"plus noise up to {_MAX_ABS_NORMAL} * noise_sd "
-                              f"({self.noise_sd}), must be finite")
         # the patient draw redraws covariates until the baseline is positive
         if not max(self.baselines) > 0:
             raise ConfigError("no covariate pattern gives a positive baseline "
                               "(need beta_cov1, beta_cov2 or their sum above 0)")
+        # Every outcome, a baseline plus a shift plus noise, must be finite, and
+        # so must its ratio to its baseline, which the cutoffs are applied to.
+        # 1 + 2**-50 covers the rounding of the outcome's two additions and of
+        # this bound; dividing by at most 1 keeps the bound on the outcome itself.
+        shifts = (*self.beta_p, *self.beta_t)
+        max_abs_y = (max(map(abs, self.baselines)) + max(map(abs, shifts))
+                     + _MAX_ABS_NORMAL * self.noise_sd) * (1 + 2**-50)
+        min_base = min(b for b in self.baselines if b > 0)
+        if not math.isfinite(max_abs_y / min(min_base, 1.0)):
+            raise ConfigError(f"outcomes, a baseline of {self.baselines} plus one of {shifts} "
+                              f"plus noise up to {_MAX_ABS_NORMAL} * noise_sd "
+                              f"({self.noise_sd}), and their ratios to the smallest positive "
+                              f"baseline ({min_base}) must be finite")
 
     @property
     def beta_t(self) -> tuple[float, float, float]:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import ConfigError
 
@@ -84,14 +83,17 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
     return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
 
 
-# ndtri is the standard normal quantile, Phi^-1, itself; importing it from
-# scipy.special rather than scipy.stats keeps the package's import to numpy
-# and scipy.special (tests/test_power.py holds both)
+# ndtri is the standard normal quantile, Phi^-1, itself (scipy.stats.norm.ppf
+# evaluates it).  It is imported at the first quantile, so that a process that
+# never asks for a sample size does not load scipy.special; tests/test_power.py
+# holds both the values and the import.
 def z_alpha(alpha: float) -> float:
+    from scipy.special import ndtri
     return float(ndtri(1.0 - alpha / 2.0))
 
 
 def z_beta(power: float) -> float:
+    from scipy.special import ndtri
     return float(ndtri(1.0 - power))
 
 

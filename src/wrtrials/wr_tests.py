@@ -321,7 +321,8 @@ def fs_unmatched_test(
     Strata with fewer than two patients or with an empty arm are dropped
     and counted in ``dropped_strata``.
     """
-    is_t = cohort.arm == Arm.TREATMENT
+    # a plain int: numpy compares an array with an IntEnum member several times slower
+    is_t = cohort.arm == int(Arm.TREATMENT)
     # 8-bit labels, which sort in linear time; unstratified, no labels at all
     groups = cohort.stratum.astype(np.uint8) if stratified else None
     u, n_tie = rule.u_ties(cohort, is_t, groups)

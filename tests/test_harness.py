@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -534,7 +535,10 @@ def test_non_finite_continuous_json_is_a_config_error(path, value, tmp_path, cap
     assert capsys.readouterr().out == ""
 
 
-CR_OBRIEN_JSON = dict(SED_JSON, design="cr", analyses=["Obrien"])
+CR_JSON = dict(SED_JSON, design="cr")
+CR_OBRIEN_JSON = dict(CR_JSON, analyses=["Obrien"])
+# the only positive covariate pattern has baseline 1e-310
+SUBNORMAL_BASELINE = {"generator.beta_cov1": 1e-310, "generator.beta_cov2": -5.0}
 
 
 @pytest.mark.parametrize("base,changes,match", [
@@ -551,8 +555,12 @@ CR_OBRIEN_JSON = dict(SED_JSON, design="cr", analyses=["Obrien"])
     # only the survival rule reads a priority
     (BINARY_JSON, {"win_priority": "hosp"}, "win_priority of the binary family"),
     (SED_JSON, {"win_priority": "hosp"}, "win_priority of the continuous family"),
+    # an outcome over a positive but subnormal baseline overflows y / y_base
+    (SED_JSON, SUBNORMAL_BASELINE, "ratios to the smallest positive baseline"),
+    (CR_JSON, SUBNORMAL_BASELINE, "ratios to the smallest positive baseline"),
 ], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
-        "noise_sd", "binary hosp", "continuous hosp"])
+        "noise_sd", "binary hosp", "continuous hosp", "sed subnormal baseline",
+        "cr subnormal baseline"])
 def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
                                                                capsys):
     # each ended in a traceback mid-run, or ran as if it were not given
@@ -580,6 +588,23 @@ def test_noise_sd_below_the_overflow_bound_runs(tmp_path, capsys):
     cfg_path.write_text(json.dumps(with_value(CR_OBRIEN_JSON, "generator.noise_sd", 1e306)))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
     assert json.loads(capsys.readouterr().out)["Obrien"]["reps_used"] == CR_OBRIEN_JSON["reps"]
+
+
+@pytest.mark.parametrize("base", [SED_JSON, CR_JSON], ids=["sed", "cr"])
+def test_baseline_just_inside_the_ratio_bound_runs_without_a_warning(base, tmp_path, capsys):
+    # SED_JSON's outcomes are at most 5 + 2 + 12.23 * 1 in magnitude, with
+    # 2**-50 of headroom for rounding; over the smallest positive baseline,
+    # beta_cov1, that ratio must stay below the largest double
+    bound = (5.0 + 2.0 + 12.23) * (1 + 2**-50) / sys.float_info.max
+    d = with_value(base, "generator.beta_cov2", -5.0)
+    with pytest.raises(ConfigError, match="ratios"):
+        scenario_from_dict(with_value(d, "generator.beta_cov1", bound * (1 - 1e-12)))
+    cfg_path = tmp_path / "inside.json"
+    cfg_path.write_text(json.dumps(with_value(d, "generator.beta_cov1", bound * (1 + 1e-12))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["Contingency"]["reps_used"] == base["reps"]
 
 
 # ---------------------------------------------------------------------------

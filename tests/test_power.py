@@ -338,14 +338,53 @@ def test_quantiles_equal_scipy_stats_norm_ppf_bit_for_bit():
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_package_imports_no_scipy_subpackage_beyond_special():
-    # scipy.stats, once imported for two normal quantiles, loaded itself and
-    # nine more subpackages (optimize, sparse, linalg, ...): about 45 MiB and
-    # half a second more at the start of every process (BENCH_18.json)
-    code = "import sys, wrtrials, wrtrials.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"
+def _fresh_python(code: str, *args: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this package's wrtrials."""
     src = str(Path(wrtrials.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    subpackages = {name.split(".")[1] for name in out.stdout.split()}
-    public = sorted(p for p in subpackages if not p.startswith("_"))
-    assert public == ["special", "version"], f"import wrtrials loads scipy.{{{', '.join(public)}}}"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_package_import_loads_no_scipy_module():
+    # scipy.special alone added about 0.2 s and 24 MiB to the start of every
+    # process (BENCH_27.json); the normal p-value is computed in core, and the
+    # two other functions import theirs when called
+    code = "import sys, wrtrials, wrtrials.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_python(code).split() == []
+
+
+# a run of each family without O'Brien, and one with it
+_CONTINUOUS_GEN = {"beta_t1": -2.0, "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1}}
+_LEAN_RUNS = [
+    {"design": "parallel", "outcome_family": "binary",
+     "generator": {"p_t": 0.3, "q_t": 0.3, "p_c": 0.5, "q_c": 0.5},
+     "analyses": ["MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"], "n_total": 40, "reps": 3},
+    *({"design": design, "outcome_family": "continuous", "generator": _CONTINUOUS_GEN,
+       "analyses": ["MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Contingency"],
+       "n_total": 40, "reps": 3} for design in ("cr", "sed")),
+]
+_OBRIEN_RUN = {"design": "parallel", "outcome_family": "survival", "generator": {},
+               "analyses": ["Cox", "Obrien"], "n_total": 40, "reps": 3}
+# runs the scenarios of argv[1] and, given a config and a path, gen; prints
+# whether scipy.special was loaded
+_RUN_AND_GEN = """
+import json, sys
+from wrtrials import monte_carlo, scenario_from_dict
+from wrtrials.cli import main
+for d in json.loads(sys.argv[1]):
+    assert all(s.reps_used for s in monte_carlo(scenario_from_dict(d)).values())
+if len(sys.argv) > 2:
+    assert main(["gen", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_a_run_loads_scipy_special_only_for_obrien(tmp_path):
+    # binary, CR and SED runs and gen compute every p-value without scipy;
+    # the first O'Brien p-value imports scipy.special for the F tail
+    cfg_path = tmp_path / "sed.json"
+    cfg_path.write_text(json.dumps(_LEAN_RUNS[-1]))
+    lean = _fresh_python(_RUN_AND_GEN, json.dumps(_LEAN_RUNS), str(cfg_path), str(tmp_path / "cohort.csv"))
+    assert lean.splitlines()[-1] == "False"
+    assert _fresh_python(_RUN_AND_GEN, json.dumps([_OBRIEN_RUN])).splitlines()[-1] == "True"
