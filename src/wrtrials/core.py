@@ -129,7 +129,8 @@ class Cohort:
 
     ``arm``, ``x1``, ``x2`` and ``stage`` are 0/1 integer arrays.  Exactly
     one family's outcome columns are set: ``e_death``/``e_hosp`` (strictly
-    positive times), ``y_death``/``x_hosp`` (0/1 indicators), or ``y_base``
+    positive times, stored as float64 so that differences of unsigned integer
+    times cannot wrap), ``y_death``/``x_hosp`` (0/1 indicators), or ``y_base``
     (strictly positive, length n) with ``y`` (shape (n, 3)).  ``stratum`` is
     derived as 4 * stage + 2 * x1 + x2, so each stage is its own layer of
     covariate strata; the encoding is fixed, so a cohort written to CSV by
@@ -160,7 +161,8 @@ class Cohort:
         if present not in _FAMILY_COLUMNS:
             raise ValueError(f"a cohort needs the outcome columns of one family, got {present}")
         for name in ("arm", "x1", "x2", "stage") + present:
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            dtype = float if name in ("e_death", "e_hosp") else None
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.arm)
         if n == 0:
             raise ValueError("a cohort needs at least one patient")
@@ -195,10 +197,10 @@ class Cohort:
 
     @cached_property
     def first_event(self) -> np.ndarray:
-        """Each row's time to its first event, min(e_death, e_hosp), as floats."""
+        """Each row's time to its first event, min(e_death, e_hosp)."""
         if self.e_death is None:
             raise ValueError("the time to first event needs survival outcomes")
-        t = np.minimum(self.e_death, self.e_hosp).astype(float, copy=False)
+        t = np.minimum(self.e_death, self.e_hosp)
         _read_only(t)
         return t
 
@@ -211,9 +213,8 @@ class Cohort:
 
     @cached_property
     def time_orders(self) -> dict[str, np.ndarray]:
-        """An argsort of each time column as floats, keyed "e_death" and "e_hosp"."""
-        orders = {name: np.argsort(getattr(self, name).astype(float, copy=False))
-                  for name in ("e_death", "e_hosp")}
+        """An argsort of each time column, keyed "e_death" and "e_hosp"."""
+        orders = {name: np.argsort(getattr(self, name)) for name in ("e_death", "e_hosp")}
         _read_only(*orders.values())
         return orders
 

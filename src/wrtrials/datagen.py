@@ -23,10 +23,11 @@ each batch of n enrollees it draws, in this order:
 4. from the lead-in stream, one (n, 3) ``normal`` draw of placebo noise.
 
 CR draws its single batch of patients the same way (steps 1-3).  Each stage
-draws its assignment and outcomes from its own two streams.  Any change to
-the order, number or shape of these draws moves every pinned SED and CR
-number, so it is a deliberate re-pin: the acceptance suite is re-run and the
-new numbers are reported.
+(``harness._stage``) draws its 1:1 assignment from its assignment stream and
+its outcomes from its outcome stream.  Any change to the order, number or
+shape of these draws moves every pinned SED and CR number, so it is a
+deliberate re-pin: the acceptance suite is re-run and the new numbers are
+reported.
 """
 
 from __future__ import annotations

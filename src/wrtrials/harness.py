@@ -6,7 +6,7 @@ the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
 analyses, the rule that scores its pairs, the draw of a trial's cohort, its
 arm sizes, its O'Brien endpoint, a binary generator's default arms, and the
-win priorities its rule reads.
+win priorities its rule reads, and whether it reads the cutoffs.
 Replications are independent: replicate i's seed is the master seed's i-th
 child (``_streams``), and each trial draws its own streams from that seed the
 same way, so results are identical whether reps run on one worker or many.
@@ -46,8 +46,8 @@ from .wr_tests import (
     matched_wr_test,
 )
 
-_WIN_RATIO = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
-ANALYSES = _WIN_RATIO + ("Cox", "Obrien", "Contingency")
+WIN_RATIO = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
+ANALYSES = WIN_RATIO + ("Cox", "Obrien", "Contingency")
 
 
 class _Family(NamedTuple):
@@ -65,24 +65,26 @@ class _Family(NamedTuple):
     obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
     sizes: Callable[[int], dict] = lambda n: {}  # the generator's size fields that n_total implies
     priorities: tuple[str, ...] = ("death",)  # the win_priority values its rule reads
+    reads_cutoffs: bool = False  # whether its rule or designs read cfg.cutoffs
 
 
 _FAMILIES = {
-    "survival": _Family(SurvivalGenConfig, ("parallel",), _WIN_RATIO + ("Cox", "Obrien"),
+    "survival": _Family(SurvivalGenConfig, ("parallel",), WIN_RATIO + ("Cox", "Obrien"),
                         lambda cfg: SurvivalRule(cfg.win_priority),
                         lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort, cfg.n_total),
                         lambda cfg: arm_sizes(cfg.n_total, cfg.generator.allocation),
                         lambda cohort: obrien_first_event(cohort), priorities=("death", "hosp")),
-    "binary": _Family(BinaryGenConfig, ("parallel",), _WIN_RATIO, lambda cfg: BinaryRule(),
+    "binary": _Family(BinaryGenConfig, ("parallel",), WIN_RATIO, lambda cfg: BinaryRule(),
                       lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
                       lambda cfg: (cfg.generator.n1, cfg.generator.n0),
-                      sizes=lambda n: {"n1": n // 2, "n0": n - n // 2}),
+                      sizes=lambda n: dict(zip(("n1", "n0"), arm_sizes(n, 0.5)))),
     "continuous": _Family(ContinuousGenConfig, ("parallel", "cr", "sed"),
-                          _WIN_RATIO + ("Obrien", "Contingency"),
+                          WIN_RATIO + ("Obrien", "Contingency"),
                           lambda cfg: ContinuousRule(cfg.cutoffs.c_t),
                           lambda cfg, seed: _continuous_trial_cohort(cfg, seed),
                           lambda cfg: arm_sizes(cfg.n_total, 0.5),
-                          lambda cohort: obrien_test(-cohort.y, cohort.arm)),  # shorter is better
+                          lambda cohort: obrien_test(-cohort.y, cohort.arm),  # shorter is better
+                          reads_cutoffs=True),
 }
 
 
@@ -133,6 +135,8 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown analysis {a!r}")
             if a not in spec.analyses:
                 raise ConfigError(f"analysis {a!r} is incompatible with {self.outcome_family}")
+            if self.analyses.count(a) > 1:
+                raise ConfigError(f"analysis {a!r} is listed more than once")
         if not self.analyses:
             raise ConfigError("at least one analysis is required")
         if self.n_total < 4:
@@ -146,6 +150,9 @@ class ScenarioConfig:
         if self.win_priority not in spec.priorities:
             raise ConfigError(f"win_priority of the {self.outcome_family} family must be one of "
                               f"{spec.priorities}, got {self.win_priority!r}")
+        if not spec.reads_cutoffs and self.cutoffs != Cutoffs():
+            raise ConfigError(f"the {self.outcome_family} family reads no cutoffs, "
+                              f"got {self.cutoffs}")
         treated, control = spec.arms(self)
         if treated + control != self.n_total:
             raise ConfigError(f"generator arm sizes {treated} + {control} must sum to n_total={self.n_total}")
@@ -158,9 +165,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One analysis outcome inside one simulated trial."""
+    """One analysis outcome inside one simulated trial; its analysis is its key in ``run_trial``."""
 
-    analysis: str
     estimate: float = math.nan
     ci_low: float = math.nan
     ci_high: float = math.nan
@@ -198,9 +204,8 @@ def _streams(seed, n: int) -> list[np.random.SeedSequence]:
 # analysis dispatch
 
 
-def _wr_record(analysis: str, result) -> TrialRecord:
+def _wr_record(result) -> TrialRecord:
     return TrialRecord(
-        analysis=analysis,
         estimate=result.r_w,
         ci_low=result.ci_low,
         ci_high=result.ci_high,
@@ -215,16 +220,16 @@ def _analysis_record(analysis: str, cfg: ScenarioConfig, cohort: Cohort, rule,
     """The record of one analysis of ``cohort``; a degenerate fit raises DegenerateResultError."""
     if analysis == "MatchedWR":
         pairing = form_matched_pairs(cohort, rng)
-        return _wr_record(analysis, matched_wr_test(cohort, pairing.pairs, rule))
+        return _wr_record(matched_wr_test(cohort, pairing.pairs, rule))
     if analysis in ("StratUnmatchedWR", "UnstratUnmatchedWR"):
         res = fs_unmatched_test(cohort, rule, stratified=analysis == "StratUnmatchedWR")
-        return _wr_record(analysis, res)
+        return _wr_record(res)
     if analysis == "Cox":
         res = cox_fit(cohort)
-        return TrialRecord(analysis, res.hr, res.ci_low, res.ci_high, res.z, res.p_value)
+        return TrialRecord(res.hr, res.ci_low, res.ci_high, res.z, res.p_value)
     if analysis == "Obrien":
         res = _FAMILIES[cfg.outcome_family].obrien(cohort)
-        return TrialRecord(analysis, z=res.f_stat, p_value=res.p_value)
+        return TrialRecord(z=res.f_stat, p_value=res.p_value)
     # Contingency: first-stage comparisons only, one record per patient: the
     # plain 2x2 Wald test has no stratum structure, and pooling records across
     # stages either duplicates patients or confounds arm with stage composition
@@ -233,7 +238,7 @@ def _analysis_record(analysis: str, cfg: ScenarioConfig, cohort: Cohort, rule,
     improved = (ind[:, 0] | ind[:, 1] | ind[:, 2])[first]
     arms = cohort.arm[first]
     res = contingency_or_test(improved[arms == 1], improved[arms == 0])
-    return TrialRecord(analysis, res.or_hat, z=res.z, p_value=res.p_value,
+    return TrialRecord(res.or_hat, z=res.z, p_value=res.p_value,
                        note="haldane" if res.corrected else "")
 
 
@@ -244,7 +249,7 @@ def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator)
         try:
             records[analysis] = _analysis_record(analysis, cfg, cohort, rule, rng)
         except DegenerateResultError as err:
-            records[analysis] = TrialRecord(analysis, degenerate=True, note=str(err))
+            records[analysis] = TrialRecord(degenerate=True, note=str(err))
     return records
 
 
@@ -298,17 +303,16 @@ def _one_stream_cohort(cfg: ScenarioConfig, seed, draw, *size) -> tuple[Cohort, 
     return draw(cfg.generator, np.random.default_rng(gen_seed), *size), np.random.default_rng(analysis_seed)
 
 
+def _stage(gen: ContinuousGenConfig, frame: ContinuousFrame, assign_seed, outcome_seed):
+    """One stage as (patients, arms, outcomes): 1:1 arms from one stream, outcomes from the other."""
+    arm = _assign_arms(np.random.default_rng(assign_seed), len(frame.y_base), 0.5)
+    return frame, arm, draw_continuous_response(gen, frame, arm == 1, np.random.default_rng(outcome_seed))
+
+
 def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
     gen = cfg.generator
-    (
-        patients_seed,
-        leadin_seed,
-        s1_assign_seed,
-        s1_outcome_seed,
-        s2_assign_seed,
-        s2_outcome_seed,
-        analysis_seed,
-    ) = _streams(seed, 7)
+    # each stage's (assignment, outcome) seeds, stage 1's then stage 2's
+    patients_seed, leadin_seed, *stage_seeds, analysis_seed = _streams(seed, 7)
 
     patients_rng = np.random.default_rng(patients_seed)
     n = cfg.n_total
@@ -319,24 +323,16 @@ def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.rand
     else:
         frame = draw_continuous_patients(gen, patients_rng, n)
 
-    s1_arm = _assign_arms(np.random.default_rng(s1_assign_seed), n, 0.5)
-    y1 = draw_continuous_response(
-        gen, frame, s1_arm == 1, np.random.default_rng(s1_outcome_seed)
-    )
-    stages = [(frame, s1_arm, y1)]
+    stages = [_stage(gen, frame, *stage_seeds[:2])]
 
     if cfg.design == "sed":
+        _, s1_arm, y1 = stages[0]
         drug_idx = np.where(s1_arm == 1)[0]
         responders = drug_idx[
             ~_nonresponder_mask(y1[drug_idx], frame.y_base[drug_idx], cfg.cutoffs.c_s1)
         ]
         if len(responders) >= 2:
-            sub = frame.take(responders)
-            s2_arm = _assign_arms(np.random.default_rng(s2_assign_seed), len(responders), 0.5)
-            y2 = draw_continuous_response(
-                gen, sub, s2_arm == 1, np.random.default_rng(s2_outcome_seed)
-            )
-            stages.append((sub, s2_arm, y2))
+            stages.append(_stage(gen, frame.take(responders), *stage_seeds[2:]))
         # fewer than two responders: the stage-2 stratum is dropped entirely
 
     return continuous_cohort(stages), np.random.default_rng(analysis_seed)
@@ -377,7 +373,7 @@ def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
     try:
         cohort, rng = trial_cohort(cfg, seed)
     except DegenerateResultError as err:
-        return {a: TrialRecord(a, degenerate=True, note=str(err)) for a in cfg.analyses}
+        return dict.fromkeys(cfg.analyses, TrialRecord(degenerate=True, note=str(err)))
     return _run_analyses(cfg, cohort, rng)
 
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 from .core import ConfigError
 from .datagen import ContinuousGenConfig, SubpopMix, SurvivalGenConfig
-from .harness import ScenarioConfig, monte_carlo
+from .harness import WIN_RATIO, ScenarioConfig, monte_carlo
 
 LOG06 = math.log(0.6)
 LOG018 = math.log(0.18)
 
-SURV_ANALYSES = ("Cox", "MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Obrien")
-SED_ANALYSES = ("Contingency", "MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
+SURV_ANALYSES = ("Cox", *WIN_RATIO, "Obrien")
+SED_ANALYSES = ("Contingency", *WIN_RATIO)
 
 ROW_LABELS = {
     "Cox": "Cox regression",
@@ -220,7 +220,6 @@ class _Table:
 
 _SURV_NS = (60, 100, 200)
 _SED_NS = (100, 200, 500)
-_WR_ROWS = ("MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR")
 
 _TABLES = {
     "t3": _Table(
@@ -256,7 +255,7 @@ _TABLES = {
             "StratUnmatchedWR": {"parallel": (1.59, 1.55, 1.52)},
             "UnstratUnmatchedWR": {"parallel": (1.55, 1.51, 1.49)},
         },
-        tol_at=dict.fromkeys(_WR_ROWS, 0.15), info=_WR_ROWS,
+        tol_at=dict.fromkeys(WIN_RATIO, 0.15), info=WIN_RATIO,
     ),
     "t6": _Table(
         "equal effects on both components: power", ("parallel",), _SURV_NS,
@@ -268,7 +267,7 @@ _TABLES = {
             "UnstratUnmatchedWR": {"parallel": (0.21, 0.35, 0.61)},
             "Obrien": {"parallel": (0.32, 0.51, 0.82)},
         },
-        info={*_WR_ROWS, ("Cox", 60)},
+        info={*WIN_RATIO, ("Cox", 60)},
         checks=lambda s: [_power_ordering(
             s, 200, ["Cox", "Obrien", "StratUnmatchedWR", "UnstratUnmatchedWR", "MatchedWR"],
             [True, True, False, True])],
@@ -282,7 +281,7 @@ _TABLES = {
             "StratUnmatchedWR": {"parallel": (3.29, 3.24, 3.05)},
             "UnstratUnmatchedWR": {"parallel": (3.14, 3.09, 2.96)},
         },
-        tol_at=dict.fromkeys(_WR_ROWS, 0.30), info={("MatchedWR", 60), ("MatchedWR", 100)},
+        tol_at=dict.fromkeys(WIN_RATIO, 0.30), info={("MatchedWR", 60), ("MatchedWR", 100)},
     ),
     "t8": _Table(
         "effect on death only: power", ("parallel",), _SURV_NS,
@@ -310,7 +309,7 @@ _TABLES = {
             "StratUnmatchedWR": {"parallel": (1.19, 1.19, 1.15)},
             "UnstratUnmatchedWR": {"parallel": (1.18, 1.17, 1.14)},
         },
-        tol_at=dict.fromkeys(_WR_ROWS, 0.15), info=_WR_ROWS,
+        tol_at=dict.fromkeys(WIN_RATIO, 0.15), info=WIN_RATIO,
     ),
     "t10": _Table(
         "effect on death only, priorities swapped: power", ("parallel",), _SURV_NS,
@@ -322,10 +321,10 @@ _TABLES = {
             "UnstratUnmatchedWR": {"parallel": (0.09, 0.07, 0.11)},
             "Obrien": {"parallel": (0.51, 0.72, 0.91)},
         },
-        info={"Cox", "Obrien", *((row, 200) for row in _WR_ROWS)},
+        info={"Cox", "Obrien", *((row, 200) for row in WIN_RATIO)},
         checks=lambda s: [
             _power_bound("win-ratio methods defused at N=100 (power <= 0.15)",
-                         s, 100, _WR_ROWS, 0.15, above=False),
+                         s, 100, WIN_RATIO, 0.15, above=False),
             _power_bound("rank-sum-type test retains power at N=100 (>= 0.65)",
                          s, 100, ("Obrien",), 0.65, above=True, required=False),
             _power_bound("Cox retains power at N=100 (>= 0.60)", s, 100, ("Cox",), 0.60, above=True),

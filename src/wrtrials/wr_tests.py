@@ -198,8 +198,7 @@ class SurvivalRule:
         self._names = ("e_death", "e_hosp") if priority == "death" else ("e_hosp", "e_death")
 
     def columns(self, cohort: Cohort) -> tuple[np.ndarray, ...]:
-        # as floats, so the differences pair_scores takes cannot wrap on unsigned times
-        return tuple(getattr(cohort, name).astype(float, copy=False) for name in self._names)
+        return tuple(getattr(cohort, name) for name in self._names)
 
     def pair_scores(self, left, right) -> np.ndarray:
         (p_i, s_i), (p_j, s_j) = left, right

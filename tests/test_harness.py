@@ -146,8 +146,8 @@ def test_monte_carlo_means_leave_out_non_finite_values(monkeypatch):
 
     def stub(cfg, seed):
         i = next(replicates)
-        return {name: harness.TrialRecord(name, degenerate=True) if rows[i] is None
-                else harness.TrialRecord(name, *rows[i][:3], p_value=rows[i][3])
+        return {name: harness.TrialRecord(degenerate=True) if rows[i] is None
+                else harness.TrialRecord(*rows[i][:3], p_value=rows[i][3])
                 for name, rows in (("MatchedWR", matched), ("Cox", cox))}
 
     monkeypatch.setattr(harness, "run_trial", stub)
@@ -457,12 +457,15 @@ def test_scenario_json_parses_to_the_hand_built_config():
 
 
 def with_value(d, path, value):
-    """A deep copy of scenario ``d`` with the key at the dotted ``path`` set to ``value``."""
+    """A deep copy of scenario ``d`` with the key at the dotted ``path`` set to ``value``.
+
+    A missing parent object is added.
+    """
     d = json.loads(json.dumps(d))
     *parents, last = path.split(".")
     target = d
     for key in parents:
-        target = target[key]
+        target = target.setdefault(key, {})
     target[last] = value
     return d
 
@@ -558,19 +561,28 @@ SUBNORMAL_BASELINE = {"generator.beta_cov1": 1e-310, "generator.beta_cov2": -5.0
     # an outcome over a positive but subnormal baseline overflows y / y_base
     (SED_JSON, SUBNORMAL_BASELINE, "ratios to the smallest positive baseline"),
     (CR_JSON, SUBNORMAL_BASELINE, "ratios to the smallest positive baseline"),
+    # a second listing paired every replicate again and reported that pairing
+    (SCENARIO_JSON, {"analyses": ["MatchedWR", "MatchedWR"]}, "'MatchedWR' is listed more than once"),
+    # only the continuous family reads the cutoffs
+    (SCENARIO_JSON, {"cutoffs.c_t": 0.1, "cutoffs.c_s0": "inf"}, "survival family reads no cutoffs"),
+    (BINARY_JSON, {"cutoffs.c_s1": 0.5}, "binary family reads no cutoffs"),
 ], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
         "noise_sd", "binary hosp", "continuous hosp", "sed subnormal baseline",
-        "cr subnormal baseline"])
+        "cr subnormal baseline", "analysis listed twice", "survival cutoffs", "binary cutoffs"])
 def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
                                                                capsys):
     # each ended in a traceback mid-run, or ran as if it were not given
     cfg = scenario_from_dict(base)
     generator = {p.split(".")[1]: v for p, v in changes.items() if p.startswith("generator.")}
-    scenario = {p: v for p, v in changes.items() if p not in generator and "." not in p}
+    cutoffs = {p.split(".")[1]: math.inf if v == "inf" else v
+               for p, v in changes.items() if p.startswith("cutoffs.")}
+    scenario = {p: tuple(v) if isinstance(v, list) else v
+                for p, v in changes.items() if p not in generator and "." not in p}
     if "beta_p" in generator:
         generator["beta_p"] = tuple(generator["beta_p"])
     with pytest.raises(ConfigError, match=match):
-        replace(cfg, generator=replace(cfg.generator, **generator), **scenario)
+        replace(cfg, generator=replace(cfg.generator, **generator),
+                cutoffs=replace(cfg.cutoffs, **cutoffs), **scenario)
     d = base
     for path, value in changes.items():
         d = with_value(d, path, value)

@@ -174,11 +174,25 @@ def test_win_survival_rejects_nonpositive_times():
 
 
 def test_win_survival_unsigned_times_score_as_floats():
-    # 1 - 2 wraps to 255 in uint8; the rule compares the times as floats
+    # 1 - 2 wraps to 255 in uint8; the cohort holds its times as floats
     for dtype in (np.uint8, np.int64, float):
         t = surv(np.array(1, dtype), np.array(5, dtype))
         c = surv(np.array(2, dtype), np.array(5, dtype))
         assert pair_score(SurvivalRule(), t, c) == LOSS
+    # so every survival analysis of integer times on a tie-heavy grid equals
+    # that of the float copy
+    rng = np.random.default_rng(5)
+    arm = np.arange(40) % 2
+    x1, x2 = (rng.random((2, 40)) < 0.5).astype(int)
+    times = rng.integers(1, 6, (2, 40))
+    calls = [cox_fit, obrien_first_event] + [
+        lambda c, rule=SurvivalRule(priority), strat=strat: fs_unmatched_test(c, rule, strat)
+        for priority in ("death", "hosp") for strat in (True, False)]
+    as_float = make_cohort(arm, x1, x2, e_death=times[0].astype(float), e_hosp=times[1].astype(float))
+    for dtype in (np.uint8, np.int64):
+        cohort = make_cohort(arm, x1, x2, e_death=times[0].astype(dtype), e_hosp=times[1].astype(dtype))
+        assert cohort.e_death.dtype == cohort.e_hosp.dtype == np.float64
+        assert [repr(call(cohort)) for call in calls] == [repr(call(as_float)) for call in calls]
 
 
 def test_win_survival_swap_antisymmetry_random():
