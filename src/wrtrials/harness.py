@@ -122,6 +122,12 @@ class ScenarioConfig:
     master_seed: int = 20240501
     win_priority: str = "death"
 
+    @staticmethod
+    def _check_n_total(n_total: int) -> None:
+        # arm_sizes floors n_total * allocation in float64, which is exact in n_total up to 2**53
+        if not 4 <= n_total <= 2**53:
+            raise ConfigError("n_total must lie in [4, 2**53]")
+
     def __post_init__(self):
         spec = _family(self.outcome_family)
         if not isinstance(self.generator, spec.generator):
@@ -139,8 +145,7 @@ class ScenarioConfig:
                 raise ConfigError(f"analysis {a!r} is listed more than once")
         if not self.analyses:
             raise ConfigError("at least one analysis is required")
-        if self.n_total < 4:
-            raise ConfigError("n_total must be at least 4")
+        self._check_n_total(self.n_total)
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError("alpha must lie in (0, 1]")
         if self.reps < 1:
@@ -493,6 +498,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     """
     kw = _kwargs(ScenarioConfig, d, "", {})
     spec = _family(kw["outcome_family"])
+    ScenarioConfig._check_n_total(kw["n_total"])  # before the binary default split reads it
     sizes = spec.sizes(kw["n_total"])
     kw["generator"] = spec.generator(**_kwargs(spec.generator, kw["generator"], "generator", sizes))
     return ScenarioConfig(**kw)

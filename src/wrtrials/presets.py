@@ -387,7 +387,13 @@ def reproduce_table(
     seed: int = 20240501,
     n_jobs: int = 1,
 ) -> TableReport:
-    """Re-simulate one benchmark table and compare cell by cell."""
+    """Re-simulate one benchmark table and compare cell by cell.
+
+    Each (design, N) cell runs on its own master seed,
+    ``_table_seed(seed, table, design, N)``, which no other cell of the table
+    changes: a table spec cut to fewer N gives the full table's numbers at the
+    N it keeps.
+    """
     if table_id not in TABLE_IDS:
         raise ConfigError(f"unknown table id {table_id!r}; valid: {', '.join(TABLE_IDS)}")
     spec = _TABLES[table_id]

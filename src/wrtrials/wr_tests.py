@@ -252,8 +252,6 @@ class ContinuousRule(_KeyRule):
 
 
 def _odds(p: float) -> float:
-    if p <= 0:
-        return 0.0
     if p >= 1:
         return math.inf
     return p / (1.0 - p)
@@ -287,10 +285,8 @@ def matched_wr_test(cohort: Cohort, pairs: np.ndarray, rule) -> WrResult:
     p_w = n_w / n
     r_w = _odds(p_w)
     if n_w == 0 or n_l == 0:
-        z = math.inf if n_l == 0 else -math.inf
-        return WrResult(n_w, n_l, n_tie, p_w, r_w, z, 0.0,
-                        ci_low=0.0 if n_w == 0 else math.inf,
-                        ci_high=0.0 if n_w == 0 else math.inf)
+        return WrResult(n_w, n_l, n_tie, p_w, r_w, math.copysign(math.inf, p_w - 0.5), 0.0,
+                        ci_low=r_w, ci_high=r_w)
     half = Z_95 * math.sqrt(p_w * (1.0 - p_w) / n)
     p_lo, p_hi = p_w - half, p_w + half
     z = (p_w - 0.5) / math.sqrt(p_w * (1.0 - p_w) / n)

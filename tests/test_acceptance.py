@@ -1,4 +1,4 @@
-"""Acceptance suite: reruns the benchmark grid and checks every criterion.
+"""Acceptance suite: reruns the benchmark-table cells it reads and checks every criterion.
 
 Each criterion prints one PASS/FAIL line (run with ``-s`` to see them all).
 Clauses this implementation provably cannot meet are marked xfail with the
@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from wrtrials import (
     unmatched_g,
     unmatched_sample_size,
 )
+from wrtrials import presets
 from wrtrials.core import DegenerateResultError
 from wrtrials.power import THETA_NULL, _binary_win_loss
 from wrtrials.presets import reproduce_table
@@ -51,44 +53,35 @@ def _report(name, ok, detail=""):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-@pytest.fixture(scope="module")
-def t3():
-    return reproduce_table("t3", reps=REPS, seed=SEED, n_jobs=JOBS)
+# the N that each table's tests read, where they read fewer than all; a cell's
+# seed does not depend on which other cells run, so each kept cell is the full
+# table's cell, and the unread ones stay pinned at 8 reps by test_golden.py
+READ_NS = {
+    "t3": (200,),  # test_c2
+    "t10": (100,),  # test_c5_* and the table's checks
+    "t11": (500,),  # test_c6_sed_nulls
+    "t13": (100, 200),  # the SED-over-CR gap checks
+    "t14": (100, 200),
+}
 
 
-@pytest.fixture(scope="module")
-def t4():
-    return reproduce_table("t4", reps=REPS, seed=SEED, n_jobs=JOBS)
+def read_table(table_id, reps=REPS, seed=SEED, n_jobs=JOBS):
+    """``reproduce_table`` of ``table_id`` cut to the N in ``READ_NS``."""
+    spec = presets._TABLES[table_id]
+    ns = READ_NS.get(table_id, spec.ns)
+    reference = {row: {d: tuple(t for n, t in zip(spec.ns, targets) if n in ns)
+                       for d, targets in by_design.items()}
+                 for row, by_design in spec.reference.items()}
+    with patch.dict(presets._TABLES, {table_id: replace(spec, ns=ns, reference=reference)}):
+        return reproduce_table(table_id, reps=reps, seed=seed, n_jobs=n_jobs)
 
 
-@pytest.fixture(scope="module")
-def t6():
-    return reproduce_table("t6", reps=REPS, seed=SEED, n_jobs=JOBS)
+def _table_fixture(table_id):
+    return pytest.fixture(scope="module", name=table_id)(lambda: read_table(table_id))
 
 
-@pytest.fixture(scope="module")
-def t8():
-    return reproduce_table("t8", reps=REPS, seed=SEED, n_jobs=JOBS)
-
-
-@pytest.fixture(scope="module")
-def t10():
-    return reproduce_table("t10", reps=REPS, seed=SEED, n_jobs=JOBS)
-
-
-@pytest.fixture(scope="module")
-def t11():
-    return reproduce_table("t11", reps=REPS, seed=SEED, n_jobs=JOBS)
-
-
-@pytest.fixture(scope="module")
-def t13():
-    return reproduce_table("t13", reps=REPS, seed=SEED, n_jobs=JOBS)
-
-
-@pytest.fixture(scope="module")
-def t14():
-    return reproduce_table("t14", reps=REPS, seed=SEED, n_jobs=JOBS)
+t3, t4, t6, t8, t10, t11, t13, t14 = map(_table_fixture,
+                                         ("t3", "t4", "t6", "t8", "t10", "t11", "t13", "t14"))
 
 
 def cell(report, row, n, design="parallel"):
@@ -100,6 +93,14 @@ def cell(report, row, n, design="parallel"):
 
 def check(report, label_prefix):
     return [c for c in report.checks if c.label.startswith(label_prefix)]
+
+
+@pytest.mark.parametrize("table_id", sorted(READ_NS))
+def test_narrowed_tables_keep_the_full_tables_cells(table_id):
+    narrowed = read_table(table_id, reps=8, seed=1, n_jobs=1)
+    full = reproduce_table(table_id, reps=8, seed=1)
+    assert narrowed.cells == [c for c in full.cells if c.n in READ_NS[table_id]]
+    assert narrowed.checks == full.checks
 
 
 # ---------------------------------------------------------------------------

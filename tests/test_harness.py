@@ -566,9 +566,16 @@ SUBNORMAL_BASELINE = {"generator.beta_cov1": 1e-310, "generator.beta_cov2": -5.0
     # only the continuous family reads the cutoffs
     (SCENARIO_JSON, {"cutoffs.c_t": 0.1, "cutoffs.c_s0": "inf"}, "survival family reads no cutoffs"),
     (BINARY_JSON, {"cutoffs.c_s1": 0.5}, "binary family reads no cutoffs"),
+    # arm_sizes floored n_total * allocation in float64, or the binomial draw overflowed
+    (SCENARIO_JSON, {"n_total": 10**400}, "n_total must lie in"),
+    (BINARY_JSON, {"n_total": 10**400}, "n_total must lie in"),
+    (BINARY_JSON, {"generator.n1": 10**400, "generator.n0": 10**400, "n_total": 2 * 10**400},
+     "n_total must lie in"),
+    (CR_OBRIEN_JSON, {"n_total": 10**400}, "n_total must lie in"),
 ], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
         "noise_sd", "binary hosp", "continuous hosp", "sed subnormal baseline",
-        "cr subnormal baseline", "analysis listed twice", "survival cutoffs", "binary cutoffs"])
+        "cr subnormal baseline", "analysis listed twice", "survival cutoffs", "binary cutoffs",
+        "survival n_total", "binary n_total", "binary arms", "continuous n_total"])
 def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
                                                                capsys):
     # each ended in a traceback mid-run, or ran as if it were not given
@@ -592,6 +599,14 @@ def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, ma
     cfg_path.write_text(json.dumps(d))
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_n_total_bound_is_the_last_size_a_float_holds_exactly():
+    cfg = scenario_from_dict(SCENARIO_JSON)
+    assert replace(cfg, n_total=2**53).n_total == 2**53
+    assert float(2**53 + 1) == 2**53  # the first integer a float64 rounds
+    with pytest.raises(ConfigError, match="n_total must lie in"):
+        replace(cfg, n_total=2**53 + 1)
 
 
 def test_noise_sd_below_the_overflow_bound_runs(tmp_path, capsys):
