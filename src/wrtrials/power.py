@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, _ndtri
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,14 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
     return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
 
 
-# ndtri is the standard normal quantile, Phi^-1, itself (scipy.stats.norm.ppf
-# evaluates it).  It is imported at the first quantile, so that a process that
-# never asks for a sample size does not load scipy.special; tests/test_power.py
-# holds both the values and the import.
+# core's _ndtri is the standard normal quantile, Phi^-1, ported from Cephes;
+# tests/test_power.py holds both quantiles bit-identical to scipy.stats.norm.ppf.
 def z_alpha(alpha: float) -> float:
-    from scipy.special import ndtri
-    return float(ndtri(1.0 - alpha / 2.0))
+    return _ndtri(1.0 - alpha / 2.0)
 
 
 def z_beta(power: float) -> float:
-    from scipy.special import ndtri
-    return float(ndtri(1.0 - power))
+    return _ndtri(1.0 - power)
 
 
 def matched_sample_size(

@@ -392,10 +392,12 @@ def reproduce_table(
     Each (design, N) cell runs on its own master seed,
     ``_table_seed(seed, table, design, N)``, which no other cell of the table
     changes: a table spec cut to fewer N gives the full table's numbers at the
-    N it keeps.
+    N it keeps.  A negative ``seed`` is refused before any cell runs.
     """
     if table_id not in TABLE_IDS:
         raise ConfigError(f"unknown table id {table_id!r}; valid: {', '.join(TABLE_IDS)}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     spec = _TABLES[table_id]
     table_no = int(table_id[1:])
     summaries = {}

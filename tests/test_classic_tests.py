@@ -6,8 +6,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import fdtrc
-from scipy.stats import f as f_dist, f_oneway, norm, rankdata
+from scipy.stats import f_oneway, norm, rankdata
 
 from wrtrials import (
     Arm,
@@ -33,7 +35,7 @@ from wrtrials.classic_tests import (
     _cox_patterns,
     _cox_score_info,
 )
-from wrtrials.core import tie_groups
+from wrtrials.core import _f1_sf, tie_groups
 
 from test_core import make_cohort
 
@@ -655,12 +657,73 @@ def test_obrien_identical_groups_f_zero():
     assert res.p_value == pytest.approx(1.0)
 
 
-def test_fdtrc_equals_f_sf_on_a_grid():
-    xs = np.r_[0.0, 1e-300, np.geomspace(1e-6, 1e3, 200), math.inf, math.nan]
-    for df_b, df_w in [(1, 2), (1, 58), (2, 10), (3, 196), (1, 3998)]:
-        got = fdtrc(df_b, df_w, xs)
-        want = f_dist.sf(xs, df_b, df_w)
-        assert np.array_equal(got, want, equal_nan=True), (df_b, df_w)
+# nu = n - 2 for every trial size n from 4 to 61, and larger ones up to the
+# largest n_total; f over 9 decades around the tables' F values, then out to
+# where only the power series in x is summed
+_F1_NUS = [*range(2, 60), 98, 198, 498, 998, 3998, 2 * 10**4, 10**5, 10**9, 2**53 - 2]
+_F1_FS = np.r_[0.0, np.geomspace(1e-6, 1e3, 400), np.geomspace(1e3, 1e300, 100)[1:], math.inf]
+
+
+def test_f1_sf_matches_fdtrc():
+    # scipy's fdtrc (Boost's ibetac) is the oracle; the port is not bit-identical
+    # to it, but within 1e-11 relative wherever fdtrc is at least 1e-300,
+    # exactly 1 at f = 0 and 0 at f = inf, and nonincreasing in f
+    for nu in _F1_NUS:
+        got = np.array([_f1_sf(float(f), nu) for f in _F1_FS])
+        want = fdtrc(1, nu, _F1_FS)
+        assert got[0] == 1.0 and got[-1] == 0.0
+        assert np.all(np.diff(got) <= 0.0), nu
+        big = want >= 1e-300
+        rel = np.abs(got[big] - want[big]) / want[big]
+        assert rel.max() <= 1e-11, (nu, _F1_FS[big][rel.argmax()], rel.max())
+        assert np.all(got[~big] < 1e-290)
+
+
+def _old_obrien_sums(values, arm):
+    """The between and within sums of squares and the arm means, as obrien_test
+    formed them before: ranks summed into zeros, the grand mean s.mean()."""
+    s = np.zeros(len(arm))
+    for k in range(values.shape[1]):
+        s += rankdata(values[:, k])
+    grand = s.mean()
+    sizes = np.bincount(arm, minlength=2)
+    means = (np.bincount(arm, weights=s) / sizes).tolist()
+    ss_between = ss_within = 0.0
+    for g, (size, mean) in enumerate(zip(sizes.tolist(), means)):
+        ss_between += size * (mean - grand) ** 2
+        ss_within += float(((s[arm == g] - mean) ** 2).sum())
+    return ss_between, ss_within, means
+
+
+@st.composite
+def tied_endpoints(draw):
+    """(n, K) values on a grid of 1-4 levels, K in 1..3, n in 4..220, and arms of 2+ rows."""
+    n = draw(st.integers(4, 220))
+    k = draw(st.integers(1, 3))
+    grid = draw(st.lists(st.sampled_from((-2.0, 0.5, 1.0, 3.0, 7.25)), min_size=1, max_size=4, unique=True))
+    values = draw(hnp.arrays(float, (n, k), elements=st.sampled_from(grid)))
+    arm = draw(hnp.arrays(np.int64, n, elements=st.sampled_from((0, 1))))
+    arm[:2], arm[2:4] = 0, 1
+    return values, arm
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tied_endpoints())
+def test_obrien_sums_equal_the_old_formula_bit_for_bit(case):
+    # the grand mean taken as K (n + 1) / 2, and one endpoint's ranks taken
+    # as the sums, give the F and arm means of the zeros-and-mean formula
+    values, arm = case
+    n = len(arm)
+    ss_between, ss_within, means = _old_obrien_sums(values, arm)
+    if ss_within <= 0 and ss_between <= 0:
+        with pytest.raises(DegenerateResultError):
+            obrien_test(values, arm)
+        return
+    res = obrien_test(values, arm)
+    f_stat = ss_between / (ss_within / (n - 2)) if ss_within > 0 else math.inf
+    assert res.f_stat == f_stat
+    assert res.rank_sums == dict(enumerate(means))
+    assert res.p_value == _f1_sf(f_stat, n - 2)
 
 
 def test_obrien_monotone_transform_invariance():
@@ -691,6 +754,11 @@ def test_obrien_rejects_values_that_are_not_n_by_k(shape, message):
     values = np.arange(1.0, 5.0).reshape(shape)
     with pytest.raises(ValueError, match=message):
         obrien_test(values, np.array([0, 0, 1, 1]))
+
+
+def test_obrien_needs_an_endpoint():
+    with pytest.raises(ValueError, match="at least one endpoint"):
+        obrien_test(np.empty((4, 0)), np.array([0, 0, 1, 1]))
 
 
 def test_obrien_requires_group_sizes():

@@ -24,7 +24,7 @@ from wrtrials import (
     unmatched_variance,
 )
 from wrtrials.cli import main as cli_main
-from wrtrials.core import _two_sided_p
+from wrtrials.core import _EXP_M2, _ndtri, _two_sided_p
 from wrtrials.power import (
     THETA_NULL,
     _binary_win_loss,
@@ -336,6 +336,32 @@ def test_quantiles_equal_scipy_stats_norm_ppf_bit_for_bit():
     got = np.array([[z_alpha(v), z_beta(v)] for v in grid])
     want = np.array([[norm.ppf(1.0 - v / 2.0), norm.ppf(1.0 - v)] for v in grid])
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # the quantile itself, a port of Cephes' ndtri, whose branches change at
+    # y = exp(-2) and 1 - exp(-2) (the central approximation's ends) and at
+    # y = exp(-32), where x = sqrt(-2 ln y) = 8 (the tail's two approximations);
+    # each edge is walked 64 floats either side, as numpy float64s
+    walks = []
+    for y_edge in (_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0)):
+        y = y_edge
+        for _ in range(64):
+            y = np.nextafter(y, 0.0)
+        walk = []
+        for _ in range(129):
+            walk.append(y)
+            y = np.nextafter(y, 1.0)
+        assert walk[0] < y_edge < walk[-1]
+        walks += walk
+    xs = [math.sqrt(-2.0 * math.log(y)) for y in walks[-129:]]
+    assert min(xs) < 8.0 <= max(xs)  # the upper approximation from x = 8 on
+    ys = (walks + [0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0), -0.5, 1.5, math.nan]
+          + list(np.linspace(0.0, 1.0, 100_001)) + list(np.geomspace(1e-300, 0.5, 100_000)))
+    got = [_ndtri(y) for y in ys]
+    assert all(type(x) is float for x in got)
+    got, want = np.array(got), norm.ppf(ys)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    mismatch = np.flatnonzero(got[~nan].view(np.int64) != want[~nan].view(np.int64))
+    assert mismatch.size == 0, np.asarray(ys)[~nan][mismatch[:5]]
 
 
 def _fresh_python(code: str, *args: str) -> str:
@@ -346,45 +372,48 @@ def _fresh_python(code: str, *args: str) -> str:
                           text=True, check=True).stdout
 
 
+_SCIPY_MODULES = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_package_import_loads_no_scipy_module():
     # scipy.special alone added about 0.2 s and 24 MiB to the start of every
-    # process (BENCH_27.json); the normal p-value is computed in core, and the
-    # two other functions import theirs when called
-    code = "import sys, wrtrials, wrtrials.cli; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _fresh_python(code).split() == []
+    # process (BENCH_27.json)
+    assert _fresh_python("import sys, wrtrials, wrtrials.cli; " + _SCIPY_MODULES).split() == []
 
 
-# a run of each family without O'Brien, and one with it
+# an O'Brien run of each family and design that has the analysis, and a binary run
 _CONTINUOUS_GEN = {"beta_t1": -2.0, "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1}}
-_LEAN_RUNS = [
+_RUNS = [
+    {"design": "parallel", "outcome_family": "survival", "generator": {},
+     "analyses": ["Cox", "Obrien", "MatchedWR"], "n_total": 40, "reps": 3},
+    *({"design": design, "outcome_family": "continuous", "generator": _CONTINUOUS_GEN,
+       "analyses": ["Obrien", "StratUnmatchedWR", "Contingency"], "n_total": 40, "reps": 3}
+      for design in ("cr", "sed")),
     {"design": "parallel", "outcome_family": "binary",
      "generator": {"p_t": 0.3, "q_t": 0.3, "p_c": 0.5, "q_c": 0.5},
-     "analyses": ["MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR"], "n_total": 40, "reps": 3},
-    *({"design": design, "outcome_family": "continuous", "generator": _CONTINUOUS_GEN,
-       "analyses": ["MatchedWR", "StratUnmatchedWR", "UnstratUnmatchedWR", "Contingency"],
-       "n_total": 40, "reps": 3} for design in ("cr", "sed")),
+     "analyses": ["MatchedWR", "UnstratUnmatchedWR"], "n_total": 40, "reps": 3},
 ]
-_OBRIEN_RUN = {"design": "parallel", "outcome_family": "survival", "generator": {},
-               "analyses": ["Cox", "Obrien"], "n_total": 40, "reps": 3}
-# runs the scenarios of argv[1] and, given a config and a path, gen; prints
-# whether scipy.special was loaded
-_RUN_AND_GEN = """
+# runs the scenarios of argv[1], both sample sizes and gen on the config at
+# argv[2], then prints the scipy modules loaded
+_RUN_POWER_AND_GEN = """
 import json, sys
 from wrtrials import monte_carlo, scenario_from_dict
 from wrtrials.cli import main
 for d in json.loads(sys.argv[1]):
-    assert all(s.reps_used for s in monte_carlo(scenario_from_dict(d)).values())
-if len(sys.argv) > 2:
-    assert main(["gen", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
-print("scipy.special" in sys.modules)
-"""
+    summaries = monte_carlo(scenario_from_dict(d))
+    assert all(s.reps_used for s in summaries.values()), summaries
+rates = ["--pt", "0.3", "--qt", "0.3", "--pc", "0.5", "--qc", "0.5"]
+assert main(["power", "--matched", *rates]) == 0
+assert main(["power", "--unmatched", *rates]) == 0
+assert main(["gen", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+""" + _SCIPY_MODULES
 
 
-def test_a_run_loads_scipy_special_only_for_obrien(tmp_path):
-    # binary, CR and SED runs and gen compute every p-value without scipy;
-    # the first O'Brien p-value imports scipy.special for the F tail
-    cfg_path = tmp_path / "sed.json"
-    cfg_path.write_text(json.dumps(_LEAN_RUNS[-1]))
-    lean = _fresh_python(_RUN_AND_GEN, json.dumps(_LEAN_RUNS), str(cfg_path), str(tmp_path / "cohort.csv"))
-    assert lean.splitlines()[-1] == "False"
-    assert _fresh_python(_RUN_AND_GEN, json.dumps([_OBRIEN_RUN])).splitlines()[-1] == "True"
+def test_runs_power_and_gen_load_no_scipy_module(tmp_path):
+    # the O'Brien p-value (the F(1, n - 2) tail) and the sample-size quantiles
+    # are computed in core, as the normal p-value is: no run loads scipy
+    cfg_path = tmp_path / "survival.json"
+    cfg_path.write_text(json.dumps(_RUNS[0]))
+    out = _fresh_python(_RUN_POWER_AND_GEN, json.dumps(_RUNS), str(cfg_path), str(tmp_path / "cohort.csv"))
+    assert '"N":' in out and "wrote 40 patients" in out
+    assert out.splitlines()[-1].split() == []

@@ -18,6 +18,23 @@ def test_unknown_table_rejected():
         reproduce_table("t2")
 
 
+def test_negative_seed_refused_before_any_cell(monkeypatch):
+    # a cell's seed is derived from the table seed; the refusal names the one given
+    def stub(cfg, *, n_jobs):
+        raise AssertionError("no cell should run")
+
+    monkeypatch.setattr(presets, "monte_carlo", stub)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1$"):
+        reproduce_table("t3", reps=2, seed=-1)
+
+
+def test_cli_negative_seed_is_a_config_error(capsys):
+    assert cli_main(["reproduce-table", "t3", "--reps", "2", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: seed must be non-negative, got -1\n"
+
+
 def test_table_ids_cover_grid():
     assert TABLE_IDS == tuple(f"t{i}" for i in range(3, 15))
 
