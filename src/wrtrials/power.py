@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .core import ConfigError, _ndtri
+from .core import ConfigError
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,29 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
     return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
 
 
-# core's _ndtri is the standard normal quantile, Phi^-1, ported from Cephes;
-# tests/test_power.py holds both quantiles bit-identical to scipy.stats.norm.ppf.
+# NormalDist's inv_cdf is Wichura's AS 241; a sample size reads it only through
+# ceil, and tests/test_power.py holds the sizes equal to scipy.stats.norm.ppf's.
+_PHI_INV = NormalDist().inv_cdf
+
+
 def z_alpha(alpha: float) -> float:
-    return _ndtri(1.0 - alpha / 2.0)
+    return _PHI_INV(1.0 - alpha / 2.0)
 
 
 def z_beta(power: float) -> float:
-    return _ndtri(1.0 - power)
+    return _PHI_INV(1.0 - power)
+
+
+def _level_quantiles(alpha: float, power: float) -> tuple[float, float]:
+    """(z_alpha(alpha), z_beta(power)), or ``ConfigError`` where either is not finite.
+
+    At alpha <= 2**-53 or power <= 2**-54 (about 1.1e-16 and 5.6e-17),
+    1 - alpha / 2 or 1 - power rounds to 1, whose quantile is infinite.
+    """
+    if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0 and 1.0 - alpha / 2.0 < 1.0 and 1.0 - power < 1.0):
+        raise ConfigError(f"alpha and power must lie in (0, 1), above 2**-53 and 2**-54 "
+                          f"for finite normal quantiles; got {alpha} and {power}")
+    return z_alpha(alpha), z_beta(power)
 
 
 def matched_sample_size(
@@ -120,9 +136,7 @@ def matched_sample_size(
         raise ConfigError("no effect or separation: need 0.5 < p_a < 1 (by more than 1e-12)")
     if not (0.0 <= p_tie < 1.0):
         raise ConfigError("p_tie must lie in [0, 1)")
-    if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
-        raise ConfigError("alpha and power must lie in (0, 1)")
-    za, zb = z_alpha(alpha), z_beta(power)
+    za, zb = _level_quantiles(alpha, power)
     if method == "binomial":
         root_n = math.sqrt(p_a * (1.0 - p_a)) * (za - zb) / (p_a - 0.5)
         n = root_n**2
@@ -214,14 +228,12 @@ def unmatched_sample_size(
     total.  Returns (n_t, g(theta1), C0, C1): the size and the values it
     was computed from.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0):
-        raise ConfigError("alpha and power must lie in (0, 1)")
+    za, zb = _level_quantiles(alpha, power)
     g1 = unmatched_g(theta1)
     if abs(g1 - 1.0) <= 1e-12:  # as in matched_sample_size: rounding there gives N of 1e33
         raise ConfigError("no effect: g(theta1) = 1 gives an infinite sample size")
     c0 = math.sqrt(unmatched_variance(THETA_NULL, 1, 1))
     c1 = math.sqrt(unmatched_variance(theta1, 1, 1))
-    za, zb = z_alpha(alpha), z_beta(power)
     n_t = math.ceil(((c0 * za - c1 * zb) / (g1 - 1.0)) ** 2 - 1e-9)
     n_t += n_t % 2  # both arms integral
     return n_t, g1, c0, c1

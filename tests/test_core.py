@@ -12,7 +12,6 @@ from wrtrials import (
     PairingResult,
     form_matched_pairs,
 )
-from wrtrials import core
 from wrtrials.core import _two_sided_p
 
 
@@ -217,31 +216,18 @@ def test_cohort_validates_columns_when_built():
         Cohort(ones * 2, ones, ones, ones, e_death=times, e_hosp=times)  # arm not 0/1
 
 
-def test_two_sided_p_equals_norm_sf_bit_for_bit():
-    # _two_sided_p ports Cephes' ndtr, whose branches change at x = |z| / sqrt(2)
-    # = sqrt(1/2) (erf), 1 (1 - erf), 8 (erfc's two approximations) and
-    # sqrt(MAXLOG) (underflow to 0, |z| near 37.68); each edge is walked 64
-    # floats either side, for both signs, as numpy float64s
-    walks = []
-    for x_edge in (core._SQRTH, 1.0, 8.0, math.sqrt(core._MAXLOG)):
-        z = x_edge / core._SQRTH
-        for _ in range(64):
-            z = np.nextafter(z, 0.0)
-        walk = []
-        for _ in range(129):
-            walk.append(z)
-            z = np.nextafter(z, math.inf)
-        xs = [z * core._SQRTH for z in walk]
-        assert min(xs) < x_edge < max(xs)
-        walks += walk + [-z for z in walk]
-    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.96, -1.96, 8.0, 40.0, 1e300,
-                math.inf, -math.inf, math.nan, np.float64(2.5), np.float64(-0.0), np.float64(math.nan)]
-    zs = (specials + walks + list(np.random.default_rng(0).normal(0.0, 4.0, 2000))
-          + list(np.linspace(-40.0, 40.0, 100_001)))
+def test_two_sided_p_is_within_1e_12_of_norm_sf():
+    # math.erfc against scipy's Cephes ndtr: exact at 0, the infinities and
+    # NaN, and within 1e-12 relative (measured 5.7e-14) wherever the tail is
+    # at least 1e-300, on Python floats and numpy float64s alike
+    for z, want in [(0.0, 1.0), (-0.0, 1.0), (np.float64(-0.0), 1.0), (math.inf, 0.0), (-math.inf, 0.0)]:
+        assert _two_sided_p(z) == want
+    assert math.isnan(_two_sided_p(math.nan)) and math.isnan(_two_sided_p(np.float64(math.nan)))
+    zs = ([5e-324, -5e-324, 1e-300, 1.96, -1.96, 8.0, 40.0, 1e300, np.float64(2.5), np.float64(-0.0)]
+          + list(np.random.default_rng(0).normal(0.0, 4.0, 2000)) + list(np.linspace(-40.0, 40.0, 100_001)))
     got = [_two_sided_p(z) for z in zs]
     assert all(type(p) is float for p in got)
     got, want = np.array(got), 2.0 * norm.sf(np.abs(zs))
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    mismatch = np.flatnonzero(got[~nan].view(np.int64) != want[~nan].view(np.int64))
-    assert mismatch.size == 0, np.asarray(zs)[~nan][mismatch[:5]]
+    tail = want >= 1e-300
+    np.testing.assert_allclose(got[tail], want[tail], rtol=1e-12, atol=0.0)
+    assert (got[~tail] < 2e-300).all()
