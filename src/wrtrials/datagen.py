@@ -15,14 +15,17 @@ stage-1 assignment, stage-1 outcomes, stage-2 assignment, stage-2 outcomes
 and analysis.  The SED lead-in uses only the patients and lead-in streams.  For
 each batch of n enrollees it draws, in this order:
 
-1. from the patients stream, the x1 and x2 bits in one ``integers(0, 2, 2n)``
-   call (x1 the first n);
-2. from the patients stream, one ``integers(0, 2, 2k)`` call per redraw
-   round for the k rows whose baseline is not yet positive;
+1. from the patients stream, n raw words whose 32-bit halves give the x1 and
+   x2 bits (``_coin_bits``, x1 the first n);
+2. from the patients stream, k raw words per redraw round for the k rows
+   whose baseline is not yet positive;
 3. from the patients stream, n class uniforms (``random(n)``);
 4. from the lead-in stream, one (n, 3) ``normal`` draw of placebo noise.
 
-CR draws its single batch of patients the same way (steps 1-3).  Each stage
+Each raw-word draw of 2k bits equals the ``Generator.integers`` call on [0, 2)
+of size 2k that it replaced, in its bits and in the words it consumes, since
+no stream holds a buffered 32-bit half-word when it flips coins.  CR draws
+its single batch of patients the same way (steps 1-3).  Each stage
 (``harness._stage``) draws its 1:1 assignment from its assignment stream and
 its outcomes from its outcome stream.  Any change to the order, number or
 shape of these draws moves every pinned SED and CR number, so it is a
@@ -51,6 +54,25 @@ def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
         u[bad] = rng.uniform(0.0, 1.0, int(bad.sum()))
         bad = (u <= 0.0) | (u >= 1.0)
     return u
+
+
+def _coin_bits(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The 2k fair bits ``rng.integers`` draws on [0, 2) where no half-word is buffered.
+
+    numpy draws an integer on [0, 2) by Lemire's method (ACM TOMACS 29:1,
+    2019) from one 32-bit half of a raw PCG64 word, the low half first, and
+    keeps the half's top bit.  So on a PCG64 the bits are the top bits of the
+    halves of k raw words (uint32), drawn in one call, without ``integers``'
+    fixed per-call cost.  The two agree on a generator that holds no buffered
+    half-word, as every stream the package flips coins from does; a PCG64
+    holding a half-word buffered by the caller's own 32-bit draws keeps it,
+    and its bits then differ from ``integers``'.  Any other bit generator gets
+    the ``integers`` call (int64).
+    """
+    bg = rng.bit_generator
+    if isinstance(bg, np.random.PCG64):
+        return bg.random_raw(k).astype("<u8", copy=False).view("<u4") >> 31
+    return rng.integers(0, 2, 2 * k)
 
 
 def arm_sizes(n: int, allocation: float) -> tuple[int, int]:
@@ -108,8 +130,14 @@ class SurvivalGenConfig:
 
 
 def gen_survival_cohort(cfg: SurvivalGenConfig, rng: np.random.Generator, n: int) -> Cohort:
-    x1 = rng.integers(0, 2, n)
-    x2 = rng.integers(0, 2, n)
+    """One cohort of n patients: x1 and x2 bits (``_coin_bits``), w, arms, then the two times.
+
+    The bits equal those of two ``integers`` calls on [0, 2) of size n, odd n
+    included, on a generator that holds no buffered 32-bit half-word; a PCG64
+    holding one, buffered by the caller's own 32-bit draws, keeps it.
+    """
+    bits = _coin_bits(rng, n).astype(np.int64)
+    x1, x2 = bits[:n], bits[n:]
     w = (rng.uniform(0.0, 1.0, n) - 0.5) * math.sqrt(12.0)  # mean 0, variance 1
     arm = _assign_arms(rng, n, cfg.allocation)
 
@@ -303,18 +331,20 @@ def draw_continuous_patients(
 
     Covariates are redrawn until the baseline beta_cov1*x1 + beta_cov2*x2
     is strictly positive: each round draws the x1 bits then the x2 bits of
-    the rows still bad, in row order, in one ``integers(0, 2, 2k)`` call.
+    the rows still bad, in row order, in one ``_coin_bits(rng, k)`` call, the
+    bits of an ``integers`` call on [0, 2) of size 2k.  A PCG64 holding a
+    half-word buffered by the caller's own 32-bit draws keeps it.
     """
     # each row is carried as its covariate pattern code 2 * x1 + x2, and its
     # baseline is that code's, exact where it is positive
     baseline = np.array(cfg.baselines)
     redraw = ~(baseline > 0)
-    bits = rng.integers(0, 2, 2 * n)
-    code = 2 * bits[:n] + bits[n:]
+    bits = _coin_bits(rng, n)
+    code = (2 * bits[:n] + bits[n:]).astype(np.int64)
     bad = np.flatnonzero(redraw[code])
     while len(bad):
         k = len(bad)
-        bits = rng.integers(0, 2, 2 * k)
+        bits = _coin_bits(rng, k)
         redrawn = 2 * bits[:k] + bits[k:]
         code[bad] = redrawn
         bad = bad[redraw[redrawn]]

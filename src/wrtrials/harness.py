@@ -193,16 +193,41 @@ class McSummary:
         return asdict(self)
 
 
-def _streams(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first n children of ``seed`` (a SeedSequence or an int), whatever it has spawned.
+def _uint32_words(x) -> list[int]:
+    """The 32-bit words ``SeedSequence`` mixes for the entropy or spawn key ``x``.
 
-    They equal the children ``SeedSequence.spawn`` gives on a fresh seed, but
-    leave ``seed`` as it was, so the same seed gives the same trial on every call.
+    An int is its little-endian words (0 is one word), a uint32 array its
+    elements, and a sequence the words of its items in turn.
+    """
+    if isinstance(x, np.ndarray) and x.dtype == np.uint32:
+        return x.tolist()
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & 0xFFFFFFFF]
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+        return words
+    return [w for item in x for w in _uint32_words(item)]
+
+
+def _streams(seed, n: int) -> list[np.random.SeedSequence]:
+    """The first n children of ``seed`` (a SeedSequence or its entropy), whatever it has spawned.
+
+    They equal the children ``SeedSequence.spawn`` gives on a fresh seed, in
+    every state they generate and in their own children, but leave ``seed`` as
+    it was, so the same seed gives the same trial on every call.  A child's
+    pool is a mix of the seed's entropy words, zero-padded to the pool size,
+    then its spawn key's words; child i is built from those words and i's as
+    its entropy, which skips numpy's word-by-word coercion of a spawn key.
+    Its ``entropy`` and ``spawn_key`` therefore differ from a spawned child's.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return [np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (i,),
-                                   pool_size=seed.pool_size) for i in range(n)]
+    words = _uint32_words(seed.entropy)
+    words += [0] * (seed.pool_size - len(words)) + _uint32_words(seed.spawn_key)
+    # a child index below 2**32 is one word; a larger one fails to convert
+    return [np.random.SeedSequence(np.array(words + [i], dtype=np.uint32), pool_size=seed.pool_size)
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

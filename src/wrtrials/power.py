@@ -90,6 +90,9 @@ _PHI_INV = NormalDist().inv_cdf
 
 
 def z_alpha(alpha: float) -> float:
+    # the sample sizes read it (matched_sample_size, unmatched_sample_size);
+    # z_alpha(0.05) is two ulps below core.Z_95, which the confidence
+    # intervals read, and tests/test_power.py pins both
     return _PHI_INV(1.0 - alpha / 2.0)
 
 

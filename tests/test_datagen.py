@@ -1,5 +1,6 @@
 """Generator distributional checks and determinism contracts."""
 
+import copy
 import csv
 import hashlib
 import math
@@ -26,7 +27,7 @@ from wrtrials import (
 )
 from wrtrials import harness
 from wrtrials.datagen import (
-    ContinuousFrame, _assign_arms, continuous_cohort, draw_continuous_patients,
+    ContinuousFrame, _assign_arms, _coin_bits, continuous_cohort, draw_continuous_patients,
     draw_continuous_response,
 )
 
@@ -381,19 +382,38 @@ def assert_same_frame(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
+def assert_same_stream(got_rng, want_rng):
+    """Both generators at one place in one stream, and the same draws from there.
+
+    PCG64's ``uinteger`` is compared only while ``has_uint32`` is set: numpy
+    reads it only then, and a raw-word coin flip leaves another value there.
+    """
+    got, want = got_rng.bit_generator.state, want_rng.bit_generator.state
+    assert got["state"] == want["state"]  # the 128-bit state and inc
+    assert got["has_uint32"] == want["has_uint32"]
+    if want["has_uint32"]:
+        assert got["uinteger"] == want["uinteger"]
+    # drawn from copies: an odd-sized draw from the live generators would
+    # buffer a half-word and change what the caller's next draw reads
+    got_rng, want_rng = copy.deepcopy(got_rng), copy.deepcopy(want_rng)
+    for draw in (lambda r: r.integers(0, 2, 3), lambda r: r.random(3), lambda r: r.integers(0, 2, 5)):
+        assert np.array_equal(draw(got_rng), draw(want_rng))
+
+
 @pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS)
 def test_patient_draw_keeps_the_stream(beta_cov):
     for seed in range(60):
         cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1],
                                   mix=STREAM_MIXES[seed % len(STREAM_MIXES)])
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        # consecutive calls on one generator: odd sizes leave a buffered
-        # 32-bit half-word for the next call
+        # consecutive calls on one generator: at odd sizes the oracle's
+        # separate x1 and x2 calls buffer a 32-bit half-word between them, but
+        # every draw takes an even number of halves, so none is left buffered
         for n in (1, 2, 37, 500):
             got = draw_continuous_patients(cfg, got_rng, n)
             want = oracle_draw_continuous_patients(cfg, want_rng, n)
             assert_same_frame(got, want)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert_same_stream(got_rng, want_rng)
     assert draw_continuous_patients(cfg, np.random.default_rng(0), 100).y_base.shape == (100,)
 
 
@@ -432,12 +452,13 @@ def test_leadin_keeps_the_stream(beta_cov, c_s0, monkeypatch):
             got = harness._leadin_frame(gen, c_s0, n, *got_rngs)
             assert_same_frame(got, want)
         for g, w in zip(got_rngs, want_rngs):
-            assert g.bit_generator.state == w.bit_generator.state
+            assert_same_stream(g, w)
 
 
 def test_numpy_draw_properties_the_stream_relies_on():
-    # the patient draw relies on these two properties of numpy's Generator;
-    # a numpy release that breaks either moves every SED and CR number
+    # the cohort draws rely on these three properties of numpy's Generator;
+    # a numpy release that breaks one moves every SED and CR number, and the
+    # third every survival number too
     p = np.array([0.05, 0.0, 0.8, 0.15])
     classes = np.array([1, 2, 3, 4])
     for seed in range(50):
@@ -456,3 +477,41 @@ def test_numpy_draw_properties_the_stream_relies_on():
             searched = classes[cdf.searchsorted(whole.random(41), side="right")]
             assert np.array_equal(chosen, searched)
             assert split.bit_generator.state == whole.bit_generator.state
+    # on a PCG64 holding no buffered half-word, integers(0, 2, 2k) is the top
+    # bit of each 32-bit half of k raw words, low half first (_coin_bits), and
+    # so are two integers(0, 2, k) calls (the survival draw's x1 and x2), odd
+    # k included; all three leave the generator at the same place
+    for seed in range(50):
+        for k in (1, 2, 3, 37, 500, 501):
+            whole, split, raw = (np.random.default_rng(seed) for _ in range(3))
+            bits = _coin_bits(raw, k)
+            assert bits.dtype == np.uint32
+            assert np.array_equal(whole.integers(0, 2, 2 * k), bits)
+            assert np.array_equal(split.integers(0, 2, k), bits[:k])
+            assert np.array_equal(split.integers(0, 2, k), bits[k:])
+            for rng in (whole, split):
+                state, raw_state = rng.bit_generator.state, raw.bit_generator.state
+                assert state["state"] == raw_state["state"]  # the 128-bit state and inc
+                assert state["has_uint32"] == raw_state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS[1:])
+def test_coin_flips_off_pcg64_are_the_integers_draws(beta_cov):
+    # _coin_bits reads raw words only from a PCG64; another bit generator
+    # gets integers' draws, and the cohort draws their per-call forms
+    cfg = ContinuousGenConfig(beta_cov1=beta_cov[0], beta_cov2=beta_cov[1], mix=EVEN_MIX)
+    for seed in range(20):
+        got, want = (np.random.Generator(np.random.MT19937(seed)) for _ in range(2))
+        for k in (1, 3, 40):
+            assert np.array_equal(_coin_bits(got, k), want.integers(0, 2, 2 * k))
+        for n in (1, 37, 200):
+            assert_same_frame(draw_continuous_patients(cfg, got, n),
+                              oracle_draw_continuous_patients(cfg, want, n))
+            cohort = gen_survival_cohort(SurvivalGenConfig(), got, n)
+            assert np.array_equal(cohort.x1, want.integers(0, 2, n))
+            assert np.array_equal(cohort.x2, want.integers(0, 2, n))
+            assert cohort.x1.dtype == cohort.x2.dtype == np.int64
+            want.uniform(0.0, 1.0, n)  # w, then the arms and the two times
+            _assign_arms(want, n, 0.5)
+            want.uniform(0.0, 1.0, 2 * n)
+        assert np.array_equal(got.bit_generator.random_raw(4), want.bit_generator.random_raw(4))

@@ -80,6 +80,35 @@ def test_trial_on_one_seedsequence_twice_is_the_same_trial(cfg):
                for a, b in zip(harness._streams(child, len(streams)), streams, strict=True))
 
 
+def same_states(got, want):
+    return all(np.array_equal(a.generate_state(8), b.generate_state(8))
+               for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("entropy", [0, 1, 20240501, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3,
+                                     [7, 2**40, 0], np.array([3, 0, 2**32 - 1], dtype=np.uint32)])
+@pytest.mark.parametrize("pool_size", [4, 8])
+def test_streams_are_the_spawned_children(entropy, pool_size):
+    # children and each child's 2 or 7 stream children generate the states
+    # of SeedSequence.spawn, whatever entropy form the master takes; so does
+    # a spawned child passed in, and so do children spawned from the streams
+    master = np.random.SeedSequence(entropy, pool_size=pool_size)
+    children = harness._streams(master, 5)
+    assert master.n_children_spawned == 0
+    assert same_states(children, np.random.SeedSequence(entropy, pool_size=pool_size).spawn(5))
+    for i, child in enumerate(children):
+        def spawned():
+            return np.random.SeedSequence(entropy, pool_size=pool_size).spawn(i + 1)[i]
+        for n in (2, 7):
+            assert same_states(harness._streams(child, n), spawned().spawn(n))
+        passed_in = spawned()
+        assert same_states(harness._streams(passed_in, 7), spawned().spawn(7))
+        assert passed_in.n_children_spawned == 0
+        assert same_states(child.spawn(3), spawned().spawn(3))
+    if isinstance(entropy, int) and pool_size == 4:  # the int form of a master seed
+        assert same_states(harness._streams(entropy, 5), children)
+
+
 def test_monte_carlo_deterministic():
     cfg = survival_cfg(reps=30)
     assert repr(monte_carlo(cfg)) == repr(monte_carlo(cfg))
@@ -87,6 +116,12 @@ def test_monte_carlo_deterministic():
 
 def test_monte_carlo_worker_count_irrelevant():
     cfg = survival_cfg(n=40, reps=16)
+    assert repr(monte_carlo(cfg, n_jobs=1)) == repr(monte_carlo(cfg, n_jobs=2))
+
+
+def test_sed_monte_carlo_worker_count_irrelevant():
+    # the stream children, built from entropy words, reach the workers pickled
+    cfg = continuous_cfg("sed", reps=12)
     assert repr(monte_carlo(cfg, n_jobs=1)) == repr(monte_carlo(cfg, n_jobs=2))
 
 

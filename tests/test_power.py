@@ -24,12 +24,13 @@ from wrtrials import (
     unmatched_variance,
 )
 from wrtrials.cli import main as cli_main
-from wrtrials.core import _two_sided_p
+from wrtrials.core import Z_95, _two_sided_p
 from wrtrials.power import (
     THETA_NULL,
     _binary_win_loss,
     null_ratio_variance_candidates,
     unmatched_g_gradient,
+    z_alpha,
 )
 
 from test_wr_tests import LOSS, WIN, binary, pair_score
@@ -328,6 +329,15 @@ def test_cli_power_unmatched_prints_the_inputs_of_n(capsys):
     assert record["C1"] == math.sqrt(unmatched_variance(theta1, 1, 1))
     assert (record["N"], record["g"], record["C0"], record["C1"]) == unmatched_sample_size(theta1)
     assert record["n"] is None
+
+
+def test_the_two_95_percent_quantiles_are_pinned_two_ulps_apart():
+    # the confidence intervals read core.Z_95 and the sample sizes read
+    # z_alpha(0.05); a change that makes the two one value fails here instead
+    # of moving pinned intervals or sizes by an ulp or two unexplained
+    assert Z_95 == 1.959963984540054 == float(norm.ppf(0.975))
+    assert z_alpha(0.05) == 1.9599639845400536
+    assert Z_95 - z_alpha(0.05) == 2 * math.ulp(z_alpha(0.05))
 
 
 def test_sample_sizes_equal_those_from_scipy_norm_ppf(monkeypatch):
