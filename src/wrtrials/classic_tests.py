@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +13,7 @@ from .core import Z_95, Cohort, DegenerateResultError, _f1_sf, _is_binary, _two_
 BETA_CAP = 15.0
 
 
-@dataclass(frozen=True)
-class CoxResult:
+class CoxResult(NamedTuple):
     beta_t_hat: float
     se: float
     z: float
@@ -26,16 +24,14 @@ class CoxResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class ObrienResult:
+class ObrienResult(NamedTuple):
     f_stat: float
     df: tuple[int, int]
     p_value: float
     rank_sums: dict
 
 
-@dataclass(frozen=True)
-class OrResult:
+class OrResult(NamedTuple):
     table: tuple[int, int, int, int]
     or_hat: float
     se_log: float
@@ -66,10 +62,11 @@ class _CoxPatterns(NamedTuple):
 
 
 @functools.cache
-def _pattern_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``xp``, ``xp1`` and ``diff`` of k columns, built on first use and shared read-only."""
+def _pattern_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """k columns' ``xp``, ``xp1``, ``diff`` and one-hot pattern rows, built on first use, read-only."""
     xp = (np.arange(2**k)[:, None] >> np.arange(k) & 1).astype(float)
-    tables = xp, np.column_stack([np.ones(2**k), xp]), (xp[:, None] - xp[None]).reshape(-1, k)
+    tables = (xp, np.column_stack([np.ones(2**k), xp]), (xp[:, None] - xp[None]).reshape(-1, k),
+              np.eye(2**k, dtype=bool))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -91,12 +88,12 @@ def _cox_patterns(times: np.ndarray, columns, ties) -> _CoxPatterns:
     # each row's pattern as a one-hot row of an (N, 2^k) matrix, latest time
     # first: numpy accumulates down the rows of a narrow matrix faster than
     # along the rows of a wide one, and in int32 about twice as fast as in float64
-    rows = np.eye(2**k, dtype=bool).take(code[order[::-1]], axis=0)
-    at_risk = np.cumsum(rows, axis=0, dtype=np.int32)[::-1]
+    xp, xp1, diff, one_hot = _pattern_tables(k)
+    rows = one_hot.take(code[order[::-1]], axis=0)
+    at_risk = rows.cumsum(axis=0, dtype=np.int32)[::-1]
     totals = at_risk[0].astype(float)  # every row is at risk at the first time
     if len(start) < len(times):  # a tied row takes the counts of its group start
-        at_risk = at_risk[np.repeat(start, stop - start)]
-    xp, xp1, diff = _pattern_tables(k)
+        at_risk = at_risk[start.repeat(stop - start)]
     # exact integer counts, so the float (2^k, N) copy holds the same values
     # in the row-contiguous layout the matrix products run over
     return _CoxPatterns(xp, xp1, diff, totals, totals @ xp, at_risk.T.astype(float, order="C"))
@@ -145,7 +142,6 @@ def _cox_newton(
     ll = cox_loglik(beta, data)
     score, info = _cox_score_info(beta, data)
     iterations, reason = 0, None
-    # the array method, not np.max: the same reduction without the dispatch
     while reason is None and not np.abs(score).max() < tol:
         if iterations == max_iter:
             reason = "non-convergence"
@@ -153,7 +149,7 @@ def _cox_newton(
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
-            step = score / max(np.max(np.abs(np.diag(info))), 1.0)
+            step = score / max(np.abs(info.diagonal()).max(), 1.0)
         new_beta = beta + step
         halvings = 0
         # a relative bound: |ll| grows like N log N, and an absolute 1e-12
@@ -172,7 +168,7 @@ def _cox_newton(
         iterations += 1
         if np.abs(beta).max() > BETA_CAP:
             reason = "separation"  # stops the fit whatever the score at the cap
-            beta = np.clip(beta, -BETA_CAP, BETA_CAP)
+            beta = beta.clip(-BETA_CAP, BETA_CAP)
         score, info = _cox_score_info(beta, data)
     try:
         cov = np.linalg.inv(info)
@@ -235,7 +231,7 @@ def midranks(x: np.ndarray, ties=None) -> np.ndarray:
     """
     order, start, stop = tie_groups(x) if ties is None else ties
     ranks = np.empty(len(x))
-    ranks[order] = np.repeat(0.5 * (start + stop + 1), stop - start)
+    ranks[order] = (0.5 * (start + stop + 1)).repeat(stop - start)
     return ranks
 
 
@@ -268,7 +264,7 @@ def obrien_test(values: np.ndarray, arm: np.ndarray, ties=None) -> ObrienResult:
     if sizes.min() < 2:
         raise ValueError("each arm needs at least two patients")
 
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     n_endpoints = values.shape[1]
     if n_endpoints == 0:
@@ -329,7 +325,7 @@ def contingency_or_test(
     n01 = int(c.sum())
     n00 = int(len(c) - n01)
     cells = np.array([n11, n10, n01, n00], dtype=float)
-    corrected = bool(np.any(cells == 0))
+    corrected = bool((cells == 0).any())
     if corrected:
         cells = cells + 0.5
     a, b, cc, d = cells

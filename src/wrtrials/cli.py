@@ -7,9 +7,10 @@ Subcommands:
   gen              write the cohort of the scenario's first replicate to CSV
 
 Exit codes: 0 success, 1 a reproduced table failed its required checks,
-2 configuration error (an unreadable or unwritable path included; a
-``--csv`` path is opened before the run, so an unwritable one runs and
-prints nothing), 3 degenerate-only results.
+2 configuration error (an unreadable or unwritable path included, and a
+config file that does not decode as text; a ``--csv`` path is opened
+before the run, so an unwritable one runs and prints nothing),
+3 degenerate-only results.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DegenerateResultError as err:

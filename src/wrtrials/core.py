@@ -250,7 +250,7 @@ class Cohort:
     @cached_property
     def time_orders(self) -> dict[str, np.ndarray]:
         """An argsort of each time column, keyed "e_death" and "e_hosp"."""
-        orders = {name: np.argsort(getattr(self, name)) for name in ("e_death", "e_hosp")}
+        orders = {name: getattr(self, name).argsort() for name in ("e_death", "e_hosp")}
         _read_only(*orders.values())
         return orders
 
@@ -259,7 +259,7 @@ def tie_groups(key: np.ndarray, order: np.ndarray | None = None,
                breaks: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The rows in sorted order, and the runs of equal ``key`` in that order.
 
-    ``order`` lists the row ids in sorted order, by default ``argsort(key)``.
+    ``order`` lists the row ids in sorted order, by default ``key.argsort()``.
     A caller that sorts by a coarser label first (the FS test's strata) gives
     in ``breaks`` the sorted positions where each label's rows begin, so that
     no run crosses one.  Returns ``order`` and the sorted positions ``start``
@@ -269,22 +269,21 @@ def tie_groups(key: np.ndarray, order: np.ndarray | None = None,
     """
     n = len(key)
     if order is None:
-        order = np.argsort(key)
+        order = key.argsort()
     k = key[order]
     new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(k[1:], k[:-1], out=new[1:])
     if breaks is not None:
         new[breaks] = True
-    start = np.flatnonzero(new)
+    start = new.nonzero()[0]
     stop = np.empty_like(start)
     stop[:-1] = start[1:]
     stop[-1:] = n
     return order, start, stop
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(NamedTuple):
     """Matched pairs as an (m, 2) array of row ids: treatment, then control."""
 
     pairs: np.ndarray
@@ -306,8 +305,8 @@ def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResul
     # one stable (radix) sort by the 4-bit label 2 * stratum + arm lays the
     # rows out in (stratum, arm) blocks, controls first, each in id order
     label = (2 * cohort.stratum + cohort.arm).astype(np.uint8)
-    order = np.argsort(label, kind="stable")
-    ends = np.cumsum(np.bincount(label, minlength=16)).tolist()  # stratum < 8
+    order = label.argsort(kind="stable")
+    ends = np.bincount(label, minlength=16).cumsum().tolist()  # stratum < 8
     treatments, controls = [], []
     unpaired_t = unpaired_c = 0
     start = 0
@@ -325,7 +324,8 @@ def form_matched_pairs(cohort: Cohort, rng: np.random.Generator) -> PairingResul
         unpaired_c += len(control) - m
         start = stop
 
-    pairs = np.column_stack([np.concatenate(treatments), np.concatenate(controls)])
+    # one concatenation, viewed as (m, 2): each column is contiguous
+    pairs = np.concatenate(treatments + controls).reshape(2, -1).T
     if not len(pairs):
         raise DegenerateResultError("no pairs formable: an arm is empty in every stratum")
     return PairingResult(pairs, unpaired_t, unpaired_c)

@@ -35,10 +35,9 @@ reported.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +49,7 @@ def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform(0,1) draws with the endpoints redrawn, keeping -log(u) finite."""
     u = rng.uniform(0.0, 1.0, n)
     bad = (u <= 0.0) | (u >= 1.0)
-    while np.any(bad):
+    while bad.any():
         u[bad] = rng.uniform(0.0, 1.0, int(bad.sum()))
         bad = (u <= 0.0) | (u >= 1.0)
     return u
@@ -226,7 +225,7 @@ class SubpopMix:
     @cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative class probabilities scaled to end at exactly 1 (read-only)."""
-        cdf = np.cumsum(self.as_array())
+        cdf = self.as_array().cumsum()
         cdf /= cdf[-1]
         cdf.flags.writeable = False
         return cdf
@@ -302,6 +301,10 @@ class ContinuousGenConfig:
         return (0.0, b2, b1, b1 + b2)
 
 
+# ContinuousFrame's fields, named once for take and concat
+_FRAME_COLUMNS = ("x1", "x2", "y_base", "subpop")
+
+
 @dataclass(frozen=True)
 class ContinuousFrame:
     """Per-patient state that persists across repeated outcome draws."""
@@ -313,14 +316,13 @@ class ContinuousFrame:
 
     def take(self, rows) -> ContinuousFrame:
         """The patients at ``rows``: an index array, a boolean mask or a slice."""
-        return ContinuousFrame(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        return ContinuousFrame(**{name: getattr(self, name)[rows] for name in _FRAME_COLUMNS})
 
     @staticmethod
     def concat(frames: list[ContinuousFrame]) -> ContinuousFrame:
         """The patients of ``frames``, in order."""
         return ContinuousFrame(**{
-            f.name: np.concatenate([getattr(frame, f.name) for frame in frames])
-            for f in fields(ContinuousFrame)
+            name: np.concatenate([getattr(frame, name) for frame in frames]) for name in _FRAME_COLUMNS
         })
 
 
@@ -341,7 +343,7 @@ def draw_continuous_patients(
     redraw = ~(baseline > 0)
     bits = _coin_bits(rng, n)
     code = (2 * bits[:n] + bits[n:]).astype(np.int64)
-    bad = np.flatnonzero(redraw[code])
+    bad = redraw[code].nonzero()[0]
     while len(bad):
         k = len(bad)
         bits = _coin_bits(rng, k)
@@ -390,6 +392,8 @@ def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray
 
 def cohort_to_csv(cohort: Cohort, path: str) -> None:
     """One row per patient: id, arm, covariates, stratum, the family's outcome columns."""
+    import csv  # here, not at the top: a simulation writes no CSV and need not load it
+
     outcomes = {}  # header -> column, with y split into y1..y3
     for name in next(names for names in _FAMILY_COLUMNS if getattr(cohort, names[0]) is not None):
         col = getattr(cohort, name)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, asdict, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -168,8 +167,7 @@ class ScenarioConfig:
                               f"of {self.n_total} are treated")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One analysis outcome inside one simulated trial; its analysis is its key in ``run_trial``."""
 
     estimate: float = math.nan
@@ -181,8 +179,7 @@ class TrialRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class McSummary:
+class McSummary(NamedTuple):
     rejection_rate: float
     mean_estimate: float
     mean_ci: tuple[float, float]
@@ -190,7 +187,7 @@ class McSummary:
     degenerate_count: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _uint32_words(x) -> list[int]:
@@ -316,7 +313,7 @@ def _leadin_frame(
         batch = draw_continuous_patients(gen, patients_rng, n)
         # the placebo outcome: every enrollee shows the placebo-level shift
         y_lead = batch.y_base[:, None] + beta_p + leadin_rng.normal(0.0, gen.noise_sd, size=(n, 3))
-        keep = np.flatnonzero(_nonresponder_mask(y_lead, batch.y_base, c_s0))[: n - kept_count]
+        keep = _nonresponder_mask(y_lead, batch.y_base, c_s0).nonzero()[0][: n - kept_count]
         kept.append(batch.take(keep))
         kept_count += len(keep)
         if kept_count == n:
@@ -357,7 +354,7 @@ def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.rand
 
     if cfg.design == "sed":
         _, s1_arm, y1 = stages[0]
-        drug_idx = np.where(s1_arm == 1)[0]
+        drug_idx = (s1_arm == 1).nonzero()[0]
         responders = drug_idx[
             ~_nonresponder_mask(y1[drug_idx], frame.y_base[drug_idx], cfg.cutoffs.c_s1)
         ]
@@ -414,7 +411,7 @@ def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
 def _finite_mean(values) -> float:
     """The mean of the finite values, NaN if there are none."""
     finite = [v for v in values if math.isfinite(v)]
-    return float(np.mean(finite)) if finite else math.nan
+    return float(np.array(finite).mean()) if finite else math.nan
 
 
 def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
@@ -432,6 +429,10 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     seeds = _streams(cfg.master_seed, cfg.reps)
     workers = min(n_jobs, cfg.reps, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: concurrent.futures loads multiprocessing and logging (~10 ms),
+        # which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_records = list(pool.map(run_trial, [cfg] * cfg.reps, seeds,
                                         chunksize=max(1, cfg.reps // (4 * workers))))

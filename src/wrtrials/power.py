@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ConfigError
 
 
-@dataclass(frozen=True)
-class WinProbs:
+class WinProbs(NamedTuple):
     p_w: float
     p_l: float
     p_tie: float
@@ -84,9 +83,15 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
     return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
 
 
-# NormalDist's inv_cdf is Wichura's AS 241; a sample size reads it only through
-# ceil, and tests/test_power.py holds the sizes equal to scipy.stats.norm.ppf's.
-_PHI_INV = NormalDist().inv_cdf
+def _PHI_INV(p: float) -> float:
+    """Phi^-1(p), from ``statistics``, which is loaded on the first call: no simulation reads it.
+
+    NormalDist's inv_cdf is Wichura's AS 241; a sample size reads it only through
+    ceil, and tests/test_power.py holds the sizes equal to scipy.stats.norm.ppf's.
+    """
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def z_alpha(alpha: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import ConfigError
 from .datagen import ContinuousGenConfig, SubpopMix, SurvivalGenConfig
@@ -35,8 +36,7 @@ ROW_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class CellReport:
+class CellReport(NamedTuple):
     row: str
     design: str
     n: int
@@ -54,8 +54,7 @@ class CellReport:
         return abs(self.delta) <= self.tol + 1e-12
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     label: str
     ok: bool
     detail: str

@@ -40,15 +40,14 @@ column once between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Z_95, Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
 
-@dataclass(frozen=True)
-class WrResult:
+class WrResult(NamedTuple):
     """Counts, win ratio, and normal-theory inference for one procedure."""
 
     n_w: int
@@ -89,14 +88,14 @@ class _Ranked:
             self.tie_free = len(self.start) == len(self.order)
             self.block = None
             return
-        order = order[np.argsort(groups[order], kind="stable")]
+        order = order[groups[order].argsort(kind="stable")]
         size = np.bincount(groups)
-        block_stop = np.cumsum(size)
+        block_stop = size.cumsum()
         block_start = block_stop - size
         self.order, self.start, self.stop = tie_groups(key, order, block_start[size > 0])
         self.tie_free = len(self.start) == len(self.order)
         # each run's stratum, and the sorted positions its stratum's block starts and stops at
-        g = np.repeat(np.arange(len(size)), size)
+        g = np.arange(len(size)).repeat(size)
         self.block = g if self.tie_free else g[self.start]
         self.block_start, self.block_stop = block_start, block_stop
 
@@ -112,7 +111,7 @@ class _Ranked:
             around = self.start + self.stop
         else:
             c = np.zeros(len(mask) + 1, dtype=np.int64)
-            np.cumsum(mask[self.order], out=c[1:])
+            mask[self.order].cumsum(out=c[1:])
             # one row per run: its run starts and stops at its own sorted position
             around = c[:-1] + c[1:] if self.tie_free else c[self.start] + c[self.stop]
         if self.block is None:
@@ -126,7 +125,7 @@ class _Ranked:
     def rows(self, per_run: np.ndarray) -> np.ndarray:
         """A per-run array spread over the rows, in input order."""
         out = np.empty(len(self.order), dtype=per_run.dtype)
-        out[self.order] = per_run if self.tie_free else np.repeat(per_run, self.stop - self.start)
+        out[self.order] = per_run if self.tie_free else per_run.repeat(self.stop - self.start)
         return out
 
     def cross_ties(self, is_t: np.ndarray, is_c: np.ndarray | None = None) -> int:
@@ -160,7 +159,7 @@ class _KeyRule:
         cell = key if groups is None else groups * np.intp(self.L) + key
         n_strata = 1 if groups is None else int(groups.max()) + 1
         counts = np.bincount(cell, minlength=self.L * n_strata).reshape(-1, self.L)
-        at_most = np.cumsum(counts, axis=1)
+        at_most = counts.cumsum(axis=1)
         u = 2 * at_most - counts - at_most[:, -1:]
         treated = np.bincount(cell[is_t], minlength=counts.size)
         return u.ravel()[cell], int(treated @ (counts.ravel() - treated))

@@ -1,8 +1,10 @@
 """Engine determinism, design degeneracies, config parsing, CLI surface."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -27,8 +29,13 @@ from wrtrials import (
     scenario_from_dict,
 )
 from wrtrials import harness
+from wrtrials.classic_tests import CoxResult, ObrienResult, OrResult
+from wrtrials.core import PairingResult
 from wrtrials.harness import Cutoffs
 from wrtrials.cli import main as cli_main
+from wrtrials.power import WinProbs
+from wrtrials.presets import CellReport, CheckReport
+from wrtrials.wr_tests import WrResult
 
 
 def survival_cfg(n=60, reps=40, seed=7, **kw):
@@ -145,11 +152,58 @@ def test_monte_carlo_starts_at_most_one_worker_per_cpu_and_replicate(n_jobs, cpu
         def map(self, fn, *iterables, chunksize):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # monte_carlo imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = survival_cfg(n=40, reps=reps)
     assert repr(monte_carlo(cfg, n_jobs=n_jobs)) == repr(monte_carlo(cfg))
     assert pools == started
+
+
+# each result record, built with finite values, and its fields in order
+_RECORDS = [
+    (PairingResult(np.array([[0, 1], [2, 3]]), 1, 0),
+     ("pairs", "n_unpaired_treatment", "n_unpaired_control")),
+    (WrResult(3, 1, 2, 0.75, 3.0, 1.2, 0.23, 0.5, 18.0, 1),
+     ("n_w", "n_l", "n_tie", "p_w", "r_w", "z", "p_value", "ci_low", "ci_high", "dropped_strata")),
+    (CoxResult(-0.5, 0.2, -2.5, 0.012, 0.61, 0.41, 0.9, 4),
+     ("beta_t_hat", "se", "z", "p_value", "hr", "ci_low", "ci_high", "iterations")),
+    (ObrienResult(4.0, (1, 58), 0.05, {0: 30.0, 1: 31.0}), ("f_stat", "df", "p_value", "rank_sums")),
+    (OrResult((3, 2, 0, 4), 10.0, 1.6, 1.4, 0.16, True),
+     ("table", "or_hat", "se_log", "z", "p_value", "corrected")),
+    (harness.TrialRecord(1.5, 1.0, 2.0, 2.1, 0.04, False, "haldane"),
+     ("estimate", "ci_low", "ci_high", "z", "p_value", "degenerate", "note")),
+    (harness.McSummary(0.25, 1.5, (0.5, 2.0), 40, 2),
+     ("rejection_rate", "mean_estimate", "mean_ci", "reps_used", "degenerate_count")),
+    (WinProbs(0.4, 0.35, 0.25), ("p_w", "p_l", "p_tie")),
+    (CellReport("Cox", "parallel", 100, 0.66, 0.65, 0.05, True),
+     ("row", "design", "n", "simulated", "reference", "tol", "required")),
+    (CheckReport("power ordering at N=200", True, "Cox=0.920", False), ("label", "ok", "detail", "required")),
+]
+
+
+@pytest.mark.parametrize("record,names", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_result_records_are_frozen_named_tuples_that_pickle(record, names):
+    assert isinstance(record, tuple)
+    assert type(record)._fields == names
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], record[1])
+    with pytest.raises(AttributeError):  # no instance dictionary either
+        record.extra = 1
+    # monte_carlo's workers send their TrialRecords back pickled
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in zip(back, record))
+
+
+def test_summary_to_dict_keeps_the_fields_in_order():
+    # what simulate prints and writes as CSV, and what the benchmark pins
+    d = harness.McSummary(0.25, 1.5, (0.5, 2.0), 40, 2).to_dict()
+    assert type(d) is dict
+    assert list(d.items()) == [("rejection_rate", 0.25), ("mean_estimate", 1.5), ("mean_ci", (0.5, 2.0)),
+                               ("reps_used", 40), ("degenerate_count", 2)]
+    assert json.dumps(d) == ('{"rejection_rate": 0.25, "mean_estimate": 1.5, "mean_ci": [0.5, 2.0], '
+                             '"reps_used": 40, "degenerate_count": 2}')
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -776,6 +830,19 @@ def test_cli_directory_path_is_a_config_error(argv, tmp_path, capsys):
     argv = [a.format(dir=tmp_path, cfg=cfg_path) for a in argv]
     assert cli_main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen"])
+def test_cli_config_that_is_not_text_is_a_config_error(command, tmp_path, capsys):
+    # a UTF-16 byte-order mark does not decode as UTF-8: a UnicodeDecodeError, no OSError
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_bytes(b"\xff\xfe" + json.dumps(SCENARIO_JSON).encode("utf-16-le"))
+    extra = ["--out", str(tmp_path / "cohort.csv")] if command == "gen" else []
+    assert cli_main([command, "--config", str(cfg_path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err
+    assert not (tmp_path / "cohort.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "reproduce-table"])

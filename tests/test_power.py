@@ -428,3 +428,25 @@ def test_runs_power_and_gen_load_no_scipy_module(tmp_path):
     out = _fresh_python(_RUN_POWER_AND_GEN, json.dumps(_RUNS), str(cfg_path), str(tmp_path / "cohort.csv"))
     assert '"N":' in out and "wrote 40 patients" in out
     assert out.splitlines()[-1].split() == []
+
+
+# runs the scenarios of argv[1] serially, then prints the loaded modules of the packages in argv[2]
+_SERIAL_RUNS = """
+import json, sys
+import wrtrials
+for d in json.loads(sys.argv[1]):
+    summaries = wrtrials.monte_carlo(wrtrials.scenario_from_dict(d))
+    assert all(s.reps_used for s in summaries.values()), summaries
+print(*sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[2].split()))
+"""
+
+
+def test_import_and_serial_runs_load_no_pool_statistics_or_csv_module():
+    # only a run with workers starts a pool (concurrent.futures loads
+    # multiprocessing and logging, about 10 ms), only a sample size reads a
+    # normal quantile, and only gen writes a CSV
+    survival, sed = _RUNS[0], _RUNS[2]
+    assert sed["design"] == "sed"
+    out = _fresh_python(_SERIAL_RUNS, json.dumps([survival, sed]),
+                        "concurrent multiprocessing logging statistics csv")
+    assert out.split() == []

@@ -3,7 +3,7 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -822,7 +822,7 @@ def test_matched_arm_swap_antisymmetry():
 
 def test_wr_result_json_fields():
     # the fields that the trial records and the tests read
-    assert [f.name for f in fields(WrResult)] == [
+    assert list(WrResult._fields) == [
         "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
         "p_value", "ci_low", "ci_high", "dropped_strata",
     ]
