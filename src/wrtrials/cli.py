@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 a reproduced table failed its required checks,
 2 configuration error (an unreadable or unwritable path included, and a
 config file that does not decode as text; a ``--csv`` path is opened
-before the run, so an unwritable one runs and prints nothing),
+before the run, so an unwritable one runs and prints nothing, and an existing
+file is rewritten only once the run has succeeded),
 3 degenerate-only results.
 """
 
@@ -43,9 +44,11 @@ def _csv_out(path):
     """``path`` opened for a CSV, or a null context without a path.
 
     Opened before the run, so an unwritable path is refused (an ``OSError``,
-    exit 2) before any replicate runs or anything is printed.
+    exit 2) before any replicate runs or anything is printed.  It is opened
+    to append and truncated only when the CSV is written, so a run refused
+    after the open leaves an existing file as it was.
     """
-    return open(path, "w", newline="") if path else contextlib.nullcontext()
+    return open(path, "a", newline="") if path else contextlib.nullcontext()
 
 
 def _cmd_simulate(args) -> int:
@@ -56,6 +59,7 @@ def _cmd_simulate(args) -> int:
         payload = {name: s.to_dict() for name, s in summaries.items()}
         print(json.dumps(payload, indent=2))
         if out:
+            out.truncate(0)
             rows = [_csv_row(name, summary) for name, summary in payload.items()]
             writer = csv.DictWriter(out, fieldnames=list(rows[0]))
             writer.writeheader()
@@ -86,6 +90,7 @@ def _cmd_reproduce_table(args) -> int:
         for line in report.lines():
             print(line)
         if out:
+            out.truncate(0)
             csv.writer(out).writerows(report.to_csv_rows())
     return 0 if report.required_pass else 1
 

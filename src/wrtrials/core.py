@@ -154,6 +154,11 @@ def _is_binary(col: np.ndarray) -> bool:
     return bool(((col == 0) | (col == 1)).all())
 
 
+def _positive_finite(*cols: np.ndarray) -> bool:
+    # a NaN is its column's min and max, and fails both tests
+    return all(c.min() > 0 and c.max() < math.inf for c in cols)
+
+
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -164,13 +169,14 @@ class Cohort:
     """A trial's patients as parallel columns; row ``i`` is patient ``i``.
 
     ``arm``, ``x1``, ``x2`` and ``stage`` are 0/1 integer arrays.  Exactly
-    one family's outcome columns are set: ``e_death``/``e_hosp`` (strictly
-    positive times, stored as float64 so that differences of unsigned integer
-    times cannot wrap), ``y_death``/``x_hosp`` (0/1 indicators), or ``y_base``
-    (strictly positive, length n) with ``y`` (shape (n, 3)).  ``stratum`` is
-    derived as 4 * stage + 2 * x1 + x2, so each stage is its own layer of
-    covariate strata; the encoding is fixed, so a cohort written to CSV by
-    one process is re-analyzed by another without renumbering.
+    one family's outcome columns are set: ``e_death``/``e_hosp`` (finite,
+    strictly positive times, stored as float64 so that differences of
+    unsigned integer times cannot wrap), ``y_death``/``x_hosp`` (0/1
+    indicators), or ``y_base`` (finite, strictly positive, length n) with
+    ``y`` (finite, shape (n, 3)).  ``stratum`` is derived as 4 * stage + 2 *
+    x1 + x2, so each stage is its own layer of covariate strata; the encoding
+    is fixed, so a cohort written to CSV by one process is re-analyzed by
+    another without renumbering.
 
     A survival cohort keeps its rankings, each built on first use and
     read-only: ``first_event`` (min(e_death, e_hosp)) and its
@@ -208,15 +214,17 @@ class Cohort:
         for name in ("arm", "x1", "x2", "stage"):
             if not _is_binary(getattr(self, name)):
                 raise ValueError(f"{name} must be 0/1")
-        if self.e_death is not None and not ((self.e_death > 0).all() and (self.e_hosp > 0).all()):
-            raise ValueError("survival times must be strictly positive")
+        if self.e_death is not None and not _positive_finite(self.e_death, self.e_hosp):
+            raise ValueError("survival times must be finite and strictly positive")
         if self.y_death is not None and not (_is_binary(self.y_death) and _is_binary(self.x_hosp)):
             raise ValueError("binary outcome components must be 0/1")
         if self.y_base is not None:
-            if not (self.y_base > 0).all():
-                raise ValueError("y_base must be strictly positive")
+            if not _positive_finite(self.y_base):
+                raise ValueError("y_base must be finite and strictly positive")
             if self.y.shape != (n, 3):
                 raise ValueError(f"y must have shape ({n}, 3), got {self.y.shape}")
+            if not np.isfinite(self.y).all():
+                raise ValueError("outcomes y must be finite")
         object.__setattr__(self, "stratum", 4 * self.stage + 2 * self.x1 + self.x2)
 
     def __len__(self) -> int:

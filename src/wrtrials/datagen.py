@@ -39,6 +39,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,12 +302,7 @@ class ContinuousGenConfig:
         return (0.0, b2, b1, b1 + b2)
 
 
-# ContinuousFrame's fields, named once for take and concat
-_FRAME_COLUMNS = ("x1", "x2", "y_base", "subpop")
-
-
-@dataclass(frozen=True)
-class ContinuousFrame:
+class ContinuousFrame(NamedTuple):
     """Per-patient state that persists across repeated outcome draws."""
 
     x1: np.ndarray
@@ -316,14 +312,12 @@ class ContinuousFrame:
 
     def take(self, rows) -> ContinuousFrame:
         """The patients at ``rows``: an index array, a boolean mask or a slice."""
-        return ContinuousFrame(**{name: getattr(self, name)[rows] for name in _FRAME_COLUMNS})
+        return ContinuousFrame(*(c[rows] for c in self))
 
     @staticmethod
     def concat(frames: list[ContinuousFrame]) -> ContinuousFrame:
         """The patients of ``frames``, in order."""
-        return ContinuousFrame(**{
-            name: np.concatenate([getattr(frame, name) for frame in frames]) for name in _FRAME_COLUMNS
-        })
+        return ContinuousFrame(*map(np.concatenate, zip(*frames)))
 
 
 def draw_continuous_patients(
@@ -376,14 +370,9 @@ def draw_continuous_response(
 def continuous_cohort(stages: list[tuple[ContinuousFrame, np.ndarray, np.ndarray]]) -> Cohort:
     """One cohort from design stages given as (patients, arms, (n, 3) outcomes), stage k the k-th."""
     frames, arms, ys = zip(*stages)
-    return Cohort(
-        np.concatenate(arms),
-        np.concatenate([f.x1 for f in frames]),
-        np.concatenate([f.x2 for f in frames]),
-        np.concatenate([np.full(len(a), k) for k, a in enumerate(arms)]),
-        y_base=np.concatenate([f.y_base for f in frames]),
-        y=np.concatenate(ys),
-    )
+    x1, x2, y_base, _ = ContinuousFrame.concat(frames)
+    stage = np.concatenate([np.full(len(a), k) for k, a in enumerate(arms)])
+    return Cohort(np.concatenate(arms), x1, x2, stage, y_base=y_base, y=np.concatenate(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Z_95, Arm, Cohort, DegenerateResultError, _two_sided_p, tie_groups
+from .core import Z_95, Cohort, DegenerateResultError, _two_sided_p, tie_groups
 
 
 class WrResult(NamedTuple):
@@ -315,8 +315,7 @@ def fs_unmatched_test(
     Strata with fewer than two patients or with an empty arm are dropped
     and counted in ``dropped_strata``.
     """
-    # a plain int: numpy compares an array with an IntEnum member several times slower
-    is_t = cohort.arm == int(Arm.TREATMENT)
+    is_t = cohort.arm == 1
     # 8-bit labels, which sort in linear time; unstratified, no labels at all
     groups = cohort.stratum.astype(np.uint8) if stratified else None
     u, n_tie = rule.u_ties(cohort, is_t, groups)

@@ -746,6 +746,14 @@ def test_obrien_constant_ranks_degenerate():
         obrien_test(values, groups)
 
 
+def test_obrien_complete_separation_sentinel():
+    # every treated rank above every control rank, each arm's ranks tied: no
+    # spread within the arms, so F = inf and p = 0
+    res = obrien_test(np.array([[1.0], [1.0], [0.0], [0.0]]), np.array([1, 1, 0, 0]))
+    assert res.f_stat == math.inf and res.p_value == 0.0
+    assert res.rank_sums == {0: 1.5, 1: 3.5}
+
+
 @pytest.mark.parametrize("shape,message", [
     ((4,), "2-D"), ((4, 1, 1), "2-D"),
     ((1, 4), "sizes disagree"),  # one row of four endpoints, not transposed

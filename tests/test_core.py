@@ -202,8 +202,13 @@ def test_cohort_validates_columns_when_built():
     Cohort(ones, ones, ones, ones, e_death=times, e_hosp=times)
     bad_columns = [
         dict(e_death=np.array([1.0, 0.0, 3.0]), e_hosp=times),  # nonpositive time
+        # the matched test would score inf - inf as a loss, the FS test as a tie
+        dict(e_death=times, e_hosp=np.array([1.0, math.inf, 3.0])),  # infinite time
         dict(y_death=np.array([0, 2, 1]), x_hosp=ones),  # indicator not 0/1
         dict(y_base=np.array([1.0, -1.0, 2.0]), y=np.ones((3, 3))),  # nonpositive baseline
+        dict(y_base=np.array([1.0, math.inf, 2.0]), y=np.ones((3, 3))),  # infinite baseline
+        dict(y_base=times, y=np.where(np.eye(3), math.nan, 1.0)),  # NaN outcome
+        dict(y_base=times, y=np.where(np.eye(3), math.inf, 1.0)),  # infinite outcome
         dict(y_base=times, y=np.ones((3, 2))),  # two components, not three
         dict(e_death=times, e_hosp=times[:2]),  # ragged columns
         dict(e_death=times),  # half a family
@@ -214,6 +219,12 @@ def test_cohort_validates_columns_when_built():
             Cohort(ones, ones, ones, ones, **outcome)
     with pytest.raises(ValueError):
         Cohort(ones * 2, ones, ones, ones, e_death=times, e_hosp=times)  # arm not 0/1
+    none = np.ones(0, dtype=int)
+    with pytest.raises(ValueError, match="at least one patient"):
+        Cohort(none, none, none, none, e_death=none, e_hosp=none)
+    # a binary cohort has no time to a first event
+    with pytest.raises(ValueError, match="survival outcomes"):
+        Cohort(ones, ones, ones, ones, y_death=ones, x_hosp=ones).first_event
 
 
 def test_two_sided_p_is_within_1e_12_of_norm_sf():

@@ -27,8 +27,8 @@ from wrtrials import (
 )
 from wrtrials import harness
 from wrtrials.datagen import (
-    ContinuousFrame, _assign_arms, _coin_bits, continuous_cohort, draw_continuous_patients,
-    draw_continuous_response,
+    ContinuousFrame, _assign_arms, _coin_bits, _positive_uniform, continuous_cohort,
+    draw_continuous_patients, draw_continuous_response,
 )
 
 EVEN_MIX = SubpopMix(0.25, 0.25, 0.25, 0.25)
@@ -197,8 +197,8 @@ def two_stage_cohort(rng):
     cfg = ContinuousGenConfig(mix=EVEN_MIX)
     stage0 = draw_continuous_patients(cfg, rng, 12)
     # no drawn baseline is positive for x1 = x2 = 0, so stage 1's patterns are set
-    stage1 = replace(draw_continuous_patients(cfg, rng, 8),
-                     x1=np.array([0, 0, 1, 1] * 2), x2=np.array([0, 1] * 4))
+    stage1 = draw_continuous_patients(cfg, rng, 8)._replace(x1=np.array([0, 0, 1, 1] * 2),
+                                                            x2=np.array([0, 1] * 4))
     stages = []
     for frame in (stage0, stage1):
         arm = rng.integers(0, 2, len(frame.y_base))
@@ -264,6 +264,32 @@ def test_config_validation():
         BinaryGenConfig(1.5, 0.5, 0.5, 0.5, 10, 10)
     with pytest.raises(ConfigError):
         ContinuousGenConfig(noise_sd=0.0, mix=EVEN_MIX)
+
+
+class EndpointsFirst:
+    """A generator whose first ``uniform`` draw has its rows 1 and 3 set to 0 and 1."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        u = self.rng.uniform(low, high, size)
+        if not self.calls:
+            u[[1, 3]] = 0.0, 1.0
+        self.calls += 1
+        return u
+
+
+def test_positive_uniform_redraws_the_endpoints():
+    # -log(0) is inf: a 0 or a 1 is redrawn from the same stream, and only it
+    stub = EndpointsFirst(3)
+    got = _positive_uniform(stub, 5)
+    rng = np.random.default_rng(3)
+    want = rng.uniform(0.0, 1.0, 5)
+    want[[1, 3]] = rng.uniform(0.0, 1.0, 2)
+    assert np.array_equal(got, want)
+    assert stub.calls == 2
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -418,6 +418,12 @@ def test_scenario_unknown_key_rejected():
     bad = dict(SCENARIO_JSON, generator={"beta_t": 0.0, "nope": 1})
     with pytest.raises(ConfigError):
         scenario_from_dict(bad)
+    # and a required key left out
+    for key in ("design", "n_total"):
+        with pytest.raises(ConfigError, match=rf"missing scenario keys: \['{key}'\]"):
+            scenario_from_dict({k: v for k, v in SCENARIO_JSON.items() if k != key})
+    with pytest.raises(ConfigError, match=r"missing generator keys: \['p_t'\]"):
+        scenario_from_dict(dict(BINARY_JSON, generator={"q_t": 0.3, "p_c": 0.5, "q_c": 0.5}))
     # the cohort size is n_total alone
     for scenario in (SCENARIO_JSON, SED_JSON):
         generator = dict(scenario["generator"], n=scenario["n_total"])
@@ -661,10 +667,20 @@ SUBNORMAL_BASELINE = {"generator.beta_cov1": 1e-310, "generator.beta_cov2": -5.0
     (BINARY_JSON, {"generator.n1": 10**400, "generator.n0": 10**400, "n_total": 2 * 10**400},
      "n_total must lie in"),
     (CR_OBRIEN_JSON, {"n_total": 10**400}, "n_total must lie in"),
+    # the scenario's own refusals, which no other case reached
+    (SCENARIO_JSON, {"outcome_family": "ordinal"}, "unknown outcome family 'ordinal'"),
+    (SCENARIO_JSON, {"analyses": ["Cox", "LogRank"]}, "unknown analysis 'LogRank'"),
+    (SCENARIO_JSON, {"analyses": []}, "at least one analysis is required"),
+    (SCENARIO_JSON, {"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
+    (SCENARIO_JSON, {"alpha": 1.5}, r"alpha must lie in \(0, 1\]"),
+    (SCENARIO_JSON, {"reps": 0}, "reps must be positive"),
+    (BINARY_JSON, {"generator.n1": 0, "generator.n0": 50}, "arm sizes must be positive"),
 ], ids=["beta_t=800", "beta_t=-800", "beta_dhratio=1000", "baseline", "mean outcome",
         "noise_sd", "binary hosp", "continuous hosp", "sed subnormal baseline",
         "cr subnormal baseline", "analysis listed twice", "survival cutoffs", "binary cutoffs",
-        "survival n_total", "binary n_total", "binary arms", "continuous n_total"])
+        "survival n_total", "binary n_total", "binary arms", "continuous n_total",
+        "unknown family", "unknown analysis", "no analyses", "alpha=0", "alpha=1.5", "reps=0",
+        "binary n1=0"])
 def test_inputs_that_crashed_or_were_ignored_are_config_errors(base, changes, match, tmp_path,
                                                                capsys):
     # each ended in a traceback mid-run, or ran as if it were not given
@@ -759,6 +775,7 @@ def test_cli_simulate_and_gen(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(SCENARIO_JSON))
     out_csv = tmp_path / "summary.csv"
+    out_csv.write_text("an older file, longer than the summary\n" * 20)  # rewritten whole
     code = cli_main(["simulate", "--config", str(cfg_path), "--csv", str(out_csv)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
@@ -864,6 +881,29 @@ def test_cli_unwritable_csv_is_refused_before_the_run(command, where, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error" in err
+
+
+# a binary scenario whose every pair ties: every replicate is degenerate, exit 3
+ALL_TIES_JSON = dict(BINARY_JSON, generator={"p_t": 0, "q_t": 0, "p_c": 0, "q_c": 0}, reps=3)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["reproduce-table", "t4", "--reps", "2", "--jobs", "0"], 2),
+    (["reproduce-table", "t4", "--reps", "0"], 2),
+    (["reproduce-table", "t4", "--reps", "2", "--seed", "-1"], 2),
+    (["simulate", "--config", "{cfg}", "--jobs", "0"], 2),
+    (["simulate", "--config", "{cfg}"], 3),
+], ids=["table jobs", "table reps", "table seed", "simulate jobs", "simulate degenerate"])
+def test_cli_refused_run_leaves_an_existing_csv_as_it_was(argv, code, tmp_path, capsys):
+    # the CSV path is opened before the run; a refusal after that must not empty it
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(ALL_TIES_JSON))
+    csv_path = tmp_path / "keep.csv"
+    csv_path.write_bytes(b"keep\n")
+    argv = [a.format(cfg=cfg_path) for a in argv]
+    assert cli_main(argv + ["--csv", str(csv_path)]) == code
+    assert csv_path.read_bytes() == b"keep\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_config_error_exit_code(tmp_path):

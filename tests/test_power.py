@@ -200,6 +200,17 @@ def test_zero_loss_probability_is_a_config_error(rates):
             f(theta)
 
 
+def test_power_refuses_malformed_inputs():
+    # a theta whose products disagree with its rates, an unknown size formula, an empty arm
+    with pytest.raises(ConfigError, match="products"):
+        ThetaBinary((0.5, 0.5, 0.3, 0.5, 0.5, 0.25))
+    with pytest.raises(ConfigError, match="unknown method 'wald'"):
+        matched_sample_size(0.7, 0.2, method="wald")
+    for n1, n0 in ((0, 10), (10, 0)):
+        with pytest.raises(ConfigError, match="arm sizes must be positive"):
+            unmatched_variance(THETA_NULL, n1, n0)
+
+
 def test_variance_mirror_identity():
     # under equal allocation, swapping arms inverts g, so the delta-method
     # variance transforms by 1/g^4; the two variances coincide exactly when

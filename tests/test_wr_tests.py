@@ -162,6 +162,8 @@ def test_win_survival_priority_swap_changes_branch():
     t, c = surv(2, 5), surv(4, 1)
     assert pair_score(SurvivalRule("death"), t, c) == LOSS
     assert pair_score(SurvivalRule("hosp"), t, c) == WIN
+    with pytest.raises(ValueError, match="priority must be 'death' or 'hosp'"):
+        SurvivalRule("first")
 
 
 def test_win_survival_rejects_nonpositive_times():
@@ -621,6 +623,9 @@ def test_matched_all_ties_degenerate():
     cohort = make_cohort([1, 0], **surv([1.0, 1.0], [2.0, 2.0]))
     with pytest.raises(DegenerateResultError):
         matched_wr_test(cohort, adjacent_pairs(2), SurvivalRule())
+    # and so is a pairing with no pair at all
+    with pytest.raises(DegenerateResultError, match="at least one pair"):
+        matched_wr_test(cohort, np.empty((0, 2), dtype=int), SurvivalRule())
 
 
 def test_matched_complete_separation_sentinel():
