@@ -99,28 +99,41 @@ def _cox_patterns(times: np.ndarray, columns, ties) -> _CoxPatterns:
     return _CoxPatterns(xp, xp1, diff, totals, totals @ xp, at_risk.T.astype(float, order="C"))
 
 
-def cox_loglik(beta: np.ndarray, data: _CoxPatterns) -> float:
-    """Breslow partial log-likelihood, every time an observed event."""
-    eta = data.xp @ beta
-    return float(data.totals @ eta - np.log(np.exp(eta) @ data.at_risk).sum())
+def cox_loglik(eta: np.ndarray, w: np.ndarray, data: _CoxPatterns) -> float:
+    """Breslow partial log-likelihood, every time an observed event.
+
+    ``eta`` holds the patterns' linear predictors ``data.xp @ beta`` and
+    ``w`` their ``exp``, which ``_cox_score_info`` reads at the same point.
+    """
+    return float(data.totals @ eta - np.log(w @ data.at_risk).sum())
 
 
-def _cox_score_info(beta: np.ndarray, data: _CoxPatterns) -> tuple[np.ndarray, np.ndarray]:
-    """Score and observed information of the Breslow partial likelihood at ``beta``.
+def _cox_score_info(w: np.ndarray, data: _CoxPatterns) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information of the Breslow partial likelihood.
 
+    ``w`` holds the patterns' weights ``exp(data.xp @ beta)`` at the point.
     Each risk set's covariance is written over pattern pairs, as
     sum_{p<q} pi_p pi_q (x_p - x_q)(x_p - x_q)^T with pi_p = c_p w_p / s0.
     Its pair weights are nonnegative, so a risk set that holds one pattern
     adds exactly zero, where s2/s0 - xbar xbar^T summed over the rows would
     leave the rounding noise of a cancellation.
     """
-    w = np.exp(data.xp @ beta)
     s = (data.xp1 * w[:, None]).T @ data.at_risk  # (1 + k, N): s0, then s1
     r = 1.0 / s[0]
     score = data.sum_x - s[1:] @ r
     pair_weight = ((data.at_risk * r**2) @ data.at_risk.T) * (w[:, None] * w)
     info = 0.5 * (data.diff.T * pair_weight.ravel()) @ data.diff
     return score, info
+
+
+def _abs_max(values: list[float]) -> float:
+    """The largest |v| of a nonempty list, NaN if any entry is NaN, as ``np.abs(x).max()``."""
+    m = 0.0
+    for v in values:
+        v = abs(v)
+        if v > m or v != v:  # a NaN is taken, and no later entry is larger than it
+            m = v
+    return m
 
 
 def _cox_newton(
@@ -133,43 +146,54 @@ def _cox_newton(
     (it is clipped there and the fit stops) or "non-convergence" after
     ``max_iter`` steps.  A singular information matrix raises
     ``DegenerateResultError``.  An iterate costs O(N 2^k): 2^k ``exp`` calls
-    and one product with the (2^k, N) at-risk counts.  The score and
-    information are evaluated once per iterate (iterations + 1 times) and
-    serve the convergence test, the next step and the returned covariance;
-    the log-likelihood is evaluated once at the start and once per trial point.
+    and one product with the (2^k, N) at-risk counts.  Each point's linear
+    predictors and their ``exp`` are computed once, and the log-likelihood
+    and the score and information read them.  The log-likelihood is
+    evaluated once at the start and once per trial point; the score and
+    information once per accepted iterate (iterations + 1 times), and they
+    serve the convergence test, the next step and the returned covariance.
+    The convergence and separation tests run on Python floats.
     """
-    beta = np.zeros(data.xp.shape[1])
-    ll = cox_loglik(beta, data)
-    score, info = _cox_score_info(beta, data)
+    xp = data.xp
+    beta = np.zeros(xp.shape[1])
+    eta = xp @ beta
+    w = np.exp(eta)
+    ll = cox_loglik(eta, w, data)
     iterations, reason = 0, None
-    while reason is None and not np.abs(score).max() < tol:
-        if iterations == max_iter:
-            reason = "non-convergence"
-            break
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = score / max(np.abs(info.diagonal()).max(), 1.0)
-        new_beta = beta + step
-        halvings = 0
-        # a relative bound: |ll| grows like N log N, and an absolute 1e-12
-        # falls below its rounding noise, halving near-optimal steps at random;
-        # a NaN trial point (an exp overflow) and a +inf one (every exp of a
-        # risk set underflows, and log(0) = -inf) are halved too, without a warning
-        bound = ll - 1e-12 * max(1.0, abs(ll))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            new_ll = cox_loglik(new_beta, data)
-            while not bound <= new_ll < math.inf and halvings < 30:
-                step *= 0.5
+    # a NaN trial point (an exp overflow) and a +inf one (every exp of a risk
+    # set underflows, and log(0) = -inf) are halved below, without a warning;
+    # an accepted point has |beta| <= 15, where nothing overflows, so one
+    # errstate for the loop silences nothing else
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        score, info = _cox_score_info(w, data)
+        while reason is None and not _abs_max(score.tolist()) < tol:
+            if iterations == max_iter:
+                reason = "non-convergence"
+                break
+            try:
+                step = np.linalg.solve(info, score)
+            except np.linalg.LinAlgError:
+                step = score / max(np.abs(info.diagonal()).max(), 1.0)
+            # the step, then up to 30 halvings of it; a relative bound: |ll|
+            # grows like N log N, and an absolute 1e-12 falls below its
+            # rounding noise, halving near-optimal steps at random
+            bound = ll - 1e-12 * max(1.0, abs(ll))
+            for halving in range(31):
+                if halving:
+                    step *= 0.5
                 new_beta = beta + step
-                new_ll = cox_loglik(new_beta, data)
-                halvings += 1
-        beta, ll = new_beta, new_ll
-        iterations += 1
-        if np.abs(beta).max() > BETA_CAP:
-            reason = "separation"  # stops the fit whatever the score at the cap
-            beta = beta.clip(-BETA_CAP, BETA_CAP)
-        score, info = _cox_score_info(beta, data)
+                eta = xp @ new_beta
+                w = np.exp(eta)
+                new_ll = cox_loglik(eta, w, data)
+                if bound <= new_ll < math.inf:
+                    break
+            beta, ll = new_beta, new_ll
+            iterations += 1
+            if _abs_max(beta.tolist()) > BETA_CAP:
+                reason = "separation"  # stops the fit whatever the score at the cap
+                beta = beta.clip(-BETA_CAP, BETA_CAP)
+                w = np.exp(xp @ beta)
+            score, info = _cox_score_info(w, data)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:  # collinear columns, or a separated fit
@@ -320,10 +344,10 @@ def contingency_or_test(
     c = np.asarray(control_success).astype(bool)
     if len(t) == 0 or len(c) == 0:
         raise ValueError("both arms must be nonempty")
-    n11 = int(t.sum())
-    n10 = int(len(t) - n11)
-    n01 = int(c.sum())
-    n00 = int(len(c) - n01)
+    n11 = int(np.count_nonzero(t))
+    n10 = len(t) - n11
+    n01 = int(np.count_nonzero(c))
+    n00 = len(c) - n01
     cells = np.array([n11, n10, n01, n00], dtype=float)
     corrected = bool((cells == 0).any())
     if corrected:

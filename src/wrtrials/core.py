@@ -211,9 +211,10 @@ class Cohort:
         for name in ("x1", "x2", "stage") + present:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has {len(getattr(self, name))} rows, not {n}")
-        for name in ("arm", "x1", "x2", "stage"):
-            if not _is_binary(getattr(self, name)):
-                raise ValueError(f"{name} must be 0/1")
+        # one pass over the stacked design columns; only a failure looks at each
+        if not _is_binary(np.array((self.arm, self.x1, self.x2, self.stage))):
+            bad = next(name for name in ("arm", "x1", "x2", "stage") if not _is_binary(getattr(self, name)))
+            raise ValueError(f"{bad} must be 0/1")
         if self.e_death is not None and not _positive_finite(self.e_death, self.e_hosp):
             raise ValueError("survival times must be finite and strictly positive")
         if self.y_death is not None and not (_is_binary(self.y_death) and _is_binary(self.x_hosp)):

@@ -274,9 +274,9 @@ def matched_wr_test(cohort: Cohort, pairs: np.ndarray, rule) -> WrResult:
     cols = rule.columns(cohort)
     scores = rule.pair_scores(tuple(c[pairs[:, 0]] for c in cols),
                               tuple(c[pairs[:, 1]] for c in cols))
-    n_w = int((scores > 0).sum())
-    n_l = int((scores < 0).sum())
-    n_tie = int((scores == 0).sum())
+    n_w = int(np.count_nonzero(scores > 0))
+    n_l = int(np.count_nonzero(scores < 0))
+    n_tie = int(np.count_nonzero(scores == 0))
     n = n_w + n_l
     if n == 0:
         raise DegenerateResultError("degenerate: no informative pairs (all ties)")
@@ -327,7 +327,7 @@ def fs_unmatched_test(
         strata = zip((by_arm[:, 0] + by_arm[:, 1]).tolist(), by_arm[:, 1].tolist(),
                      np.bincount(groups, weights=u * u, minlength=8).tolist())
     else:  # one stratum: its totals, twice as fast as a bincount over a constant label
-        strata = [(len(cohort), int(is_t.sum()), float((u * u).sum()))]
+        strata = [(len(cohort), int(np.count_nonzero(is_t)), float((u * u).sum()))]
     # Every score is antisymmetric, so within a stratum the U-scores sum to
     # zero (a one-arm stratum adds nothing to T) and the treatment-treatment
     # scores cancel: T is wins less losses over the cross-arm pairs, and every

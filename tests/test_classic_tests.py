@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -165,11 +166,14 @@ def cox_fit_design(times, X, **kw):
 
 
 def pattern_score_info(beta, times, X):
-    return _cox_score_info(beta, _cox_patterns(times, list(X.T), tie_groups(times)))
+    data = _cox_patterns(times, list(X.T), tie_groups(times))
+    return _cox_score_info(np.exp(data.xp @ beta), data)
 
 
 def pattern_cox_loglik(beta, times, X):
-    return cox_loglik(beta, _cox_patterns(times, list(X.T), tie_groups(times)))
+    data = _cox_patterns(times, list(X.T), tie_groups(times))
+    eta = data.xp @ beta
+    return cox_loglik(eta, np.exp(eta), data)
 
 
 def assert_rel_close(got, want, rel, label):
@@ -539,6 +543,142 @@ def test_cox_underflowing_trial_point_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateResultError):
             cox_fit(cohort)
+
+
+# ---------------------------------------------------------------------------
+# Cox: the fit that evaluated each point twice, the oracle for the fit in src
+
+
+def reference_cox_loglik(beta, data):
+    """``cox_loglik`` when it computed the point's linear predictors and their exp itself."""
+    eta = data.xp @ beta
+    return float(data.totals @ eta - np.log(np.exp(eta) @ data.at_risk).sum())
+
+
+def reference_cox_score_info(beta, data):
+    """``_cox_score_info`` when it computed the point's exp weights itself."""
+    w = np.exp(data.xp @ beta)
+    s = (data.xp1 * w[:, None]).T @ data.at_risk
+    r = 1.0 / s[0]
+    score = data.sum_x - s[1:] @ r
+    pair_weight = ((data.at_risk * r**2) @ data.at_risk.T) * (w[:, None] * w)
+    info = 0.5 * (data.diff.T * pair_weight.ravel()) @ data.diff
+    return score, info
+
+
+def reference_cox_newton(data, calls, max_iter=50, tol=1e-8):
+    """``_cox_newton`` with one errstate per trial point and numpy's |x|.max() tests.
+
+    Appends each ("cox_loglik", value) and ("_cox_score_info", (score,
+    info)) evaluation to ``calls``, in call order.
+    """
+    def loglik(b):
+        calls.append(("cox_loglik", reference_cox_loglik(b, data)))
+        return calls[-1][1]
+
+    def score_info(b):
+        calls.append(("_cox_score_info", reference_cox_score_info(b, data)))
+        return calls[-1][1]
+
+    beta = np.zeros(data.xp.shape[1])
+    ll = loglik(beta)
+    score, info = score_info(beta)
+    iterations, reason = 0, None
+    while reason is None and not np.abs(score).max() < tol:
+        if iterations == max_iter:
+            reason = "non-convergence"
+            break
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = score / max(np.abs(info.diagonal()).max(), 1.0)
+        new_beta = beta + step
+        halvings = 0
+        bound = ll - 1e-12 * max(1.0, abs(ll))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            new_ll = loglik(new_beta)
+            while not bound <= new_ll < math.inf and halvings < 30:
+                step *= 0.5
+                new_beta = beta + step
+                new_ll = loglik(new_beta)
+                halvings += 1
+        beta, ll = new_beta, new_ll
+        iterations += 1
+        if np.abs(beta).max() > BETA_CAP:
+            reason = "separation"
+            beta = beta.clip(-BETA_CAP, BETA_CAP)
+        score, info = score_info(beta)
+    try:
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise DegenerateResultError("singular information matrix") from None
+    return beta, cov, iterations, reason
+
+
+def fit_or_error(fit, *args, **kw):
+    try:
+        return fit(*args, **kw)
+    except DegenerateResultError as exc:
+        return exc.args
+
+
+def same_evaluation(got, want):
+    """Two logged evaluations with the same name and bit-identical values, NaN equal to NaN."""
+    (name, value), (want_name, want_value) = got, want
+    if name == "cox_loglik":
+        return name == want_name and (value == want_value or math.isnan(value) and math.isnan(want_value))
+    return name == want_name and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(value, want_value))
+
+
+def oracle_designs():
+    """Every ``_fit_cases`` design, the NaN and +inf trial-point designs, and t6 cohorts' designs."""
+    for name, times, X, kw in _fit_cases():
+        yield name, _cox_patterns(times, list(X.T), tie_groups(times)), kw
+    times, X = nan_trial_point_design()
+    yield "NaN trial point", _cox_patterns(times, list(X.T), tie_groups(times)), {}
+    cohort = survival_defaults_cohort(6, 1351)
+    yield "+inf trial point", _cox_patterns(
+        cohort.first_event, [cohort.arm, cohort.x1, cohort.x2], cohort.first_event_ties), {}
+    rng = np.random.default_rng(35)
+    for n, count in ((60, 200), (200, 200), (4000, 20)):
+        for i in range(count):
+            cohort = gen_survival_cohort(SurvivalGenConfig(beta_t=math.log(0.6)), rng, n)
+            # the columns cox_fit regresses on: the arm and each covariate that varies
+            columns = [cohort.arm] + [x for x in (cohort.x1, cohort.x2) if 0 < x.sum() < n]
+            yield f"t6 N={n} #{i}", _cox_patterns(cohort.first_event, columns, cohort.first_event_ties), {}
+
+
+def test_cox_newton_is_bit_identical_to_the_reference_fit(monkeypatch):
+    # the fit computes each point's eta and exp(eta) once, tests convergence
+    # and separation on Python floats and holds one errstate for the loop;
+    # every evaluation, the returned beta and covariance, the iteration count
+    # and the reason must be those of the fit that did none of that
+    log = CoxCallLog(monkeypatch)
+    outcomes = Counter()
+    for name, data, kw in oracle_designs():
+        log.calls = []
+        want_calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_or_error(_cox_newton, data, **kw)
+        want = fit_or_error(reference_cox_newton, data, want_calls, **kw)
+        assert len(log.calls) == len(want_calls), name
+        assert all(map(same_evaluation, log.calls, want_calls)), name
+        if isinstance(want[0], str):  # both raised DegenerateResultError
+            assert got == want, name
+            outcomes[want[0]] += 1
+            continue
+        beta, cov, iterations, reason = got
+        want_beta, want_cov, want_iterations, want_reason = want
+        assert np.array_equal(beta, want_beta) and np.array_equal(cov, want_cov), name
+        assert (iterations, reason) == (want_iterations, want_reason), name
+        outcomes[reason] += 1
+    # 11 fit cases, the two trial-point designs and 420 t6 cohorts; the
+    # separated and NaN designs separate, one case stops at max_iter and the
+    # +inf design is singular
+    assert sum(outcomes.values()) == 433
+    assert outcomes["separation"] >= 2 and outcomes["non-convergence"] >= 1
+    assert outcomes["singular information matrix"] >= 1
 
 
 @pytest.mark.parametrize("reason", ["separation", "non-convergence", "singular information matrix"])

@@ -19,7 +19,7 @@ from wrtrials import (
     improvement_indicators,
     matched_wr_test,
 )
-from wrtrials.classic_tests import cox_fit, obrien_first_event
+from wrtrials.classic_tests import contingency_or_test, cox_fit, obrien_first_event
 from wrtrials.core import _OUTCOME_COLUMNS
 from wrtrials.wr_tests import BinaryRule, ContinuousRule, SurvivalRule, WrResult, _KeyRule
 
@@ -831,6 +831,50 @@ def test_wr_result_json_fields():
         "n_w", "n_l", "n_tie", "p_w", "r_w", "z",
         "p_value", "ci_low", "ci_high", "dropped_strata",
     ]
+
+
+def scalars(record):
+    """``record``'s fields, with a tuple field's entries and a dict field's keys and values unpacked."""
+    for value in record:
+        if isinstance(value, tuple):
+            yield from value
+        elif isinstance(value, dict):
+            yield from itertools.chain.from_iterable(value.items())
+        else:
+            yield value
+
+
+def python_scalars(record):
+    return all(type(v) in (int, float, bool) for v in scalars(record))
+
+
+@pytest.mark.parametrize("family,rule", KERNEL_RULES, ids=KERNEL_IDS)
+def test_analyses_return_python_scalars(family, rule):
+    # the records reach summaries, JSON and CSV, where a numpy scalar (as
+    # np.count_nonzero returns) is another type, equal only by value
+    rng = np.random.default_rng(35)
+    n = 60
+    arm, x1, x2 = rng.integers(0, 2, (3, n))
+    cohort = make_cohort(arm, x1, x2, **random_outcomes(rng, family, n, tie_heavy=True))
+    pairing = form_matched_pairs(cohort, np.random.default_rng(1))
+    assert type(pairing.n_unpaired_treatment) is int and type(pairing.n_unpaired_control) is int
+    for res in (matched_wr_test(cohort, pairing.pairs, rule), fs_unmatched_test(cohort, rule, stratified=True),
+                fs_unmatched_test(cohort, rule, stratified=False)):
+        assert python_scalars(res), res
+        assert all(type(count) is int for count in (res.n_w, res.n_l, res.n_tie, res.dropped_strata)), res
+    if family == "survival":
+        cox, obrien = cox_fit(cohort), obrien_first_event(cohort)
+        assert python_scalars(cox) and type(cox.iterations) is int, cox
+        assert python_scalars(obrien) and all(type(d) is int for d in obrien.df), obrien
+
+
+def test_contingency_table_holds_python_ints():
+    rng = np.random.default_rng(35)
+    # a table without a zero cell, and one with two (the corrected estimate)
+    for t, c in ((rng.integers(0, 2, 30), rng.integers(0, 2, 40)), (np.ones(5, bool), np.zeros(7, int))):
+        res = contingency_or_test(t, c)
+        assert python_scalars(res), res
+        assert all(type(cell) is int for cell in res.table) and type(res.corrected) is bool, res
 
 
 def test_fs_and_matched_memory_linear_in_n():
