@@ -36,7 +36,6 @@ from .classic_tests import (
     obrien_test,
 )
 from .power import (
-    ThetaBinary,
     WinProbs,
     matched_sample_size,
     matched_win_probs,

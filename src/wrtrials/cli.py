@@ -25,7 +25,7 @@ import sys
 from .core import ConfigError, DegenerateResultError
 from .datagen import cohort_to_csv
 from .harness import _streams, monte_carlo, scenario_from_dict, trial_cohort
-from .power import ThetaBinary, matched_sample_size, matched_win_probs, unmatched_sample_size
+from .power import matched_sample_size, matched_win_probs, unmatched_sample_size
 from .presets import TABLE_IDS, reproduce_table
 
 
@@ -76,8 +76,7 @@ def _cmd_power(args) -> int:
         p_a = max(probs.p_w, probs.p_l) / (probs.p_w + probs.p_l)
         n, total = matched_sample_size(p_a, probs.p_tie, args.alpha, args.power)
     else:
-        theta1 = ThetaBinary.from_rates(args.pt, args.qt, args.pc, args.qc)
-        total, g, c0, c1 = unmatched_sample_size(theta1, args.alpha, args.power)
+        total, g, c0, c1 = unmatched_sample_size(args.pt, args.qt, args.pc, args.qc, args.alpha, args.power)
     record = {"n": n, "N": total, "p_w": probs.p_w, "p_l": probs.p_l, "p_tie": probs.p_tie,
               "g": g, "C0": c0, "C1": c1}
     print(json.dumps(record, indent=2))

@@ -32,8 +32,9 @@ class DegenerateResultError(RuntimeError):
 
 # Phi^-1(0.975), the two-sided 95% normal quantile (scipy's norm.ppf(0.975)).
 # Every confidence interval reads it: cox_fit's hazard ratio and the win ratio
-# of matched_wr_test and fs_unmatched_test.  power.z_alpha(0.05), which the
-# sample sizes read, is two ulps lower; tests/test_power.py pins both.
+# of matched_wr_test and fs_unmatched_test.  The Z_alpha of
+# power._level_quantiles at alpha = 0.05, which the sample sizes read, is two
+# ulps lower; tests/test_power.py pins both.
 Z_95 = 1.959963984540054
 _SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
 

@@ -17,13 +17,12 @@ rounded up to an even total.  ``unmatched_sample_size`` returns
 
 Sign conventions, frozen here and in the tests: Z_alpha = Phi^-1(1 - alpha/2)
 for a two-sided level alpha, Z_beta = Phi^-1(1 - power) (negative whenever
-power exceeds one half).
+power exceeds one half); ``_level_quantiles`` gives both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,25 +36,11 @@ class WinProbs(NamedTuple):
     p_tie: float
 
 
-@dataclass(frozen=True)
-class ThetaBinary:
-    """Six-vector (p_t, q_t, p_t*q_t, p_c, q_c, p_c*q_c)."""
-
-    theta: tuple[float, float, float, float, float, float]
-
-    def __post_init__(self):
-        t = self.theta
-        if len(t) != 6 or any(not (0.0 <= v <= 1.0) for v in t):
-            raise ConfigError("theta components must lie in [0, 1]")
-        if abs(t[2] - t[0] * t[1]) > 1e-9 or abs(t[5] - t[3] * t[4]) > 1e-9:
-            raise ConfigError("theta components 3 and 6 must be the products of (1,2) and (4,5)")
-
-    @classmethod
-    def from_rates(cls, p_t: float, q_t: float, p_c: float, q_c: float) -> "ThetaBinary":
-        return cls((p_t, q_t, p_t * q_t, p_c, q_c, p_c * q_c))
-
-
-THETA_NULL = ThetaBinary((0.5, 0.5, 0.25, 0.5, 0.5, 0.25))
+def _theta(p_t: float, q_t: float, p_c: float, q_c: float) -> tuple[float, ...]:
+    """The six arm-wise means (p_t, q_t, p_t q_t, p_c, q_c, p_c q_c) of four event rates."""
+    if not all(0.0 <= v <= 1.0 for v in (p_t, q_t, p_c, q_c)):
+        raise ConfigError("event rates must lie in [0, 1]")
+    return p_t, q_t, p_t * q_t, p_c, q_c, p_c * q_c
 
 
 def _binary_win_loss(t: tuple[float, ...]) -> tuple[float, float]:
@@ -77,10 +62,12 @@ def matched_win_probs(p_t: float, q_t: float, p_c: float, q_c: float) -> WinProb
 
     Death and hospitalization indicators are independent Bernoulli draws
     within each patient; the pair compares death first, hospitalization on
-    death ties.
+    death ties.  Each is floored at 0: where one is exactly 0, rounding
+    leaves down to -1.7e-16, which would refuse a size that the arm swap
+    gives.
     """
-    p_w, p_l = _binary_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c).theta)
-    return WinProbs(p_w=p_w, p_l=p_l, p_tie=1.0 - p_w - p_l)
+    p_w, p_l = _binary_win_loss(_theta(p_t, q_t, p_c, q_c))
+    return WinProbs(*(max(v, 0.0) for v in (p_w, p_l, 1.0 - p_w - p_l)))
 
 
 def _PHI_INV(p: float) -> float:
@@ -94,27 +81,18 @@ def _PHI_INV(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def z_alpha(alpha: float) -> float:
-    # the sample sizes read it (matched_sample_size, unmatched_sample_size);
-    # z_alpha(0.05) is two ulps below core.Z_95, which the confidence
-    # intervals read, and tests/test_power.py pins both
-    return _PHI_INV(1.0 - alpha / 2.0)
-
-
-def z_beta(power: float) -> float:
-    return _PHI_INV(1.0 - power)
-
-
 def _level_quantiles(alpha: float, power: float) -> tuple[float, float]:
-    """(z_alpha(alpha), z_beta(power)), or ``ConfigError`` where either is not finite.
+    """(Z_alpha, Z_beta), or ``ConfigError`` where either is not finite.
 
     At alpha <= 2**-53 or power <= 2**-54 (about 1.1e-16 and 5.6e-17),
     1 - alpha / 2 or 1 - power rounds to 1, whose quantile is infinite.
+    Z_alpha at alpha = 0.05 is two ulps below core.Z_95, which the confidence
+    intervals read; tests/test_power.py pins both.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < power < 1.0 and 1.0 - alpha / 2.0 < 1.0 and 1.0 - power < 1.0):
         raise ConfigError(f"alpha and power must lie in (0, 1), above 2**-53 and 2**-54 "
                           f"for finite normal quantiles; got {alpha} and {power}")
-    return z_alpha(alpha), z_beta(power)
+    return _PHI_INV(1.0 - alpha / 2.0), _PHI_INV(1.0 - power)
 
 
 def matched_sample_size(
@@ -174,18 +152,18 @@ def null_ratio_variance_candidates(p: float = 0.5) -> tuple[float, float]:
 # unmatched asymptotics
 
 
-def unmatched_g(theta: ThetaBinary) -> float:
+def unmatched_g(p_t: float, q_t: float, p_c: float, q_c: float) -> float:
     """Win ratio g(theta) = expected wins / expected losses."""
-    w, l = _binary_win_loss(theta.theta)
+    w, l = _binary_win_loss(_theta(p_t, q_t, p_c, q_c))
     if abs(l) <= 1e-12:  # rounding leaves |l| of about 1e-17 where it is exactly 0
         raise ConfigError("loss probability is zero: win ratio infinite")
-    return w / l
+    return max(w, 0.0) / l  # and w of about -1e-17 where it is 0: g = 0, which is sized
 
 
-def unmatched_g_gradient(theta: ThetaBinary) -> np.ndarray:
-    """Gradient of g; cross-checked against central differences."""
-    g = unmatched_g(theta)
-    t = np.array(theta.theta)
+def unmatched_g_gradient(p_t: float, q_t: float, p_c: float, q_c: float) -> np.ndarray:
+    """Gradient of g in the six arm-wise means; cross-checked against central differences."""
+    g = unmatched_g(p_t, q_t, p_c, q_c)
+    t = np.array(_theta(p_t, q_t, p_c, q_c))
     w, l = _binary_win_loss(t)
     # w and l are bilinear across the arms, so affine in any one coordinate:
     # a unit step along coordinate k changes them by exactly their k-th partial
@@ -205,7 +183,7 @@ def _bernoulli_block(p: float, q: float) -> np.ndarray:
     )
 
 
-def unmatched_variance(theta: ThetaBinary, n1: int, n0: int) -> float:
+def unmatched_variance(p_t: float, q_t: float, p_c: float, q_c: float, n1: int, n0: int) -> float:
     """Delta-method variance C^2 of sqrt(n_t) (g(Xbar) - g(theta)).
 
     The covariance of the stacked arm-wise means, scaled by the total count
@@ -214,34 +192,31 @@ def unmatched_variance(theta: ThetaBinary, n1: int, n0: int) -> float:
     """
     if n1 <= 0 or n0 <= 0:
         raise ConfigError("arm sizes must be positive")
-    t = theta.theta
+    grad = unmatched_g_gradient(p_t, q_t, p_c, q_c)
     n_t = n1 + n0
     cov = np.zeros((6, 6))
-    cov[:3, :3] = _bernoulli_block(t[0], t[1]) * (n_t / n1)
-    cov[3:, 3:] = _bernoulli_block(t[3], t[4]) * (n_t / n0)
-    grad = unmatched_g_gradient(theta)
+    cov[:3, :3] = _bernoulli_block(p_t, q_t) * (n_t / n1)
+    cov[3:, 3:] = _bernoulli_block(p_c, q_c) * (n_t / n0)
     c2 = float(grad @ cov @ grad)
     return max(c2, 0.0)
 
 
 def unmatched_sample_size(
-    theta1: ThetaBinary,
-    alpha: float = 0.05,
-    power: float = 0.8,
+    p_t: float, q_t: float, p_c: float, q_c: float, alpha: float = 0.05, power: float = 0.8,
 ) -> tuple[int, float, float, float]:
     """Total patients for the asymptotic unmatched win-ratio test, 1:1 allocation.
 
-    n_t = ((C0 Z_alpha - C1 Z_beta) / (g(theta1) - 1))^2 with C0 evaluated
-    at the null theta and C1 at the alternative, rounded up to an even
-    total.  Returns (n_t, g(theta1), C0, C1): the size and the values it
-    was computed from.
+    n_t = ((C0 Z_alpha - C1 Z_beta) / (g(theta1) - 1))^2 with theta1 the
+    means of the four rates, C0 evaluated at the null (every rate 1/2) and
+    C1 at theta1, rounded up to an even total.  Returns (n_t, g(theta1),
+    C0, C1): the size and the values it was computed from.
     """
     za, zb = _level_quantiles(alpha, power)
-    g1 = unmatched_g(theta1)
+    g1 = unmatched_g(p_t, q_t, p_c, q_c)
     if abs(g1 - 1.0) <= 1e-12:  # as in matched_sample_size: rounding there gives N of 1e33
         raise ConfigError("no effect: g(theta1) = 1 gives an infinite sample size")
-    c0 = math.sqrt(unmatched_variance(THETA_NULL, 1, 1))
-    c1 = math.sqrt(unmatched_variance(theta1, 1, 1))
+    c0 = math.sqrt(unmatched_variance(0.5, 0.5, 0.5, 0.5, 1, 1))
+    c1 = math.sqrt(unmatched_variance(p_t, q_t, p_c, q_c, 1, 1))
     n_t = math.ceil(((c0 * za - c1 * zb) / (g1 - 1.0)) ** 2 - 1e-9)
     n_t += n_t % 2  # both arms integral
     return n_t, g1, c0, c1

@@ -18,7 +18,6 @@ import pytest
 from wrtrials import (
     Arm,
     BinaryGenConfig,
-    ThetaBinary,
     form_matched_pairs,
     gen_binary_cohort,
     matched_sample_size,
@@ -29,7 +28,7 @@ from wrtrials import (
 )
 from wrtrials import presets
 from wrtrials.core import DegenerateResultError
-from wrtrials.power import THETA_NULL, _binary_win_loss
+from wrtrials.power import _binary_win_loss, _theta
 from wrtrials.presets import reproduce_table
 from wrtrials.wr_tests import BinaryRule, SurvivalRule, fs_unmatched_test
 
@@ -313,9 +312,9 @@ def test_c7_closed_form_consistency():
         # by the binary rule on 0-d columns of a built cohort
         ew, el, et = enumerate_win_probs(p_t, q_t, p_c, q_c)
         worst = max(worst, abs(probs.p_w - ew), abs(probs.p_l - el), abs(probs.p_tie - et))
-        wl = _binary_win_loss(ThetaBinary.from_rates(p_t, q_t, p_c, q_c).theta)
+        wl = _binary_win_loss(_theta(p_t, q_t, p_c, q_c))
         worst = max(worst, abs(wl[0] - ew), abs(wl[1] - el))
-    g0 = unmatched_g(THETA_NULL)
+    g0 = unmatched_g(0.5, 0.5, 0.5, 0.5)
     _report("7 (closed forms vs 625-point enumeration)", worst < 1e-12 and g0 == 1.0,
             f"max |error|={worst:.2e} g(null)={g0}")
     assert worst < 1e-12
@@ -350,7 +349,7 @@ def test_c8_sample_size_soundness():
                 pass
         powers.append(rej / reps)
     for rates in UNMATCHED_SETTINGS:
-        n_t, *_ = unmatched_sample_size(ThetaBinary.from_rates(*rates))
+        n_t, *_ = unmatched_sample_size(*rates)
         n1 = n0 = n_t // 2
         rej = 0
         reps = REPS

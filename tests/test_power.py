@@ -1,5 +1,8 @@
 """Closed-form checks pinned to exhaustive-enumeration oracles."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -16,7 +19,6 @@ import wrtrials
 from wrtrials import (
     BinaryRule,
     ConfigError,
-    ThetaBinary,
     matched_sample_size,
     matched_win_probs,
     unmatched_g,
@@ -26,11 +28,11 @@ from wrtrials import (
 from wrtrials.cli import main as cli_main
 from wrtrials.core import Z_95, _two_sided_p
 from wrtrials.power import (
-    THETA_NULL,
     _binary_win_loss,
+    _level_quantiles,
+    _theta,
     null_ratio_variance_candidates,
     unmatched_g_gradient,
-    z_alpha,
 )
 
 from test_wr_tests import LOSS, WIN, binary, pair_score
@@ -63,7 +65,7 @@ def unmatched_wald_test(y_t, x_t, y_c, x_c):
     y_c = np.asarray(y_c)
     x_c = np.asarray(x_c)
     n1, n0 = len(y_t), len(y_c)
-    # a plain tuple: sample means need not satisfy ThetaBinary's product constraint
+    # the six arm-wise sample means: an XY mean need not be the product of its arm's Y and X means
     means = (
         y_t.mean(),
         x_t.mean(),
@@ -76,7 +78,7 @@ def unmatched_wald_test(y_t, x_t, y_c, x_c):
     if l == 0:
         return math.inf, math.inf, 0.0
     g_hat = w / l
-    c0 = math.sqrt(unmatched_variance(THETA_NULL, n1, n0))
+    c0 = math.sqrt(unmatched_variance(0.5, 0.5, 0.5, 0.5, n1, n0))
     z = math.sqrt(n1 + n0) * (g_hat - 1.0) / c0
     return g_hat, z, _two_sided_p(z)
 
@@ -132,8 +134,7 @@ def test_matched_win_probs_rejects_bad_rates():
 
 def test_unmatched_win_loss_matches_enumeration():
     for p_t, q_t, p_c, q_c in itertools.product([0.1, 0.4, 0.5, 0.8], repeat=4):
-        theta = ThetaBinary.from_rates(p_t, q_t, p_c, q_c)
-        w, l = _binary_win_loss(theta.theta)
+        w, l = _binary_win_loss(_theta(p_t, q_t, p_c, q_c))
         ew, el, _ = enumerate_win_probs(p_t, q_t, p_c, q_c)
         assert w == pytest.approx(ew, abs=1e-12)
         assert l == pytest.approx(el, abs=1e-12)
@@ -143,12 +144,12 @@ def test_unmatched_matched_probs_agree():
     # the per-pair comparison is the same rule, so g is the matched p_w / p_l
     for p_t, q_t, p_c, q_c in itertools.product([0.2, 0.5, 0.7], repeat=4):
         probs = matched_win_probs(p_t, q_t, p_c, q_c)
-        assert unmatched_g(ThetaBinary.from_rates(p_t, q_t, p_c, q_c)) == probs.p_w / probs.p_l
+        assert unmatched_g(p_t, q_t, p_c, q_c) == probs.p_w / probs.p_l
 
 
 def test_g_is_one_at_null():
-    assert unmatched_g(THETA_NULL) == pytest.approx(1.0, abs=1e-15)
-    w, l = _binary_win_loss(THETA_NULL.theta)
+    assert unmatched_g(0.5, 0.5, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
+    w, l = _binary_win_loss(_theta(0.5, 0.5, 0.5, 0.5))
     assert w == pytest.approx(0.375, abs=1e-15)
     assert l == pytest.approx(0.375, abs=1e-15)
 
@@ -157,9 +158,7 @@ def test_g_swap_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p_t, q_t, p_c, q_c = rng.uniform(0.05, 0.95, 4)
-        theta = ThetaBinary.from_rates(p_t, q_t, p_c, q_c)
-        swapped = ThetaBinary.from_rates(p_c, q_c, p_t, q_t)
-        assert unmatched_g(theta) * unmatched_g(swapped) == pytest.approx(1.0, rel=1e-10)
+        assert unmatched_g(p_t, q_t, p_c, q_c) * unmatched_g(p_c, q_c, p_t, q_t) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_gradient_matches_central_differences():
@@ -167,16 +166,15 @@ def test_gradient_matches_central_differences():
     h = 1e-6
     for _ in range(25):
         p_t, q_t, p_c, q_c = rng.uniform(0.2, 0.8, 4)
-        theta = ThetaBinary.from_rates(p_t, q_t, p_c, q_c)
-        grad = unmatched_g_gradient(theta)
-        base = np.array(theta.theta)
+        grad = unmatched_g_gradient(p_t, q_t, p_c, q_c)
+        base = np.array(_theta(p_t, q_t, p_c, q_c))
         for k in range(6):
             up = base.copy()
             dn = base.copy()
             up[k] += h
             dn[k] -= h
-            # bypass the product-consistency validation: the gradient is of
-            # g as a free function of six coordinates
+            # the gradient is of g as a free function of the six means: a
+            # step in p_t q_t alone moves no rate, so _g_free takes the means
             g_up = _g_free(up)
             g_dn = _g_free(dn)
             fd = (g_up - g_dn) / (2 * h)
@@ -194,21 +192,27 @@ def _g_free(t):
 def test_zero_loss_probability_is_a_config_error(rates):
     # the gradient divided by l^2, so unmatched_variance returned nan with a
     # RuntimeWarning where unmatched_g refused the same theta
-    theta = ThetaBinary.from_rates(*rates)
-    for f in (unmatched_g, unmatched_g_gradient, lambda t: unmatched_variance(t, 1, 1)):
+    for f in (unmatched_g, unmatched_g_gradient, lambda *r: unmatched_variance(*r, 1, 1)):
         with pytest.raises(ConfigError, match="loss probability is zero"):
-            f(theta)
+            f(*rates)
 
 
 def test_power_refuses_malformed_inputs():
-    # a theta whose products disagree with its rates, an unknown size formula, an empty arm
-    with pytest.raises(ConfigError, match="products"):
-        ThetaBinary((0.5, 0.5, 0.3, 0.5, 0.5, 0.25))
+    # a rate outside [0, 1] (NaN included) in each unmatched function, an
+    # unknown size formula, an empty arm
+    unmatched = (unmatched_g, unmatched_g_gradient, lambda *r: unmatched_variance(*r, 1, 1),
+                 unmatched_sample_size)
+    for f, bad in itertools.product(unmatched, (-0.1, 1.2, math.nan)):
+        for k in range(4):
+            rates = [0.3, 0.4, 0.5, 0.5]
+            rates[k] = bad
+            with pytest.raises(ConfigError, match=r"event rates must lie in \[0, 1\]"):
+                f(*rates)
     with pytest.raises(ConfigError, match="unknown method 'wald'"):
         matched_sample_size(0.7, 0.2, method="wald")
     for n1, n0 in ((0, 10), (10, 0)):
         with pytest.raises(ConfigError, match="arm sizes must be positive"):
-            unmatched_variance(THETA_NULL, n1, n0)
+            unmatched_variance(0.5, 0.5, 0.5, 0.5, n1, n0)
 
 
 def test_variance_mirror_identity():
@@ -218,15 +222,13 @@ def test_variance_mirror_identity():
     rng = np.random.default_rng(12)
     for _ in range(20):
         p_t, q_t, p_c, q_c = rng.uniform(0.2, 0.8, 4)
-        theta = ThetaBinary.from_rates(p_t, q_t, p_c, q_c)
-        g = unmatched_g(theta)
-        swapped = ThetaBinary.from_rates(p_c, q_c, p_t, q_t)
-        assert unmatched_variance(swapped, 50, 50) == pytest.approx(
-            unmatched_variance(theta, 50, 50) / g**4, rel=1e-9
+        g = unmatched_g(p_t, q_t, p_c, q_c)
+        assert unmatched_variance(p_c, q_c, p_t, q_t, 50, 50) == pytest.approx(
+            unmatched_variance(p_t, q_t, p_c, q_c, 50, 50) / g**4, rel=1e-9
         )
-    null_like = ThetaBinary.from_rates(0.3, 0.6, 0.3, 0.6)
-    assert unmatched_variance(ThetaBinary.from_rates(0.3, 0.6, 0.3, 0.6), 50, 50) == pytest.approx(
-        unmatched_variance(null_like, 50, 50), rel=1e-12
+    # unequal arms with g = 1: the swap leaves the variance as it is
+    assert unmatched_variance(0.5, 0.1, 0.1, 0.9, 50, 50) == pytest.approx(
+        unmatched_variance(0.1, 0.9, 0.5, 0.1, 50, 50), rel=1e-12
     )
 
 
@@ -243,7 +245,7 @@ def test_variance_against_null_simulation():
         x_c = rng.binomial(1, 0.5, n0)
         g_hat, _, _ = unmatched_wald_test(y_t, x_t, y_c, x_c)
         stats.append(math.sqrt(n1 + n0) * (g_hat - 1.0))
-    c2 = unmatched_variance(THETA_NULL, n1, n0)
+    c2 = unmatched_variance(0.5, 0.5, 0.5, 0.5, n1, n0)
     emp = float(np.var(stats))
     assert abs(emp - c2) / c2 < 0.10
 
@@ -288,11 +290,9 @@ def test_null_ratio_variance_measurement_identifies_candidate():
 
 
 def test_unmatched_sample_size_monotone_and_null_boundary():
-    theta_weak = ThetaBinary.from_rates(0.45, 0.45, 0.5, 0.5)
-    theta_strong = ThetaBinary.from_rates(0.3, 0.3, 0.5, 0.5)
-    assert unmatched_sample_size(theta_weak)[0] > unmatched_sample_size(theta_strong)[0]
+    assert unmatched_sample_size(0.45, 0.45, 0.5, 0.5)[0] > unmatched_sample_size(0.3, 0.3, 0.5, 0.5)[0]
     with pytest.raises(ConfigError):
-        unmatched_sample_size(THETA_NULL)
+        unmatched_sample_size(0.5, 0.5, 0.5, 0.5)
 
 
 RATES = ["--pt", "0.3", "--qt", "0.3", "--pc", "0.5", "--qc", "0.5"]
@@ -325,30 +325,87 @@ def test_cli_power_rejects_degenerate_inputs(argv, capsys):
 
 
 def test_unmatched_sample_size_even_total_for_balanced_arms():
-    theta = ThetaBinary.from_rates(0.35, 0.35, 0.5, 0.5)
-    n_t, *_ = unmatched_sample_size(theta)
+    n_t, *_ = unmatched_sample_size(0.35, 0.35, 0.5, 0.5)
     assert n_t % 2 == 0
 
 
 def test_cli_power_unmatched_prints_the_inputs_of_n(capsys):
     # at these rates C1^2 ** 0.5 and math.sqrt(C1^2) differ in the last bit,
     # so a C1 computed apart from N's would show
-    theta1 = ThetaBinary.from_rates(0.3, 0.4, 0.6, 0.8)
+    rates = (0.3, 0.4, 0.6, 0.8)
     assert cli_main(["power", "--unmatched", "--pt", "0.3", "--qt", "0.4",
                      "--pc", "0.6", "--qc", "0.8"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["C1"] == math.sqrt(unmatched_variance(theta1, 1, 1))
-    assert (record["N"], record["g"], record["C0"], record["C1"]) == unmatched_sample_size(theta1)
+    assert record["C1"] == math.sqrt(unmatched_variance(*rates, 1, 1))
+    assert (record["N"], record["g"], record["C0"], record["C1"]) == unmatched_sample_size(*rates)
     assert record["n"] is None
+
+
+RATES_01 = [i / 10 for i in range(11)]
+# sha256 of every `wrtrials power` record (mode, rates, exit code, stdout,
+# stderr) on the 0.2 grid; the sizes read the normal quantiles only through
+# ceil, and no other field reads them
+POWER_RECORDS_SHA256 = "08e3eb7b5a009f8330de754514efcf6be5de52c8c1152a2cb943ebc4adfef18e"
+
+
+def _matched_size(rates):
+    """(n, N) as ``wrtrials power --matched`` computes it, or None where it exits 2."""
+    probs = matched_win_probs(*rates)
+    informative = probs.p_w + probs.p_l
+    try:
+        return matched_sample_size(max(probs.p_w, probs.p_l) / informative if informative else 0.5,
+                                   probs.p_tie)
+    except ConfigError:
+        return None
+
+
+def test_matched_size_is_the_same_after_an_arm_swap():
+    # p_a and p_tie do not depend on which arm is which; rounding once left
+    # p_tie = -1.7e-16 where no pair can tie, refusing one of the two orders
+    for p_t, q_t, p_c, q_c in itertools.product(RATES_01, repeat=4):
+        assert _matched_size((p_t, q_t, p_c, q_c)) == _matched_size((p_c, q_c, p_t, q_t)), (p_t, q_t, p_c, q_c)
+    assert _matched_size((0.2, 0, 0, 1)) == (14, 14)
+
+
+def test_power_prints_no_negative_probability_or_win_ratio():
+    # rounding once printed p_tie, p_w and g of about -1e-16 where they are 0;
+    # g = 0 is sized (N is finite), and its mirror g = inf is refused
+    sized = 0
+    for rates in itertools.product(RATES_01, repeat=4):
+        assert min(matched_win_probs(*rates)) >= 0.0, rates
+        try:
+            g = unmatched_sample_size(*rates)[1]
+        except ConfigError:
+            continue
+        assert g >= 0.0, rates
+        sized += g == 0.0
+    assert sized > 0
+    assert unmatched_sample_size(0.3, 1, 0, 0.1)[:2] == (36, 0.0)
+    with pytest.raises(ConfigError, match="loss probability is zero"):
+        unmatched_sample_size(0, 0.1, 0.3, 1)
+
+
+def test_power_records_are_pinned():
+    records = []
+    for mode in ("--matched", "--unmatched"):
+        for rates in itertools.product(["0", "0.2", "0.4", "0.6", "0.8", "1"], repeat=4):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["power", mode, *itertools.chain(*zip(("--pt", "--qt", "--pc", "--qc"), rates))])
+            records.append(json.dumps([mode, *rates, code, out.getvalue(), err.getvalue()]))
+    assert len(records) == 2592
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == POWER_RECORDS_SHA256
 
 
 def test_the_two_95_percent_quantiles_are_pinned_two_ulps_apart():
     # the confidence intervals read core.Z_95 and the sample sizes read
-    # z_alpha(0.05); a change that makes the two one value fails here instead
-    # of moving pinned intervals or sizes by an ulp or two unexplained
+    # Z_alpha of _level_quantiles at alpha = 0.05; a change that makes the two
+    # one value fails here instead of moving pinned intervals or sizes by an
+    # ulp or two unexplained
+    z_alpha = _level_quantiles(0.05, 0.8)[0]
     assert Z_95 == 1.959963984540054 == float(norm.ppf(0.975))
-    assert z_alpha(0.05) == 1.9599639845400536
-    assert Z_95 - z_alpha(0.05) == 2 * math.ulp(z_alpha(0.05))
+    assert z_alpha == 1.9599639845400536
+    assert Z_95 - z_alpha == 2 * math.ulp(z_alpha)
 
 
 def test_sample_sizes_equal_those_from_scipy_norm_ppf(monkeypatch):
@@ -357,7 +414,7 @@ def test_sample_sizes_equal_those_from_scipy_norm_ppf(monkeypatch):
     # powers is the one that scipy.stats.norm.ppf's quantiles give; the bits
     # of inv_cdf itself may differ between Python versions and are not pinned
     levels = [(alpha, power) for alpha in (0.01, 0.025, 0.05, 0.1) for power in (0.5, 0.8, 0.9)]
-    rates = [i / 10 for i in range(11)]
+    rates = RATES_01
 
     def sizes():
         out = []
@@ -373,7 +430,7 @@ def test_sample_sizes_equal_those_from_scipy_norm_ppf(monkeypatch):
                         out.append(None)
                 if all(v in rates[::2] for v in r):
                     try:
-                        out.append(unmatched_sample_size(ThetaBinary.from_rates(*r), alpha, power))
+                        out.append(unmatched_sample_size(*r, alpha, power))
                     except ConfigError:
                         out.append(None)
         return out
