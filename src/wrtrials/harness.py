@@ -6,14 +6,18 @@ the ``datagen`` generators, then ``_run_analyses`` on that cohort:
 ``_FAMILIES`` holds, per outcome family, its generator config, designs,
 analyses, the rule that scores its pairs, the draw of a trial's cohort, its
 arm sizes, its O'Brien endpoint, a binary generator's default arms, and the
-win priorities its rule reads, and whether it reads the cutoffs.
-Replications are independent: replicate i's seed is the master seed's i-th
-child (``_streams``), and each trial draws its own streams from that seed the
-same way, so results are identical whether reps run on one worker or many.
+win priorities its rule reads, whether it reads the cutoffs, and how many
+streams a trial draws.
+Replications are independent: replicate i's streams are the children of the
+master seed's i-th child that ``SeedSequence.spawn`` gives, so results are
+identical whether reps run on one worker or many.  ``_stream_states``
+computes their PCG64 states, equal to the spawned children's, for a whole
+run at once, and ``_rng`` seeds a stream's generator from its row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -59,31 +63,32 @@ class _Family(NamedTuple):
     designs: tuple[str, ...]
     analyses: tuple[str, ...]
     rule: Callable[[ScenarioConfig], object]
-    cohort: Callable[[ScenarioConfig, object], tuple[Cohort, np.random.Generator]]  # (cfg, seed)
+    cohort: Callable[[ScenarioConfig, np.ndarray], tuple[Cohort, np.random.Generator]]  # (cfg, states)
     arms: Callable[[ScenarioConfig], tuple[int, int]]  # a trial's (treated, control) sizes
     obrien: Callable[[Cohort], object] | None = None  # the O'Brien test of a cohort
     sizes: Callable[[int], dict] = lambda n: {}  # the generator's size fields that n_total implies
     priorities: tuple[str, ...] = ("death",)  # the win_priority values its rule reads
     reads_cutoffs: bool = False  # whether its rule or designs read cfg.cutoffs
+    streams: int = 2  # the streams a trial draws: the rows of its states
 
 
 _FAMILIES = {
     "survival": _Family(SurvivalGenConfig, ("parallel",), WIN_RATIO + ("Cox", "Obrien"),
                         lambda cfg: SurvivalRule(cfg.win_priority),
-                        lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_survival_cohort, cfg.n_total),
+                        lambda cfg, states: _one_stream_cohort(cfg, states, gen_survival_cohort, cfg.n_total),
                         lambda cfg: arm_sizes(cfg.n_total, cfg.generator.allocation),
                         lambda cohort: obrien_first_event(cohort), priorities=("death", "hosp")),
     "binary": _Family(BinaryGenConfig, ("parallel",), WIN_RATIO, lambda cfg: BinaryRule(),
-                      lambda cfg, seed: _one_stream_cohort(cfg, seed, gen_binary_cohort),
+                      lambda cfg, states: _one_stream_cohort(cfg, states, gen_binary_cohort),
                       lambda cfg: (cfg.generator.n1, cfg.generator.n0),
                       sizes=lambda n: dict(zip(("n1", "n0"), arm_sizes(n, 0.5)))),
     "continuous": _Family(ContinuousGenConfig, ("parallel", "cr", "sed"),
                           WIN_RATIO + ("Obrien", "Contingency"),
                           lambda cfg: ContinuousRule(cfg.cutoffs.c_t),
-                          lambda cfg, seed: _continuous_trial_cohort(cfg, seed),
+                          lambda cfg, states: _continuous_trial_cohort(cfg, states),
                           lambda cfg: arm_sizes(cfg.n_total, 0.5),
                           lambda cohort: obrien_test(-cohort.y, cohort.arm),  # shorter is better
-                          reads_cutoffs=True),
+                          reads_cutoffs=True, streams=7),
 }
 
 
@@ -190,41 +195,116 @@ class McSummary(NamedTuple):
         return self._asdict()
 
 
+# numpy's SeedSequence hash (bit_generator.pyx, after O'Neill's seed_seq)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the multipliers of mix_entropy's hashes
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state's
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
 def _uint32_words(x) -> list[int]:
     """The 32-bit words ``SeedSequence`` mixes for the entropy or spawn key ``x``.
 
     An int is its little-endian words (0 is one word), a uint32 array its
-    elements, and a sequence the words of its items in turn.
+    elements, and a sequence the words of its items in turn.  A negative int,
+    which ``SeedSequence`` refuses too, is a ValueError.
     """
     if isinstance(x, np.ndarray) and x.dtype == np.uint32:
         return x.tolist()
     if isinstance(x, (int, np.integer)):
         x = int(x)
-        words = [x & 0xFFFFFFFF]
+        if x < 0:
+            raise ValueError(f"a seed must be non-negative, got {x}")
+        words = [x & _MASK32]
         while x := x >> 32:
-            words.append(x & 0xFFFFFFFF)
+            words.append(x & _MASK32)
         return words
     return [w for item in x for w in _uint32_words(item)]
 
 
-def _streams(seed, n: int) -> list[np.random.SeedSequence]:
-    """The first n children of ``seed`` (a SeedSequence or its entropy), whatever it has spawned.
+def _multipliers(init: int, mult: int):
+    """The (xor, multiplier) pairs of successive hashes: init * mult**n and its successor."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
 
-    They equal the children ``SeedSequence.spawn`` gives on a fresh seed, in
-    every state they generate and in their own children, but leave ``seed`` as
-    it was, so the same seed gives the same trial on every call.  A child's
-    pool is a mix of the seed's entropy words, zero-padded to the pool size,
-    then its spawn key's words; child i is built from those words and i's as
-    its entropy, which skips numpy's word-by-word coercion of a spawn key.
-    Its ``entropy`` and ``spawn_key`` therefore differ from a spawned child's.
+
+def _hashmix(value, xor, mult):
+    """One word's hash; ``value`` is a Python int or a uint64 array of 32-bit values."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _stream_states(seed, *counts: int) -> np.ndarray:
+    """The PCG64 seeds of the streams (i_1, i_2, ...) of ``seed``, i_k < counts[k]: shape (*counts, 4).
+
+    Stream (i_1, i_2) is the i_2-th child that ``SeedSequence.spawn`` gives
+    from the i_1-th child of ``seed``, and its row is the child's
+    ``generate_state(4, np.uint64)``, from which ``default_rng`` seeds PCG64;
+    with no counts the row is ``seed``'s own.  ``seed`` is a non-negative int
+    (pool size 4) or a SeedSequence, which is read, not spawned from, so the
+    same seed gives the same states on every call.  The pool mixes the
+    seed's entropy words, zero-padded to the pool size, and its spawn key's
+    words once in Python ints; each index word, below 2**32 like a spawn
+    key's, is then mixed into every pool of its axis as one broadcast array
+    operation.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    words = _uint32_words(seed.entropy)
-    words += [0] * (seed.pool_size - len(words)) + _uint32_words(seed.spawn_key)
-    # a child index below 2**32 is one word; a larger one fails to convert
-    return [np.random.SeedSequence(np.array(words + [i], dtype=np.uint32), pool_size=seed.pool_size)
-            for i in range(n)]
+    if isinstance(seed, (int, np.integer)):
+        entropy, spawn_key, pool_size = seed, (), 4
+    elif isinstance(seed, np.random.SeedSequence):
+        entropy, spawn_key, pool_size = seed.entropy, seed.spawn_key, seed.pool_size
+    else:
+        raise TypeError(f"a seed is a non-negative int or a SeedSequence, got {seed!r}")
+    words = _uint32_words(entropy)
+    words += [0] * (pool_size - len(words)) + _uint32_words(spawn_key)
+    hashes = _multipliers(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(hashes)) for w in words[:pool_size]]
+    for src in range(pool_size):  # every word into every other, reading the pool as it changes
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+    for w in words[pool_size:]:
+        pool = [_mix(p, _hashmix(w, *next(hashes))) for p in pool]
+    pool = np.array(pool, dtype=np.uint64)
+    for axis, count in enumerate(counts):
+        xor, mult = np.array([next(hashes) for _ in range(pool_size)], dtype=np.uint64).T
+        index = np.arange(count, dtype=np.uint64).reshape(-1, *[1] * (len(counts) - axis))
+        pool = _mix(pool, _hashmix(index, xor, mult))
+    # generate_state's eight 32-bit words cycle through the pool; pairs are little-endian uint64s
+    hashes = _multipliers(_INIT_B, _MULT_B)
+    xor, mult = np.array([next(hashes) for _ in range(8)], dtype=np.uint64).T
+    state = _hashmix(pool.take([t % pool_size for t in range(8)], axis=-1), xor, mult)
+    return state[..., 0::2] | state[..., 1::2] << 32  # C-contiguous, as PCG64 reads it
+
+
+@functools.cache
+def _seed_words() -> type:
+    """An ``ISeedSequence`` that hands PCG64 its given state words.
+
+    Built on first use: importing ``numpy.random`` adds about 6 MiB to a
+    process, and ``import wrtrials`` does not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words and reads them in place
+
+    return SeedWords
+
+
+def _rng(state: np.ndarray) -> np.random.Generator:
+    """The generator of one stream, from its row of states: ``default_rng`` of its SeedSequence."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +404,31 @@ def _leadin_frame(
     )
 
 
-def _one_stream_cohort(cfg: ScenarioConfig, seed, draw, *size) -> tuple[Cohort, np.random.Generator]:
+def _one_stream_cohort(cfg: ScenarioConfig, states, draw, *size) -> tuple[Cohort, np.random.Generator]:
     """``draw(cfg.generator, rng, *size)`` on the first of two streams; the second is the analyses'."""
-    gen_seed, analysis_seed = _streams(seed, 2)
-    return draw(cfg.generator, np.random.default_rng(gen_seed), *size), np.random.default_rng(analysis_seed)
+    return draw(cfg.generator, _rng(states[0]), *size), _rng(states[1])
 
 
-def _stage(gen: ContinuousGenConfig, frame: ContinuousFrame, assign_seed, outcome_seed):
+def _stage(gen: ContinuousGenConfig, frame: ContinuousFrame, assign_state, outcome_state):
     """One stage as (patients, arms, outcomes): 1:1 arms from one stream, outcomes from the other."""
-    arm = _assign_arms(np.random.default_rng(assign_seed), len(frame.y_base), 0.5)
-    return frame, arm, draw_continuous_response(gen, frame, arm == 1, np.random.default_rng(outcome_seed))
+    arm = _assign_arms(_rng(assign_state), len(frame.y_base), 0.5)
+    return frame, arm, draw_continuous_response(gen, frame, arm == 1, _rng(outcome_state))
 
 
-def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
+def _continuous_trial_cohort(cfg: ScenarioConfig, states) -> tuple[Cohort, np.random.Generator]:
     gen = cfg.generator
-    # each stage's (assignment, outcome) seeds, stage 1's then stage 2's
-    patients_seed, leadin_seed, *stage_seeds, analysis_seed = _streams(seed, 7)
+    # each stage's (assignment, outcome) states, stage 1's then stage 2's
+    patients_state, leadin_state, *stage_states, analysis_state = states
 
-    patients_rng = np.random.default_rng(patients_seed)
+    patients_rng = _rng(patients_state)
     n = cfg.n_total
 
     if cfg.design == "sed":
-        frame = _leadin_frame(gen, cfg.cutoffs.c_s0, n, patients_rng,
-                              np.random.default_rng(leadin_seed))
+        frame = _leadin_frame(gen, cfg.cutoffs.c_s0, n, patients_rng, _rng(leadin_state))
     else:
         frame = draw_continuous_patients(gen, patients_rng, n)
 
-    stages = [_stage(gen, frame, *stage_seeds[:2])]
+    stages = [_stage(gen, frame, *stage_states[:2])]
 
     if cfg.design == "sed":
         _, s1_arm, y1 = stages[0]
@@ -359,10 +437,10 @@ def _continuous_trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.rand
             ~_nonresponder_mask(y1[drug_idx], frame.y_base[drug_idx], cfg.cutoffs.c_s1)
         ]
         if len(responders) >= 2:
-            stages.append(_stage(gen, frame.take(responders), *stage_seeds[2:]))
+            stages.append(_stage(gen, frame.take(responders), *stage_states[2:]))
         # fewer than two responders: the stage-2 stratum is dropped entirely
 
-    return continuous_cohort(stages), np.random.default_rng(analysis_seed)
+    return continuous_cohort(stages), _rng(analysis_state)
 
 
 def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator]:
@@ -385,10 +463,18 @@ def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator
     is empty, so the analysis coincides with ``cr`` on the same seed: that
     degeneracy is the regression anchor for the seeding scheme.
 
-    ``seed`` (a SeedSequence or an int) is read, not spawned from, so the
+    ``seed`` is an int, a SeedSequence, or a replicate's row of
+    ``_replicate_states``; a SeedSequence is read, not spawned from, so the
     same seed gives the same cohort and the same analysis stream on every call.
     """
-    return _FAMILIES[cfg.outcome_family].cohort(cfg, seed)
+    spec = _FAMILIES[cfg.outcome_family]
+    if not isinstance(seed, np.ndarray):
+        return spec.cohort(cfg, _stream_states(seed, spec.streams))
+    # PCG64 reads each row's four words in place, unchecked
+    if seed.shape != (spec.streams, 4) or seed.dtype != np.uint64 or not seed.flags.c_contiguous:
+        raise ValueError(f"a {cfg.outcome_family} trial's states are a C-contiguous uint64 array "
+                         f"of shape ({spec.streams}, 4), got {seed.dtype} {seed.shape}")
+    return spec.cohort(cfg, seed)
 
 
 def run_trial(cfg: ScenarioConfig, seed) -> dict[str, TrialRecord]:
@@ -414,6 +500,11 @@ def _finite_mean(values) -> float:
     return float(np.array(finite).mean()) if finite else math.nan
 
 
+def _replicate_states(cfg: ScenarioConfig, reps: int) -> np.ndarray:
+    """The stream states of ``monte_carlo(cfg)``'s first ``reps`` replicates, one (streams, 4) row each."""
+    return _stream_states(cfg.master_seed, reps, _FAMILIES[cfg.outcome_family].streams)
+
+
 def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     """Run ``cfg.reps`` independent trials and aggregate per analysis.
 
@@ -426,7 +517,7 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
-    seeds = _streams(cfg.master_seed, cfg.reps)
+    seeds = _replicate_states(cfg, cfg.reps)
     workers = min(n_jobs, cfg.reps, os.cpu_count() or 1)
     if workers > 1:
         # imported here: concurrent.futures loads multiprocessing and logging (~10 ms),

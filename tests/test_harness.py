@@ -70,11 +70,16 @@ def test_trial_deterministic_given_seed():
     assert repr(a) == repr(b)  # repr-compare: NaN fields defeat ==
 
 
+def spawned_states(seed: np.random.SeedSequence, n: int) -> np.ndarray:
+    """The oracle: the PCG64 seeds of ``seed.spawn(n)``, which spawns from ``seed``."""
+    return np.array([child.generate_state(4, np.uint64) for child in seed.spawn(n)])
+
+
 @pytest.mark.parametrize("cfg", [survival_cfg(), continuous_cfg("sed")], ids=["survival", "sed"])
 def test_trial_on_one_seedsequence_twice_is_the_same_trial(cfg):
     # a trial reads its SeedSequence without spawning from it, so a second
-    # call on the same child is the same trial, and the first child's streams
-    # are those of a fresh spawn
+    # call on the same child is the same trial; its streams are those of a
+    # fresh spawn, and it is replicate 2 of monte_carlo
     child = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
     first = run_trial(cfg, child)
     assert child.n_children_spawned == 0
@@ -82,38 +87,77 @@ def test_trial_on_one_seedsequence_twice_is_the_same_trial(cfg):
     cohort, rng = harness.trial_cohort(cfg, child)
     assert repr(harness._run_analyses(cfg, cohort, rng)) == repr(first)
     fresh = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
-    streams = fresh.spawn(7 if cfg.design == "sed" else 2)
-    assert all(np.array_equal(a.generate_state(4), b.generate_state(4))
-               for a, b in zip(harness._streams(child, len(streams)), streams, strict=True))
-
-
-def same_states(got, want):
-    return all(np.array_equal(a.generate_state(8), b.generate_state(8))
-               for a, b in zip(got, want, strict=True))
+    states = spawned_states(fresh, 7 if cfg.design == "sed" else 2)
+    assert np.array_equal(harness._stream_states(child, len(states)), states)
+    replicates = harness._replicate_states(cfg, 3)
+    assert np.array_equal(replicates[2], states)
+    assert repr(run_trial(cfg, replicates[2])) == repr(first)
 
 
 @pytest.mark.parametrize("entropy", [0, 1, 20240501, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3,
                                      [7, 2**40, 0], np.array([3, 0, 2**32 - 1], dtype=np.uint32)])
 @pytest.mark.parametrize("pool_size", [4, 8])
 def test_streams_are_the_spawned_children(entropy, pool_size):
-    # children and each child's 2 or 7 stream children generate the states
-    # of SeedSequence.spawn, whatever entropy form the master takes; so does
-    # a spawned child passed in, and so do children spawned from the streams
-    master = np.random.SeedSequence(entropy, pool_size=pool_size)
-    children = harness._streams(master, 5)
-    assert master.n_children_spawned == 0
-    assert same_states(children, np.random.SeedSequence(entropy, pool_size=pool_size).spawn(5))
-    for i, child in enumerate(children):
-        def spawned():
-            return np.random.SeedSequence(entropy, pool_size=pool_size).spawn(i + 1)[i]
-        for n in (2, 7):
-            assert same_states(harness._streams(child, n), spawned().spawn(n))
-        passed_in = spawned()
-        assert same_states(harness._streams(passed_in, 7), spawned().spawn(7))
-        assert passed_in.n_children_spawned == 0
-        assert same_states(child.spawn(3), spawned().spawn(3))
-    if isinstance(entropy, int) and pool_size == 4:  # the int form of a master seed
-        assert same_states(harness._streams(entropy, 5), children)
+    # the states of a master's children's 2 or 7 streams are those
+    # SeedSequence.spawn gives, whatever entropy form the master takes; so
+    # are a spawned child's passed in, and the int master's
+    def master():
+        return np.random.SeedSequence(entropy, pool_size=pool_size)
+
+    seed = master()
+    for n in (2, 7):
+        states = harness._stream_states(seed, 5, n)
+        assert states.shape == (5, n, 4) and states.dtype == np.uint64 and states.flags.c_contiguous
+        for i in range(5):
+            assert np.array_equal(states[i], spawned_states(master().spawn(i + 1)[i], n))
+            passed_in = master().spawn(i + 1)[i]
+            assert np.array_equal(harness._stream_states(passed_in, n), states[i])
+            assert passed_in.n_children_spawned == 0
+        if isinstance(entropy, int) and pool_size == 4:  # the int form of a master seed
+            assert np.array_equal(harness._stream_states(entropy, 5, n), states)
+    assert seed.n_children_spawned == 0
+    assert np.array_equal(harness._stream_states(seed, 5), spawned_states(master(), 5))
+    assert np.array_equal(harness._stream_states(seed), seed.generate_state(4, np.uint64))
+
+
+def test_stream_generator_is_default_rng_of_the_child():
+    # a stream's generator, seeded from its states, is default_rng of the
+    # spawned child in its state and in what it draws
+    master = np.random.SeedSequence(20240501)
+    states = harness._stream_states(master, 3, 7)
+    for i, child in enumerate(master.spawn(3)):
+        for j, stream in enumerate(child.spawn(7)):
+            got, want = harness._rng(states[i, j]), np.random.default_rng(stream)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random() == want.random()
+            assert got.normal() == want.normal()
+            assert np.array_equal(got.bit_generator.random_raw(3), want.bit_generator.random_raw(3))
+            assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_negative_or_fractional_seeds_are_refused():
+    # SeedSequence refused them before it was bypassed; -1 >> 32 == -1, so a
+    # negative int would have left _uint32_words looping
+    cfg = survival_cfg(n=20)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_trial(cfg, seed)
+    with pytest.raises(TypeError, match="non-negative int or a SeedSequence"):
+        run_trial(cfg, 1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        harness._uint32_words(-1)
+
+
+def test_malformed_trial_states_are_refused():
+    # PCG64 reads a row's four words in place: a short, wide, strided or
+    # mistyped array would seed from memory outside it
+    cfg = survival_cfg(n=20)
+    good = harness._replicate_states(cfg, 1)[0]
+    for states in (np.array([1, 2]), good[:1], np.zeros((2, 8), np.uint64)[:, ::2],
+                   good.astype(np.int64), harness._replicate_states(continuous_cfg("sed"), 1)[0]):
+        with pytest.raises(ValueError, match="C-contiguous uint64 array of shape"):
+            run_trial(cfg, states)
+    assert repr(run_trial(cfg, good.copy())) == repr(run_trial(cfg, good))
 
 
 def test_monte_carlo_deterministic():

@@ -459,6 +459,13 @@ def test_package_import_loads_no_scipy_module():
     assert _fresh_python("import sys, wrtrials, wrtrials.cli; " + _SCIPY_MODULES).split() == []
 
 
+def test_package_import_loads_no_numpy_random_module():
+    # numpy 2 loads numpy.random on first use, which adds about 6 MiB to every
+    # process; the package builds its seed type on its first stream instead
+    code = "import sys, wrtrials, wrtrials.cli; print(*sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    assert _fresh_python(code).split() == []
+
+
 # an O'Brien run of each family and design that has the analysis, and a binary run
 _CONTINUOUS_GEN = {"beta_t1": -2.0, "mix": {"p1": 0.05, "p2": 0.05, "p3": 0.8, "p4": 0.1}}
 _RUNS = [
