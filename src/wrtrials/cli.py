@@ -24,7 +24,7 @@ import sys
 
 from .core import ConfigError, DegenerateResultError
 from .datagen import cohort_to_csv
-from .harness import _replicate_states, monte_carlo, scenario_from_dict, trial_cohort
+from .harness import monte_carlo, scenario_from_dict, trial_cohort
 from .power import matched_sample_size, matched_win_probs, unmatched_sample_size
 from .presets import TABLE_IDS, reproduce_table
 
@@ -97,7 +97,7 @@ def _cmd_reproduce_table(args) -> int:
 def _cmd_gen(args) -> int:
     with open(args.config) as fh:
         cfg = scenario_from_dict(json.load(fh))
-    cohort, _ = trial_cohort(cfg, _replicate_states(cfg, 1)[0])  # replicate 0 of monte_carlo
+    cohort, _ = trial_cohort(cfg, 0)  # replicate 0 of monte_carlo
     cohort_to_csv(cohort, args.out)
     print(f"wrote {len(cohort)} patients to {args.out}")
     return 0

@@ -3,18 +3,18 @@
 All generators are pure functions of (config, generator, size), a binary
 config holding its own arm sizes: the same seed, config and size give
 bit-identical cohorts.  Every generator they are given is seeded from
-``harness._stream_states``: replicate i's streams are the children of the
-master seed's i-th child, as ``SeedSequence.spawn`` gives them, and their
-states are computed for a whole run at once.
+``harness._replicate_states``: replicate i's streams are the children of
+the master seed's i-th child, as ``SeedSequence.spawn`` gives them, and their
+states are computed for one replicate or a whole run at once.
 
 A trial's cohort comes from ``harness.trial_cohort``, which calls these
 generators for ``cfg.design``; ``harness.run_trial`` runs the analyses on it.
 
 RNG contract of a continuous trial (``harness._continuous_trial_cohort``).
-The streams are the trial seed's first seven children (what ``spawn(7)``
-gives on a fresh seed, whose states ``harness._stream_states`` computes), in
-this order: patients, lead-in, stage-1 assignment, stage-1 outcomes, stage-2
-assignment, stage-2 outcomes and analysis.  The SED lead-in uses only the patients and lead-in streams.  For
+The streams are the replicate seed's first seven children (what
+``SeedSequence.spawn`` gives, whose states ``harness._replicate_states``
+computes), in this order: patients, lead-in, stage-1 assignment, stage-1
+outcomes, stage-2 assignment, stage-2 outcomes and analysis.  The SED lead-in uses only the patients and lead-in streams.  For
 each batch of n enrollees it draws, in this order:
 
 1. from the patients stream, n raw words whose 32-bit halves give the x1 and

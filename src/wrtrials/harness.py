@@ -10,15 +10,17 @@ win priorities its rule reads, whether it reads the cutoffs, and how many
 streams a trial draws.
 Replications are independent: replicate i's streams are the children of the
 master seed's i-th child that ``SeedSequence.spawn`` gives, so results are
-identical whether reps run on one worker or many.  ``_stream_states``
-computes their PCG64 states, equal to the spawned children's, for a whole
-run at once, and ``_rng`` seeds a stream's generator from its row.
+identical whether reps run on one worker or many, and ``run_trial(cfg, i)``
+is replicate i of ``monte_carlo(cfg)``.  ``_replicate_states`` computes
+their PCG64 states, equal to the spawned children's, for one replicate or a
+whole run at once, and ``_rng`` seeds a stream's generator from its row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -92,6 +94,13 @@ _FAMILIES = {
 }
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a bool, a float or another non-integer is a ConfigError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return operator.index(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _family(name: str) -> _Family:
     if name not in _FAMILIES:
         raise ConfigError(f"unknown outcome family {name!r}")
@@ -133,6 +142,8 @@ class ScenarioConfig:
             raise ConfigError("n_total must lie in [4, 2**53]")
 
     def __post_init__(self):
+        for name in ("n_total", "reps", "master_seed"):  # np.int64 lacks int.bit_length
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         spec = _family(self.outcome_family)
         if not isinstance(self.generator, spec.generator):
             raise ConfigError(f"a {self.outcome_family} scenario needs a {spec.generator.__name__}")
@@ -202,26 +213,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and of generate_state's
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(x) -> list[int]:
-    """The 32-bit words ``SeedSequence`` mixes for the entropy or spawn key ``x``.
-
-    An int is its little-endian words (0 is one word), a uint32 array its
-    elements, and a sequence the words of its items in turn.  A negative int,
-    which ``SeedSequence`` refuses too, is a ValueError.
-    """
-    if isinstance(x, np.ndarray) and x.dtype == np.uint32:
-        return x.tolist()
-    if isinstance(x, (int, np.integer)):
-        x = int(x)
-        if x < 0:
-            raise ValueError(f"a seed must be non-negative, got {x}")
-        words = [x & _MASK32]
-        while x := x >> 32:
-            words.append(x & _MASK32)
-        return words
-    return [w for item in x for w in _uint32_words(item)]
-
-
 def _multipliers(init: int, mult: int):
     """The (xor, multiplier) pairs of successive hashes: init * mult**n and its successor."""
     while True:
@@ -241,45 +232,37 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _stream_states(seed, *counts: int) -> np.ndarray:
-    """The PCG64 seeds of the streams (i_1, i_2, ...) of ``seed``, i_k < counts[k]: shape (*counts, 4).
+def _replicate_states(cfg: ScenarioConfig, index) -> np.ndarray:
+    """The PCG64 seeds of the streams of replicate ``index`` of ``monte_carlo(cfg)``.
 
-    Stream (i_1, i_2) is the i_2-th child that ``SeedSequence.spawn`` gives
-    from the i_1-th child of ``seed``, and its row is the child's
-    ``generate_state(4, np.uint64)``, from which ``default_rng`` seeds PCG64;
-    with no counts the row is ``seed``'s own.  ``seed`` is a non-negative int
-    (pool size 4) or a SeedSequence, which is read, not spawned from, so the
-    same seed gives the same states on every call.  The pool mixes the
-    seed's entropy words, zero-padded to the pool size, and its spawn key's
-    words once in Python ints; each index word, below 2**32 like a spawn
-    key's, is then mixed into every pool of its axis as one broadcast array
+    An int ``index`` gives one (streams, 4) row, and an array of them a row
+    each.  Stream j of replicate i is the j-th child that ``SeedSequence.spawn``
+    gives from the i-th child of the master seed (pool size 4), and its row is
+    the child's ``generate_state(4, np.uint64)``, from which ``default_rng``
+    seeds PCG64.  The master seed's words are hashed once in Python ints; the
+    replicate index, which must lie below 2**32 to be one word of a spawn key,
+    and then the stream index are mixed into every pool as one broadcast array
     operation.
     """
-    if isinstance(seed, (int, np.integer)):
-        entropy, spawn_key, pool_size = seed, (), 4
-    elif isinstance(seed, np.random.SeedSequence):
-        entropy, spawn_key, pool_size = seed.entropy, seed.spawn_key, seed.pool_size
-    else:
-        raise TypeError(f"a seed is a non-negative int or a SeedSequence, got {seed!r}")
-    words = _uint32_words(entropy)
-    words += [0] * (pool_size - len(words)) + _uint32_words(spawn_key)
+    seed = cfg.master_seed
+    words = [seed >> 32 * i & _MASK32 for i in range(max(4, -(-seed.bit_length() // 32)))]
     hashes = _multipliers(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, *next(hashes)) for w in words[:pool_size]]
-    for src in range(pool_size):  # every word into every other, reading the pool as it changes
-        for dst in range(pool_size):
+    pool = [_hashmix(w, *next(hashes)) for w in words[:4]]
+    for src in range(4):  # every word into every other, reading the pool as it changes
+        for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
-    for w in words[pool_size:]:
+    for w in words[4:]:
         pool = [_mix(p, _hashmix(w, *next(hashes))) for p in pool]
     pool = np.array(pool, dtype=np.uint64)
-    for axis, count in enumerate(counts):
-        xor, mult = np.array([next(hashes) for _ in range(pool_size)], dtype=np.uint64).T
-        index = np.arange(count, dtype=np.uint64).reshape(-1, *[1] * (len(counts) - axis))
-        pool = _mix(pool, _hashmix(index, xor, mult))
+    streams = np.arange(_FAMILIES[cfg.outcome_family].streams, dtype=np.uint64)[:, None]
+    for word in (np.asarray(index, dtype=np.uint64)[..., None, None], streams):
+        xor, mult = np.array([next(hashes) for _ in range(4)], dtype=np.uint64).T
+        pool = _mix(pool, _hashmix(word, xor, mult))
     # generate_state's eight 32-bit words cycle through the pool; pairs are little-endian uint64s
     hashes = _multipliers(_INIT_B, _MULT_B)
     xor, mult = np.array([next(hashes) for _ in range(8)], dtype=np.uint64).T
-    state = _hashmix(pool.take([t % pool_size for t in range(8)], axis=-1), xor, mult)
+    state = _hashmix(pool.take([0, 1, 2, 3] * 2, axis=-1), xor, mult)
     return state[..., 0::2] | state[..., 1::2] << 32  # C-contiguous, as PCG64 reads it
 
 
@@ -463,13 +446,17 @@ def trial_cohort(cfg: ScenarioConfig, seed) -> tuple[Cohort, np.random.Generator
     is empty, so the analysis coincides with ``cr`` on the same seed: that
     degeneracy is the regression anchor for the seeding scheme.
 
-    ``seed`` is an int, a SeedSequence, or a replicate's row of
-    ``_replicate_states``; a SeedSequence is read, not spawned from, so the
-    same seed gives the same cohort and the same analysis stream on every call.
+    ``seed`` is a replicate index i, which gives replicate i of
+    ``monte_carlo(cfg)``, or that replicate's row of ``_replicate_states``.
+    An index is an integer in [0, 2**32): a negative or larger one is a
+    ValueError, a float a TypeError.
     """
     spec = _FAMILIES[cfg.outcome_family]
     if not isinstance(seed, np.ndarray):
-        return spec.cohort(cfg, _stream_states(seed, spec.streams))
+        index = operator.index(seed)
+        if not 0 <= index < 2**32:  # a spawn key's word: numpy mixes a larger index as two
+            raise ValueError(f"a replicate index must be non-negative and below 2**32, got {index}")
+        return spec.cohort(cfg, _replicate_states(cfg, index))
     # PCG64 reads each row's four words in place, unchecked
     if seed.shape != (spec.streams, 4) or seed.dtype != np.uint64 or not seed.flags.c_contiguous:
         raise ValueError(f"a {cfg.outcome_family} trial's states are a C-contiguous uint64 array "
@@ -500,11 +487,6 @@ def _finite_mean(values) -> float:
     return float(np.array(finite).mean()) if finite else math.nan
 
 
-def _replicate_states(cfg: ScenarioConfig, reps: int) -> np.ndarray:
-    """The stream states of ``monte_carlo(cfg)``'s first ``reps`` replicates, one (streams, 4) row each."""
-    return _stream_states(cfg.master_seed, reps, _FAMILIES[cfg.outcome_family].streams)
-
-
 def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     """Run ``cfg.reps`` independent trials and aggregate per analysis.
 
@@ -513,11 +495,12 @@ def monte_carlo(cfg: ScenarioConfig, n_jobs: int = 1) -> dict[str, McSummary]:
     ``mean_ci`` average the replicates where that value is finite, NaN if
     none is.  The summary is a pure function of the config (including
     master_seed) regardless of ``n_jobs``.  At most one worker process runs
-    per CPU and per replicate; ``n_jobs`` below 1 is a ``ConfigError``.
+    per CPU and per replicate; ``n_jobs`` below 1 or not an integer is a
+    ``ConfigError``.
     """
-    if n_jobs < 1:
+    if _integer("n_jobs", n_jobs) < 1:
         raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
-    seeds = _replicate_states(cfg, cfg.reps)
+    seeds = _replicate_states(cfg, np.arange(cfg.reps, dtype=np.uint64))
     workers = min(n_jobs, cfg.reps, os.cpu_count() or 1)
     if workers > 1:
         # imported here: concurrent.futures loads multiprocessing and logging (~10 ms),

@@ -477,7 +477,7 @@ def survival_defaults_cohort(n_total, replicate):
     """The cohort of one replicate of ``wrtrials simulate`` on the survival defaults with Cox."""
     cfg = scenario_from_dict({"design": "parallel", "outcome_family": "survival",
                               "generator": {}, "analyses": ["Cox"], "n_total": n_total})
-    cohort, _ = trial_cohort(cfg, np.random.SeedSequence(cfg.master_seed).spawn(replicate + 1)[replicate])
+    cohort, _ = trial_cohort(cfg, replicate)
     return cohort
 
 

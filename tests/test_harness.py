@@ -70,62 +70,49 @@ def test_trial_deterministic_given_seed():
     assert repr(a) == repr(b)  # repr-compare: NaN fields defeat ==
 
 
-def spawned_states(seed: np.random.SeedSequence, n: int) -> np.ndarray:
-    """The oracle: the PCG64 seeds of ``seed.spawn(n)``, which spawns from ``seed``."""
-    return np.array([child.generate_state(4, np.uint64) for child in seed.spawn(n)])
+def spawned_states(master: int, replicate: int, streams: int) -> np.ndarray:
+    """The oracle: the PCG64 seeds of a replicate's streams, as numpy spawns them."""
+    children = np.random.SeedSequence(master, spawn_key=(replicate,)).spawn(streams)
+    return np.array([child.generate_state(4, np.uint64) for child in children])
 
 
 @pytest.mark.parametrize("cfg", [survival_cfg(), continuous_cfg("sed")], ids=["survival", "sed"])
-def test_trial_on_one_seedsequence_twice_is_the_same_trial(cfg):
-    # a trial reads its SeedSequence without spawning from it, so a second
-    # call on the same child is the same trial; its streams are those of a
-    # fresh spawn, and it is replicate 2 of monte_carlo
-    child = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
-    first = run_trial(cfg, child)
-    assert child.n_children_spawned == 0
-    assert repr(run_trial(cfg, child)) == repr(first)
-    cohort, rng = harness.trial_cohort(cfg, child)
-    assert repr(harness._run_analyses(cfg, cohort, rng)) == repr(first)
-    fresh = np.random.SeedSequence(cfg.master_seed).spawn(3)[2]
-    states = spawned_states(fresh, 7 if cfg.design == "sed" else 2)
-    assert np.array_equal(harness._stream_states(child, len(states)), states)
-    replicates = harness._replicate_states(cfg, 3)
-    assert np.array_equal(replicates[2], states)
-    assert repr(run_trial(cfg, replicates[2])) == repr(first)
+def test_trial_index_is_its_replicate_row_and_the_spawned_streams(cfg):
+    # run_trial(cfg, i) is replicate i of monte_carlo(cfg): the same trial as
+    # row i of the run's states, which are those of numpy's spawned children
+    rows = harness._replicate_states(cfg, np.arange(3, dtype=np.uint64))
+    for i in (0, 2, 122, 2**32 - 1):
+        states = spawned_states(cfg.master_seed, i, 7 if cfg.design == "sed" else 2)
+        assert np.array_equal(harness._replicate_states(cfg, i), states)
+        if i < len(rows):
+            assert np.array_equal(rows[i], states)
+        first = run_trial(cfg, i)
+        assert repr(run_trial(cfg, states)) == repr(first)
+        assert repr(run_trial(cfg, np.int64(i))) == repr(first)
+    cohort, rng = harness.trial_cohort(cfg, 2)
+    assert repr(harness._run_analyses(cfg, cohort, rng)) == repr(run_trial(cfg, rows[2]))
 
 
-@pytest.mark.parametrize("entropy", [0, 1, 20240501, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3,
-                                     [7, 2**40, 0], np.array([3, 0, 2**32 - 1], dtype=np.uint32)])
-@pytest.mark.parametrize("pool_size", [4, 8])
-def test_streams_are_the_spawned_children(entropy, pool_size):
-    # the states of a master's children's 2 or 7 streams are those
-    # SeedSequence.spawn gives, whatever entropy form the master takes; so
-    # are a spawned child's passed in, and the int master's
-    def master():
-        return np.random.SeedSequence(entropy, pool_size=pool_size)
-
-    seed = master()
-    for n in (2, 7):
-        states = harness._stream_states(seed, 5, n)
+@pytest.mark.parametrize("master", [0, 1, 20240501, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3,
+                                    2**128, 2**200 + 7])
+@pytest.mark.parametrize("pool_size", [4])  # numpy's default pool, the one a master seed fills
+def test_streams_are_the_spawned_children(master, pool_size):
+    # the states of replicate i's 2 or 7 streams are those SeedSequence.spawn
+    # gives from the master's i-th child, for a master of one word and for
+    # one with words beyond the pool
+    for cfg, n in ((survival_cfg(seed=master), 2), (continuous_cfg("cr", seed=master), 7)):
+        states = harness._replicate_states(cfg, np.arange(5, dtype=np.uint64))
         assert states.shape == (5, n, 4) and states.dtype == np.uint64 and states.flags.c_contiguous
-        for i in range(5):
-            assert np.array_equal(states[i], spawned_states(master().spawn(i + 1)[i], n))
-            passed_in = master().spawn(i + 1)[i]
-            assert np.array_equal(harness._stream_states(passed_in, n), states[i])
-            assert passed_in.n_children_spawned == 0
-        if isinstance(entropy, int) and pool_size == 4:  # the int form of a master seed
-            assert np.array_equal(harness._stream_states(entropy, 5, n), states)
-    assert seed.n_children_spawned == 0
-    assert np.array_equal(harness._stream_states(seed, 5), spawned_states(master(), 5))
-    assert np.array_equal(harness._stream_states(seed), seed.generate_state(4, np.uint64))
+        for i, child in enumerate(np.random.SeedSequence(master, pool_size=pool_size).spawn(5)):
+            assert np.array_equal(states[i], [s.generate_state(4, np.uint64) for s in child.spawn(n)])
 
 
 def test_stream_generator_is_default_rng_of_the_child():
     # a stream's generator, seeded from its states, is default_rng of the
     # spawned child in its state and in what it draws
-    master = np.random.SeedSequence(20240501)
-    states = harness._stream_states(master, 3, 7)
-    for i, child in enumerate(master.spawn(3)):
+    cfg = continuous_cfg("sed", seed=20240501)
+    states = harness._replicate_states(cfg, np.arange(3, dtype=np.uint64))
+    for i, child in enumerate(np.random.SeedSequence(cfg.master_seed).spawn(3)):
         for j, stream in enumerate(child.spawn(7)):
             got, want = harness._rng(states[i, j]), np.random.default_rng(stream)
             assert got.bit_generator.state == want.bit_generator.state
@@ -136,25 +123,24 @@ def test_stream_generator_is_default_rng_of_the_child():
 
 
 def test_negative_or_fractional_seeds_are_refused():
-    # SeedSequence refused them before it was bypassed; -1 >> 32 == -1, so a
-    # negative int would have left _uint32_words looping
+    # a replicate index is one 32-bit word of a spawn key, checked before any
+    # hashing; a SeedSequence is not a trial's seed
     cfg = survival_cfg(n=20)
-    for seed in (-1, np.int64(-1)):
-        with pytest.raises(ValueError, match="non-negative"):
+    for seed in (-1, np.int64(-1), 2**32):
+        with pytest.raises(ValueError, match=r"non-negative and below 2\*\*32"):
             run_trial(cfg, seed)
-    with pytest.raises(TypeError, match="non-negative int or a SeedSequence"):
-        run_trial(cfg, 1.5)
-    with pytest.raises(ValueError, match="non-negative"):
-        harness._uint32_words(-1)
+    for seed in (1.5, np.random.SeedSequence(3)):
+        with pytest.raises(TypeError):
+            run_trial(cfg, seed)
 
 
 def test_malformed_trial_states_are_refused():
     # PCG64 reads a row's four words in place: a short, wide, strided or
     # mistyped array would seed from memory outside it
     cfg = survival_cfg(n=20)
-    good = harness._replicate_states(cfg, 1)[0]
+    good = harness._replicate_states(cfg, 0)
     for states in (np.array([1, 2]), good[:1], np.zeros((2, 8), np.uint64)[:, ::2],
-                   good.astype(np.int64), harness._replicate_states(continuous_cfg("sed"), 1)[0]):
+                   good.astype(np.int64), harness._replicate_states(continuous_cfg("sed"), 0)):
         with pytest.raises(ValueError, match="C-contiguous uint64 array of shape"):
             run_trial(cfg, states)
     assert repr(run_trial(cfg, good.copy())) == repr(run_trial(cfg, good))
@@ -373,7 +359,7 @@ def test_leadin_cap_makes_every_analysis_degenerate(monkeypatch):
         return frame
 
     monkeypatch.setattr(harness, "draw_continuous_patients", counting)
-    records = run_trial(cfg, np.random.SeedSequence(3))
+    records = run_trial(cfg, 3)
     assert batch_sizes == [8] * 400
     assert set(records) == set(cfg.analyses)
     for record in records.values():
@@ -656,6 +642,29 @@ def test_inputs_that_failed_mid_run_are_config_errors(tmp_path):
         cfg_path = tmp_path / "crash.json"
         cfg_path.write_text(json.dumps(d))
         assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("name,value", [("n_total", 60.5), ("reps", 2.5), ("master_seed", 1.5),
+                                        ("n_total", True), ("reps", True), ("master_seed", False)])
+def test_non_integer_sizes_and_seeds_are_config_errors(name, value):
+    # reps=2.5 ran 3 replicates, n_total=60.5 died inside numpy and
+    # master_seed=1.5 when the run started
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        replace(survival_cfg(), **{name: value})
+
+
+def test_numpy_integer_sizes_and_seeds_are_python_ints():
+    cfg = replace(survival_cfg(n=20, reps=3), n_total=np.int64(20), reps=np.int64(3),
+                  master_seed=np.int64(7))
+    assert all(type(v) is int for v in (cfg.n_total, cfg.reps, cfg.master_seed))
+    assert repr(monte_carlo(cfg)) == repr(monte_carlo(survival_cfg(n=20, reps=3)))
+
+
+@pytest.mark.parametrize("n_jobs", [1.5, True])
+def test_non_integer_jobs_is_a_config_error(n_jobs):
+    # 1.5 raised TypeError from the worker pool
+    with pytest.raises(ConfigError, match="n_jobs must be an integer"):
+        monte_carlo(survival_cfg(reps=2), n_jobs=n_jobs)
 
 
 @pytest.mark.parametrize("path,value", [
@@ -962,9 +971,8 @@ def test_cli_small_survival_cox_records_singular_fits_as_degenerate(tmp_path, ca
     d = {"design": "parallel", "outcome_family": "survival", "generator": {},
          "analyses": ["Cox"], "n_total": 8, "reps": 100}
     cfg = scenario_from_dict(d)
-    seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.reps)
     for rep in (73, 95):
-        record = run_trial(cfg, seeds[rep])["Cox"]
+        record = run_trial(cfg, rep)["Cox"]
         assert record.degenerate and record.note == "singular information matrix"
     cfg_path = tmp_path / "cox8.json"
     cfg_path.write_text(json.dumps(d))
