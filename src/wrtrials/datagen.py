@@ -24,6 +24,17 @@ each batch of n enrollees it draws, in this order:
 3. from the patients stream, n class uniforms (``random(n)``);
 4. from the lead-in stream, one (n, 3) ``normal`` draw of placebo noise.
 
+The lead-in makes exactly these draws, in this order, but reads steps 1-3
+of every batch from the patients stream as one run of raw PCG64 words
+(``_RawWords``), read 4n at a time, about two batches' worth: a coin bit is the
+top bit of a word's 32-bit half, as in ``_coin_bits``, and a class uniform is
+numpy's PCG64 double of a word, (word >> 11) * 2**-53, the value ``random``
+returns (``_doubles``).  When it returns, or stops at its batch cap, it gives
+back the words it read and did not use (``advance``), so the patients stream
+ends where the per-call draws leave it.  The lead-in stream stays one
+``normal`` call per batch: the ziggurat reads a varying number of words per
+draw, so normals read ahead could not be given back exactly.
+
 Each raw-word draw of 2k bits equals the ``Generator.integers`` call on [0, 2)
 of size 2k that it replaced, in its bits and in the words it consumes, since
 no stream holds a buffered 32-bit half-word when it flips coins.  CR draws
@@ -41,7 +52,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +67,11 @@ def _positive_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
         u[bad] = rng.uniform(0.0, 1.0, int(bad.sum()))
         bad = (u <= 0.0) | (u >= 1.0)
     return u
+
+
+def _top_bits(words: np.ndarray) -> np.ndarray:
+    """The top bit of each 32-bit half of raw PCG64 words, low half first (uint32)."""
+    return words.astype("<u8", copy=False).view("<u4") >> 31
 
 
 def _coin_bits(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -73,8 +89,60 @@ def _coin_bits(rng: np.random.Generator, k: int) -> np.ndarray:
     """
     bg = rng.bit_generator
     if isinstance(bg, np.random.PCG64):
-        return bg.random_raw(k).astype("<u8", copy=False).view("<u4") >> 31
+        return _top_bits(bg.random_raw(k))
     return rng.integers(0, 2, 2 * k)
+
+
+class _RawWords:
+    """A PCG64 stream read as one run of raw words, at least ``ahead`` at a time.
+
+    ``take`` hands out the words in stream order, and ``coin_bits`` the bits
+    ``_coin_bits`` draws from them (as int64).  On leaving its ``with`` block
+    it gives back the words it read and did not hand out (``advance``), so the
+    stream ends where drawing the handed-out words one call at a time leaves
+    it, with no buffered 32-bit half-word.
+    """
+
+    def __init__(self, rng: np.random.Generator, ahead: int):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(f"raw words are read from a PCG64 stream, not {type(rng.bit_generator).__name__}")
+        self._bg = rng.bit_generator
+        self._ahead = ahead
+        self._words = np.empty(0, np.uint64)
+        self._bits = np.empty(0, np.int64)  # _top_bits(_words)
+        self._at = 0
+
+    def __enter__(self) -> _RawWords:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._bg.advance(-(len(self._words) - self._at))
+
+    def _next(self, k: int) -> int:
+        """Where the next k words start, reading ahead when fewer are left."""
+        at = self._at
+        if at + k > len(self._words):
+            fresh = self._bg.random_raw(max(k, self._ahead))
+            self._words = np.concatenate((self._words[at:], fresh))
+            self._bits = _top_bits(self._words).astype(np.int64)
+            at = 0
+        self._at = at + k
+        return at
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k words."""
+        at = self._next(k)
+        return self._words[at:at + k]
+
+    def coin_bits(self, k: int) -> np.ndarray:
+        """The 2k bits of ``_coin_bits`` from the next k words."""
+        at = 2 * self._next(k)
+        return self._bits[at:at + 2 * k]
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's PCG64 double of each raw word, (word >> 11) * 2**-53: what ``random`` returns."""
+    return (words >> 11) * 2.0**-53
 
 
 def arm_sizes(n: int, allocation: float) -> tuple[int, int]:
@@ -322,6 +390,33 @@ class ContinuousFrame(NamedTuple):
         return ContinuousFrame(*map(np.concatenate, zip(*frames)))
 
 
+def _pattern_codes(redraw: np.ndarray, coin_bits: Callable[[int], np.ndarray], n: int) -> np.ndarray:
+    """n covariate pattern codes 2 * x1 + x2, each redrawn while ``redraw[code]``.
+
+    ``coin_bits(k)`` gives 2k fair bits, the x1 bits then the x2 bits of k
+    rows.  The first call draws all n rows; each later round draws the rows
+    still to redraw, in row order.
+    """
+    bits = coin_bits(n)
+    code = (2 * bits[:n] + bits[n:]).astype(np.int64, copy=False)
+    bad = redraw[code].nonzero()[0]
+    while len(bad):
+        k = len(bad)
+        bits = coin_bits(k)
+        redrawn = 2 * bits[:k] + bits[k:]
+        code[bad] = redrawn
+        bad = bad[redraw[redrawn]]
+    return code
+
+
+def _patients(cfg: ContinuousGenConfig, code: np.ndarray, class_u: np.ndarray) -> ContinuousFrame:
+    """The patients of pattern codes ``code`` whose responder classes are drawn by ``class_u``."""
+    subpop = _SUBPOP_CODES[cfg.mix.cdf.searchsorted(class_u, side="right")]
+    # a baseline is its pattern's, exact where it is positive
+    return ContinuousFrame(x1=code >> 1, x2=code & 1, y_base=np.array(cfg.baselines)[code],
+                           subpop=subpop)
+
+
 def draw_continuous_patients(
     cfg: ContinuousGenConfig, rng: np.random.Generator, n: int
 ) -> ContinuousFrame:
@@ -333,21 +428,9 @@ def draw_continuous_patients(
     bits of an ``integers`` call on [0, 2) of size 2k.  A PCG64 holding a
     half-word buffered by the caller's own 32-bit draws keeps it.
     """
-    # each row is carried as its covariate pattern code 2 * x1 + x2, and its
-    # baseline is that code's, exact where it is positive
-    baseline = np.array(cfg.baselines)
-    redraw = ~(baseline > 0)
-    bits = _coin_bits(rng, n)
-    code = (2 * bits[:n] + bits[n:]).astype(np.int64)
-    bad = redraw[code].nonzero()[0]
-    while len(bad):
-        k = len(bad)
-        bits = _coin_bits(rng, k)
-        redrawn = 2 * bits[:k] + bits[k:]
-        code[bad] = redrawn
-        bad = bad[redraw[redrawn]]
-    subpop = _SUBPOP_CODES[cfg.mix.cdf.searchsorted(rng.random(n), side="right")]
-    return ContinuousFrame(x1=code >> 1, x2=code & 1, y_base=baseline[code], subpop=subpop)
+    redraw = ~(np.array(cfg.baselines) > 0)
+    code = _pattern_codes(redraw, lambda k: _coin_bits(rng, k), n)
+    return _patients(cfg, code, rng.random(n))
 
 
 def draw_continuous_response(

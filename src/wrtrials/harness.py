@@ -39,7 +39,11 @@ from .datagen import (
     draw_continuous_response,
     gen_binary_cohort,
     gen_survival_cohort,
+    _RawWords,
     _assign_arms,
+    _doubles,
+    _pattern_codes,
+    _patients,
     arm_sizes,
 )
 from .wr_tests import (
@@ -348,6 +352,7 @@ def _run_analyses(cfg: ScenarioConfig, cohort: Cohort, rng: np.random.Generator)
 
 
 _LEADIN_MAX_BATCHES = 400
+_LEADIN_READ_AHEAD = 4  # raw words the lead-in reads ahead per enrollee of a batch
 
 
 def _nonresponder_mask(y: np.ndarray, y_base: np.ndarray, cutoff: float) -> np.ndarray:
@@ -366,21 +371,33 @@ def _leadin_frame(
     """The first n observed placebo nonresponders of the lead-in, in enrollment order.
 
     Enrollees come in batches of n, each with one placebo outcome draw, for
-    at most ``_LEADIN_MAX_BATCHES`` batches.  The draws follow the RNG
-    contract in the ``datagen`` module docstring.
+    at most ``_LEADIN_MAX_BATCHES`` batches.  The draws and their order are
+    those of the RNG contract in the ``datagen`` module docstring, a batch's
+    patients those ``draw_continuous_patients`` gives.  The patients stream,
+    a PCG64, is read as one run of raw words (``datagen._RawWords``),
+    ``_LEADIN_READ_AHEAD * n`` at a time, and the words read but not used are
+    given back on return or at the cap.  A batch is carried as its pattern
+    codes; only its kept rows' codes and class-uniform words are kept, and the
+    frame is built once from them, a class uniform being (word >> 11) * 2**-53.
     """
+    baseline = np.array(gen.baselines)
+    redraw = ~(baseline > 0)
     beta_p = np.asarray(gen.beta_p, dtype=float)
-    kept: list[ContinuousFrame] = []
+    codes, class_words = [], []  # per batch, its kept rows'
     kept_count = 0
-    for _ in range(_LEADIN_MAX_BATCHES):
-        batch = draw_continuous_patients(gen, patients_rng, n)
-        # the placebo outcome: every enrollee shows the placebo-level shift
-        y_lead = batch.y_base[:, None] + beta_p + leadin_rng.normal(0.0, gen.noise_sd, size=(n, 3))
-        keep = _nonresponder_mask(y_lead, batch.y_base, c_s0).nonzero()[0][: n - kept_count]
-        kept.append(batch.take(keep))
-        kept_count += len(keep)
-        if kept_count == n:
-            return ContinuousFrame.concat(kept)
+    with _RawWords(patients_rng, ahead=_LEADIN_READ_AHEAD * n) as words:
+        for _ in range(_LEADIN_MAX_BATCHES):
+            code = _pattern_codes(redraw, words.coin_bits, n)
+            batch_words = words.take(n)
+            y_base = baseline[code]
+            # the placebo outcome: every enrollee shows the placebo-level shift
+            y_lead = y_base[:, None] + beta_p + leadin_rng.normal(0.0, gen.noise_sd, size=(n, 3))
+            keep = _nonresponder_mask(y_lead, y_base, c_s0).nonzero()[0][: n - kept_count]
+            codes.append(code[keep])
+            class_words.append(batch_words[keep])
+            kept_count += len(keep)
+            if kept_count == n:
+                return _patients(gen, np.concatenate(codes), _doubles(np.concatenate(class_words)))
     raise DegenerateResultError(
         f"lead-in produced too few placebo nonresponders for stage 1: {kept_count} of {n} "
         f"after _LEADIN_MAX_BATCHES={_LEADIN_MAX_BATCHES} batches"

@@ -25,9 +25,9 @@ from wrtrials import (
     gen_binary_cohort,
     gen_survival_cohort,
 )
-from wrtrials import harness
+from wrtrials import harness, presets
 from wrtrials.datagen import (
-    ContinuousFrame, _assign_arms, _coin_bits, _positive_uniform, continuous_cohort,
+    ContinuousFrame, _assign_arms, _coin_bits, _doubles, _positive_uniform, continuous_cohort,
     draw_continuous_patients, draw_continuous_response,
 )
 
@@ -481,10 +481,43 @@ def test_leadin_keeps_the_stream(beta_cov, c_s0, monkeypatch):
             assert_same_stream(g, w)
 
 
+def words_drawn(rng, seed):
+    """How many raw words ``rng`` has drawn from ``default_rng(seed)``'s stream."""
+    next_word = copy.deepcopy(rng).bit_generator.random_raw()
+    at = (np.random.default_rng(seed).bit_generator.random_raw(10**5) == next_word).nonzero()[0]
+    assert len(at) == 1
+    return int(at[0])
+
+
+def test_leadin_keeps_the_stream_at_preset_scale():
+    # t13's SED lead-in at N=500 reads its patients stream in several blocks
+    # of raw words, so the refilled words are compared with the per-call draws
+    cfg = presets._TABLES["t13"].scenario("sed", n=500)
+    n = cfg.n_total
+    for seed in range(8):
+        got_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
+        want_rngs = [np.random.default_rng([seed, k]) for k in (0, 1)]
+        want = oracle_leadin_frame(cfg.generator, cfg.cutoffs.c_s0, n, *want_rngs)
+        got = harness._leadin_frame(cfg.generator, cfg.cutoffs.c_s0, n, *got_rngs)
+        assert_same_frame(got, want)
+        for g, w in zip(got_rngs, want_rngs):
+            assert_same_stream(g, w)
+        if seed == 0:  # more words than the first block holds
+            assert words_drawn(got_rngs[0], [seed, 0]) > harness._LEADIN_READ_AHEAD * n
+
+
+def test_leadin_reads_raw_words_only_from_a_pcg64():
+    gen = ContinuousGenConfig(mix=EVEN_MIX)
+    with pytest.raises(TypeError, match="PCG64"):
+        harness._leadin_frame(gen, 0.8, 5, np.random.Generator(np.random.MT19937(0)),
+                              np.random.default_rng(1))
+
+
 def test_numpy_draw_properties_the_stream_relies_on():
-    # the cohort draws rely on these three properties of numpy's Generator;
-    # a numpy release that breaks one moves every SED and CR number, and the
-    # third every survival number too
+    # the cohort draws rely on these four properties of numpy's Generator;
+    # a numpy release that breaks one of the first three moves every SED and
+    # CR number, and the third every survival number too, and one that breaks
+    # the fourth moves the SED lead-in's patients or its stream's end state
     p = np.array([0.05, 0.0, 0.8, 0.15])
     classes = np.array([1, 2, 3, 4])
     for seed in range(50):
@@ -519,6 +552,20 @@ def test_numpy_draw_properties_the_stream_relies_on():
                 state, raw_state = rng.bit_generator.state, raw.bit_generator.state
                 assert state["state"] == raw_state["state"]  # the 128-bit state and inc
                 assert state["has_uint32"] == raw_state["has_uint32"] == 0
+    # on a PCG64, random(k) is the double (word >> 11) * 2**-53 of each of k raw
+    # words (_doubles), and advance(-m) after random_raw(m) restores the state
+    # with no buffered half-word: the SED lead-in reads its patients stream
+    # as raw words (_RawWords) and gives back the ones it did not use
+    for seed in range(50):
+        for k in (1, 2, 37, 500):
+            drawn, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(drawn.random(k), _doubles(raw.bit_generator.random_raw(k)))
+            assert drawn.bit_generator.state == raw.bit_generator.state
+            start = raw.bit_generator.state
+            raw.bit_generator.random_raw(k)
+            raw.bit_generator.advance(-k)
+            assert raw.bit_generator.state == start
+            assert raw.bit_generator.state["has_uint32"] == 0
 
 
 @pytest.mark.parametrize("beta_cov", STREAM_BETA_COVS[1:])

@@ -348,19 +348,23 @@ def test_contingency_table_counts_exactly_the_stage1_patients(monkeypatch):
 
 
 def test_leadin_cap_makes_every_analysis_degenerate(monkeypatch):
-    # c_s0 = +inf excludes every enrollee, so the lead-in stops at its cap
+    # c_s0 = +inf excludes every enrollee, so the lead-in stops at its cap,
+    # and its stream ends where 400 placebo draws for batches of 8 leave it
     cfg = continuous_cfg("sed", n=8, c_s0=math.inf)
-    batch_sizes = []
-    draw = harness.draw_continuous_patients
+    leadin_rngs = []
+    leadin = harness._leadin_frame
 
-    def counting(*args):
-        frame = draw(*args)
-        batch_sizes.append(len(frame.y_base))
-        return frame
+    def recording(gen, c_s0, n, patients_rng, leadin_rng):
+        leadin_rngs.append(leadin_rng)
+        return leadin(gen, c_s0, n, patients_rng, leadin_rng)
 
-    monkeypatch.setattr(harness, "draw_continuous_patients", counting)
+    monkeypatch.setattr(harness, "_leadin_frame", recording)
     records = run_trial(cfg, 3)
-    assert batch_sizes == [8] * 400
+    want = harness._rng(harness._replicate_states(cfg, 3)[1])
+    for _ in range(400):
+        want.normal(0.0, cfg.generator.noise_sd, (8, 3))
+    [got] = leadin_rngs
+    assert got.bit_generator.state == want.bit_generator.state
     assert set(records) == set(cfg.analyses)
     for record in records.values():
         assert record.degenerate
